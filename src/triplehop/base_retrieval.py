@@ -186,24 +186,79 @@ def base_retrieve(
 # Embedders
 # ---------------------------------------------------------------------------
 
-def hash_embed(text: str, dim: int) -> np.ndarray:
-    """Feature-hash character 3-grams of the lowercased text into a unit vector.
+class _TrigramCodes(dict):
+    """trigram -> 2 * bucket + (1 if the sign is +1 else 0), for one dim.
 
-    Buckets and signs come from a keyed blake2b digest, so vectors are stable
-    across processes and platforms. Texts shorter than 3 characters produce
-    the zero vector; cosine against the zero vector is defined as 0.
+    A trigram is hashed on its first lookup and answered from the dict after
+    that, so the memo holds one entry per distinct trigram seen at this dim.
+    """
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, trigram: str) -> int:
+        digest = hashlib.blake2b(trigram.encode("utf-8"), digest_size=8).digest()
+        code = 2 * (int.from_bytes(digest[:4], "little") % self.dim) + (digest[4] & 1)
+        self[trigram] = code
+        return code
+
+
+# One memo per dim, shared by every index and thread of the process. Two
+# threads that miss on the same trigram store the same code, so no lock.
+_TRIGRAM_CODES: dict[int, _TrigramCodes] = {}
+
+
+def trigram_counts(low: str, dim: int) -> np.ndarray:
+    """Signed bucket counts of the character 3-grams of an already lower-cased
+    text: the vector ``hash_embed`` normalises.
+
+    Every entry is a sum of +1s and -1s, so it is an exact integer in float64
+    and counts of concatenated pieces may be added in any order.
     """
     if dim < 8:
         raise ValueError("dim must be >= 8")
-    vec = np.zeros(dim, dtype=np.float64)
-    low = text.lower()
-    for i in range(len(low) - 2):
-        digest = hashlib.blake2b(low[i : i + 3].encode("utf-8"), digest_size=8).digest()
-        bucket = int.from_bytes(digest[:4], "little") % dim
-        sign = 1.0 if digest[4] & 1 else -1.0
-        vec[bucket] += sign
+    codes = _TRIGRAM_CODES.get(dim)
+    if codes is None:
+        codes = _TRIGRAM_CODES.setdefault(dim, _TrigramCodes(dim))
+    tallies = np.bincount(
+        np.array([codes[low[i : i + 3]] for i in range(len(low) - 2)], dtype=np.intp),
+        minlength=2 * dim,
+    )
+    return (tallies[1::2] - tallies[0::2]).astype(np.float64)
+
+
+def hash_embed(text: str, dim: int) -> np.ndarray:
+    """Feature-hash character 3-grams of the lowercased text into a unit vector.
+
+    Each trigram's bucket and sign come from blake2b, 8-byte digest, of its
+    UTF-8 bytes (the first four bytes, little-endian, modulo ``dim`` pick the
+    bucket; the low bit of the fifth, the sign), so vectors are stable across
+    processes and platforms. The (bucket, sign) of each trigram is memoised
+    per dim for the life of the process; the memo is bounded by the distinct
+    trigrams seen. Texts shorter than 3 characters produce the zero vector;
+    cosine against the zero vector is defined as 0.
+    """
+    return unit_vector(trigram_counts(text.lower(), dim))
+
+
+def unit_vector(vec: np.ndarray) -> np.ndarray:
+    """``vec`` divided by its Euclidean norm; the zero vector stays zero."""
     norm = np.linalg.norm(vec)
     return vec / norm if norm > 0 else vec
+
+
+def hash_dim(embedder) -> int | None:
+    """``dim`` if the embedder is named ``hash:<dim>`` (a ``HashEmbedder``, or a
+    wrapper that keeps its name), else None.
+
+    ``load_index`` likewise takes the name as the identity of the embedding
+    function.
+    """
+    name = getattr(embedder, "name", None)
+    if isinstance(name, str) and name.startswith("hash:") and name[5:].isdecimal():
+        return int(name[5:])
+    return None
 
 
 @dataclass(frozen=True)

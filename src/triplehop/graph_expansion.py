@@ -19,7 +19,10 @@ from .base_retrieval import (
     RankedList,
     RetrievalConfig,
     base_retrieve,
+    hash_dim,
     rrf_fuse,
+    trigram_counts,
+    unit_vector,
 )
 from .corpus_index import (
     PASSAGES,
@@ -75,21 +78,72 @@ def score_sequence(index: CorpusIndex, query: str, sequence: Sequence[str]) -> f
 
 
 def make_cosine_scorer(index: CorpusIndex) -> Scorer:
-    """Default sequence scorer; caches embeddings within one search."""
+    """Default sequence scorer: cosine of the query and the serialized sequence.
+
+    Embeddings are cached within one search. When the index embeds with the
+    hash embedder (``hash_dim`` finds its name ``hash:<dim>``), no candidate
+    is serialized or embedded. ``serialize_sequence`` joins triples with
+    ``"; "``, and lower-casing never carries context across ``";"``, so the
+    lower-cased text of ``a; b`` is ``low(a) + "; " + low(b)`` and its
+    trigram counts are
+
+        counts(a) + counts(low(a)[-2:] + "; " + low(b)[:2]) + counts(b),
+
+    the middle term being the trigrams that touch the separator. The slices
+    are taken after lower-casing, because ``'İ'.lower()`` is two characters.
+    Counts are integer-valued float64, so the sum is exact; counts of each
+    triple, beam prefix and boundary window are kept for the whole search. The
+    sum then goes through ``hash_embed``'s normalisation, this scorer's own
+    and the same dot product, so scores are bit-identical to embedding the
+    serialized text. Any other embedder is called on the serialized text.
+    """
     cache: dict[str, np.ndarray] = {}
 
     def embed_unit(text: str) -> np.ndarray:
         vec = cache.get(text)
         if vec is None:
-            vec = np.asarray(index.embedder(text), dtype=np.float64)
-            norm = float(np.linalg.norm(vec))
-            if norm > 0:
-                vec = vec / norm
-            cache[text] = vec
+            vec = cache[text] = unit_vector(np.asarray(index.embedder(text), dtype=np.float64))
         return vec
 
+    dim = hash_dim(index.embedder)
+    if dim is None:
+
+        def scorer(query: str, sequence: tuple[str, ...]) -> float:
+            return float(embed_unit(query) @ embed_unit(serialize_sequence(index, sequence)))
+
+        return scorer
+
+    # tid -> (counts, lower-cased text); sequence -> (counts, its last two
+    # lower-cased characters), for sequences that are prefixes of candidates.
+    triples: dict[str, tuple[np.ndarray, str]] = {}
+    prefixes: dict[tuple[str, ...], tuple[np.ndarray, str]] = {}
+    boundaries: dict[str, np.ndarray] = {}
+
+    def triple_counts(tid: str) -> tuple[np.ndarray, str]:
+        entry = triples.get(tid)
+        if entry is None:
+            low = serialize_sequence(index, (tid,)).lower()
+            entry = triples[tid] = (trigram_counts(low, dim), low)
+        return entry
+
+    def sequence_counts(sequence: tuple[str, ...]) -> tuple[np.ndarray, str]:
+        counts, low = triple_counts(sequence[-1])
+        if len(sequence) == 1:
+            return counts, low[-2:]
+        prefix = sequence[:-1]
+        entry = prefixes.get(prefix)
+        if entry is None:
+            entry = prefixes[prefix] = sequence_counts(prefix)
+        prefix_counts, tail = entry
+        window = tail + "; " + low[:2]
+        boundary = boundaries.get(window)
+        if boundary is None:
+            boundary = boundaries[window] = trigram_counts(window, dim)
+        return prefix_counts + boundary + counts, (tail + "; " + low)[-2:]
+
     def scorer(query: str, sequence: tuple[str, ...]) -> float:
-        return float(embed_unit(query) @ embed_unit(serialize_sequence(index, sequence)))
+        counts, _ = sequence_counts(sequence)
+        return float(embed_unit(query) @ unit_vector(unit_vector(counts)))
 
     return scorer
 

@@ -4,12 +4,18 @@ The beam-search oracle re-derives the triple graph by brute-force pairwise
 entity comparison and enumerates candidate sequences level by level, replaying
 the same scoring and diversity arithmetic; it shares no code with the package
 implementation. The dense oracle recomputes cosine ranking with plain python
-sorting over independently computed embeddings.
+sorting over independently computed embeddings. The hash-embedding and
+sequence-scorer oracles are the straightforward forms the package replaced
+with memoised and incremental ones: hash every trigram, and serialize every
+candidate before embedding it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+
+import numpy as np
 
 
 def brute_force_adjacency(triples: dict) -> dict[str, set[str]]:
@@ -84,3 +90,35 @@ def oracle_cosine_ranking(query_vector, item_vectors: dict, k: int):
             scored.append((item_id, 0.0))
     scored.sort(key=lambda entry: (-entry[1], entry[0]))
     return scored[:k]
+
+
+def oracle_hash_embed(text: str, dim: int) -> np.ndarray:
+    """Feature hashing with one blake2b digest per trigram occurrence."""
+    vec = np.zeros(dim, dtype=np.float64)
+    low = text.lower()
+    for i in range(len(low) - 2):
+        digest = hashlib.blake2b(low[i : i + 3].encode("utf-8"), digest_size=8).digest()
+        bucket = int.from_bytes(digest[:4], "little") % dim
+        sign = 1.0 if digest[4] & 1 else -1.0
+        vec[bucket] += sign
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0 else vec
+
+
+def oracle_sequence_scorer(triples: dict, embed):
+    """Cosine of the query and the whole serialized sequence, embedded anew
+    on every call: "s p o; s p o; ..." with each field stripped."""
+
+    def unit(text: str) -> np.ndarray:
+        vec = np.asarray(embed(text), dtype=np.float64)
+        norm = float(np.linalg.norm(vec))
+        return vec / norm if norm > 0 else vec
+
+    def scorer(query: str, sequence: tuple[str, ...]) -> float:
+        text = "; ".join(
+            " ".join(part.strip() for part in (t.subject, t.predicate, t.object))
+            for t in (triples[tid] for tid in sequence)
+        )
+        return float(unit(query) @ unit(text))
+
+    return scorer
