@@ -102,14 +102,7 @@ class AgentConfig:
             raise ValueError("passage_link_k must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "retrieval": asdict(self.retrieval),
-            "expansion": asdict(self.expansion),
-            "max_iterations": self.max_iterations,
-            "per_iteration_k": self.per_iteration_k,
-            "passage_link_k": self.passage_link_k,
-            "reuse_first_read": self.reuse_first_read,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -111,24 +111,25 @@ def bm25_search(
     """
     lex = index.lexical[view]
     n_docs = len(lex.ids)
+    avg = lex.avg_doc_length or 1.0
     scores = np.zeros(n_docs, dtype=np.float64)
     for term in tokenize(query):
-        df = lex.doc_freq.get(term)
-        if not df:
+        row = lex.rows.get(term)
+        if row is None:
             continue
+        lo, hi = int(lex.indptr[row]), int(lex.indptr[row + 1])
+        df = hi - lo
         idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        for pos, tf in lex.postings[term]:
-            dl = float(lex.doc_lengths[pos])
-            avg = lex.avg_doc_length or 1.0
-            denom = tf + k1 * (1.0 - b + b * dl / avg)
-            scores[pos] += idf * (tf * (k1 + 1.0)) / denom
-    order = np.argsort(-scores, kind="stable")
-    entries = []
-    for pos in order:
-        if scores[pos] <= 0.0 or len(entries) == k:
-            break
-        entries.append((lex.ids[pos], float(scores[pos])))
-    return RankedList(tuple(entries), provenance="bm25")
+        pos = lex.doc_positions[lo:hi]
+        tf = lex.term_freqs[lo:hi]
+        # Keep this operation order: the per-posting loop in tests/oracles.py
+        # must give the same bits. A row holds each position once, so the
+        # fancy-index += adds each posting exactly once.
+        denom = tf + k1 * (1.0 - b + b * lex.doc_lengths[pos] / avg)
+        scores[pos] += idf * (tf * (k1 + 1.0)) / denom
+    order = np.argsort(-scores, kind="stable")[:k]
+    entries = [(lex.ids[pos], float(scores[pos])) for pos in order]
+    return RankedList(tuple(e for e in entries if e[1] > 0.0), provenance="bm25")
 
 
 def dense_search(

@@ -1,7 +1,7 @@
 """Command-line driver: index building, single-shot retrieval, agent runs,
 and batch evaluation.
 
-Exit codes: 0 success, 1 usage error, 2 runtime error.
+Exit codes: 0 success, 1 usage or config error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -12,10 +12,15 @@ import sys
 from dataclasses import replace
 
 from .agent import run_agent
-from .base_retrieval import base_retrieve, resolve_embedder
-from .config import EngineConfig, load_engine_config, make_gateway
+from .base_retrieval import resolve_embedder
+from .config import (
+    ConfigError,
+    EngineConfig,
+    load_engine_config,
+    make_backend,
+    make_gateway,
+)
 from .corpus_index import (
-    PASSAGES,
     Triple,
     build_index,
     load_index,
@@ -29,13 +34,11 @@ from .eval_harness import (
     load_questions_jsonl,
     run_eval,
 )
-from .graph_expansion import naive_ge_detail, sync_ge_detail
 from .llm_gateway import GatewayError, parse_extraction
 
 log = logging.getLogger(__name__)
 
-RETRIEVE_MODES = ("base", "naive-ge", "sync-ge")
-EVAL_SYSTEMS = RETRIEVE_MODES + ("agent",)
+EVAL_SYSTEMS = RetrieverSystem.MODES + ("agent",)
 
 
 class UsageError(Exception):
@@ -67,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_retrieve = sub.add_parser("retrieve", help="single-shot retrieval")
     p_retrieve.add_argument("--index", required=True)
     p_retrieve.add_argument("--query", required=True)
-    p_retrieve.add_argument("--mode", choices=RETRIEVE_MODES, default="base")
+    p_retrieve.add_argument("--mode", choices=RetrieverSystem.MODES, default="base")
     p_retrieve.add_argument("--k", type=int)
     p_retrieve.add_argument("--config")
     p_retrieve.set_defaults(func=cmd_retrieve)
@@ -152,24 +155,30 @@ def _print_ranked(index, ranked) -> None:
         print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
 
 
+def _make_system(index, cfg: EngineConfig, mode: str, qa: bool = False):
+    """The eval system for ``mode``: one of RetrieverSystem.MODES, or "agent"."""
+    backend = make_backend(cfg.llm) if mode in ("sync-ge", "agent") or qa else None
+    llm = {
+        "temperature": cfg.llm.temperature,
+        "max_output_tokens": cfg.llm.max_output_tokens,
+    }
+    if mode == "agent":
+        return AgentSystem(
+            index, cfg.agent_config(), backend,
+            qa_fallback=qa, qa_k=cfg.eval.qa_k, **llm,
+        )
+    return RetrieverSystem(
+        index, cfg.retrieval, mode=mode, expansion=cfg.expansion, backend=backend,
+        qa=qa, chunk_cap=cfg.agent.per_iteration_k, qa_k=cfg.eval.qa_k, **llm,
+    )
+
+
 def cmd_retrieve(args) -> int:
     cfg = _load_config(args)
     if args.k is not None:
         cfg = replace(cfg, retrieval=replace(cfg.retrieval, k=args.k))
     index = load_index(args.index)
-    if args.mode == "base":
-        ranked = base_retrieve(index, args.query, PASSAGES, cfg.retrieval)
-    elif args.mode == "naive-ge":
-        ranked = naive_ge_detail(
-            index, args.query, cfg.retrieval, cfg.expansion
-        ).fused
-    else:
-        gateway = make_gateway(cfg.llm)
-        ranked = sync_ge_detail(
-            index, args.query, cfg.retrieval, cfg.expansion, gateway,
-            chunk_cap=cfg.agent.per_iteration_k,
-        ).fused
-    _print_ranked(index, ranked)
+    _print_ranked(index, _make_system(index, cfg, args.mode).retrieve(args.query))
     return 0
 
 
@@ -195,25 +204,7 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     index = load_index(args.index)
     questions = load_questions_jsonl(args.dataset)
-    backend = None
-    if args.system in ("sync-ge", "agent") or cfg.eval.qa:
-        backend = make_gateway(cfg.llm).backend
-    if args.system == "agent":
-        system = AgentSystem(
-            index, cfg.agent_config(), backend,
-            qa_fallback=cfg.eval.qa, qa_k=cfg.eval.qa_k,
-        )
-    else:
-        system = RetrieverSystem(
-            index,
-            cfg.retrieval,
-            mode=args.system,
-            expansion=cfg.expansion,
-            backend=backend,
-            qa=cfg.eval.qa,
-            chunk_cap=cfg.agent.per_iteration_k,
-            qa_k=cfg.eval.qa_k,
-        )
+    system = _make_system(index, cfg, args.system, qa=cfg.eval.qa)
     report = run_eval(
         questions,
         system,
@@ -248,6 +239,9 @@ def dispatch(argv=None) -> int:
         return int(func(args) or 0)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
+        return 1
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
         return 1
     except Exception as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,29 +1,26 @@
 """Engine configuration: INI-style file with sections retrieval, expansion,
 agent, llm, and eval. Values from the file override the built-in defaults,
 which match the recommended hyperparameters (beam width 10, expansion length
-2, 100 neighbours per beam, gamma = 2x beam width, 4 agent iterations, 10
-chunks per read, temperature 0).
+2, 100 neighbours per beam, gamma 20, 4 agent iterations, 10 chunks per
+read, temperature 0).
+
+A section's keys and their types are the scalar fields of its dataclass
+(``[agent]`` sets the scalar fields of ``AgentConfig``); ``[retrieval]``
+also takes ``embedder``. Text after " ;" on a line is a comment.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .agent import AgentConfig
 from .base_retrieval import RetrievalConfig
 from .graph_expansion import ExpansionConfig
 from .llm_gateway import ChatBackend, HttpChatBackend, LLMGateway, ScriptedBackend
-
-
-@dataclass(frozen=True)
-class AgentOptions:
-    max_iterations: int = 4
-    per_iteration_k: int = 10
-    passage_link_k: int = 15
-    reuse_first_read: bool = False
 
 
 @dataclass(frozen=True)
@@ -49,96 +46,80 @@ class EvalSettings:
     qa_k: int = 5
 
 
+_SCALAR_TYPES = (bool, int, float, str, tuple[int, ...])
+
+
+def scalar_fields(cls) -> dict[str, type]:
+    """Name -> type of the fields of a config dataclass that a file can set."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if hints[f.name] in _SCALAR_TYPES}
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     retrieval: RetrievalConfig = field(default_factory=RetrievalConfig)
     expansion: ExpansionConfig = field(default_factory=ExpansionConfig)
-    agent: AgentOptions = field(default_factory=AgentOptions)
+    agent: AgentConfig = field(default_factory=AgentConfig)
     llm: LLMConfig = field(default_factory=LLMConfig)
     eval: EvalSettings = field(default_factory=EvalSettings)
     embedder: str = "hash:256"
 
+    def sections(self) -> dict[str, object]:
+        """Section name -> settings, in file order."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if is_dataclass(getattr(self, f.name))
+        }
+
     def agent_config(self) -> AgentConfig:
-        return AgentConfig(
-            retrieval=self.retrieval,
-            expansion=self.expansion,
-            max_iterations=self.agent.max_iterations,
-            per_iteration_k=self.agent.per_iteration_k,
-            passage_link_k=self.agent.passage_link_k,
-            reuse_first_read=self.agent.reuse_first_read,
-        )
+        """The [agent] settings, run with this config's retrieval and expansion."""
+        return replace(self.agent, retrieval=self.retrieval, expansion=self.expansion)
 
     def to_dict(self) -> dict:
-        return {
-            "retrieval": asdict(self.retrieval),
-            "expansion": asdict(self.expansion),
-            "agent": asdict(self.agent),
-            "llm": asdict(self.llm),
-            "eval": {**asdict(self.eval), "cutoffs": list(self.eval.cutoffs)},
-            "embedder": self.embedder,
+        out: dict = {
+            name: {key: getattr(section, key) for key in scalar_fields(type(section))}
+            for name, section in self.sections().items()
         }
+        out["eval"]["cutoffs"] = list(self.eval.cutoffs)
+        out["embedder"] = self.embedder
+        return out
 
 
 class ConfigError(ValueError):
-    """Malformed config file or unknown key."""
+    """Malformed config file, unknown key or invalid value."""
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
                 "yes": True, "no": False}
 
 
-def _coerce(raw: str, target_type, key: str):
+def _coerce(raw: str, target_type):
     if target_type is bool:
         value = _BOOL_VALUES.get(raw.strip().lower())
         if value is None:
-            raise ConfigError(f"invalid boolean for {key}: {raw!r}")
+            raise ConfigError(f"invalid boolean: {raw!r}")
         return value
-    if target_type is int:
-        return int(raw)
-    if target_type is float:
-        return float(raw)
     if target_type is str:
         return raw.strip()
     if target_type == tuple[int, ...]:
         return tuple(int(part) for part in raw.replace(",", " ").split())
-    raise ConfigError(f"unsupported config type for {key}")
+    return target_type(raw)
 
 
-def _section(parser: configparser.ConfigParser, name: str, cls, defaults):
+def _section(parser: configparser.ConfigParser, name: str, defaults):
     if not parser.has_section(name):
         return defaults
-    known = _FIELD_TYPES[cls]
-    values = {}
+    known = scalar_fields(type(defaults))
+    section = defaults
     for key, raw in parser.items(name):
         if key not in known:
             raise ConfigError(f"unknown key {key!r} in section [{name}]")
-        values[key] = _coerce(raw, known[key], f"[{name}] {key}")
-    return cls(**{**asdict(defaults), **values})
-
-
-_FIELD_TYPES = {
-    RetrievalConfig: {
-        "k": int, "retriever": str, "bm25_k1": float, "bm25_b": float,
-        "rrf_constant": int,
-    },
-    ExpansionConfig: {
-        "beam_width": int, "max_length": int, "neighbour_cap": int,
-        "gamma": float, "keep_stranded_beams": bool,
-    },
-    AgentOptions: {
-        "max_iterations": int, "per_iteration_k": int, "passage_link_k": int,
-        "reuse_first_read": bool,
-    },
-    LLMConfig: {
-        "backend": str, "endpoint": str, "model": str, "api_key_env": str,
-        "temperature": float, "max_retries": int, "max_output_tokens": int,
-        "fixtures": str, "in_flight_limit": int, "timeout": float,
-    },
-    EvalSettings: {
-        "cutoffs": tuple[int, ...], "workers": int, "binary_recall": bool,
-        "qa": bool, "qa_k": int,
-    },
-}
+        try:
+            section = replace(section, **{key: _coerce(raw, known[key])})
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"[{name}] {key}: {e}") from e
+    return section
 
 
 def load_engine_config(path: str | Path | None = None) -> EngineConfig:
@@ -146,8 +127,11 @@ def load_engine_config(path: str | Path | None = None) -> EngineConfig:
     defaults = EngineConfig()
     if path is None:
         return defaults
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    try:
+        read = parser.read(path)
+    except configparser.Error as e:
+        raise ConfigError(f"{path}: {e}") from e
     if not read:
         raise ConfigError(f"config file not found: {path}")
 
@@ -156,16 +140,13 @@ def load_engine_config(path: str | Path | None = None) -> EngineConfig:
         embedder = parser.get("retrieval", "embedder").strip()
         parser.remove_option("retrieval", "embedder")
 
+    sections = defaults.sections()
     for section in parser.sections():
-        if section not in ("retrieval", "expansion", "agent", "llm", "eval"):
+        if section not in sections:
             raise ConfigError(f"unknown config section: [{section}]")
 
     return EngineConfig(
-        retrieval=_section(parser, "retrieval", RetrievalConfig, defaults.retrieval),
-        expansion=_section(parser, "expansion", ExpansionConfig, defaults.expansion),
-        agent=_section(parser, "agent", AgentOptions, defaults.agent),
-        llm=_section(parser, "llm", LLMConfig, defaults.llm),
-        eval=_section(parser, "eval", EvalSettings, defaults.eval),
+        **{name: _section(parser, name, value) for name, value in sections.items()},
         embedder=embedder,
     )
 

@@ -68,36 +68,58 @@ def serialize_triple(triple) -> str:
 
 @dataclass(frozen=True)
 class LexicalView:
-    """Per-view term statistics backing BM25 scoring.
+    """Per-view term statistics backing BM25 scoring, as CSR postings.
 
     ``ids`` is sorted ascending so positional order doubles as the
-    deterministic tie-break order everywhere downstream.
+    deterministic tie-break order everywhere downstream. The postings of the
+    term ``vocab[r]`` (``vocab`` sorted ascending) are the slice
+    ``indptr[r]:indptr[r + 1]`` of ``doc_positions`` (ascending positions
+    into ``ids``) and ``term_freqs``. These arrays are also what
+    ``lexical.npz`` stores.
     """
 
     ids: tuple[str, ...]
     doc_lengths: np.ndarray
-    avg_doc_length: float
-    doc_freq: dict[str, int]
-    postings: dict[str, tuple[tuple[int, int], ...]]
+    vocab: np.ndarray
+    indptr: np.ndarray
+    doc_positions: np.ndarray
+    term_freqs: np.ndarray
+    rows: dict[str, int] = field(init=False, repr=False)
+    avg_doc_length: float = field(init=False)
+
+    def __post_init__(self):
+        rows = dict(zip(self.vocab.tolist(), range(len(self.vocab))))
+        avg = float(self.doc_lengths.mean()) if len(self.ids) else 0.0
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "avg_doc_length", avg)
 
     @classmethod
     def from_texts(cls, ids: Sequence[str], texts: Sequence[str]) -> "LexicalView":
         lengths = np.zeros(len(ids), dtype=np.int64)
-        doc_freq: dict[str, int] = {}
-        postings: dict[str, list[tuple[int, int]]] = {}
+        terms: list[str] = []
+        positions: list[int] = []
+        freqs: list[int] = []
         for pos, text in enumerate(texts):
             tokens = tokenize(text)
             lengths[pos] = len(tokens)
-            for term, tf in sorted(Counter(tokens).items()):
-                doc_freq[term] = doc_freq.get(term, 0) + 1
-                postings.setdefault(term, []).append((pos, tf))
-        avg = float(lengths.mean()) if len(ids) else 0.0
+            counts = Counter(tokens)
+            terms.extend(counts)
+            freqs.extend(counts.values())
+            positions.extend([pos] * len(counts))
+        vocab = sorted(set(terms))
+        row_of = {term: row for row, term in enumerate(vocab)}
+        rows = np.array([row_of[term] for term in terms], dtype=np.int64)
+        # A stable sort by row keeps each row's positions ascending.
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(len(vocab) + 1, dtype=np.int64)
+        indptr[1:] = np.cumsum(np.bincount(rows, minlength=len(vocab)))
         return cls(
             ids=tuple(ids),
             doc_lengths=lengths,
-            avg_doc_length=avg,
-            doc_freq=doc_freq,
-            postings={t: tuple(p) for t, p in postings.items()},
+            vocab=np.asarray(vocab, dtype=np.str_),
+            indptr=indptr,
+            doc_positions=np.asarray(positions, dtype=np.int64)[order],
+            term_freqs=np.asarray(freqs, dtype=np.int64)[order],
         )
 
 
@@ -108,14 +130,13 @@ class VectorView:
     ids: tuple[str, ...]
     vectors: np.ndarray
 
-    def position(self, item_id: str) -> int:
-        # ids are unique and sorted; linear maps are precomputed in CorpusIndex
-        return self.ids.index(item_id)
-
 
 @dataclass
 class CorpusIndex:
-    """Immutable joint index over passages and their aligned triples."""
+    """Immutable joint index over passages and their aligned triples.
+
+    Made by ``build_index`` and ``load_index``, both through ``_assemble``.
+    """
 
     passages: dict[str, Passage]
     triples: dict[str, Triple]
@@ -124,28 +145,10 @@ class CorpusIndex:
     lexical: dict[str, LexicalView]
     vectors: dict[str, VectorView]
     embedder: Callable[[str], np.ndarray]
-    _vector_pos: dict[str, dict[str, int]] = field(default_factory=dict, repr=False)
-    _passage_triples: dict[str, tuple[str, ...]] = field(
-        default_factory=dict, repr=False
-    )
-
-    def __post_init__(self):
-        if not self._vector_pos:
-            self._vector_pos = {
-                view: {item_id: i for i, item_id in enumerate(vv.ids)}
-                for view, vv in self.vectors.items()
-            }
-        if not self._passage_triples:
-            grouped: dict[str, list[str]] = {}
-            for tid in sorted(self.triples):
-                grouped.setdefault(self.alignment[tid], []).append(tid)
-            self._passage_triples = {pid: tuple(tids) for pid, tids in grouped.items()}
+    _passage_triples: dict[str, tuple[str, ...]] = field(repr=False)
 
     def embed_query(self, text: str) -> np.ndarray:
         return np.asarray(self.embedder(text), dtype=np.float64)
-
-    def item_vector(self, view: str, item_id: str) -> np.ndarray:
-        return self.vectors[view].vectors[self._vector_pos[view][item_id]]
 
     def passage_triples(self, passage_id: str) -> tuple[str, ...]:
         """Ids of the triples aligned to a passage, ascending."""
@@ -167,12 +170,17 @@ def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / safe
 
 
-def build_index(
+def _assemble(
     passages: Iterable[Passage],
     triples: Iterable[Triple],
     embedder: Callable[[str], np.ndarray],
+    make_views: Callable,
 ) -> CorpusIndex:
-    """Build the full index: alignment, adjacency, lexical stats, embeddings.
+    """Validate the records and derive the index state: alignment, entity
+    adjacency and passage -> triples. ``build_index`` and ``load_index``
+    differ only in ``make_views(passages, triples, passage_ids, triple_ids)``,
+    which returns the lexical and the vector views, both with rows in the
+    ascending id order of ``passage_ids`` and ``triple_ids``.
 
     Raises IndexBuildError on duplicate ids, dangling passage references, or
     triples with blank fields; the message names the offending record.
@@ -206,30 +214,10 @@ def build_index(
 
     passage_ids = tuple(sorted(passage_map))
     triple_ids = tuple(sorted(triple_map))
-
-    lexical = {
-        PASSAGES: LexicalView.from_texts(
-            passage_ids, [passage_search_text(passage_map[i]) for i in passage_ids]
-        ),
-        TRIPLES: LexicalView.from_texts(
-            triple_ids, [serialize_triple(triple_map[i]) for i in triple_ids]
-        ),
-    }
-
-    def embed_all(texts: list[str]) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, 0), dtype=np.float64)
-        rows = [np.asarray(embedder(text), dtype=np.float64) for text in texts]
-        return _unit_rows(np.vstack(rows))
-
-    vectors = {
-        PASSAGES: VectorView(
-            passage_ids, embed_all([passage_map[i].body for i in passage_ids])
-        ),
-        TRIPLES: VectorView(
-            triple_ids, embed_all([serialize_triple(triple_map[i]) for i in triple_ids])
-        ),
-    }
+    grouped: dict[str, list[str]] = {}
+    for tid in triple_ids:
+        grouped.setdefault(alignment[tid], []).append(tid)
+    lexical, vectors = make_views(passage_map, triple_map, passage_ids, triple_ids)
 
     return CorpusIndex(
         passages=passage_map,
@@ -239,7 +227,43 @@ def build_index(
         lexical=lexical,
         vectors=vectors,
         embedder=embedder,
+        _passage_triples={pid: tuple(tids) for pid, tids in grouped.items()},
     )
+
+
+def build_index(
+    passages: Iterable[Passage],
+    triples: Iterable[Triple],
+    embedder: Callable[[str], np.ndarray],
+) -> CorpusIndex:
+    """Build the full index: alignment, adjacency, lexical stats, embeddings.
+
+    Raises IndexBuildError on invalid records, as ``_assemble`` describes.
+    """
+
+    def embed_all(texts: list[str]) -> np.ndarray:
+        if not texts:
+            return np.zeros((0, 0), dtype=np.float64)
+        rows = [np.asarray(embedder(text), dtype=np.float64) for text in texts]
+        return _unit_rows(np.vstack(rows))
+
+    def compute_views(passage_map, triple_map, passage_ids, triple_ids):
+        triple_texts = [serialize_triple(triple_map[i]) for i in triple_ids]
+        lexical = {
+            PASSAGES: LexicalView.from_texts(
+                passage_ids, [passage_search_text(passage_map[i]) for i in passage_ids]
+            ),
+            TRIPLES: LexicalView.from_texts(triple_ids, triple_texts),
+        }
+        vectors = {
+            PASSAGES: VectorView(
+                passage_ids, embed_all([passage_map[i].body for i in passage_ids])
+            ),
+            TRIPLES: VectorView(triple_ids, embed_all(triple_texts)),
+        }
+        return lexical, vectors
+
+    return _assemble(passages, triples, embedder, compute_views)
 
 
 def get_neighbours(index: CorpusIndex, triple_id: str) -> set[str]:
@@ -282,8 +306,17 @@ def serialize_sequence(index: CorpusIndex, triple_ids: Sequence[str]) -> str:
 # JSONL ingestion and on-disk persistence
 # ---------------------------------------------------------------------------
 
-def load_passages_jsonl(path: str | Path) -> list[Passage]:
-    """Read passages from JSON Lines: {"id", "title", "text"}."""
+def read_jsonl(
+    path: str | Path,
+    parse: Callable[[dict], object],
+    error: type[Exception] = IndexBuildError,
+) -> list:
+    """``parse`` each non-blank line of a JSON Lines file into a record.
+
+    Invalid JSON, a line that is not an object, a missing field (``KeyError``
+    from ``parse``) or a rejected value (``ValueError``) raises ``error``
+    naming ``path:line``.
+    """
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -293,85 +326,53 @@ def load_passages_jsonl(path: str | Path) -> list[Passage]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
-                raise IndexBuildError(f"{path}:{lineno}: invalid JSON: {e}") from e
-            out.append(
-                Passage(
-                    id=str(obj["id"]),
-                    title=str(obj.get("title", "")),
-                    body=str(obj.get("text", "")),
-                )
-            )
+                raise error(f"{path}:{lineno}: invalid JSON: {e}") from e
+            if not isinstance(obj, dict):
+                raise error(f"{path}:{lineno}: expected a JSON object")
+            try:
+                out.append(parse(obj))
+            except KeyError as e:
+                raise error(f"{path}:{lineno}: missing field {e}") from e
+            except ValueError as e:
+                raise error(f"{path}:{lineno}: {e}") from e
     return out
+
+
+def load_passages_jsonl(path: str | Path) -> list[Passage]:
+    """Read passages from JSON Lines: {"id", "title", "text"}."""
+    return read_jsonl(
+        path,
+        lambda obj: Passage(
+            id=str(obj["id"]),
+            title=str(obj.get("title", "")),
+            body=str(obj.get("text", "")),
+        ),
+    )
 
 
 def load_triples_jsonl(path: str | Path) -> list[Triple]:
     """Read triples from JSON Lines; missing ids become "<passage_id>#<ordinal>"."""
-    out = []
     per_passage: Counter = Counter()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise IndexBuildError(f"{path}:{lineno}: invalid JSON: {e}") from e
-            pid = str(obj["passage_id"])
-            tid = obj.get("id")
-            if tid is None:
-                tid = f"{pid}#{per_passage[pid]}"
-            per_passage[pid] += 1
-            out.append(
-                Triple(
-                    id=str(tid),
-                    subject=str(obj["subject"]),
-                    predicate=str(obj["predicate"]),
-                    object=str(obj["object"]),
-                    passage_id=pid,
-                )
-            )
-    return out
 
-
-def _lexical_arrays(view: LexicalView) -> dict[str, np.ndarray]:
-    vocab = sorted(view.postings)
-    indptr = np.zeros(len(vocab) + 1, dtype=np.int64)
-    doc_positions: list[int] = []
-    term_freqs: list[int] = []
-    for i, term in enumerate(vocab):
-        for pos, tf in view.postings[term]:
-            doc_positions.append(pos)
-            term_freqs.append(tf)
-        indptr[i + 1] = len(doc_positions)
-    return {
-        "ids": np.asarray(view.ids, dtype=np.str_),
-        "doc_lengths": view.doc_lengths,
-        "vocab": np.asarray(vocab, dtype=np.str_),
-        "doc_freq": np.asarray([view.doc_freq[t] for t in vocab], dtype=np.int64),
-        "indptr": indptr,
-        "doc_positions": np.asarray(doc_positions, dtype=np.int64),
-        "term_freqs": np.asarray(term_freqs, dtype=np.int64),
-    }
-
-
-def _lexical_from_arrays(arrays: dict[str, np.ndarray]) -> LexicalView:
-    ids = tuple(str(i) for i in arrays["ids"])
-    vocab = [str(t) for t in arrays["vocab"]]
-    indptr = arrays["indptr"]
-    doc_positions = arrays["doc_positions"]
-    term_freqs = arrays["term_freqs"]
-    postings = {}
-    doc_freq = {}
-    for i, term in enumerate(vocab):
-        lo, hi = int(indptr[i]), int(indptr[i + 1])
-        postings[term] = tuple(
-            (int(doc_positions[j]), int(term_freqs[j])) for j in range(lo, hi)
+    def parse(obj: dict) -> Triple:
+        pid = str(obj["passage_id"])
+        tid = obj.get("id")
+        if tid is None:
+            tid = f"{pid}#{per_passage[pid]}"
+        per_passage[pid] += 1
+        return Triple(
+            id=str(tid),
+            subject=str(obj["subject"]),
+            predicate=str(obj["predicate"]),
+            object=str(obj["object"]),
+            passage_id=pid,
         )
-        doc_freq[term] = int(arrays["doc_freq"][i])
-    lengths = arrays["doc_lengths"].astype(np.int64)
-    avg = float(lengths.mean()) if len(ids) else 0.0
-    return LexicalView(ids, lengths, avg, doc_freq, postings)
+
+    return read_jsonl(path, parse)
+
+
+# Per-view key prefixes in lexical.npz and embeddings.npz.
+_NPZ_PREFIXES = ((PASSAGES, "p", "passage"), (TRIPLES, "t", "triple"))
 
 
 def save_index(index: CorpusIndex, directory: str | Path) -> None:
@@ -399,17 +400,25 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
                 + "\n"
             )
 
-    np.savez_compressed(
-        directory / "embeddings.npz",
-        passage_ids=np.asarray(index.vectors[PASSAGES].ids, dtype=np.str_),
-        passage_vectors=index.vectors[PASSAGES].vectors,
-        triple_ids=np.asarray(index.vectors[TRIPLES].ids, dtype=np.str_),
-        triple_vectors=index.vectors[TRIPLES].vectors,
-    )
+    emb_payload = {}
     lex_payload = {}
-    for view, prefix in ((PASSAGES, "p"), (TRIPLES, "t")):
-        for key, arr in _lexical_arrays(index.lexical[view]).items():
-            lex_payload[f"{prefix}_{key}"] = arr
+    for view, prefix, name in _NPZ_PREFIXES:
+        vv = index.vectors[view]
+        emb_payload[f"{name}_ids"] = np.asarray(vv.ids, dtype=np.str_)
+        emb_payload[f"{name}_vectors"] = vv.vectors
+        lex = index.lexical[view]
+        lex_payload.update(
+            {
+                f"{prefix}_ids": np.asarray(lex.ids, dtype=np.str_),
+                f"{prefix}_doc_lengths": lex.doc_lengths,
+                f"{prefix}_vocab": lex.vocab,
+                f"{prefix}_doc_freq": np.diff(lex.indptr),
+                f"{prefix}_indptr": lex.indptr,
+                f"{prefix}_doc_positions": lex.doc_positions,
+                f"{prefix}_term_freqs": lex.term_freqs,
+            }
+        )
+    np.savez_compressed(directory / "embeddings.npz", **emb_payload)
     np.savez_compressed(directory / "lexical.npz", **lex_payload)
 
     dim = int(index.vectors[PASSAGES].vectors.shape[1]) if index.passages else 0
@@ -425,6 +434,39 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
         fh.write("\n")
 
 
+def _read_vector_view(emb, name: str, ids: tuple[str, ...], path: Path) -> VectorView:
+    if emb[f"{name}_ids"].tolist() != list(ids):
+        raise IndexBuildError(f"{path}: {name}_ids differ from the sorted JSONL ids")
+    vectors = emb[f"{name}_vectors"]
+    if len(vectors) != len(ids):
+        raise IndexBuildError(f"{path}: {len(vectors)} {name} vectors for {len(ids)} ids")
+    return VectorView(ids, vectors)
+
+
+def _read_lexical_view(lex, prefix: str, ids: tuple[str, ...], path: Path) -> LexicalView:
+    def fail(problem: str) -> IndexBuildError:
+        return IndexBuildError(f"{path}: {prefix}_{problem}")
+
+    if lex[f"{prefix}_ids"].tolist() != list(ids):
+        raise fail("ids differ from the sorted JSONL ids")
+    keys = ("doc_lengths", "vocab", "indptr", "doc_positions", "term_freqs")
+    view = LexicalView(ids, *(lex[f"{prefix}_{key}"] for key in keys))
+    indptr, positions = view.indptr, view.doc_positions
+    if (
+        len(view.doc_lengths) != len(ids)
+        or len(view.term_freqs) != len(positions)
+        or len(indptr) != len(view.vocab) + 1
+    ):
+        raise fail("arrays disagree in length")
+    if indptr[0] != 0 or indptr[-1] != len(positions) or np.any(np.diff(indptr) < 0):
+        raise fail("indptr is not non-decreasing from 0 to len(doc_positions)")
+    if not np.array_equal(lex[f"{prefix}_doc_freq"], np.diff(indptr)):
+        raise fail("doc_freq differs from np.diff(indptr)")
+    if len(positions) and (positions.min() < 0 or positions.max() >= len(ids)):
+        raise fail(f"doc_positions has a position outside [0, {len(ids)})")
+    return view
+
+
 def load_index(
     directory: str | Path,
     embedder: Callable[[str], np.ndarray] | None = None,
@@ -433,6 +475,9 @@ def load_index(
 
     The embedder is reconstructed from the manifest name unless one is passed
     explicitly (required for indexes saved with a custom embedding function).
+    The records get the same checks as in ``build_index``; sidecars that
+    disagree with the JSONL files or with themselves raise IndexBuildError
+    naming the file.
     """
     directory = Path(directory)
     with open(directory / "manifest.json", encoding="utf-8") as fh:
@@ -451,46 +496,18 @@ def load_index(
 
         embedder = resolve_embedder(name)
 
-    passages = {p.id: p for p in load_passages_jsonl(directory / "passages.jsonl")}
-    triples = {t.id: t for t in load_triples_jsonl(directory / "triples.jsonl")}
-    alignment = {t.id: t.passage_id for t in triples.values()}
-    adjacency: dict[str, set[str]] = {}
-    for t in triples.values():
-        for entity in (t.subject, t.object):
-            adjacency.setdefault(normalize_entity(entity), set()).add(t.id)
+    def read_views(passage_map, triple_map, passage_ids, triple_ids):
+        lex_path, emb_path = directory / "lexical.npz", directory / "embeddings.npz"
+        lexical, vectors = {}, {}
+        with np.load(lex_path) as lex, np.load(emb_path) as emb:
+            for (view, prefix, name), ids in zip(_NPZ_PREFIXES, (passage_ids, triple_ids)):
+                lexical[view] = _read_lexical_view(lex, prefix, ids, lex_path)
+                vectors[view] = _read_vector_view(emb, name, ids, emb_path)
+        return lexical, vectors
 
-    emb = np.load(directory / "embeddings.npz")
-    vectors = {
-        PASSAGES: VectorView(
-            tuple(str(i) for i in emb["passage_ids"]), emb["passage_vectors"]
-        ),
-        TRIPLES: VectorView(
-            tuple(str(i) for i in emb["triple_ids"]), emb["triple_vectors"]
-        ),
-    }
-    lex = np.load(directory / "lexical.npz")
-    lexical = {}
-    for view, prefix in ((PASSAGES, "p"), (TRIPLES, "t")):
-        arrays = {
-            key: lex[f"{prefix}_{key}"]
-            for key in (
-                "ids",
-                "doc_lengths",
-                "vocab",
-                "doc_freq",
-                "indptr",
-                "doc_positions",
-                "term_freqs",
-            )
-        }
-        lexical[view] = _lexical_from_arrays(arrays)
-
-    return CorpusIndex(
-        passages=passages,
-        triples=triples,
-        alignment=alignment,
-        entity_adjacency={e: frozenset(ids) for e, ids in adjacency.items()},
-        lexical=lexical,
-        vectors=vectors,
-        embedder=embedder,
+    return _assemble(
+        load_passages_jsonl(directory / "passages.jsonl"),
+        load_triples_jsonl(directory / "triples.jsonl"),
+        embedder,
+        read_views,
     )

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .agent import AgentConfig, run_agent
 from .base_retrieval import RankedList, RetrievalConfig, base_retrieve
-from .corpus_index import PASSAGES, CorpusIndex
+from .corpus_index import PASSAGES, CorpusIndex, read_jsonl
 from .graph_expansion import ExpansionConfig, naive_ge_detail, sync_ge_detail
 from .llm_gateway import ChatBackend, LLMGateway, format_qa_docs
 
@@ -38,25 +38,21 @@ class EvalQuestion:
 
 
 def load_questions_jsonl(path: str | Path) -> list[EvalQuestion]:
-    """Read questions from JSONL: {"id", "question", "gold_passage_ids", "answers"}."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            out.append(
-                EvalQuestion(
-                    id=str(obj["id"]),
-                    question=str(obj["question"]),
-                    gold_passage_ids=frozenset(
-                        str(p) for p in obj["gold_passage_ids"]
-                    ),
-                    gold_answers=tuple(str(a) for a in obj["answers"]),
-                )
-            )
-    return out
+    """Read questions from JSONL: {"id", "question", "gold_passage_ids", "answers"}.
+
+    Invalid JSON, a missing field or a rejected question raises ValueError
+    naming ``path:line``.
+    """
+    return read_jsonl(
+        path,
+        lambda obj: EvalQuestion(
+            id=str(obj["id"]),
+            question=str(obj["question"]),
+            gold_passage_ids=frozenset(str(p) for p in obj["gold_passage_ids"]),
+            gold_answers=tuple(str(a) for a in obj["answers"]),
+        ),
+        ValueError,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +152,11 @@ def generate_answer(
 
 
 class RetrieverSystem:
-    """Single-step system: base retrieval or one of the graph-expanded modes."""
+    """Single-step system: base retrieval or one of the graph-expanded modes.
+
+    Each question gets a fresh ``LLMGateway(backend, **gateway_settings)``
+    (``temperature``, ``max_output_tokens``), so its token counts are its own.
+    """
 
     MODES = ("base", "naive-ge", "sync-ge")
 
@@ -170,6 +170,7 @@ class RetrieverSystem:
         qa: bool = False,
         chunk_cap: int = 10,
         qa_k: int = 5,
+        **gateway_settings,
     ):
         if mode not in self.MODES:
             raise ValueError(f"unknown mode: {mode!r}")
@@ -185,26 +186,33 @@ class RetrieverSystem:
         self.qa = qa
         self.chunk_cap = chunk_cap
         self.qa_k = qa_k
+        self.gateway_settings = gateway_settings
+
+    def retrieve(self, query: str, gateway: LLMGateway | None = None) -> RankedList:
+        """Passages ranked by this system's mode. sync-ge reads through
+        ``gateway``, a fresh one if none is given."""
+        if self.mode == "base":
+            return base_retrieve(self.index, query, PASSAGES, self.retrieval)
+        if self.mode == "naive-ge":
+            return naive_ge_detail(
+                self.index, query, self.retrieval, self.expansion
+            ).fused
+        if gateway is None:
+            gateway = LLMGateway(self.backend, **self.gateway_settings)
+        return sync_ge_detail(
+            self.index,
+            query,
+            self.retrieval,
+            self.expansion,
+            gateway,
+            chunk_cap=self.chunk_cap,
+        ).fused
 
     def run(self, question: EvalQuestion) -> SystemResult:
-        gateway = LLMGateway(self.backend) if self.backend is not None else None
-        if self.mode == "base":
-            ranked = base_retrieve(
-                self.index, question.question, PASSAGES, self.retrieval
-            )
-        elif self.mode == "naive-ge":
-            ranked = naive_ge_detail(
-                self.index, question.question, self.retrieval, self.expansion
-            ).fused
-        else:
-            ranked = sync_ge_detail(
-                self.index,
-                question.question,
-                self.retrieval,
-                self.expansion,
-                gateway,
-                chunk_cap=self.chunk_cap,
-            ).fused
+        gateway = None
+        if self.backend is not None:
+            gateway = LLMGateway(self.backend, **self.gateway_settings)
+        ranked = self.retrieve(question.question, gateway)
         answer = None
         if self.qa and gateway is not None:
             answer = generate_answer(
@@ -216,7 +224,8 @@ class RetrieverSystem:
 
 
 class AgentSystem:
-    """Multi-step system: the full agent loop, one fresh gateway per question."""
+    """Multi-step system: the full agent loop, with a fresh
+    ``LLMGateway(backend, **gateway_settings)`` per question."""
 
     def __init__(
         self,
@@ -225,15 +234,17 @@ class AgentSystem:
         backend: ChatBackend,
         qa_fallback: bool = True,
         qa_k: int = 5,
+        **gateway_settings,
     ):
         self.index = index
         self.config = config
         self.backend = backend
         self.qa_fallback = qa_fallback
         self.qa_k = qa_k
+        self.gateway_settings = gateway_settings
 
     def run(self, question: EvalQuestion) -> SystemResult:
-        gateway = LLMGateway(self.backend)
+        gateway = LLMGateway(self.backend, **self.gateway_settings)
         trace = run_agent(self.index, question.question, self.config, gateway)
         answer = trace.answer
         if answer is None and self.qa_fallback:

@@ -413,9 +413,6 @@ class LLMGateway:
         """Tag subsequent calls with an agent iteration (0 = outside the loop)."""
         self._iteration = iteration
 
-    def render(self, template_name: str, variables: Mapping[str, str]) -> str:
-        return render_prompt(template_name, variables)
-
     def complete(
         self,
         template_name: str,

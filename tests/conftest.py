@@ -27,8 +27,10 @@ class RecordingBackend:
     def __init__(self, script):
         self.script = script
         self.fixtures: dict[tuple[str, str], str] = {}
+        self.requests: list = []
 
     def complete(self, request):
+        self.requests.append(request)
         response = self.script(request.kind, request.variables)
         self.fixtures[(request.kind, request.key)] = response
         return CompletionResult(

@@ -4,7 +4,9 @@ The beam-search oracle re-derives the triple graph by brute-force pairwise
 entity comparison and enumerates candidate sequences level by level, replaying
 the same scoring and diversity arithmetic; it shares no code with the package
 implementation. The dense oracle recomputes cosine ranking with plain python
-sorting over independently computed embeddings. The hash-embedding and
+sorting over independently computed embeddings. The BM25 oracle is the
+scalar per-posting loop over dict postings that the columnar scorer replaced,
+with its own tokenizer and statistics. The hash-embedding and
 sequence-scorer oracles are the straightforward forms the package replaced
 with memoised and incremental ones: hash every trigram, and serialize every
 candidate before embedding it.
@@ -14,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
+from collections import Counter
 
 import numpy as np
 
@@ -122,3 +126,40 @@ def oracle_sequence_scorer(triples: dict, embed):
         return float(unit(query) @ unit(text))
 
     return scorer
+
+
+def oracle_bm25(docs: dict[str, str], query: str, k: int, k1: float, b: float):
+    """Okapi BM25 (idf ln(1 + (N - df + 0.5)/(df + 0.5))) one posting at a
+    time over dict postings built here from ``docs`` (id -> search text);
+    zero scores are dropped, ties break by ascending id."""
+
+    def tokens(text: str) -> list[str]:
+        return re.findall(r"[^\W_]+", text.lower())
+
+    ids = sorted(docs)
+    lengths: list[int] = []
+    doc_freq: dict[str, int] = {}
+    postings: dict[str, list[tuple[int, int]]] = {}
+    for pos, item_id in enumerate(ids):
+        words = tokens(docs[item_id])
+        lengths.append(len(words))
+        for term, tf in sorted(Counter(words).items()):
+            doc_freq[term] = doc_freq.get(term, 0) + 1
+            postings.setdefault(term, []).append((pos, tf))
+    n_docs = len(ids)
+    avg = (sum(lengths) / n_docs if n_docs else 0.0) or 1.0
+    scores = [0.0] * n_docs
+    for term in tokens(query):
+        df = doc_freq.get(term)
+        if not df:
+            continue
+        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        for pos, tf in postings[term]:
+            dl = float(lengths[pos])
+            denom = tf + k1 * (1.0 - b + b * dl / avg)
+            scores[pos] += idf * (tf * (k1 + 1.0)) / denom
+    ranked = sorted(
+        ((ids[pos], score) for pos, score in enumerate(scores) if score > 0.0),
+        key=lambda entry: (-entry[1], entry[0]),
+    )
+    return ranked[:k]

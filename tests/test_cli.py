@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from triplehop import LLMGateway, load_engine_config, load_index, run_agent
+from triplehop import (
+    LLMGateway,
+    RetrieverSystem,
+    load_engine_config,
+    load_index,
+    run_agent,
+)
 from triplehop.cli import dispatch
 from triplehop.llm_gateway import ScriptedBackend
 
@@ -255,3 +261,53 @@ def test_mutually_exclusive_triple_sources(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert dispatch(["--help"]) == 0
     assert "triplehop" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("system", ["sync-ge", "agent"])
+def test_eval_passes_llm_settings_to_the_gateway(
+    built_index, tmp_path, capsys, monkeypatch, system
+):
+    recorder = RecordingBackend(walkthrough_script)
+    monkeypatch.setattr("triplehop.cli.make_backend", lambda cfg: recorder)
+    config = write_config(
+        tmp_path, extra="temperature = 0.7\nmax_output_tokens = 77\n"
+    )
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(
+        json.dumps({
+            "id": "q1",
+            "question": "where does the trail from enta finish",
+            "gold_passage_ids": ["p1"],
+            "answers": ["entd"],
+        }) + "\n"
+    )
+    code = dispatch([
+        "eval", "--index", str(built_index), "--dataset", str(dataset),
+        "--system", system, "--config", str(config),
+    ])
+    assert code == 0
+    assert recorder.requests
+    assert {r.temperature for r in recorder.requests} == {0.7}
+    assert {r.max_output_tokens for r in recorder.requests} == {77}
+
+
+@pytest.mark.parametrize("mode", RetrieverSystem.MODES)
+def test_retrieve_prints_the_eval_systems_ranking(
+    built_index, tmp_path, capsys, monkeypatch, mode
+):
+    recorder = RecordingBackend(walkthrough_script)
+    monkeypatch.setattr("triplehop.cli.make_backend", lambda cfg: recorder)
+    config = write_config(tmp_path)
+    query = "where does the trail from enta finish"
+    code = dispatch([
+        "retrieve", "--index", str(built_index), "--query", query,
+        "--mode", mode, "--config", str(config),
+    ])
+    assert code == 0
+    printed = [line.split()[2] for line in capsys.readouterr().out.splitlines()[1:]]
+    cfg = load_engine_config(config)
+    system = RetrieverSystem(
+        load_index(built_index), cfg.retrieval, mode=mode, expansion=cfg.expansion,
+        backend=recorder, chunk_cap=cfg.agent.per_iteration_k,
+    )
+    assert printed == system.retrieve(query).ids

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import configparser
+import re
+from pathlib import Path
+
 import pytest
 
-from triplehop import ScriptedBackend, load_engine_config, make_backend
-from triplehop.config import ConfigError, EngineConfig, LLMConfig
+from triplehop import AgentConfig, ScriptedBackend, load_engine_config, make_backend
+from triplehop.cli import dispatch
+from triplehop.config import ConfigError, EngineConfig, LLMConfig, scalar_fields
 from triplehop.llm_gateway import HttpChatBackend
 
 
@@ -107,3 +112,68 @@ def test_agent_config_composition():
     assert agent_cfg.retrieval == cfg.retrieval
     assert agent_cfg.expansion == cfg.expansion
     assert agent_cfg.max_iterations == cfg.agent.max_iterations
+
+
+def readme_ini_block() -> str:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    match = re.search(r"```ini\n(.*?)```", readme, re.S)
+    assert match, "README has no ini block"
+    return match.group(1)
+
+
+def test_readme_config_example_is_the_defaults_and_names_every_field(tmp_path):
+    path = tmp_path / "engine.cfg"
+    path.write_text(readme_ini_block())
+    assert load_engine_config(path) == EngineConfig()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser.read(path)
+    for name, section in EngineConfig().sections().items():
+        documented = set(parser.options(name)) - {"embedder"}
+        assert documented == set(scalar_fields(type(section))), name
+    assert parser.has_option("retrieval", "embedder")
+
+
+def test_inline_comments_are_stripped(tmp_path):
+    path = tmp_path / "engine.cfg"
+    path.write_text("[retrieval]\nk = 7 ; result cutoff\nretriever = bm25;x\n")
+    with pytest.raises(ConfigError, match="retriever"):
+        load_engine_config(path)  # ";" without a space before it is no comment
+    path.write_text("[retrieval]\nk = 7 ; result cutoff\n")
+    assert load_engine_config(path).retrieval.k == 7
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("[retrieval]\nk = x\n", r"\[retrieval\] k"),
+        ("[eval]\ncutoffs = 5, ten\n", r"\[eval\] cutoffs"),
+        ("[expansion]\ngamma = 0\n", r"\[expansion\] gamma"),
+        ("[agent]\nmax_iterations = 0\n", r"\[agent\] max_iterations"),
+        ("[retrieval]\nretriever = quantum\n", r"\[retrieval\] retriever"),
+    ],
+)
+def test_bad_values_raise_config_error_naming_section_and_key(tmp_path, text, where):
+    path = tmp_path / "engine.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=where):
+        load_engine_config(path)
+
+
+def test_config_error_exits_1_from_the_cli(tmp_path, capsys):
+    path = tmp_path / "engine.cfg"
+    path.write_text("[agent]\nmax_iterations = 0\n")
+    code = dispatch(["retrieve", "--index", str(tmp_path), "--query", "x",
+                     "--config", str(path)])
+    assert code == 1
+    assert "[agent] max_iterations" in capsys.readouterr().err
+
+
+def test_agent_section_sets_agent_config_fields():
+    assert set(scalar_fields(AgentConfig)) == {
+        "max_iterations", "per_iteration_k", "passage_link_k", "reuse_first_read",
+    }
+    cfg = EngineConfig()
+    assert cfg.to_dict()["agent"] == {
+        "max_iterations": 4, "per_iteration_k": 10, "passage_link_k": 15,
+        "reuse_first_read": False,
+    }

@@ -304,3 +304,24 @@ def test_load_rejects_unknown_format(tmp_path, chain_index):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(IndexBuildError, match="format"):
         load_index(tmp_path / "idx")
+
+
+def test_passages_loader_names_line_of_missing_field(tmp_path):
+    path = tmp_path / "passages.jsonl"
+    path.write_text(
+        json.dumps({"id": "p1", "text": "a"}) + "\n\n" + json.dumps({"text": "b"}) + "\n"
+    )
+    with pytest.raises(IndexBuildError, match=r"passages.jsonl:3: missing field 'id'"):
+        load_passages_jsonl(path)
+
+
+def test_triples_loader_names_line_of_missing_field(tmp_path):
+    path = tmp_path / "triples.jsonl"
+    path.write_text(
+        json.dumps({"passage_id": "p1", "predicate": "r", "object": "B"}) + "\n"
+    )
+    with pytest.raises(IndexBuildError, match=r"triples.jsonl:1: missing field 'subject'"):
+        load_triples_jsonl(path)
+    path.write_text('["p1", "A", "r", "B"]\n')
+    with pytest.raises(IndexBuildError, match=r"triples.jsonl:1: expected a JSON object"):
+        load_triples_jsonl(path)

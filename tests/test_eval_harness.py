@@ -18,7 +18,12 @@ from triplehop import (
     recall_at_k,
     run_eval,
 )
-from triplehop.eval_harness import AgentSystem, RetrieverSystem, SystemResult
+from triplehop.eval_harness import (
+    AgentSystem,
+    RetrieverSystem,
+    SystemResult,
+    load_questions_jsonl,
+)
 
 from .conftest import RecordingBackend, hop_reader_script
 
@@ -312,3 +317,33 @@ def test_agent_system_answer_from_terminal_reason(hop_index, hop_corpus):
     assert result.answer == "ent1d"
     assert result.iterations == 1
     assert result.input_tokens > 0
+
+
+# ---------------------------------------------------------------------------
+# question loading
+# ---------------------------------------------------------------------------
+
+def test_questions_loader_names_line_of_missing_field(tmp_path):
+    path = tmp_path / "questions.jsonl"
+    good = {"id": "q1", "question": "x", "gold_passage_ids": ["p1"], "answers": ["a"]}
+    path.write_text(
+        json.dumps(good) + "\n" + json.dumps({k: v for k, v in good.items() if k != "answers"})
+    )
+    with pytest.raises(ValueError, match=r"questions.jsonl:2: missing field 'answers'"):
+        load_questions_jsonl(path)
+
+
+def test_questions_loader_names_line_of_bad_json(tmp_path):
+    path = tmp_path / "questions.jsonl"
+    path.write_text('{"id": "q1",\n')
+    with pytest.raises(ValueError, match=r"questions.jsonl:1: invalid JSON"):
+        load_questions_jsonl(path)
+
+
+def test_questions_loader_names_line_of_rejected_question(tmp_path):
+    path = tmp_path / "questions.jsonl"
+    path.write_text(json.dumps(
+        {"id": "q1", "question": "x", "gold_passage_ids": [], "answers": ["a"]}
+    ))
+    with pytest.raises(ValueError, match=r"questions.jsonl:1: .*no gold passages"):
+        load_questions_jsonl(path)

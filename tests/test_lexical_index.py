@@ -1,0 +1,194 @@
+"""The CSR lexical index: BM25 against the dict-postings oracle, and the
+integrity checks ``load_index`` makes on what it reads."""
+
+from __future__ import annotations
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from triplehop import (
+    HashEmbedder,
+    IndexBuildError,
+    Passage,
+    Triple,
+    bm25_search,
+    build_index,
+    load_index,
+    save_index,
+    serialize_triple,
+)
+from triplehop.corpus_index import PASSAGES, TRIPLES, passage_search_text
+
+from .oracles import oracle_bm25
+
+K1_VALUES = (0.0, 1.2, 2.0)
+B_VALUES = (0.0, 0.75, 1.0)
+# "every" is added to every passage and triple by ``make_corpus(common=True)``.
+WORDS = ("alpha", "beta", "gamma", "delta", "Beta", "every")
+
+
+def view_texts(index, view: str) -> dict[str, str]:
+    if view == PASSAGES:
+        return {pid: passage_search_text(p) for pid, p in index.passages.items()}
+    return {tid: serialize_triple(t) for tid, t in index.triples.items()}
+
+
+def assert_matches_oracle(index, query: str, k1: float, b: float, k: int = 50):
+    for view in (PASSAGES, TRIPLES):
+        got = bm25_search(index, query, view, k, k1=k1, b=b).entries
+        want = oracle_bm25(view_texts(index, view), query, k, k1, b)
+        assert [item_id for item_id, _ in got] == [item_id for item_id, _ in want]
+        assert [score for _, score in got] == [score for _, score in want]
+
+
+def make_corpus(bodies: list[str], facts: list[tuple[str, str, str]], common: bool):
+    extra = " every" if common else ""
+    passages = [Passage(f"p{i:02d}", "", body + extra) for i, body in enumerate(bodies)]
+    triples = [
+        Triple(f"t{i:02d}", s, p + extra, o, f"p{i % len(bodies):02d}")
+        for i, (s, p, o) in enumerate(facts)
+    ]
+    return build_index(passages, triples, HashEmbedder(16))
+
+
+def saved_and_loaded(index):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_index(index, tmp)
+        return load_index(tmp)
+
+
+# Lengths 0 to 17: the divisions in the length normalisation round, so a
+# reordered formula shows up in the last bit.
+FIXED_BODIES = ["", "alpha beta beta", "gamma", "alpha alpha alpha delta beta", "", "", "",
+                " ".join(["alpha"] * 17)]
+FIXED_FACTS = [("alpha", "is", "beta"), ("gamma", "is", "gamma"), ("delta", "of", "x")]
+
+
+@pytest.mark.parametrize("b", B_VALUES)
+@pytest.mark.parametrize("k1", K1_VALUES)
+def test_bm25_equals_oracle_fixed_corpus(k1, b):
+    index = make_corpus(FIXED_BODIES, FIXED_FACTS, common=True)
+    loaded = saved_and_loaded(index)
+    # repeated terms, a term every doc holds, an unknown term, case folding
+    for query in ("beta beta alpha", "every", "every alpha every", "nope", "BETA", ""):
+        assert_matches_oracle(index, query, k1, b)
+        assert_matches_oracle(loaded, query, k1, b)
+
+
+text = st.lists(st.sampled_from(WORDS[:-1]), max_size=20).map(" ".join)
+word = st.sampled_from(WORDS[:-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bodies=st.lists(text, min_size=1, max_size=8),
+    facts=st.lists(st.tuples(word, word, word), max_size=8),
+    common=st.booleans(),
+    query=st.lists(st.sampled_from(WORDS + ("nope",)), max_size=6).map(" ".join),
+)
+def test_bm25_equals_oracle(bodies, facts, common, query):
+    index = make_corpus(bodies, facts, common)
+    loaded = saved_and_loaded(index)
+    for k1 in K1_VALUES:
+        for b in B_VALUES:
+            assert_matches_oracle(index, query, k1, b)
+            assert_matches_oracle(loaded, query, k1, b)
+
+
+def test_lexical_npz_keys_unchanged(tmp_path, chain_index):
+    save_index(chain_index, tmp_path)
+    keys = ("ids", "doc_lengths", "vocab", "doc_freq", "indptr", "doc_positions",
+            "term_freqs")
+    lex = np.load(tmp_path / "lexical.npz")
+    assert list(lex.keys()) == [f"{p}_{key}" for p in "pt" for key in keys]
+    for prefix, view in (("p", PASSAGES), ("t", TRIPLES)):
+        assert np.array_equal(
+            lex[f"{prefix}_doc_freq"], np.diff(chain_index.lexical[view].indptr)
+        )
+
+
+# ---------------------------------------------------------------------------
+# Integrity at load
+# ---------------------------------------------------------------------------
+
+def rewrite_npz(path: Path, **changes) -> None:
+    with np.load(path) as stored:
+        arrays = dict(stored)
+    arrays.update(changes)
+    np.savez_compressed(path, **arrays)
+
+
+def test_load_rejects_passage_appended_after_save(tmp_path, chain_index):
+    save_index(chain_index, tmp_path)
+    with open(tmp_path / "passages.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "p5", "title": "", "text": "late island"}) + "\n")
+    with pytest.raises(IndexBuildError, match="lexical.npz: p_ids"):
+        load_index(tmp_path)
+
+
+def test_load_rejects_vector_ids_that_differ(tmp_path, chain_index):
+    save_index(chain_index, tmp_path)
+    emb = tmp_path / "embeddings.npz"
+    rewrite_npz(emb, triple_ids=np.asarray(["t1", "t2", "t3", "t9"]))
+    with pytest.raises(IndexBuildError, match="embeddings.npz: triple_ids"):
+        load_index(tmp_path)
+
+
+def test_load_rejects_vector_row_count(tmp_path, chain_index):
+    save_index(chain_index, tmp_path)
+    emb = tmp_path / "embeddings.npz"
+    rewrite_npz(emb, passage_vectors=np.load(emb)["passage_vectors"][:3])
+    with pytest.raises(IndexBuildError, match="embeddings.npz: 3 passage vectors"):
+        load_index(tmp_path)
+
+
+def test_load_rejects_doc_freq_mismatch(tmp_path, chain_index):
+    save_index(chain_index, tmp_path)
+    lex = tmp_path / "lexical.npz"
+    doc_freq = np.load(lex)["t_doc_freq"].copy()
+    doc_freq[0] += 1
+    rewrite_npz(lex, t_doc_freq=doc_freq)
+    with pytest.raises(IndexBuildError, match="lexical.npz: t_doc_freq"):
+        load_index(tmp_path)
+
+
+def test_load_rejects_decreasing_indptr(tmp_path, chain_index):
+    save_index(chain_index, tmp_path)
+    lex = tmp_path / "lexical.npz"
+    indptr = np.load(lex)["p_indptr"].copy()
+    indptr[1], indptr[2] = indptr[2], indptr[1]
+    rewrite_npz(lex, p_indptr=indptr, p_doc_freq=np.diff(indptr))
+    with pytest.raises(IndexBuildError, match="lexical.npz: p_indptr"):
+        load_index(tmp_path)
+
+
+def test_load_rejects_doc_position_out_of_range(tmp_path, chain_index):
+    save_index(chain_index, tmp_path)
+    lex = tmp_path / "lexical.npz"
+    positions = np.load(lex)["p_doc_positions"].copy()
+    positions[-1] = len(chain_index.passages)
+    rewrite_npz(lex, p_doc_positions=positions)
+    with pytest.raises(IndexBuildError, match="lexical.npz: p_doc_positions"):
+        load_index(tmp_path)
+
+
+def test_load_applies_build_record_checks(tmp_path, chain_index):
+    save_index(chain_index, tmp_path)
+    path = tmp_path / "triples.jsonl"
+    first = path.read_text().splitlines()[0]
+    path.write_text(path.read_text() + first + "\n")
+    with pytest.raises(IndexBuildError, match="duplicate triple id: 't1'"):
+        load_index(tmp_path)
+    record = json.loads(first)
+    path.write_text(json.dumps({**record, "id": "tX", "passage_id": "nope"}) + "\n")
+    with pytest.raises(IndexBuildError, match="unknown passage"):
+        load_index(tmp_path)
+    path.write_text(json.dumps({**record, "subject": " "}) + "\n")
+    with pytest.raises(IndexBuildError, match="blank field"):
+        load_index(tmp_path)
