@@ -81,7 +81,6 @@ from .graph_expansion import (
     diversity_weight,
     flatten_beams,
     naive_ge_retrieve,
-    score_sequence,
     sync_ge_detail,
     sync_ge_retrieve,
 )

@@ -135,7 +135,12 @@ def bm25_search(
 def dense_search(
     index: CorpusIndex, query: str, view: str = PASSAGES, k: int = 10
 ) -> RankedList:
-    """Exhaustive cosine similarity between the query embedding and the view."""
+    """Exhaustive cosine similarity between the query embedding and the view.
+
+    Ranks by the signed squared cosine dot·|dot| / (‖d‖²·‖q‖²) and takes the
+    root of the top k only. For hashed rows that is one rounding of a ratio of
+    exact integers, so equal cosines tie exactly and ascending id decides.
+    """
     vv = index.vectors[view]
     if len(vv.ids) == 0:
         return RankedList((), provenance="dense")
@@ -143,13 +148,13 @@ def dense_search(
         q = index.embed_query(query)
     except Exception as e:
         raise RetrievalError(f"query embedding failed: {e}") from e
-    norm = float(np.linalg.norm(q))
-    if norm > 0:
-        q = q / norm
-    scores = vv.vectors @ q
-    order = np.argsort(-scores, kind="stable")[:k]
-    entries = tuple((vv.ids[pos], float(scores[pos])) for pos in order)
-    return RankedList(entries, provenance="dense")
+    dots = vv.vectors @ q
+    denom = vv.sq_norms * float(q @ q)
+    ratios = np.divide(dots * np.abs(dots), denom, out=np.zeros_like(dots), where=denom > 0)
+    order = np.argsort(-ratios, kind="stable")[:k]
+    top = ratios[order]
+    cosines = np.copysign(np.sqrt(np.abs(top)), top).tolist()
+    return RankedList(tuple(zip([vv.ids[pos] for pos in order], cosines)), provenance="dense")
 
 
 def hybrid_search(
@@ -212,7 +217,7 @@ _TRIGRAM_CODES: dict[int, _TrigramCodes] = {}
 
 def trigram_counts(low: str, dim: int) -> np.ndarray:
     """Signed bucket counts of the character 3-grams of an already lower-cased
-    text: the vector ``hash_embed`` normalises.
+    text: ``hash_embed`` of any text that lower-cases to it.
 
     Every entry is a sum of +1s and -1s, so it is an exact integer in float64
     and counts of concatenated pieces may be added in any order.
@@ -230,7 +235,8 @@ def trigram_counts(low: str, dim: int) -> np.ndarray:
 
 
 def hash_embed(text: str, dim: int) -> np.ndarray:
-    """Feature-hash character 3-grams of the lowercased text into a unit vector.
+    """Feature-hash character 3-grams of the lowercased text into signed
+    bucket counts (Weinberger et al., 2009): integer-valued, not normalised.
 
     Each trigram's bucket and sign come from blake2b, 8-byte digest, of its
     UTF-8 bytes (the first four bytes, little-endian, modulo ``dim`` pick the
@@ -240,7 +246,7 @@ def hash_embed(text: str, dim: int) -> np.ndarray:
     trigrams seen. Texts shorter than 3 characters produce the zero vector;
     cosine against the zero vector is defined as 0.
     """
-    return unit_vector(trigram_counts(text.lower(), dim))
+    return trigram_counts(text.lower(), dim)
 
 
 def unit_vector(vec: np.ndarray) -> np.ndarray:
@@ -251,11 +257,7 @@ def unit_vector(vec: np.ndarray) -> np.ndarray:
 
 def hash_dim(embedder) -> int | None:
     """``dim`` if the embedder is named ``hash:<dim>`` (a ``HashEmbedder``, or a
-    wrapper that keeps its name), else None.
-
-    ``load_index`` likewise takes the name as the identity of the embedding
-    function.
-    """
+    wrapper that keeps its name), else None."""
     name = getattr(embedder, "name", None)
     if isinstance(name, str) and name.startswith("hash:") and name[5:].isdecimal():
         return int(name[5:])

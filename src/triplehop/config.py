@@ -127,7 +127,7 @@ def load_engine_config(path: str | Path | None = None) -> EngineConfig:
     defaults = EngineConfig()
     if path is None:
         return defaults
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         read = parser.read(path)
     except configparser.Error as e:

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # Index view names: the passage index and the triple index.
 PASSAGES = "passages"
@@ -125,10 +125,16 @@ class LexicalView:
 
 @dataclass(frozen=True)
 class VectorView:
-    """Per-view embedding matrix; row order matches the ascending id order."""
+    """Per-view embedding matrix: the embedder's rows as it returned them, in
+    ascending id order, and their squared norms (derived)."""
 
     ids: tuple[str, ...]
     vectors: np.ndarray
+    sq_norms: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        sq_norms = np.einsum("ij,ij->i", self.vectors, self.vectors)
+        object.__setattr__(self, "sq_norms", sq_norms)
 
 
 @dataclass
@@ -160,14 +166,6 @@ class CorpusIndex:
 def passage_search_text(passage: Passage) -> str:
     """Lexical search text for a passage: title and body together."""
     return f"{passage.title} {passage.body}" if passage.title else passage.body
-
-
-def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    if matrix.size == 0:
-        return matrix
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    safe = np.where(norms > 0, norms, 1.0)
-    return matrix / safe
 
 
 def _assemble(
@@ -244,8 +242,7 @@ def build_index(
     def embed_all(texts: list[str]) -> np.ndarray:
         if not texts:
             return np.zeros((0, 0), dtype=np.float64)
-        rows = [np.asarray(embedder(text), dtype=np.float64) for text in texts]
-        return _unit_rows(np.vstack(rows))
+        return np.vstack([np.asarray(embedder(text), dtype=np.float64) for text in texts])
 
     def compute_views(passage_map, triple_map, passage_ids, triple_ids):
         triple_texts = [serialize_triple(triple_map[i]) for i in triple_ids]
@@ -387,25 +384,21 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
     with open(directory / "triples.jsonl", "w", encoding="utf-8") as fh:
         for tid in sorted(index.triples):
             t = index.triples[tid]
-            fh.write(
-                json.dumps(
-                    {
-                        "id": t.id,
-                        "passage_id": t.passage_id,
-                        "subject": t.subject,
-                        "predicate": t.predicate,
-                        "object": t.object,
-                    }
-                )
-                + "\n"
-            )
+            record = {"id": t.id, "passage_id": t.passage_id, "subject": t.subject,
+                      "predicate": t.predicate, "object": t.object}
+            fh.write(json.dumps(record) + "\n")
 
     emb_payload = {}
     lex_payload = {}
     for view, prefix, name in _NPZ_PREFIXES:
         vv = index.vectors[view]
         emb_payload[f"{name}_ids"] = np.asarray(vv.ids, dtype=np.str_)
-        emb_payload[f"{name}_vectors"] = vv.vectors
+        # int8 when that holds the rows exactly, as it does hashed counts; a
+        # value int8 cannot hold casts to one that fails the comparison.
+        with np.errstate(invalid="ignore"):
+            small = vv.vectors.astype(np.int8)
+        exact = np.array_equal(small, vv.vectors)
+        emb_payload[f"{name}_vectors"] = small if exact else vv.vectors
         lex = index.lexical[view]
         lex_payload.update(
             {
@@ -434,12 +427,15 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
         fh.write("\n")
 
 
-def _read_vector_view(emb, name: str, ids: tuple[str, ...], path: Path) -> VectorView:
+def _read_vector_view(emb, name: str, ids: tuple[str, ...], path: Path, dim) -> VectorView:
     if emb[f"{name}_ids"].tolist() != list(ids):
         raise IndexBuildError(f"{path}: {name}_ids differ from the sorted JSONL ids")
-    vectors = emb[f"{name}_vectors"]
+    vectors = emb[f"{name}_vectors"].astype(np.float64)
     if len(vectors) != len(ids):
         raise IndexBuildError(f"{path}: {len(vectors)} {name} vectors for {len(ids)} ids")
+    if len(ids) and vectors.shape[1] != dim:
+        width = f"{vectors.shape[1]}-wide {name} vectors"
+        raise IndexBuildError(f"{path.parent / 'manifest.json'}: dim {dim!r}, but {width}")
     return VectorView(ids, vectors)
 
 
@@ -476,25 +472,36 @@ def load_index(
     The embedder is reconstructed from the manifest name unless one is passed
     explicitly (required for indexes saved with a custom embedding function).
     The records get the same checks as in ``build_index``; sidecars that
-    disagree with the JSONL files or with themselves raise IndexBuildError
-    naming the file.
+    disagree with the JSONL files or with themselves, or a manifest ``dim``
+    unlike the stored rows' or a ``hash:<dim>`` embedder's, raise
+    IndexBuildError naming the file. Version 1 (unit rows) is rebuilt.
     """
+    from .base_retrieval import hash_dim, resolve_embedder
+
     directory = Path(directory)
-    with open(directory / "manifest.json", encoding="utf-8") as fh:
+    manifest_path = directory / "manifest.json"
+    with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise IndexBuildError(
-            f"unsupported index format version: {manifest.get('format_version')!r}"
-        )
+    version = manifest.get("format_version")
+    if version not in (1, FORMAT_VERSION):
+        raise IndexBuildError(f"unsupported index format version: {version!r}")
     if embedder is None:
         name = manifest.get("embedder", "custom")
         if name == "custom":
             raise IndexBuildError(
                 "index was saved with a custom embedder; pass one to load_index"
             )
-        from .base_retrieval import resolve_embedder
-
         embedder = resolve_embedder(name)
+    dim = manifest.get("dim")
+    # An empty index stores dim 0, and any embedder may load it.
+    if dim and hash_dim(embedder) not in (None, dim):
+        raise IndexBuildError(
+            f"{manifest_path}: dim {dim!r}, but the embedder is {embedder.name}"
+        )
+    passages = load_passages_jsonl(directory / "passages.jsonl")
+    triples = load_triples_jsonl(directory / "triples.jsonl")
+    if version == 1:
+        return build_index(passages, triples, embedder)
 
     def read_views(passage_map, triple_map, passage_ids, triple_ids):
         lex_path, emb_path = directory / "lexical.npz", directory / "embeddings.npz"
@@ -502,12 +509,7 @@ def load_index(
         with np.load(lex_path) as lex, np.load(emb_path) as emb:
             for (view, prefix, name), ids in zip(_NPZ_PREFIXES, (passage_ids, triple_ids)):
                 lexical[view] = _read_lexical_view(lex, prefix, ids, lex_path)
-                vectors[view] = _read_vector_view(emb, name, ids, emb_path)
+                vectors[view] = _read_vector_view(emb, name, ids, emb_path, dim)
         return lexical, vectors
 
-    return _assemble(
-        load_passages_jsonl(directory / "passages.jsonl"),
-        load_triples_jsonl(directory / "triples.jsonl"),
-        embedder,
-        read_views,
-    )
+    return _assemble(passages, triples, embedder, read_views)

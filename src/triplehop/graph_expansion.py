@@ -10,6 +10,7 @@ with the base retrieval list by reciprocal rank fusion.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,6 +27,7 @@ from .base_retrieval import (
 )
 from .corpus_index import (
     PASSAGES,
+    TRIPLES,
     CorpusIndex,
     get_neighbours,
     serialize_sequence,
@@ -72,30 +74,23 @@ def diversity_weight(position: int, gamma: float) -> float:
     return math.exp(-min(position, gamma) / gamma)
 
 
-def score_sequence(index: CorpusIndex, query: str, sequence: Sequence[str]) -> float:
-    """Cosine similarity between the query and the serialized triple sequence."""
-    return make_cosine_scorer(index)(query, tuple(sequence))
-
-
 def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     """Default sequence scorer: cosine of the query and the serialized sequence.
 
-    Embeddings are cached within one search. When the index embeds with the
-    hash embedder (``hash_dim`` finds its name ``hash:<dim>``), no candidate
-    is serialized or embedded. ``serialize_sequence`` joins triples with
-    ``"; "``, and lower-casing never carries context across ``";"``, so the
-    lower-cased text of ``a; b`` is ``low(a) + "; " + low(b)`` and its
-    trigram counts are
+    Embeddings are cached within one search and normalised once. With the
+    hash embedder (``hash_dim`` finds its name ``hash:<dim>``) no candidate
+    is embedded: ``serialize_sequence`` joins triples with ``"; "``, and
+    lower-casing never carries context across ``";"``, so the trigram counts
+    of ``a; b`` are
 
         counts(a) + counts(low(a)[-2:] + "; " + low(b)[:2]) + counts(b),
 
-    the middle term being the trigrams that touch the separator. The slices
-    are taken after lower-casing, because ``'İ'.lower()`` is two characters.
-    Counts are integer-valued float64, so the sum is exact; counts of each
-    triple, beam prefix and boundary window are kept for the whole search. The
-    sum then goes through ``hash_embed``'s normalisation, this scorer's own
-    and the same dot product, so scores are bit-identical to embedding the
-    serialized text. Any other embedder is called on the serialized text.
+    the middle term being the trigrams that touch the separator (sliced after
+    lower-casing, because ``'İ'.lower()`` is two characters). A triple's
+    counts are its row of the triple view; prefix and boundary counts are
+    kept for the search. Counts are integer-valued, so the sum is exact and
+    the score bit-identical to embedding the serialized text. Any other
+    embedder is called on the serialized text.
     """
     cache: dict[str, np.ndarray] = {}
 
@@ -118,12 +113,13 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     triples: dict[str, tuple[np.ndarray, str]] = {}
     prefixes: dict[tuple[str, ...], tuple[np.ndarray, str]] = {}
     boundaries: dict[str, np.ndarray] = {}
+    view = index.vectors[TRIPLES]
 
     def triple_counts(tid: str) -> tuple[np.ndarray, str]:
         entry = triples.get(tid)
         if entry is None:
             low = serialize_sequence(index, (tid,)).lower()
-            entry = triples[tid] = (trigram_counts(low, dim), low)
+            entry = triples[tid] = (view.vectors[bisect_left(view.ids, tid)], low)
         return entry
 
     def sequence_counts(sequence: tuple[str, ...]) -> tuple[np.ndarray, str]:
@@ -143,7 +139,7 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
 
     def scorer(query: str, sequence: tuple[str, ...]) -> float:
         counts, _ = sequence_counts(sequence)
-        return float(embed_unit(query) @ unit_vector(unit_vector(counts)))
+        return float(embed_unit(query) @ unit_vector(counts))
 
     return scorer
 

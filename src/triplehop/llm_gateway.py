@@ -28,7 +28,6 @@ TEMPLATE_NAMES = (
     "reasoner",
     "rewriter",
     "qa_with_passages",
-    "qa_no_passages",
 )
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")

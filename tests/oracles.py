@@ -4,7 +4,8 @@ The beam-search oracle re-derives the triple graph by brute-force pairwise
 entity comparison and enumerates candidate sequences level by level, replaying
 the same scoring and diversity arithmetic; it shares no code with the package
 implementation. The dense oracle recomputes cosine ranking with plain python
-sorting over independently computed embeddings. The BM25 oracle is the
+sorting over independently computed embeddings, in exact rationals for
+integer-valued ones. The BM25 oracle is the
 scalar per-posting loop over dict postings that the columnar scorer replaced,
 with its own tokenizer and statistics. The hash-embedding and
 sequence-scorer oracles are the straightforward forms the package replaced
@@ -18,6 +19,7 @@ import hashlib
 import math
 import re
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
@@ -81,23 +83,39 @@ def oracle_beam_search(query, initial_ids, triples, cfg, score_fn):
     return level
 
 
-def oracle_cosine_ranking(query_vector, item_vectors: dict, k: int):
-    """Brute-force cosine ranking: plain dot products and python sorting."""
+def oracle_cosine_ranking(query_vector, item_vectors: dict, k: int, exact: bool = False):
+    """Brute-force cosine ranking: plain dot products and python sorting.
+
+    With ``exact`` the vectors must be integer-valued (hashed counts), and
+    items are ordered by the signed squared cosine dot·|dot| / (‖d‖²·‖q‖²)
+    as a ``Fraction``, then by id: mathematically equal cosines tie exactly.
+    """
     norm = math.sqrt(sum(x * x for x in query_vector))
     scored = []
     for item_id, vector in item_vectors.items():
         dot = sum(a * b for a, b in zip(query_vector, vector))
         vnorm = math.sqrt(sum(x * x for x in vector))
-        if norm > 0 and vnorm > 0:
-            scored.append((item_id, dot / (norm * vnorm)))
-        else:
-            scored.append((item_id, 0.0))
-    scored.sort(key=lambda entry: (-entry[1], entry[0]))
-    return scored[:k]
+        cosine = dot / (norm * vnorm) if norm > 0 and vnorm > 0 else 0.0
+        key = cosine
+        if exact:
+            q, v = _integers(query_vector), _integers(vector)
+            idot = sum(a * b for a, b in zip(q, v))
+            denom = sum(x * x for x in q) * sum(x * x for x in v)
+            key = Fraction(idot * abs(idot), denom) if denom else Fraction(0)
+        scored.append((key, item_id, cosine))
+    scored.sort(key=lambda entry: (-entry[0], entry[1]))
+    return [(item_id, cosine) for _, item_id, cosine in scored[:k]]
+
+
+def _integers(vector) -> list[int]:
+    out = [int(x) for x in vector]
+    assert out == list(vector), "the exact mode needs integer-valued vectors"
+    return out
 
 
 def oracle_hash_embed(text: str, dim: int) -> np.ndarray:
-    """Feature hashing with one blake2b digest per trigram occurrence."""
+    """Feature hashing with one blake2b digest per trigram occurrence: the
+    signed bucket counts, not normalised."""
     vec = np.zeros(dim, dtype=np.float64)
     low = text.lower()
     for i in range(len(low) - 2):
@@ -105,8 +123,7 @@ def oracle_hash_embed(text: str, dim: int) -> np.ndarray:
         bucket = int.from_bytes(digest[:4], "little") % dim
         sign = 1.0 if digest[4] & 1 else -1.0
         vec[bucket] += sign
-    norm = np.linalg.norm(vec)
-    return vec / norm if norm > 0 else vec
+    return vec
 
 
 def oracle_sequence_scorer(triples: dict, embed):

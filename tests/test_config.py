@@ -6,7 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from triplehop import AgentConfig, ScriptedBackend, load_engine_config, make_backend
+from triplehop import (
+    AgentConfig,
+    HashEmbedder,
+    Passage,
+    ScriptedBackend,
+    build_index,
+    load_engine_config,
+    make_backend,
+    save_index,
+)
 from triplehop.cli import dispatch
 from triplehop.config import ConfigError, EngineConfig, LLMConfig, scalar_fields
 from triplehop.llm_gateway import HttpChatBackend
@@ -177,3 +186,17 @@ def test_agent_section_sets_agent_config_fields():
         "max_iterations": 4, "per_iteration_k": 10, "passage_link_k": 15,
         "reuse_first_read": False,
     }
+
+
+def test_percent_in_a_value_loads_verbatim(tmp_path, capsys):
+    path = tmp_path / "engine.cfg"
+    path.write_text("[llm]\nendpoint = http://localhost:1/v1%2Fchat\n")
+    assert load_engine_config(path).llm.endpoint == "http://localhost:1/v1%2Fchat"
+    index_dir = tmp_path / "idx"
+    save_index(
+        build_index([Passage("p1", "", "alpha beta")], [], HashEmbedder(64)), index_dir
+    )
+    code = dispatch(["retrieve", "--index", str(index_dir), "--query", "alpha",
+                     "--config", str(path)])
+    assert code == 0, capsys.readouterr().err
+    assert "p1" in capsys.readouterr().out

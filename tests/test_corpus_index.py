@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from triplehop import (
     build_index,
     dense_search,
     get_neighbours,
+    hybrid_search,
     load_index,
     normalize_entity,
     save_index,
@@ -225,11 +227,21 @@ def test_repeated_queries_are_identical(chain_index):
     assert d1 == d2
 
 
-def test_embeddings_unit_norm(chain_index):
-    for view in (PASSAGES, TRIPLES):
-        vectors = chain_index.vectors[view].vectors
-        norms = np.linalg.norm(vectors, axis=1)
-        assert np.all(np.abs(norms - 1.0) < 1e-6)
+def test_view_rows_are_the_embedders_output(tmp_path, chain_index):
+    save_index(chain_index, tmp_path / "idx")
+    loaded = load_index(tmp_path / "idx")
+    texts = {
+        PASSAGES: {pid: p.body for pid, p in chain_index.passages.items()},
+        TRIPLES: {tid: serialize_triple(t) for tid, t in chain_index.triples.items()},
+    }
+    for index in (chain_index, loaded):
+        for view, by_id in texts.items():
+            vv = index.vectors[view]
+            assert vv.ids == tuple(sorted(by_id))
+            assert vv.vectors.dtype == np.float64
+            for row, item_id in zip(vv.vectors, vv.ids):
+                assert row.tobytes() == index.embedder(by_id[item_id]).tobytes()
+            assert vv.sq_norms.tolist() == [float(r @ r) for r in vv.vectors]
 
 
 def test_jsonl_loading_and_auto_ids(tmp_path):
@@ -262,7 +274,7 @@ def test_persistence_round_trip(tmp_path, chain_index):
     assert loaded.entity_adjacency == chain_index.entity_adjacency
 
     manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
-    assert manifest["format_version"] == 1
+    assert manifest["format_version"] == 2
     assert manifest["embedder"] == "hash:128"
     assert manifest["dim"] == 128
     for name in ("passages.jsonl", "triples.jsonl", "embeddings.npz", "lexical.npz"):
@@ -304,6 +316,69 @@ def test_load_rejects_unknown_format(tmp_path, chain_index):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(IndexBuildError, match="format"):
         load_index(tmp_path / "idx")
+
+
+def test_hashed_rows_are_stored_as_int8_and_other_rows_as_float64(tmp_path, chain_index):
+    save_index(chain_index, tmp_path / "hashed")
+    with np.load(tmp_path / "hashed" / "embeddings.npz") as emb:
+        assert emb["passage_vectors"].dtype == np.int8
+        assert emb["triple_vectors"].dtype == np.int8
+
+    def halves(text):
+        return np.full(4, 0.5 if text else 0.0)
+
+    index = build_index(
+        [Passage("p1", "", "body")], [Triple("t1", "A", "r", "B", "p1")], halves
+    )
+    save_index(index, tmp_path / "custom")
+    with np.load(tmp_path / "custom" / "embeddings.npz") as emb:
+        assert emb["passage_vectors"].dtype == np.float64
+    loaded = load_index(tmp_path / "custom", embedder=halves)
+    assert loaded.vectors[PASSAGES].vectors.tobytes() == halves("body").tobytes()
+
+
+def test_load_rejects_an_embedder_of_another_dim(tmp_path):
+    index = make_index([Passage("p1", "", "body text")], [], dim=64)
+    save_index(index, tmp_path / "idx")
+    assert load_index(tmp_path / "idx").embedder == HashEmbedder(64)
+    with pytest.raises(IndexBuildError, match=r"manifest\.json: dim 64.*hash:128"):
+        load_index(tmp_path / "idx", embedder=HashEmbedder(128))
+    # an empty index stores dim 0 and loads with any embedder
+    save_index(make_index([], [], dim=64), tmp_path / "empty")
+    assert load_index(tmp_path / "empty", embedder=HashEmbedder(128)).passages == {}
+
+
+def test_load_rejects_a_manifest_dim_unlike_the_stored_rows(tmp_path):
+    save_index(make_index([Passage("p1", "", "body text")], [], dim=64), tmp_path / "idx")
+    manifest_path = tmp_path / "idx" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["dim"] = 32
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(IndexBuildError, match=r"manifest\.json: dim 32, but 64-wide passage"):
+        load_index(tmp_path / "idx", embedder=lambda text: np.zeros(32))
+
+
+# Saved by the code of format version 1, which stored unit-normalised rows.
+V1_INDEX = Path(__file__).parent / "data" / "index_v1"
+
+
+def test_format_1_index_loads_and_ranks_like_a_fresh_build():
+    manifest = json.loads((V1_INDEX / "manifest.json").read_text())
+    assert manifest["format_version"] == 1
+    loaded = load_index(V1_INDEX)
+    fresh = build_index(
+        load_passages_jsonl(V1_INDEX / "passages.jsonl"),
+        load_triples_jsonl(V1_INDEX / "triples.jsonl"),
+        HashEmbedder(manifest["dim"]),
+    )
+    assert loaded.passages == fresh.passages
+    assert loaded.triples == fresh.triples
+    assert loaded.entity_adjacency == fresh.entity_adjacency
+    queries = ("Ada Vell met Bo Rinn", "born in Marsh Bay", "Quill", "who met Fay Lund")
+    for query in queries:
+        for view in (PASSAGES, TRIPLES):
+            for search in (bm25_search, dense_search, hybrid_search):
+                assert search(loaded, query, view, 8) == search(fresh, query, view, 8)
 
 
 def test_passages_loader_names_line_of_missing_field(tmp_path):

@@ -17,12 +17,11 @@ from triplehop import (
     diversity_weight,
     flatten_beams,
     naive_ge_retrieve,
-    score_sequence,
     sync_ge_retrieve,
 )
 from triplehop.base_retrieval import base_retrieve
 from triplehop.corpus_index import PASSAGES
-from triplehop.graph_expansion import naive_ge_detail, sync_ge_detail
+from triplehop.graph_expansion import make_cosine_scorer, naive_ge_detail, sync_ge_detail
 
 from .conftest import RecordingBackend
 from .oracles import oracle_beam_search
@@ -54,16 +53,18 @@ def test_diversity_weight_monotone_with_floor():
 
 def test_score_sequence_identity_text(chain_index):
     # query identical to the serialized single-triple sequence
-    assert abs(score_sequence(chain_index, "enta linksto entb", ["t1"]) - 1.0) < 1e-9
+    score = make_cosine_scorer(chain_index)
+    assert abs(score("enta linksto entb", ("t1",)) - 1.0) < 1e-9
 
 
 def test_score_sequence_empty_query_is_zero(chain_index):
-    assert score_sequence(chain_index, "", ["t1"]) == 0.0
+    assert make_cosine_scorer(chain_index)("", ("t1",)) == 0.0
 
 
 def test_score_sequence_changes_with_extension(chain_index):
-    single = score_sequence(chain_index, "enta linksto entb", ["t1"])
-    double = score_sequence(chain_index, "enta linksto entb", ["t1", "t2"])
+    score = make_cosine_scorer(chain_index)
+    single = score("enta linksto entb", ("t1",))
+    double = score("enta linksto entb", ("t1", "t2"))
     assert single != double
 
 

@@ -313,6 +313,10 @@ class _ChatHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
+# Variables of the qa_with_passages prompt the HTTP backend tests send.
+QA_VARIABLES = {"docs": "D", "question": "Q?"}
+
+
 @pytest.fixture()
 def chat_server():
     handler = type("Handler", (_ChatHandler,), {"hits": 0, "fail_times": 0,
@@ -328,7 +332,7 @@ def test_http_backend_success_with_usage(chat_server):
     url, handler = chat_server
     backend = HttpChatBackend(url, "test-model", max_retries=2, backoff_base=0.0)
     gateway = LLMGateway(backend)
-    text = gateway.complete("qa_no_passages", {"question": "Q?"})
+    text = gateway.complete("qa_with_passages", QA_VARIABLES)
     assert text == "echo:test-model"
     record = gateway.ledger.records[0]
     assert (record.input_tokens, record.output_tokens) == (11, 7)
@@ -339,10 +343,11 @@ def test_http_backend_usage_fallback_to_whitespace(chat_server):
     handler.include_usage = False
     backend = HttpChatBackend(url, "m", max_retries=1)
     gateway = LLMGateway(backend)
-    text = gateway.complete("qa_no_passages", {"question": "Q?"})
+    text = gateway.complete("qa_with_passages", QA_VARIABLES)
     record = gateway.ledger.records[0]
     assert record.output_tokens == whitespace_tokens(text)
-    assert record.input_tokens > 0
+    # the whitespace-separated words of the rendered qa_with_passages prompt
+    assert record.input_tokens == 590
 
 
 def test_http_backend_retries_then_succeeds(chat_server):
@@ -350,7 +355,7 @@ def test_http_backend_retries_then_succeeds(chat_server):
     handler.fail_times = 2
     backend = HttpChatBackend(url, "m", max_retries=3, backoff_base=0.0)
     result = backend.complete(
-        _request("qa_no_passages", {"question": "Q?"})
+        _request("qa_with_passages", QA_VARIABLES)
     )
     assert result.text == "echo:m"
     assert handler.hits == 3
@@ -361,7 +366,7 @@ def test_http_backend_exhausts_retries(chat_server):
     handler.fail_times = 99
     backend = HttpChatBackend(url, "m", max_retries=3, backoff_base=0.0)
     with pytest.raises(CompletionError, match="3 attempts"):
-        backend.complete(_request("qa_no_passages", {"question": "Q?"}))
+        backend.complete(_request("qa_with_passages", QA_VARIABLES))
     assert handler.hits == 3
 
 
@@ -371,7 +376,7 @@ def test_http_backend_unreachable_errors():
         timeout=0.5,
     )
     with pytest.raises(CompletionError):
-        backend.complete(_request("qa_no_passages", {"question": "Q?"}))
+        backend.complete(_request("qa_with_passages", QA_VARIABLES))
 
 
 def _request(kind, variables):
