@@ -204,28 +204,32 @@ def rewrite_step(
 
 def passage_link(
     index: CorpusIndex,
-    triple: ProximalTriple,
+    triples: Sequence[ProximalTriple],
     retrieval: RetrievalConfig,
     k: int = 15,
-) -> RankedList:
-    """Link a fact to passages: fuse passage-view and triple-view retrieval.
+) -> list[RankedList]:
+    """Link each fact to passages: fuse passage-view and triple-view retrieval.
 
-    The triple-view list is mapped to source passages (first occurrence wins)
-    before fusion.
+    Returns one list per fact, in order. Each view is searched once for the
+    whole batch. The triple-view list is mapped to source passages (first
+    occurrence wins) before fusion.
     """
-    query = serialize_triple(triple)
-    passage_list = base_retrieve(index, query, PASSAGES, retrieval, k=k)
-    triple_list = base_retrieve(index, query, TRIPLES, retrieval, k=k)
-    seen: set[str] = set()
-    mapped_entries = []
-    for tid, score in triple_list.entries:
-        pid = triple_to_passage(index, tid)
-        if pid in seen:
-            continue
-        seen.add(pid)
-        mapped_entries.append((pid, score))
-    mapped = RankedList(tuple(mapped_entries), provenance="triples->passages")
-    return rrf_fuse([passage_list, mapped], retrieval.rrf_constant).truncated(k)
+    queries = [serialize_triple(triple) for triple in triples]
+    passage_lists = base_retrieve(index, queries, PASSAGES, retrieval, k=k)
+    triple_lists = base_retrieve(index, queries, TRIPLES, retrieval, k=k)
+    linked = []
+    for passage_list, triple_list in zip(passage_lists, triple_lists):
+        seen: set[str] = set()
+        mapped_entries = []
+        for tid, score in triple_list.entries:
+            pid = triple_to_passage(index, tid)
+            if pid in seen:
+                continue
+            seen.add(pid)
+            mapped_entries.append((pid, score))
+        mapped = RankedList(tuple(mapped_entries), provenance="triples->passages")
+        linked.append(rrf_fuse([passage_list, mapped], retrieval.rrf_constant).truncated(k))
+    return linked
 
 
 def run_agent(
@@ -318,10 +322,7 @@ def run_agent(
         gateway.set_iteration(0)
 
     linked_facts = memory.unique_facts()
-    link_lists = [
-        passage_link(index, triple, cfg.retrieval, cfg.passage_link_k)
-        for triple in linked_facts
-    ]
+    link_lists = passage_link(index, linked_facts, cfg.retrieval, cfg.passage_link_k)
     final = rrf_fuse([*link_lists, *iteration_lists], cfg.retrieval.rrf_constant)
     return AgentTrace(
         query=query,

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import requests
 
 from .corpus_index import PASSAGES, CorpusIndex, tokenize
+from .llm_gateway import post_json
 
 
 class RetrievalError(RuntimeError):
@@ -94,26 +94,58 @@ def rrf_fuse(lists: Sequence[RankedList], rrf_constant: int = 60) -> RankedList:
     return RankedList(tuple(ordered), provenance="rrf")
 
 
+def _batch(query: str | Sequence[str]) -> list[str]:
+    # A str is itself a Sequence[str], so it must be tested first.
+    return [query] if isinstance(query, str) else list(query)
+
+
+def _unbatch(query: str | Sequence[str], results: list[RankedList]):
+    return results[0] if isinstance(query, str) else results
+
+
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k highest scores, highest first, ties by ascending
+    position: the first k of ``np.argsort(-scores, kind="stable")``.
+
+    Only the positions scoring at least the k-th highest score are sorted, so
+    a tie that straddles the k-th place keeps its smallest positions.
+    """
+    if not 0 < k < len(scores):
+        return np.argsort(-scores, kind="stable")[:k]
+    kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+    kept = np.flatnonzero(scores >= kth)
+    return kept[np.argsort(-scores[kept], kind="stable")][:k]
+
+
 def bm25_search(
     index: CorpusIndex,
-    query: str,
+    query: str | Sequence[str],
     view: str = PASSAGES,
     k: int = 10,
     *,
     k1: float = 1.2,
     b: float = 0.75,
-) -> RankedList:
+) -> RankedList | list[RankedList]:
     """Okapi BM25 over the tokenized view texts.
+
+    ``query`` is one text, giving one RankedList, or a sequence of texts,
+    giving one RankedList per text in order; a single text is the one-row
+    batch. Each distinct query term's posting contribution is computed once
+    per batch, and each query adds its terms' contributions in its own token
+    order, so a score does not depend on the rest of the batch.
 
     Uses the non-negative idf variant ln(1 + (N - df + 0.5)/(df + 0.5)), so
     documents matching a term held by every document still score above zero.
-    Zero-score items are omitted.
+    Zero-score items are omitted. Ties break by ascending id, also across the
+    k-th place (see ``top_k``).
     """
+    texts = _batch(query)
     lex = index.lexical[view]
     n_docs = len(lex.ids)
     avg = lex.avg_doc_length or 1.0
-    scores = np.zeros(n_docs, dtype=np.float64)
-    for term in tokenize(query):
+    token_lists = [tokenize(text) for text in texts]
+    contributions: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for term in {term for tokens in token_lists for term in tokens}:
         row = lex.rows.get(term)
         if row is None:
             continue
@@ -123,63 +155,100 @@ def bm25_search(
         pos = lex.doc_positions[lo:hi]
         tf = lex.term_freqs[lo:hi]
         # Keep this operation order: the per-posting loop in tests/oracles.py
-        # must give the same bits. A row holds each position once, so the
-        # fancy-index += adds each posting exactly once.
+        # must give the same bits.
         denom = tf + k1 * (1.0 - b + b * lex.doc_lengths[pos] / avg)
-        scores[pos] += idf * (tf * (k1 + 1.0)) / denom
-    order = np.argsort(-scores, kind="stable")[:k]
-    entries = [(lex.ids[pos], float(scores[pos])) for pos in order]
-    return RankedList(tuple(e for e in entries if e[1] > 0.0), provenance="bm25")
+        contributions[term] = pos, idf * (tf * (k1 + 1.0)) / denom
+    results = []
+    for tokens in token_lists:
+        scores = np.zeros(n_docs, dtype=np.float64)
+        for term in tokens:
+            if term in contributions:
+                pos, contribution = contributions[term]
+                # A row holds each position once, so the fancy-index += adds
+                # each posting exactly once.
+                scores[pos] += contribution
+        # Ascending, so the stable top-k keeps the id tie-break.
+        scored = np.flatnonzero(scores)
+        top = scored[top_k(scores[scored], k)]
+        entries = tuple((lex.ids[pos], float(scores[pos])) for pos in top)
+        results.append(RankedList(entries, provenance="bm25"))
+    return _unbatch(query, results)
 
 
 def dense_search(
-    index: CorpusIndex, query: str, view: str = PASSAGES, k: int = 10
-) -> RankedList:
-    """Exhaustive cosine similarity between the query embedding and the view.
+    index: CorpusIndex,
+    query: str | Sequence[str],
+    view: str = PASSAGES,
+    k: int = 10,
+) -> RankedList | list[RankedList]:
+    """Exhaustive cosine similarity between the query embeddings and the view.
+
+    ``query`` is one text, giving one RankedList, or a sequence of texts,
+    giving one RankedList per text in order; a single text is the one-row
+    batch. Each text is embedded once and the view is read once, by one
+    product ``Q @ V.T``; the working arrays hold len(query) × view-size floats.
 
     Ranks by the signed squared cosine dot·|dot| / (‖d‖²·‖q‖²) and takes the
     root of the top k only. For hashed rows that is one rounding of a ratio of
-    exact integers, so equal cosines tie exactly and ascending id decides.
+    exact integers, so equal cosines tie exactly and ascending id decides, also
+    across the k-th place (see ``top_k``). Integer dot products are exact, so
+    with hashed rows a query gets the same bits in any batch; the products of
+    other embedders' rows may round differently with the batch's size.
     """
+    texts = _batch(query)
     vv = index.vectors[view]
-    if len(vv.ids) == 0:
-        return RankedList((), provenance="dense")
+    if len(vv.ids) == 0 or not texts:
+        return _unbatch(query, [RankedList((), provenance="dense") for _ in texts])
     try:
-        q = index.embed_query(query)
+        embedded = np.stack([index.embed_query(text) for text in texts])
     except Exception as e:
         raise RetrievalError(f"query embedding failed: {e}") from e
-    dots = vv.vectors @ q
-    denom = vv.sq_norms * float(q @ q)
-    ratios = np.divide(dots * np.abs(dots), denom, out=np.zeros_like(dots), where=denom > 0)
-    order = np.argsort(-ratios, kind="stable")[:k]
-    top = ratios[order]
-    cosines = np.copysign(np.sqrt(np.abs(top)), top).tolist()
-    return RankedList(tuple(zip([vv.ids[pos] for pos in order], cosines)), provenance="dense")
+    dots = embedded @ vv.vectors.T
+    denom = np.outer([float(q @ q) for q in embedded], vv.sq_norms)
+    all_ratios = np.divide(dots * np.abs(dots), denom, out=np.zeros_like(dots), where=denom > 0)
+    results = []
+    for ratios in all_ratios:
+        order = top_k(ratios, k)
+        top = ratios[order]
+        cosines = np.copysign(np.sqrt(np.abs(top)), top).tolist()
+        entries = tuple(zip([vv.ids[pos] for pos in order], cosines))
+        results.append(RankedList(entries, provenance="dense"))
+    return _unbatch(query, results)
 
 
 def hybrid_search(
     index: CorpusIndex,
-    query: str,
+    query: str | Sequence[str],
     view: str = PASSAGES,
     k: int = 10,
     *,
     config: RetrievalConfig | None = None,
-) -> RankedList:
-    """RRF of the BM25 and dense result lists, truncated to k."""
+) -> RankedList | list[RankedList]:
+    """RRF of the BM25 and dense result lists, truncated to k.
+
+    ``query`` is one text or a sequence of texts, as for ``bm25_search``;
+    each retriever is called once for the whole batch.
+    """
     cfg = config or RetrievalConfig(k=k)
-    sparse = bm25_search(index, query, view, k, k1=cfg.bm25_k1, b=cfg.bm25_b)
-    dense = dense_search(index, query, view, k)
-    return rrf_fuse([sparse, dense], cfg.rrf_constant).truncated(k)
+    texts = _batch(query)
+    sparse = bm25_search(index, texts, view, k, k1=cfg.bm25_k1, b=cfg.bm25_b)
+    dense = dense_search(index, texts, view, k)
+    fused = [rrf_fuse(pair, cfg.rrf_constant).truncated(k) for pair in zip(sparse, dense)]
+    return _unbatch(query, fused)
 
 
 def base_retrieve(
     index: CorpusIndex,
-    query: str,
+    query: str | Sequence[str],
     view: str,
     config: RetrievalConfig,
     k: int | None = None,
-) -> RankedList:
-    """Run the configured base retriever (bm25 | dense | hybrid)."""
+) -> RankedList | list[RankedList]:
+    """Run the configured base retriever (bm25 | dense | hybrid).
+
+    One text gives one RankedList; a sequence of texts gives one RankedList
+    per text, in order, from one call of each retriever.
+    """
     k = config.k if k is None else k
     if config.retriever == "bm25":
         return bm25_search(index, query, view, k, k1=config.bm25_k1, b=config.bm25_b)
@@ -282,7 +351,8 @@ class HttpEmbedder:
     """Client for a remote embedding endpoint speaking the common JSON shape.
 
     POSTs {"model": ..., "input": [text]} and reads data[0].embedding from the
-    response.
+    response. Retries follow ``post_json``'s defaults; every failure raises
+    ``RetrievalError``.
     """
 
     def __init__(self, endpoint: str, model: str | None = None, timeout: float = 60.0):
@@ -298,10 +368,13 @@ class HttpEmbedder:
         payload: dict = {"input": [text]}
         if self.model:
             payload["model"] = self.model
-        response = requests.post(self.endpoint, json=payload, timeout=self.timeout)
-        response.raise_for_status()
-        data = response.json()
-        return np.asarray(data["data"][0]["embedding"], dtype=np.float64)
+        return post_json(
+            self.endpoint,
+            payload,
+            lambda data: np.asarray(data["data"][0]["embedding"], dtype=np.float64),
+            RetrievalError,
+            timeout=self.timeout,
+        )
 
 
 def resolve_embedder(spec: str) -> Callable[[str], np.ndarray]:

@@ -3,13 +3,17 @@
 Everything that talks to a language model goes through LLMGateway: prompt
 templating, the remote chat-completion client, a deterministic scripted
 backend for offline tests, response parsing, and per-call token accounting.
-No other module constructs LLM requests.
+No other module constructs LLM requests. ``post_json`` is the one HTTP call
+with retries, shared with the remote embedder.
 """
 
 from __future__ import annotations
 
+import contextlib
+import email.utils
 import hashlib
 import json
+import random
 import re
 import threading
 import time
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol
+from typing import Callable, Iterable, Mapping, Protocol, TypeVar
 
 import requests
 
@@ -46,7 +50,7 @@ class FixtureMissError(GatewayError):
 
 
 class CompletionError(GatewayError):
-    """The remote backend failed after exhausting retries."""
+    """The remote backend failed: an error not worth retrying, or every retry."""
 
 
 @dataclass(frozen=True)
@@ -325,12 +329,82 @@ class ScriptedBackend:
         )
 
 
+T = TypeVar("T")
+
+
+def _retry_after(response: requests.Response) -> float | None:
+    """Seconds the server asked to wait (delta-seconds or an HTTP date), if any."""
+    value = response.headers.get("Retry-After")
+    if value is None:
+        return None
+    try:
+        return max(0.0, float(value))
+    except ValueError:
+        pass
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError):
+        return None
+    return max(0.0, when.timestamp() - time.time())
+
+
+def post_json(
+    endpoint: str,
+    payload: dict,
+    parse: Callable[[dict], T],
+    error: type[Exception],
+    *,
+    headers: Mapping[str, str] | None = None,
+    timeout: float = 60.0,
+    max_retries: int = 3,
+    backoff_base: float = 1.0,
+    slots: contextlib.AbstractContextManager | None = None,
+) -> T:
+    """POST ``payload`` as JSON and return ``parse`` of the decoded reply.
+
+    Connection errors, timeouts, 429 and 5xx replies are retried, ``max_retries``
+    attempts in all. Between attempts it waits the reply's ``Retry-After`` if
+    it gives one, else ``backoff_base * 2**attempt`` times a random factor in
+    [0.5, 1.5). Any other failed request or status, or a reply ``parse``
+    cannot read, raises ``error`` at once; so does the last failed attempt.
+    ``slots``, if given, is held around each request (an in-flight limit).
+    """
+    last_error: object = None
+    for attempt in range(max_retries):
+        wait = None
+        try:
+            with slots or contextlib.nullcontext():
+                response = requests.post(endpoint, json=payload, headers=headers, timeout=timeout)
+        except (requests.ConnectionError, requests.Timeout) as e:
+            last_error = e
+        except requests.RequestException as e:
+            raise error(f"request to {endpoint} failed: {e}") from e
+        else:
+            if response.status_code != 429 and response.status_code < 500:
+                try:
+                    response.raise_for_status()
+                    return parse(response.json())
+                except (
+                    requests.RequestException, AttributeError, KeyError, IndexError,
+                    TypeError, ValueError,
+                ) as e:
+                    raise error(f"request to {endpoint} failed: {e!r}") from e
+            last_error = f"HTTP {response.status_code}"
+            wait = _retry_after(response)
+        if attempt < max_retries - 1:
+            if wait is None:
+                wait = backoff_base * 2**attempt * (0.5 + random.random())
+            time.sleep(wait)
+    raise error(f"request to {endpoint} failed after {max_retries} attempts: {last_error}")
+
+
 class HttpChatBackend:
     """Chat-completion JSON-over-HTTP client with bounded retries.
 
     Sends {"model", "messages", "temperature", "max_tokens"} and reads the
     assistant text plus token usage from the response; usage falls back to
-    whitespace counts when the server omits it.
+    whitespace counts when the server omits it. Retries follow ``post_json``;
+    every failure raises ``CompletionError``.
     """
 
     def __init__(
@@ -362,29 +436,20 @@ class HttpChatBackend:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries):
-            try:
-                with self._slots:
-                    response = requests.post(
-                        self.endpoint, json=payload, headers=headers,
-                        timeout=self.timeout,
-                    )
-                response.raise_for_status()
-                data = response.json()
-                text = data["choices"][0]["message"]["content"]
-                usage = data.get("usage") or {}
-                return CompletionResult(
-                    text,
-                    int(usage.get("prompt_tokens", whitespace_tokens(request.prompt))),
-                    int(usage.get("completion_tokens", whitespace_tokens(text))),
-                )
-            except (requests.RequestException, KeyError, ValueError, TypeError) as e:
-                last_error = e
-                if attempt < self.max_retries - 1:
-                    time.sleep(self.backoff_base * (2 ** attempt))
-        raise CompletionError(
-            f"chat completion failed after {self.max_retries} attempts: {last_error}"
+
+        def parse(data: dict) -> CompletionResult:
+            text = data["choices"][0]["message"]["content"]
+            usage = data.get("usage") or {}
+            return CompletionResult(
+                text,
+                int(usage.get("prompt_tokens", whitespace_tokens(request.prompt))),
+                int(usage.get("completion_tokens", whitespace_tokens(text))),
+            )
+
+        return post_json(
+            self.endpoint, payload, parse, CompletionError,
+            headers=headers, timeout=self.timeout, max_retries=self.max_retries,
+            backoff_base=self.backoff_base, slots=self._slots,
         )
 
 

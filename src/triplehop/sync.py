@@ -69,14 +69,17 @@ def read_proximal(
 
 def triple_link(
     index: CorpusIndex,
-    proximal: ProximalTriple,
+    proximals: Sequence[ProximalTriple],
     config: RetrievalConfig,
-) -> str | None:
-    """Ground a proximal triple to the most similar indexed triple, if any."""
-    result = base_retrieve(index, serialize_triple(proximal), TRIPLES, config, k=1)
-    if not result.entries:
-        return None
-    return result.entries[0][0]
+) -> list[str | None]:
+    """Ground each proximal triple to its most similar indexed triple.
+
+    Returns one triple id, or None where nothing matches, per proximal triple
+    in order, from one ``base_retrieve`` call over the whole batch.
+    """
+    queries = [serialize_triple(proximal) for proximal in proximals]
+    results = base_retrieve(index, queries, TRIPLES, config, k=1)
+    return [result.entries[0][0] if result.entries else None for result in results]
 
 
 def locate_initial_nodes(
@@ -84,11 +87,11 @@ def locate_initial_nodes(
     proximals: Sequence[ProximalTriple],
     config: RetrievalConfig,
 ) -> list[str]:
-    """Link every proximal triple; drop failures, dedupe keeping first occurrence."""
+    """Link every proximal triple in one ``triple_link`` call; drop failures,
+    dedupe keeping first occurrence."""
     seen: set[str] = set()
     out: list[str] = []
-    for proximal in proximals:
-        linked = triple_link(index, proximal, config)
+    for linked in triple_link(index, proximals, config):
         if linked is None or linked in seen:
             continue
         seen.add(linked)

@@ -158,8 +158,8 @@ def test_rewrite_step_blank_falls_back_to_original():
 # ---------------------------------------------------------------------------
 
 def test_passage_link_agreement_puts_source_first(chain_index):
-    linked = passage_link(
-        chain_index, ProximalTriple("entb", "linksto", "entc"), BM25, k=5
+    [linked] = passage_link(
+        chain_index, [ProximalTriple("entb", "linksto", "entc")], BM25, k=5
     )
     assert linked.ids[0] == "p2"
 
@@ -168,7 +168,7 @@ def test_passage_link_empty_triple_index(embedder):
     index = build_index(
         [Passage("p1", "", "entb linksto entc right here")], [], embedder
     )
-    linked = passage_link(index, ProximalTriple("entb", "linksto", "entc"), BM25, k=5)
+    [linked] = passage_link(index, [ProximalTriple("entb", "linksto", "entc")], BM25, k=5)
     base = base_retrieve(index, "entb linksto entc", PASSAGES, BM25, k=5)
     assert linked.ids == base.ids
 
@@ -190,7 +190,7 @@ def test_passage_link_matches_hand_computed_rrf(chain_index):
             expected[pid] = expected.get(pid, 0.0) + 1.0 / (60 + rank)
     want = sorted(expected.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
 
-    linked = passage_link(chain_index, triple, BM25, k=5)
+    [linked] = passage_link(chain_index, [triple], BM25, k=5)
     assert linked.ids == [pid for pid, _ in want]
     for (_, got), (_, expected_score) in zip(linked.entries, want):
         assert abs(got - expected_score) < 1e-9

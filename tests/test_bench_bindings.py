@@ -7,6 +7,21 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
+from triplehop import (
+    HashEmbedder,
+    Passage,
+    RankedList,
+    RetrievalConfig,
+    base_retrieve,
+    bm25_search,
+    build_index,
+    dense_search,
+    hybrid_search,
+)
+from triplehop.corpus_index import PASSAGES
+
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -30,3 +45,23 @@ def test_tracer_wraps_and_restores_every_bound_name(monkeypatch):
         tracer.uninstall()
     for owner, name, original in originals:
         assert owner.__dict__[name] is original, (owner, name)
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        bm25_search,
+        dense_search,
+        hybrid_search,
+        lambda index, q, view, k: base_retrieve(index, q, view, RetrievalConfig(k=k)),
+    ],
+)
+def test_str_query_returns_one_ranked_list(search):
+    # The benchmark's operations and output checks pass one question as a
+    # str and read ``.entries``; a str is also a Sequence[str], and searching
+    # it as a batch would search one character at a time.
+    index = build_index([Passage("p1", "", "alpha beta"), Passage("p2", "", "beta")],
+                        [], HashEmbedder(16))
+    result = search(index, "alpha beta", PASSAGES, 2)
+    assert isinstance(result, RankedList)
+    assert result.ids[0] == "p1"

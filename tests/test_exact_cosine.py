@@ -94,7 +94,11 @@ def test_dense_ids_equal_exact_oracle(corpus, query):
             oracle_hash_embed(query, dim), vectors, len(texts), exact=True
         )
         for searched in (index, loaded):
-            got = dense_search(searched, query, view, len(texts) or 1).entries
+            single = dense_search(searched, query, view, len(texts) or 1)
+            # the query batched between two others is ranked as it is alone
+            batched = dense_search(searched, ["vova", query, ""], view, len(texts) or 1)
+            assert batched[1].entries == single.entries
+            got = single.entries
             assert [item_id for item_id, _ in got] == [item_id for item_id, _ in want]
             for (_, score), (_, want_score) in zip(got, want):
                 assert abs(score - want_score) <= 1e-12

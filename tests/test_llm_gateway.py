@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import email.utils
 import http.server
 import json
+import random
 import threading
+import time
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +17,11 @@ from triplehop import (
     CompletionError,
     FixtureMissError,
     HttpChatBackend,
+    HttpEmbedder,
     LLMGateway,
     PromptError,
     ProximalTriple,
+    RetrievalError,
     ScriptedBackend,
     parse_facts,
     parse_reason,
@@ -377,6 +383,113 @@ def test_http_backend_unreachable_errors():
     )
     with pytest.raises(CompletionError):
         backend.complete(_request("qa_with_passages", QA_VARIABLES))
+
+
+# Retry policy, with requests.post and time.sleep replaced: no network.
+
+class _Replies:
+    """Stands in for requests.post: serves the scripted replies in order."""
+
+    def __init__(self, *replies):
+        self.replies = list(replies)
+        self.calls = 0
+
+    def __call__(self, url, **kwargs):
+        self.calls += 1
+        reply = self.replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        status, body, reply_headers = reply
+        response = requests.Response()
+        response.status_code = status
+        response._content = body if isinstance(body, bytes) else json.dumps(body).encode()
+        response.headers.update(reply_headers)
+        response.url = url
+        return response
+
+
+CHAT_OK = (200, {"choices": [{"message": {"content": "fine"}}]}, {})
+EMBED_OK = (200, {"data": [{"embedding": [1.0, 2.0]}]}, {})
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    waits: list[float] = []
+    monkeypatch.setattr(time, "sleep", waits.append)
+    monkeypatch.setattr(random, "random", lambda: 0.25)
+    return waits
+
+
+def _chat(monkeypatch, replies, max_retries=3):
+    monkeypatch.setattr(requests, "post", replies)
+    backend = HttpChatBackend("http://chat.invalid/v1", "m", max_retries=max_retries,
+                              backoff_base=2.0)
+    return backend.complete(_request("qa_with_passages", QA_VARIABLES))
+
+
+@pytest.mark.parametrize("status", [400, 401, 404, 422])
+def test_http_client_errors_fail_at_once(monkeypatch, sleeps, status):
+    replies = _Replies((status, {"error": "no"}, {}), CHAT_OK)
+    with pytest.raises(CompletionError, match=str(status)):
+        _chat(monkeypatch, replies)
+    assert replies.calls == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"not json", {"choices": []}, {"choices": [{"message": {}}]}, [1, 2],
+     {"choices": [{"message": {"content": "x"}}], "usage": 5}],
+)
+def test_http_malformed_body_fails_at_once(monkeypatch, sleeps, body):
+    replies = _Replies((200, body, {}), CHAT_OK)
+    with pytest.raises(CompletionError):
+        _chat(monkeypatch, replies)
+    assert replies.calls == 1
+    assert sleeps == []
+
+
+def test_http_retries_transient_failures_with_jittered_backoff(monkeypatch, sleeps):
+    replies = _Replies(
+        requests.ConnectionError("refused"), requests.Timeout("slow"), (503, b"", {}),
+        (429, b"", {}), CHAT_OK,
+    )
+    result = _chat(monkeypatch, replies, max_retries=5)
+    assert result.text == "fine"
+    assert replies.calls == 5
+    # backoff_base * 2**attempt, times the jitter factor 0.5 + 0.25
+    assert sleeps == [1.5, 3.0, 6.0, 12.0]
+
+
+def test_http_honours_retry_after(monkeypatch, sleeps):
+    when = email.utils.formatdate(time.time() + 30, usegmt=True)
+    replies = _Replies(
+        (429, b"", {"Retry-After": "7"}), (503, b"", {"Retry-After": when}), CHAT_OK
+    )
+    assert _chat(monkeypatch, replies).text == "fine"
+    assert sleeps[0] == 7.0
+    assert 25.0 < sleeps[1] <= 30.0
+
+
+def test_http_exhausted_retries_name_the_last_error(monkeypatch, sleeps):
+    replies = _Replies((500, b"", {}), (502, b"", {}), (503, b"", {}))
+    with pytest.raises(CompletionError, match="3 attempts: HTTP 503"):
+        _chat(monkeypatch, replies)
+    assert len(sleeps) == 2
+
+
+def test_http_embedder_shares_the_retry_policy(monkeypatch, sleeps):
+    monkeypatch.setattr(requests, "post", _Replies((500, b"", {}), EMBED_OK))
+    embedder = HttpEmbedder("http://embed.invalid/v1")
+    assert embedder("text").tolist() == [1.0, 2.0]
+    assert sleeps == [0.75]
+
+    for reply in [(404, b"", {}), (200, {"data": []}, {}), (200, b"{", {})]:
+        replies = _Replies(reply, EMBED_OK)
+        monkeypatch.setattr(requests, "post", replies)
+        with pytest.raises(RetrievalError):
+            embedder("text")
+        assert replies.calls == 1
 
 
 def _request(kind, variables):

@@ -99,19 +99,19 @@ def test_triple_link_exact_match_wins(chain_index):
     proximal = ProximalTriple("entb", "linksto", "entc")
     for retriever in ("bm25", "dense", "hybrid"):
         config = RetrievalConfig(k=5, retriever=retriever)
-        assert triple_link(chain_index, proximal, config) == "t2"
+        assert triple_link(chain_index, [proximal], config) == ["t2"]
 
 
 def test_triple_link_empty_triple_index(embedder):
     index = build_index([Passage("p", "", "text")], [], embedder)
-    assert triple_link(index, ProximalTriple("a", "b", "c"), BM25) is None
+    assert triple_link(index, [ProximalTriple("a", "b", "c")], BM25) == [None]
 
 
 def test_triple_link_walkthrough_grounding(cathedral_index):
     # the location fact links to the indexed "part of" triple, not to the
     # dedication triples that share the city name
     proximal = ProximalTriple("Bremen", "is located in", "Germany")
-    assert triple_link(cathedral_index, proximal, HYBRID) == "k3"
+    assert triple_link(cathedral_index, [proximal], HYBRID) == ["k3"]
 
 
 def test_locate_initial_nodes_dedupes(chain_index):
