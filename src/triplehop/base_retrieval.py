@@ -186,14 +186,19 @@ def dense_search(
     ``query`` is one text, giving one RankedList, or a sequence of texts,
     giving one RankedList per text in order; a single text is the one-row
     batch. Each text is embedded once and the view is read once, by one
-    product ``Q @ V.T``; the working arrays hold len(query) × view-size floats.
+    product over only the ``used`` dimensions, those nonzero in some query:
+    ``Q[:, used] @ columns[used]`` (see ``VectorView.columns``). For hashed
+    rows that reads the few ``int8`` bucket columns a batch touches instead of
+    every float64 row; when ``used`` is every dimension it is ``Q @ V.T`` on
+    the float64 rows. The working arrays hold len(query) × view-size floats.
 
     Ranks by the signed squared cosine dot·|dot| / (‖d‖²·‖q‖²) and takes the
     root of the top k only. For hashed rows that is one rounding of a ratio of
     exact integers, so equal cosines tie exactly and ascending id decides, also
-    across the k-th place (see ``top_k``). Integer dot products are exact, so
-    with hashed rows a query gets the same bits in any batch; the products of
-    other embedders' rows may round differently with the batch's size.
+    across the k-th place (see ``top_k``). Integer dot products are exact with
+    or without the zero terms, so with hashed rows a query gets the same bits
+    in any batch; the products of other embedders' rows may round differently
+    with the batch's queries.
     """
     texts = _batch(query)
     vv = index.vectors[view]
@@ -203,7 +208,15 @@ def dense_search(
         embedded = np.stack([index.embed_query(text) for text in texts])
     except Exception as e:
         raise RetrievalError(f"query embedding failed: {e}") from e
-    dots = embedded @ vv.vectors.T
+    if embedded.shape[1] != len(vv.columns):
+        width = f"{embedded.shape[1]}-wide query vectors"
+        raise RetrievalError(f"{width} against {len(vv.columns)}-wide {view} rows")
+    used = np.flatnonzero(embedded.any(axis=0))
+    if len(used) == len(vv.columns):
+        columns = vv.vectors.T
+    else:
+        columns = vv.columns[used].astype(np.float64, copy=False)
+    dots = embedded[:, used] @ columns
     denom = np.outer([float(q @ q) for q in embedded], vv.sq_norms)
     all_ratios = np.divide(dots * np.abs(dots), denom, out=np.zeros_like(dots), where=denom > 0)
     results = []

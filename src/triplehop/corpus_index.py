@@ -123,18 +123,53 @@ class LexicalView:
         )
 
 
+def exact_int8(rows: np.ndarray) -> np.ndarray | None:
+    """``rows`` as ``int8`` when that holds every value exactly, as it does
+    hashed counts, else None. A value ``int8`` cannot hold casts to one that
+    fails the comparison."""
+    with np.errstate(invalid="ignore"):
+        small = rows.astype(np.int8)
+    return small if np.array_equal(small, rows) else None
+
+
+def _transposed(small: np.ndarray) -> np.ndarray:
+    """``small.T`` as a C-contiguous copy, made a block of rows at a time
+    (several times faster than ``np.ascontiguousarray(small.T)``)."""
+    out = np.empty(small.shape[::-1], dtype=small.dtype)
+    for lo in range(0, len(small), 128):
+        out[:, lo : lo + 128] = small[lo : lo + 128].T
+    return out
+
+
 @dataclass(frozen=True)
 class VectorView:
     """Per-view embedding matrix: the embedder's rows as it returned them, in
-    ascending id order, and their squared norms (derived)."""
+    ascending id order, and two derived fields for dense search.
+
+    ``vectors`` is always float64 and row-major; an ``int8`` array (as
+    ``load_index`` reads hashed counts) is widened without checking it again.
+    ``sq_norms`` holds the rows' squared norms. ``columns`` is the rows
+    transposed, shape (dim, N): a C-contiguous ``int8`` copy when ``int8``
+    holds the rows exactly (see ``exact_int8``), as for hashed counts, so one
+    bucket's values over the whole view are one contiguous run of N bytes;
+    else the view ``vectors.T``, no copy.
+    """
 
     ids: tuple[str, ...]
     vectors: np.ndarray
     sq_norms: np.ndarray = field(init=False, repr=False)
+    columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        sq_norms = np.einsum("ij,ij->i", self.vectors, self.vectors)
-        object.__setattr__(self, "sq_norms", sq_norms)
+        if self.vectors.dtype == np.int8:
+            small, rows = self.vectors, self.vectors.astype(np.float64)
+        else:
+            rows = np.asarray(self.vectors, dtype=np.float64)
+            small = exact_int8(rows)
+        columns = rows.T if small is None else _transposed(small)
+        object.__setattr__(self, "vectors", rows)
+        object.__setattr__(self, "sq_norms", np.einsum("ij,ij->i", rows, rows))
+        object.__setattr__(self, "columns", columns)
 
 
 @dataclass
@@ -236,13 +271,25 @@ def build_index(
 ) -> CorpusIndex:
     """Build the full index: alignment, adjacency, lexical stats, embeddings.
 
-    Raises IndexBuildError on invalid records, as ``_assemble`` describes.
+    Raises IndexBuildError on invalid records, as ``_assemble`` describes, and
+    when the embedder returns anything but 1-D vectors of one length.
     """
 
-    def embed_all(texts: list[str]) -> np.ndarray:
+    def embed_all(ids: Sequence[str], texts: list[str]) -> np.ndarray:
         if not texts:
             return np.zeros((0, 0), dtype=np.float64)
-        return np.vstack([np.asarray(embedder(text), dtype=np.float64) for text in texts])
+        rows = None
+        for row, text in enumerate(texts):
+            vec = np.asarray(embedder(text), dtype=np.float64)
+            if rows is None:
+                rows = np.empty((len(texts), vec.size), dtype=np.float64)
+            if vec.shape != rows.shape[1:]:
+                raise IndexBuildError(
+                    f"embedder returned shape {vec.shape} for {ids[row]!r}, "
+                    f"not ({rows.shape[1]},)"
+                )
+            rows[row] = vec
+        return rows
 
     def compute_views(passage_map, triple_map, passage_ids, triple_ids):
         triple_texts = [serialize_triple(triple_map[i]) for i in triple_ids]
@@ -254,9 +301,10 @@ def build_index(
         }
         vectors = {
             PASSAGES: VectorView(
-                passage_ids, embed_all([passage_map[i].body for i in passage_ids])
+                passage_ids,
+                embed_all(passage_ids, [passage_map[i].body for i in passage_ids]),
             ),
-            TRIPLES: VectorView(triple_ids, embed_all(triple_texts)),
+            TRIPLES: VectorView(triple_ids, embed_all(triple_ids, triple_texts)),
         }
         return lexical, vectors
 
@@ -393,12 +441,8 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
     for view, prefix, name in _NPZ_PREFIXES:
         vv = index.vectors[view]
         emb_payload[f"{name}_ids"] = np.asarray(vv.ids, dtype=np.str_)
-        # int8 when that holds the rows exactly, as it does hashed counts; a
-        # value int8 cannot hold casts to one that fails the comparison.
-        with np.errstate(invalid="ignore"):
-            small = vv.vectors.astype(np.int8)
-        exact = np.array_equal(small, vv.vectors)
-        emb_payload[f"{name}_vectors"] = small if exact else vv.vectors
+        small = exact_int8(vv.vectors)
+        emb_payload[f"{name}_vectors"] = vv.vectors if small is None else small
         lex = index.lexical[view]
         lex_payload.update(
             {
@@ -430,7 +474,8 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
 def _read_vector_view(emb, name: str, ids: tuple[str, ...], path: Path, dim) -> VectorView:
     if emb[f"{name}_ids"].tolist() != list(ids):
         raise IndexBuildError(f"{path}: {name}_ids differ from the sorted JSONL ids")
-    vectors = emb[f"{name}_vectors"].astype(np.float64)
+    # As stored: int8 hashed counts are widened by VectorView, unchecked.
+    vectors = emb[f"{name}_vectors"]
     if len(vectors) != len(ids):
         raise IndexBuildError(f"{path}: {len(vectors)} {name} vectors for {len(ids)} ids")
     if len(ids) and vectors.shape[1] != dim:

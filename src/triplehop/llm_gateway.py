@@ -10,6 +10,7 @@ with retries, shared with the remote embedder.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import email.utils
 import hashlib
 import json
@@ -471,11 +472,15 @@ class LLMGateway:
         self.temperature = temperature
         self.max_output_tokens = max_output_tokens
         self.ledger = TokenLedger()
-        self._iteration = 0
+        # Per gateway and per context (thread or task): two threads sharing a
+        # gateway each tag their own calls.
+        self._iteration = contextvars.ContextVar("iteration", default=0)
 
     def set_iteration(self, iteration: int) -> None:
-        """Tag subsequent calls with an agent iteration (0 = outside the loop)."""
-        self._iteration = iteration
+        """Tag this context's subsequent calls through this gateway with an
+        agent iteration (0 = outside the loop). Another thread's calls, and a
+        new thread's, keep their own tag (0 until set)."""
+        self._iteration.set(iteration)
 
     def complete(
         self,
@@ -499,6 +504,7 @@ class LLMGateway:
         )
         result = self.backend.complete(request)
         self.ledger.add(
-            template_name, result.input_tokens, result.output_tokens, self._iteration
+            template_name, result.input_tokens, result.output_tokens,
+            self._iteration.get(),
         )
         return result.text

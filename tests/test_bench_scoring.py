@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from triplehop import HashEmbedder, Passage, Triple, build_index
-from triplehop.corpus_index import get_neighbours
+from triplehop import HashEmbedder, Passage, Triple, build_index, dense_search
+from triplehop.corpus_index import PASSAGES, get_neighbours
 from triplehop.graph_expansion import make_cosine_scorer
 
 pytestmark = pytest.mark.bench
@@ -34,3 +34,33 @@ def test_score_hub_beam(benchmark, hub_index):
 
     scores = benchmark(step)
     assert len(scores) == 1000
+
+
+_SYLLABLES = ("ka", "lo", "mi", "nu", "pe", "ra", "si", "to", "vu", "ze")
+
+
+def _name(i: int) -> str:
+    return "".join(_SYLLABLES[int(d)] for d in f"{i:05d}").capitalize()
+
+
+@pytest.fixture(scope="module")
+def dense_index():
+    """10,240 passages hashed at dim 256, no triples."""
+    passages = [
+        Passage(f"p{i:05d}", "", f"{_name(i)} was born in {_name(i * 7 % 10240)}.")
+        for i in range(10240)
+    ]
+    return build_index(passages, [], HashEmbedder(256))
+
+
+def test_dense_search_one_query(benchmark, dense_index):
+    """One question against the 10k-passage view."""
+    result = benchmark(dense_search, dense_index, "Where was Kalominupe born?", PASSAGES, 10)
+    assert len(result) == 10
+
+
+def test_dense_search_batch_of_ten(benchmark, dense_index):
+    """Ten questions in one call, as the agent links facts."""
+    queries = [f"Where was {_name(i)} born?" for i in range(0, 1000, 100)]
+    results = benchmark(dense_search, dense_index, queries, PASSAGES, 10)
+    assert [len(result) for result in results] == [10] * 10

@@ -12,6 +12,7 @@ from triplehop import (
     HashEmbedder,
     IndexBuildError,
     Passage,
+    RetrievalError,
     Triple,
     bm25_search,
     build_index,
@@ -29,6 +30,7 @@ from triplehop import (
 from triplehop.corpus_index import (
     PASSAGES,
     TRIPLES,
+    VectorView,
     load_passages_jsonl,
     load_triples_jsonl,
     tokenize,
@@ -335,6 +337,83 @@ def test_hashed_rows_are_stored_as_int8_and_other_rows_as_float64(tmp_path, chai
         assert emb["passage_vectors"].dtype == np.float64
     loaded = load_index(tmp_path / "custom", embedder=halves)
     assert loaded.vectors[PASSAGES].vectors.tobytes() == halves("body").tobytes()
+
+
+def test_hashed_views_hold_float64_rows_and_an_int8_column_copy(tmp_path, chain_index):
+    save_index(chain_index, tmp_path / "idx")
+    loaded = load_index(tmp_path / "idx")
+    for index in (chain_index, loaded):
+        for view in (PASSAGES, TRIPLES):
+            vv = index.vectors[view]
+            assert vv.vectors.dtype == np.float64
+            assert vv.vectors.flags.c_contiguous
+            assert vv.columns.dtype == np.int8
+            assert vv.columns.flags.c_contiguous
+            assert vv.columns.shape == (128, len(vv.ids))
+            assert np.array_equal(vv.columns, vv.vectors.T)
+            assert vv.sq_norms.tobytes() == chain_index.vectors[view].sq_norms.tobytes()
+
+
+def test_int8_columns_span_several_transpose_blocks():
+    rows = np.random.default_rng(7).integers(-8, 9, size=(300, 16)).astype(np.float64)
+    ids = tuple(f"p{i:03d}" for i in range(300))
+    for given in (rows, rows.astype(np.int8)):
+        vv = VectorView(ids, given)
+        assert vv.columns.dtype == np.int8 and vv.columns.flags.c_contiguous
+        assert np.array_equal(vv.columns, rows.T)
+        assert vv.vectors.dtype == np.float64 and np.array_equal(vv.vectors, rows)
+    # a value int8 cannot hold keeps the float64 rows as their own columns
+    rows[299, 15] = 200.0
+    assert np.shares_memory(VectorView(ids, rows).columns, rows)
+
+
+def test_float_rows_are_their_own_columns(tmp_path):
+    def halves(text):
+        return np.full(4, 0.5 if text else 0.0)
+
+    index = build_index(
+        [Passage("p1", "", "body"), Passage("p2", "", "more")],
+        [Triple("t1", "A", "r", "B", "p1")],
+        halves,
+    )
+    save_index(index, tmp_path / "idx")
+    for searched in (index, load_index(tmp_path / "idx", embedder=halves)):
+        for view in (PASSAGES, TRIPLES):
+            vv = searched.vectors[view]
+            assert vv.columns.dtype == np.float64
+            assert np.shares_memory(vv.columns, vv.vectors)
+            assert np.array_equal(vv.columns, vv.vectors.T)
+
+
+def test_loading_hashed_rows_skips_the_int8_check(tmp_path, chain_index, monkeypatch):
+    save_index(chain_index, tmp_path / "idx")
+
+    def fail(rows):
+        raise AssertionError("exact_int8 called at load")
+
+    monkeypatch.setattr("triplehop.corpus_index.exact_int8", fail)
+    loaded = load_index(tmp_path / "idx")
+    for view in (PASSAGES, TRIPLES):
+        assert loaded.vectors[view].columns.dtype == np.int8
+
+
+def test_dense_search_rejects_queries_narrower_than_the_rows(tmp_path):
+    index = build_index([Passage("p1", "", "body")], [], lambda text: np.ones(8))
+    save_index(index, tmp_path / "idx")
+    loaded = load_index(tmp_path / "idx", embedder=lambda text: np.ones(4))
+    with pytest.raises(RetrievalError, match="4-wide query vectors against 8-wide passages"):
+        dense_search(loaded, "body", PASSAGES, 1)
+
+
+def test_build_rejects_an_embedder_whose_vectors_differ_in_shape():
+    def ragged(text):
+        return np.ones(8 if text.startswith("A") else 1)
+
+    passages = [Passage("p1", "", "A body"), Passage("p2", "", "B body")]
+    with pytest.raises(IndexBuildError, match=r"shape \(1,\) for 'p2', not \(8,\)"):
+        build_index(passages, [], ragged)
+    with pytest.raises(IndexBuildError, match=r"shape \(1, 8\) for 'p1'"):
+        build_index(passages, [], lambda text: np.ones((1, 8)))
 
 
 def test_load_rejects_an_embedder_of_another_dim(tmp_path):

@@ -4,8 +4,10 @@ ascending id order: the ids must equal the exact rational oracle's."""
 
 from __future__ import annotations
 
+import itertools
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,19 +17,21 @@ from triplehop import (
     Triple,
     build_index,
     dense_search,
+    hash_embed,
     load_index,
     save_index,
     serialize_triple,
 )
+from triplehop.base_retrieval import top_k
 from triplehop.corpus_index import PASSAGES, TRIPLES
 
 from .oracles import oracle_cosine_ranking, oracle_hash_embed
 
 
-def saved_and_loaded(index):
+def saved_and_loaded(index, embedder=None):
     with tempfile.TemporaryDirectory() as tmp:
         save_index(index, tmp)
-        return load_index(tmp)
+        return load_index(tmp, embedder)
 
 
 def test_equal_cosines_rank_by_ascending_id():
@@ -101,4 +105,97 @@ def test_dense_ids_equal_exact_oracle(corpus, query):
             got = single.entries
             assert [item_id for item_id, _ in got] == [item_id for item_id, _ in want]
             for (_, score), (_, want_score) in zip(got, want):
+                assert abs(score - want_score) <= 1e-12
+
+
+def reference_entries(index, texts, view, k):
+    """The ranking from the full product ``Q @ vectors.T``, every dimension
+    read, then the signed squared cosine ratio and ``top_k``; each entry as
+    (id, ``float.hex`` of the score)."""
+    vv = index.vectors[view]
+    if not vv.ids:
+        return [[] for _ in texts]
+    embedded = np.stack([index.embed_query(text) for text in texts])
+    dots = embedded @ vv.vectors.T
+    denom = np.outer([float(q @ q) for q in embedded], vv.sq_norms)
+    ratios = np.divide(dots * np.abs(dots), denom, out=np.zeros_like(dots), where=denom > 0)
+    out = []
+    for row in ratios:
+        order = top_k(row, k)
+        cosines = np.copysign(np.sqrt(np.abs(row[order])), row[order])
+        out.append([(vv.ids[pos], float(c).hex()) for pos, c in zip(order, cosines)])
+    return out
+
+
+def hex_entries(ranked):
+    return [(item_id, score.hex()) for item_id, score in ranked.entries]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_corpora(), st.lists(_TEXT, min_size=1, max_size=5), st.integers(1, 30))
+def test_column_gather_equals_the_full_product(corpus, queries, k):
+    index, _ = corpus
+    loaded = saved_and_loaded(index)
+    for view in (PASSAGES, TRIPLES):
+        want = reference_entries(index, queries, view, k)
+        for searched in (index, loaded):
+            batched = dense_search(searched, queries, view, k)
+            assert [hex_entries(ranked) for ranked in batched] == want
+            for query, expected in zip(queries, want):
+                assert hex_entries(dense_search(searched, query, view, k)) == expected
+
+
+def test_column_gather_edge_cases():
+    dim = 32
+    words = ["vova", "gude", "bova", "deguvo", "kinu", "fefe", "nubu", "pati"]
+    support = {w: set(np.flatnonzero(hash_embed(w, dim)).tolist()) for w in words}
+    disjoint = [(a, b) for a in words for b in words if a < b and not support[a] & support[b]]
+    assert disjoint, "no two words with disjoint buckets"
+    passages = [Passage(f"p{i}", "", f"{w} {v}") for i, (w, v) in enumerate(zip(words, words[1:]))]
+    index = build_index(passages, [], HashEmbedder(dim))
+    n = len(passages)
+    # every three-letter word over nine letters: together they use every bucket
+    every = ["".join(letters) for letters in itertools.product("aeioubdgk", repeat=3)]
+    assert np.stack([hash_embed(text, dim) for text in every]).any(axis=0).all()
+    batches = [list(disjoint[0]), ["vo"], ["vo", ""], ["vo", "vova"], every]
+    for searched in (index, saved_and_loaded(index)):
+        for batch in batches:
+            for k in (1, 3, n, n + 5):
+                got = dense_search(searched, batch, PASSAGES, k)
+                want = reference_entries(index, batch, PASSAGES, k)
+                assert [hex_entries(ranked) for ranked in got] == want
+                assert all(len(ranked) == min(k, n) for ranked in got)
+            # the empty triple view
+            empty = dense_search(searched, batch, TRIPLES, 5)
+            assert [ranked.entries for ranked in empty] == [()] * len(batch)
+
+
+def test_float_rows_gather_within_rounding_of_the_oracle():
+    # Non-integer rows: the gathered product may round unlike the full one,
+    # but ranks as the brute-force cosine does.
+    weights = np.sqrt(np.arange(2, 66, dtype=np.float64))
+
+    def weighted(text):
+        return hash_embed(text, 64) * weights
+
+    bodies = [
+        "Moroni Fefito owned by Nubu Pati.",
+        "Vova Gude married to Pupiba Fatu.",
+        "Kisode vodemi novifi bebige guluse.",
+        "Levu lura rova suno mase kuno.",
+        "Deguvo Bova was born in Fefe Puno.",
+        "Funo Vara lives in Gaduge.",
+    ]
+    passages = [Passage(f"p{i}", "", body) for i, body in enumerate(bodies)]
+    index = build_index(passages, [], weighted)
+    vectors = {p.id: weighted(p.body) for p in passages}
+    queries = ["Deguvo Bova married to what?", "who owned Nubu", "Vova"]
+    for query in queries:
+        assert np.count_nonzero(weighted(query)) < 64
+    for searched in (index, saved_and_loaded(index, weighted)):
+        assert searched.vectors[PASSAGES].columns.dtype == np.float64
+        for query, got in zip(queries, dense_search(searched, queries, PASSAGES, 6)):
+            want = oracle_cosine_ranking(weighted(query), vectors, 6)
+            assert got.ids == [item_id for item_id, _ in want]
+            for (_, score), (_, want_score) in zip(got.entries, want):
                 assert abs(score - want_score) <= 1e-12

@@ -257,6 +257,43 @@ def test_ledger_iteration_tags_partition_calls():
     assert len(gateway.ledger.records) == 3
 
 
+def test_iteration_tags_are_per_thread_on_a_shared_gateway():
+    # Thread a sets its iteration, then thread b sets another before a calls:
+    # each call must still carry its own thread's tag.
+    backend = ScriptedBackend()
+    backend.register("reasoner", {"query": "a", "triples": ""}, "Answerable: No\nWhy: x")
+    backend.register("reasoner", {"query": "b", "triples": ""}, "Answerable: No\nWhy: y z")
+    gateway = LLMGateway(backend)
+    a_set, b_set = threading.Event(), threading.Event()
+    errors = []
+
+    def run(query, iteration, mine, theirs):
+        try:
+            if query == "b":
+                assert theirs.wait(5)
+            gateway.set_iteration(iteration)
+            mine.set()
+            if query == "a":
+                assert theirs.wait(5)
+            gateway.complete("reasoner", {"query": query, "triples": ""})
+        except Exception as e:  # surfaced by the assertion below
+            errors.append(e)
+
+    threads = [
+        threading.Thread(target=run, args=("a", 1, a_set, b_set)),
+        threading.Thread(target=run, args=("b", 2, b_set, a_set)),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+    assert errors == []
+    # the main thread never set an iteration, so its call is tagged 0
+    gateway.complete("reasoner", {"query": "a", "triples": ""})
+    tags = {(r.output_tokens, r.iteration) for r in gateway.ledger.records}
+    assert tags == {(4, 1), (5, 2), (4, 0)}
+
+
 def test_ledger_rejects_negative_counts():
     backend = ScriptedBackend()
     gateway = LLMGateway(backend)
