@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -172,11 +173,32 @@ class VectorView:
         object.__setattr__(self, "columns", columns)
 
 
+class TripleEnds(dict):
+    """triple id -> (its row in the triple vector view, the first and the last
+    two characters of its lower-cased serialization), for the beam scorer.
+
+    An id is computed on its first lookup and kept for the life of the index.
+    Threads that miss on the same id store equal entries, so no lock. An
+    unknown id raises KeyError.
+    """
+
+    def __init__(self, triples: dict[str, Triple], ids: tuple[str, ...]):
+        super().__init__()
+        self.triples = triples
+        self.ids = ids
+
+    def __missing__(self, triple_id: str) -> tuple[int, str, str]:
+        low = serialize_triple(self.triples[triple_id]).lower()
+        entry = self[triple_id] = (bisect_left(self.ids, triple_id), low[:2], low[-2:])
+        return entry
+
+
 @dataclass
 class CorpusIndex:
     """Immutable joint index over passages and their aligned triples.
 
     Made by ``build_index`` and ``load_index``, both through ``_assemble``.
+    The only state it gains afterwards is the ``triple_ends`` memo.
     """
 
     passages: dict[str, Passage]
@@ -187,6 +209,10 @@ class CorpusIndex:
     vectors: dict[str, VectorView]
     embedder: Callable[[str], np.ndarray]
     _passage_triples: dict[str, tuple[str, ...]] = field(repr=False)
+    triple_ends: TripleEnds = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.triple_ends = TripleEnds(self.triples, self.vectors[TRIPLES].ids)
 
     def embed_query(self, text: str) -> np.ndarray:
         return np.asarray(self.embedder(text), dtype=np.float64)

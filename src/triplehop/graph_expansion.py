@@ -10,7 +10,6 @@ with the base retrieval list by reciprocal rank fusion.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,6 +36,11 @@ from .llm_gateway import LLMGateway, ProximalTriple
 from .sync import locate_initial_nodes, read_proximal
 
 Scorer = Callable[[str, tuple[str, ...]], float]
+BatchScorer = Callable[[str, Sequence[tuple[str, ...]]], list[float]]
+
+# Sequences the hash scorer works on at once, so its working arrays stay
+# 128 x dim floats (256 KB at dim 256) however many candidates a step has.
+_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -77,19 +81,32 @@ def diversity_weight(position: int, gamma: float) -> float:
 def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     """Default sequence scorer: cosine of the query and the serialized sequence.
 
-    Embeddings are cached within one search and normalised once. With the
-    hash embedder (``hash_dim`` finds its name ``hash:<dim>``) no candidate
-    is embedded: ``serialize_sequence`` joins triples with ``"; "``, and
-    lower-casing never carries context across ``";"``, so the trigram counts
-    of ``a; b`` are
+    The scorer's ``batch(query, sequences)`` attribute is the one scoring
+    path: it returns one float per sequence, ``diverse_beam_search`` calls it
+    once per step with every extension of every beam, and
+    ``scorer(query, sequence)`` is the batch of one. Make one scorer per
+    search: it caches the query's unit vector and the counts below.
+
+    With the hash embedder (``hash_dim`` finds its name ``hash:<dim>``) no
+    candidate is embedded: ``serialize_sequence`` joins triples with
+    ``"; "``, and lower-casing never carries context across ``";"``, so the
+    trigram counts of ``a; b`` are
 
         counts(a) + counts(low(a)[-2:] + "; " + low(b)[:2]) + counts(b),
 
     the middle term being the trigrams that touch the separator (sliced after
     lower-casing, because ``'İ'.lower()`` is two characters). A triple's
-    counts are its row of the triple view; prefix and boundary counts are
-    kept for the search. Counts are integer-valued, so the sum is exact and
-    the score bit-identical to embedding the serialized text. Any other
+    counts are its row of the triple view; its row and the ends of its
+    lower-cased text are memoised per index (``CorpusIndex.triple_ends``),
+    and the counts of beam prefixes and of prefix plus boundary are cached
+    per search. A batch, 128 sequences at a time, gathers the last triples'
+    rows, adds each one's prefix-plus-boundary counts by an index array, and
+    normalises all rows with one ``einsum`` and one division. Counts are
+    integer-valued, so every sum and squared norm is exact and each unit row
+    has the bits of the serialized text's unit vector. The final dot product
+    stays one 1-D dot per row: a matrix-vector product sums in another
+    order, changes last bits and so reorders exact ties. Every score is
+    therefore bit-identical to embedding the serialized text. Any other
     embedder is called on the serialized text.
     """
     cache: dict[str, np.ndarray] = {}
@@ -103,44 +120,73 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     dim = hash_dim(index.embedder)
     if dim is None:
 
-        def scorer(query: str, sequence: tuple[str, ...]) -> float:
-            return float(embed_unit(query) @ embed_unit(serialize_sequence(index, sequence)))
+        def batch(query: str, sequences: Sequence[tuple[str, ...]]) -> list[float]:
+            unit_query = embed_unit(query)
+            return [
+                float(unit_query @ embed_unit(serialize_sequence(index, seq)))
+                for seq in sequences
+            ]
 
-        return scorer
+    else:
+        rows = index.vectors[TRIPLES].vectors
+        ends = index.triple_ends
+        zero = np.zeros(dim)
+        # sequence -> (counts, its last two lower-cased characters), for the
+        # prefixes of candidates; boundary text -> counts; (prefix, head of
+        # the next triple) -> prefix counts + boundary counts, zero for the
+        # empty prefix (hashed rows hold no -0.0, so adding it changes no
+        # bit).
+        prefixes: dict[tuple[str, ...], tuple[np.ndarray, str]] = {}
+        boundaries: dict[str, np.ndarray] = {}
+        joins: dict[tuple[tuple[str, ...], str], np.ndarray] = {}
 
-    # tid -> (counts, lower-cased text); sequence -> (counts, its last two
-    # lower-cased characters), for sequences that are prefixes of candidates.
-    triples: dict[str, tuple[np.ndarray, str]] = {}
-    prefixes: dict[tuple[str, ...], tuple[np.ndarray, str]] = {}
-    boundaries: dict[str, np.ndarray] = {}
-    view = index.vectors[TRIPLES]
+        def joined(prefix: tuple[str, ...], head: str) -> np.ndarray:
+            out = joins.get((prefix, head))
+            if out is None:
+                out = zero
+                if prefix:
+                    counts, tail = sequence_counts(prefix)
+                    window = tail + "; " + head
+                    boundary = boundaries.get(window)
+                    if boundary is None:
+                        boundary = boundaries[window] = trigram_counts(window, dim)
+                    out = counts + boundary
+                joins[prefix, head] = out
+            return out
 
-    def triple_counts(tid: str) -> tuple[np.ndarray, str]:
-        entry = triples.get(tid)
-        if entry is None:
-            low = serialize_sequence(index, (tid,)).lower()
-            entry = triples[tid] = (view.vectors[bisect_left(view.ids, tid)], low)
-        return entry
+        def sequence_counts(sequence: tuple[str, ...]) -> tuple[np.ndarray, str]:
+            entry = prefixes.get(sequence)
+            if entry is None:
+                row, head, tail = ends[sequence[-1]]
+                counts = joined(sequence[:-1], head) + rows[row]
+                entry = prefixes[sequence] = (counts, tail)
+            return entry
 
-    def sequence_counts(sequence: tuple[str, ...]) -> tuple[np.ndarray, str]:
-        counts, low = triple_counts(sequence[-1])
-        if len(sequence) == 1:
-            return counts, low[-2:]
-        prefix = sequence[:-1]
-        entry = prefixes.get(prefix)
-        if entry is None:
-            entry = prefixes[prefix] = sequence_counts(prefix)
-        prefix_counts, tail = entry
-        window = tail + "; " + low[:2]
-        boundary = boundaries.get(window)
-        if boundary is None:
-            boundary = boundaries[window] = trigram_counts(window, dim)
-        return prefix_counts + boundary + counts, (tail + "; " + low)[-2:]
+        def batch(query: str, sequences: Sequence[tuple[str, ...]]) -> list[float]:
+            unit_query = embed_unit(query)
+            scores: list[float] = []
+            for lo in range(0, len(sequences), _BLOCK_ROWS):
+                block = sequences[lo : lo + _BLOCK_ROWS]
+                last = [ends[seq[-1]] for seq in block]
+                keys: dict[tuple[tuple[str, ...], str], int] = {}
+                picks = [
+                    keys.setdefault((seq[:-1], head), len(keys))
+                    for seq, (_, head, _) in zip(block, last)
+                ]
+                counts = rows[[row for row, _, _ in last]]
+                counts += np.stack([joined(*key) for key in keys])[picks]
+                norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
+                counts /= np.where(norms > 0, norms, 1.0)[:, None]
+                # One 1-D dot per row, as ``unit_query @ row``: matmul over a
+                # stack of (1, dim) @ (dim, 1) pairs calls the same dot kernel
+                # per pair, while ``counts @ unit_query`` sums in another order.
+                scores += np.matmul(counts[:, None, :], unit_query[:, None]).ravel().tolist()
+            return scores
 
     def scorer(query: str, sequence: tuple[str, ...]) -> float:
-        counts, _ = sequence_counts(sequence)
-        return float(embed_unit(query) @ unit_vector(counts))
+        return batch(query, [sequence])[0]
 
+    scorer.batch = batch
     return scorer
 
 
@@ -160,33 +206,42 @@ def diverse_beam_search(
     sorted position before the global top-b cut. Beams with no extensions drop
     out unless ``keep_stranded_beams`` is set. If a step yields no candidates
     at all, the previous step's beams are returned and the trace is flagged.
+
+    Scoring is one batch call for the initial triples and one per step, with
+    the extensions of all beams together (see ``make_cosine_scorer``). A
+    ``scorer`` without a ``batch`` attribute is called once per sequence, in
+    that order: initial triples as given, then beam by beam, each beam's
+    neighbours in ascending id order.
     """
     if trace is not None:
         trace["stopped_early_at"] = None
     if not initial_ids:
         return []
     score = scorer or make_cosine_scorer(index)
+    score_all: BatchScorer = getattr(score, "batch", None) or (
+        lambda query, sequences: [score(query, seq) for seq in sequences]
+    )
 
-    beams = [(score(query, (tid,)), (tid,)) for tid in initial_ids]
-    beams.sort(key=lambda entry: (-entry[0], entry[1]))
+    starts = [(tid,) for tid in initial_ids]
+    beams = sorted(
+        zip(score_all(query, starts), starts), key=lambda entry: (-entry[0], entry[1])
+    )
     del beams[cfg.beam_width:]
 
     for step in range(1, cfg.max_length):
         visited = {tid for _, seq in beams for tid in seq}
+        extensions = [
+            [seq + (tid,) for tid in sorted(get_neighbours(index, seq[-1])) if tid not in visited]
+            for _, seq in beams
+        ]
+        scores = iter(score_all(query, [ext for exts in extensions for ext in exts]))
         pool: list[tuple[float, tuple[str, ...]]] = []
-        for accumulated, seq in beams:
-            candidates = []
-            for tid in sorted(get_neighbours(index, seq[-1])):
-                if tid in visited:
-                    continue
-                extended = seq + (tid,)
-                candidates.append((accumulated + score(query, extended), extended))
-            candidates.sort(key=lambda entry: (-entry[0], entry[1]))
+        for (accumulated, seq), extended in zip(beams, extensions):
+            # Ascending (-score, sequence): best first, ties by sequence.
+            candidates = sorted([(-(accumulated + next(scores)), ext) for ext in extended])
             del candidates[cfg.neighbour_cap:]
-            for position, (weighted, extended) in enumerate(candidates):
-                pool.append(
-                    (weighted * diversity_weight(position, cfg.gamma), extended)
-                )
+            for position, (negated, ext) in enumerate(candidates):
+                pool.append((-negated * diversity_weight(position, cfg.gamma), ext))
             if not candidates and cfg.keep_stranded_beams:
                 pool.append((accumulated, seq))
         if not pool:

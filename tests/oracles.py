@@ -10,7 +10,7 @@ scalar per-posting loop over dict postings that the columnar scorer replaced,
 with its own tokenizer and statistics. The hash-embedding and
 sequence-scorer oracles are the straightforward forms the package replaced
 with memoised and incremental ones: hash every trigram, and serialize every
-candidate before embedding it.
+candidate before embedding it. The RRF oracle fuses plain id lists.
 """
 
 from __future__ import annotations
@@ -180,3 +180,14 @@ def oracle_bm25(docs: dict[str, str], query: str, k: int, k1: float, b: float):
         key=lambda entry: (-entry[1], entry[0]),
     )
     return ranked[:k]
+
+
+def oracle_rrf(rankings, rrf_constant: int) -> list[tuple[str, float]]:
+    """Reciprocal rank fusion of id lists: an id scores the sum, list by list
+    in the order given, of 1 / (rrf_constant + its 1-based rank); highest
+    first, ties by ascending id."""
+    fused: dict[str, float] = {}
+    for ranking in rankings:
+        for position, item_id in enumerate(ranking):
+            fused[item_id] = fused.get(item_id, 0.0) + 1.0 / (rrf_constant + position + 1)
+    return sorted(fused.items(), key=lambda entry: (-entry[1], entry[0]))

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from triplehop import HashEmbedder, Passage, Triple, build_index, dense_search
+from triplehop import (
+    ExpansionConfig,
+    HashEmbedder,
+    Passage,
+    Triple,
+    build_index,
+    dense_search,
+    diverse_beam_search,
+)
 from triplehop.corpus_index import PASSAGES, get_neighbours
-from triplehop.graph_expansion import make_cosine_scorer
 
 pytestmark = pytest.mark.bench
 
@@ -23,17 +30,16 @@ def hub_index():
 
 
 def test_score_hub_beam(benchmark, hub_index):
-    """One beam step through the hub: a fresh scorer (as in one search)
-    scores all 1,000 extensions of a one-triple beam."""
-    candidates = [("t0000", tid) for tid in sorted(get_neighbours(hub_index, "t0000"))]
-    assert len(candidates) == 1000
+    """One beam-search step through the hub, as a search makes it: a fresh
+    scorer scores the one initial triple, then all 1,000 extensions of it."""
+    cfg = ExpansionConfig(beam_width=1, max_length=2)
 
     def step():
-        scorer = make_cosine_scorer(hub_index)
-        return [scorer("where was Person 7 born", sequence) for sequence in candidates]
+        return diverse_beam_search(hub_index, "where was Person 7 born", ["t0000"], cfg)
 
-    scores = benchmark(step)
-    assert len(scores) == 1000
+    beams = benchmark(step)
+    assert len(get_neighbours(hub_index, "t0000")) == 1000
+    assert [len(beam.sequence) for beam in beams] == [2]
 
 
 _SYLLABLES = ("ka", "lo", "mi", "nu", "pe", "ra", "si", "to", "vu", "ze")

@@ -6,12 +6,14 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triplehop import (
+    Beam,
     ExpansionConfig,
     HashEmbedder,
     Passage,
@@ -20,13 +22,15 @@ from triplehop import (
     build_index,
     diverse_beam_search,
     hash_embed,
+    load_index,
+    save_index,
 )
 from triplehop import base_retrieval
 from triplehop.eval_harness import RetrieverSystem, run_eval
 from triplehop.graph_expansion import make_cosine_scorer
 
 from .conftest import build_hop_corpus
-from .oracles import oracle_hash_embed, oracle_sequence_scorer
+from .oracles import oracle_beam_search, oracle_hash_embed, oracle_sequence_scorer
 
 # 'İ' lower-cases to two characters, 'Σ' to 'σ' or a final 'ς' depending on
 # its neighbours, and 'ß' has a two-character upper case.
@@ -67,13 +71,19 @@ def _nonblank(alphabet: str, max_size: int):
 @st.composite
 def hash_graphs(draw):
     """A small random graph whose entity names start and end with characters
-    that lower-case to more characters or depend on their neighbours."""
+    that lower-case to more characters or depend on their neighbours, with a
+    hub entity that joins at least five triples, so each of those has more
+    neighbours than the ``neighbour_cap`` of the beam tests."""
     entities = draw(st.lists(_nonblank("aİΣß ", 4), min_size=2, max_size=4))
+    hub = draw(_nonblank("aİΣß ", 3))
     n_triples = draw(st.integers(2, 8))
+    n_hub = draw(st.integers(5, 8))
     passages, triples = [], []
-    for i in range(n_triples):
+    for i in range(n_triples + n_hub):
         subject = draw(st.sampled_from(entities))
-        obj = draw(st.sampled_from(entities))
+        obj = hub if i >= n_triples else draw(st.sampled_from(entities))
+        if i >= n_triples and draw(st.booleans()):
+            subject, obj = obj, subject
         predicate = draw(_nonblank("bİΣ", 3))
         passages.append(Passage(f"p{i}", "", f"{subject} {predicate} {obj}"))
         triples.append(Triple(f"t{i}", subject, predicate, obj, f"p{i}"))
@@ -81,12 +91,14 @@ def hash_graphs(draw):
     return build_index(passages, triples, HashEmbedder(dim)), dim
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    hash_graphs(),
-    st.text(alphabet="aİΣß b", max_size=12),
-    st.data(),
+# Queries of fewer than three characters have no trigram: every score is 0.
+QUERIES = st.one_of(
+    st.text(alphabet="aİΣß b", max_size=2), st.text(alphabet="aİΣß b", max_size=12)
 )
+
+
+@settings(max_examples=100, deadline=None)
+@given(hash_graphs(), QUERIES, st.data())
 def test_incremental_scorer_matches_serialize_and_embed(graph, query, data):
     index, dim = graph
     tids = sorted(index.triples)
@@ -103,22 +115,58 @@ def test_incremental_scorer_matches_serialize_and_embed(graph, query, data):
     unnamed = dataclasses.replace(index, embedder=lambda t: hash_embed(t, dim))
     incremental = make_cosine_scorer(index)
     plain = make_cosine_scorer(unnamed)
-    for sequence in sequences:
-        expected = reference(query, sequence)
-        assert incremental(query, sequence) == expected, sequence
-        assert plain(query, sequence) == expected, sequence
+    expected = [reference(query, sequence) for sequence in sequences]
+    # One batch of mixed lengths, and each sequence alone.
+    assert incremental.batch(query, sequences) == expected
+    for sequence, want in zip(sequences, expected):
+        assert incremental(query, sequence) == want, sequence
+        assert plain(query, sequence) == want, sequence
 
 
-@settings(max_examples=50, deadline=None)
-@given(hash_graphs(), st.text(alphabet="aİΣß b", max_size=12), st.integers(1, 4))
-def test_beam_search_unchanged_by_incremental_scorer(graph, query, max_length):
+def hex_beams(beams) -> list[tuple[str, tuple[str, ...]]]:
+    """(``float.hex`` of the score, sequence) per Beam."""
+    return [(beam.score.hex(), beam.sequence) for beam in beams]
+
+
+def saved_and_loaded(index):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_index(index, tmp)
+        return load_index(tmp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hash_graphs(), QUERIES, st.integers(1, 4), st.integers(1, 3), st.data())
+def test_beam_search_unchanged_by_incremental_scorer(graph, query, max_length, cap, data):
     index, dim = graph
-    cfg = ExpansionConfig(beam_width=3, max_length=max_length, neighbour_cap=3, gamma=2.0)
-    initial = sorted(index.triples)[:3]
-    reference = oracle_sequence_scorer(index.triples, lambda t: oracle_hash_embed(t, dim))
-    assert diverse_beam_search(index, query, initial, cfg) == diverse_beam_search(
-        index, query, initial, cfg, scorer=reference
+    cfg = ExpansionConfig(beam_width=3, max_length=max_length, neighbour_cap=cap, gamma=2.0)
+    initial = data.draw(
+        st.lists(st.sampled_from(sorted(index.triples)), min_size=1, max_size=4, unique=True)
     )
+    reference = oracle_sequence_scorer(index.triples, lambda t: oracle_hash_embed(t, dim))
+    oracle_calls: list[tuple[str, ...]] = []
+
+    def recorded(calls):
+        def scorer(q, sequence):
+            calls.append(sequence)
+            return reference(q, sequence)
+
+        return scorer
+
+    want = hex_beams(
+        Beam(*entry)
+        for entry in oracle_beam_search(query, initial, index.triples, cfg, recorded(oracle_calls))
+    )
+    # The batched hash path on the built and the loaded index, and the
+    # serialize-and-embed path of the same embedding without its name.
+    unnamed = dataclasses.replace(index, embedder=lambda t: hash_embed(t, dim))
+    for searched in (index, saved_and_loaded(index), unnamed):
+        assert hex_beams(diverse_beam_search(searched, query, initial, cfg)) == want
+    # A plain (query, sequence) -> float scorer is called once per sequence,
+    # in the order the oracle calls it.
+    calls: list[tuple[str, ...]] = []
+    got = diverse_beam_search(index, query, initial, cfg, scorer=recorded(calls))
+    assert hex_beams(got) == want
+    assert calls == oracle_calls
 
 
 class _RecordingSystem(RetrieverSystem):
@@ -134,24 +182,47 @@ class _RecordingSystem(RetrieverSystem):
         return result
 
 
-def test_shared_trigram_memo_is_thread_safe():
-    passages, triples, questions = build_hop_corpus(n_chains=12, n_distractors=12)
-    embedder = HashEmbedder(96)
-    index = build_index(passages, triples, embedder)
+def _threaded_then_serial(threaded_index, serial_index):
+    """naive-GE eval of the hop corpus with four workers switching threads as
+    often as the interpreter allows, then with one; the reports and the
+    systems' ranked lists. Each run starts from an empty trigram memo, so the
+    workers race to fill it and the serial run cannot read what they stored."""
+    _, _, questions = build_hop_corpus(n_chains=12, n_distractors=12)
     retrieval = RetrievalConfig(k=5, retriever="hybrid")
     expansion = ExpansionConfig(beam_width=4, max_length=3)
-    threaded = _RecordingSystem(index, retrieval, mode="naive-ge", expansion=expansion)
-    serial = _RecordingSystem(index, retrieval, mode="naive-ge", expansion=expansion)
-    # Start the threaded run from an empty memo so its workers race to fill it.
-    base_retrieval._TRIGRAM_CODES.pop(embedder.dim, None)
+    threaded = _RecordingSystem(threaded_index, retrieval, mode="naive-ge", expansion=expansion)
+    serial = _RecordingSystem(serial_index, retrieval, mode="naive-ge", expansion=expansion)
+    base_retrieval._TRIGRAM_CODES.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         threaded_report = run_eval(questions, threaded, workers=4)
     finally:
         sys.setswitchinterval(interval)
+    base_retrieval._TRIGRAM_CODES.clear()
     serial_report = run_eval(questions, serial, workers=1)
     assert threaded_report.failures == 0
-    assert threaded_report.rows == serial_report.rows
-    assert threaded.ranked == serial.ranked
     assert len(threaded.ranked) == len(questions)
+    return threaded_report, serial_report, threaded.ranked, serial.ranked
+
+
+def test_shared_trigram_memo_is_thread_safe():
+    passages, triples, _ = build_hop_corpus(n_chains=12, n_distractors=12)
+    index = build_index(passages, triples, HashEmbedder(96))
+    threaded_report, serial_report, threaded, serial = _threaded_then_serial(index, index)
+    assert threaded_report.rows == serial_report.rows
+    assert threaded == serial
+
+
+def test_triple_ends_memo_is_thread_safe():
+    passages, triples, _ = build_hop_corpus(n_chains=12, n_distractors=12)
+    index = build_index(passages, triples, HashEmbedder(96))
+    assert not index.triple_ends
+    # The serial run gets an index of its own, so a memo the threads filled
+    # wrongly cannot make both runs agree.
+    fresh = build_index(passages, triples, HashEmbedder(96))
+    threaded_report, serial_report, threaded, serial = _threaded_then_serial(index, fresh)
+    assert index.triple_ends == fresh.triple_ends
+    assert len(index.triple_ends) > 12
+    assert threaded_report.rows == serial_report.rows
+    assert threaded == serial
