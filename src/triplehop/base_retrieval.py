@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus_index import PASSAGES, CorpusIndex, tokenize
+from .corpus_index import PASSAGES, CorpusIndex, LexicalView, tokenize
 from .llm_gateway import post_json
 
 
@@ -33,11 +34,11 @@ class RankedList:
     provenance: str = ""
 
     def __post_init__(self):
-        ids = [item_id for item_id, _ in self.entries]
+        ids, scores = zip(*self.entries) if self.entries else ((), ())
         if len(ids) != len(set(ids)):
             raise ValueError("ranked list contains duplicate item ids")
-        scores = [score for _, score in self.entries]
-        if any(a < b for a, b in zip(scores, scores[1:])):
+        # ``lt``, not ``not ge``: a NaN score fails no comparison, as before.
+        if any(map(operator.lt, scores, scores[1:])):
             raise ValueError("ranked list scores must be non-increasing")
 
     @property
@@ -103,18 +104,59 @@ def _unbatch(query: str | Sequence[str], results: list[RankedList]):
     return results[0] if isinstance(query, str) else results
 
 
-def top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k highest scores, highest first, ties by ascending
-    position: the first k of ``np.argsort(-scores, kind="stable")``.
+def top_k(scores: np.ndarray, k: int, positive: bool = False) -> list[np.ndarray]:
+    """Per row of the 2-D ``scores``, the positions of its k highest scores,
+    highest first, ties by ascending position: the first k of
+    ``np.argsort(-row, kind="stable")``, of only the positions scoring above
+    0 when ``positive``.
 
-    Only the positions scoring at least the k-th highest score are sorted, so
-    a tie that straddles the k-th place keeps its smallest positions.
+    One partition takes every row's k-th highest score. The positions scoring
+    at least that (and above 0 when ``positive``) are sorted once by (row,
+    -score, position) and each row is cut at k, so a tie that straddles the
+    k-th place keeps its smallest positions.
     """
-    if not 0 < k < len(scores):
-        return np.argsort(-scores, kind="stable")[:k]
-    kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-    kept = np.flatnonzero(scores >= kth)
-    return kept[np.argsort(-scores[kept], kind="stable")][:k]
+    n_rows, n = scores.shape
+    k = min(k, n)
+    if k <= 0:
+        return [np.zeros(0, dtype=np.intp)] * n_rows
+    negated = -scores
+    negated.partition(k - 1, axis=1)
+    kth = -negated[:, k - 1 : k]
+    keep = scores >= kth
+    if positive:
+        keep &= scores > 0
+    flat = np.flatnonzero(keep)
+    if len(flat) > 2 * k * n_rows:
+        # A wide tie at the k-th score: keep only as many of a row's tied
+        # positions, smallest first, as the row has room for.
+        tied = scores == kth
+        room = k - np.count_nonzero(scores > kth, axis=1)[:, None]
+        keep &= ~tied | (np.cumsum(tied, axis=1) <= room)
+        flat = np.flatnonzero(keep)
+    rows, cols = np.divmod(flat, n)
+    order = np.lexsort((cols, -scores.ravel()[flat], rows))
+    rows, cols = rows[order], cols[order]
+    bounds = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
+    return [cols[lo : min(hi, lo + k)] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _bm25_weights(lex: LexicalView, k1: float, b: float) -> np.ndarray:
+    """Every posting's BM25 term weight at (k1, b), aligned with
+    ``lex.doc_positions``; filled on first use into ``lex.bm25_weights``."""
+    weights = lex.bm25_weights.get((k1, b))
+    if weights is None:
+        n_docs = len(lex.ids)
+        avg = lex.avg_doc_length or 1.0
+        df = np.diff(lex.indptr)
+        idf = [math.log(1.0 + (n_docs - d + 0.5) / (d + 0.5)) for d in df.tolist()]
+        tf = lex.term_freqs
+        # Keep this operation order: the per-posting loop in tests/oracles.py
+        # must give the same bits.
+        denom = tf + k1 * (1.0 - b + b * lex.doc_lengths[lex.doc_positions] / avg)
+        weights = np.repeat(np.asarray(idf, dtype=np.float64), df) * (tf * (k1 + 1.0)) / denom
+        # Racing threads store equal arrays, so no lock.
+        lex.bm25_weights[k1, b] = weights
+    return weights
 
 
 def bm25_search(
@@ -130,9 +172,10 @@ def bm25_search(
 
     ``query`` is one text, giving one RankedList, or a sequence of texts,
     giving one RankedList per text in order; a single text is the one-row
-    batch. Each distinct query term's posting contribution is computed once
-    per batch, and each query adds its terms' contributions in its own token
-    order, so a score does not depend on the rest of the batch.
+    batch. Every posting's term weight at (k1, b) is computed once per index
+    and kept (``LexicalView.bm25_weights``), so a query only adds its terms'
+    weight slices into its row of one (len(query) × view-size) score array,
+    in its own token order: a score does not depend on the rest of the batch.
 
     Uses the non-negative idf variant ln(1 + (N - df + 0.5)/(df + 0.5)), so
     documents matching a term held by every document still score above zero.
@@ -141,36 +184,19 @@ def bm25_search(
     """
     texts = _batch(query)
     lex = index.lexical[view]
-    n_docs = len(lex.ids)
-    avg = lex.avg_doc_length or 1.0
-    token_lists = [tokenize(text) for text in texts]
-    contributions: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for term in {term for tokens in token_lists for term in tokens}:
-        row = lex.rows.get(term)
-        if row is None:
-            continue
-        lo, hi = int(lex.indptr[row]), int(lex.indptr[row + 1])
-        df = hi - lo
-        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-        pos = lex.doc_positions[lo:hi]
-        tf = lex.term_freqs[lo:hi]
-        # Keep this operation order: the per-posting loop in tests/oracles.py
-        # must give the same bits.
-        denom = tf + k1 * (1.0 - b + b * lex.doc_lengths[pos] / avg)
-        contributions[term] = pos, idf * (tf * (k1 + 1.0)) / denom
-    results = []
-    for tokens in token_lists:
-        scores = np.zeros(n_docs, dtype=np.float64)
-        for term in tokens:
-            if term in contributions:
-                pos, contribution = contributions[term]
+    weights = _bm25_weights(lex, k1, b)
+    all_scores = np.zeros((len(texts), len(lex.ids)), dtype=np.float64)
+    for scores, text in zip(all_scores, texts):
+        for term in tokenize(text):
+            row = lex.rows.get(term)
+            if row is not None:
+                lo, hi = lex.indptr[row], lex.indptr[row + 1]
                 # A row holds each position once, so the fancy-index += adds
                 # each posting exactly once.
-                scores[pos] += contribution
-        # Ascending, so the stable top-k keeps the id tie-break.
-        scored = np.flatnonzero(scores)
-        top = scored[top_k(scores[scored], k)]
-        entries = tuple((lex.ids[pos], float(scores[pos])) for pos in top)
+                scores[lex.doc_positions[lo:hi]] += weights[lo:hi]
+    results = []
+    for scores, top in zip(all_scores, top_k(all_scores, k, positive=True)):
+        entries = tuple(zip([lex.ids[pos] for pos in top], scores[top].tolist()))
         results.append(RankedList(entries, provenance="bm25"))
     return _unbatch(query, results)
 
@@ -191,6 +217,12 @@ def dense_search(
     rows that reads the few ``int8`` bucket columns a batch touches instead of
     every float64 row; when ``used`` is every dimension it is ``Q @ V.T`` on
     the float64 rows. The working arrays hold len(query) × view-size floats.
+
+    The ``int8`` columns are multiplied in float32 when the queries are
+    integer-valued and max‖q‖₁ · 128 < 2**24: every product and partial sum
+    is then an integer below 2**24, which float32 holds exactly, so the
+    result equals the float64 product bit for bit; other queries take the
+    float64 product.
 
     Ranks by the signed squared cosine dot·|dot| / (‖d‖²·‖q‖²) and takes the
     root of the top k only. For hashed rows that is one rounding of a ratio of
@@ -213,20 +245,33 @@ def dense_search(
         raise RetrievalError(f"{width} against {len(vv.columns)}-wide {view} rows")
     used = np.flatnonzero(embedded.any(axis=0))
     if len(used) == len(vv.columns):
-        columns = vv.vectors.T
+        dots = embedded @ vv.vectors.T
     else:
-        columns = vv.columns[used].astype(np.float64, copy=False)
-    dots = embedded[:, used] @ columns
+        gathered = embedded[:, used]
+        if vv.columns.dtype == np.int8 and _float32_exact(gathered):
+            small = vv.columns[used].astype(np.float32)
+            dots = (gathered.astype(np.float32) @ small).astype(np.float64)
+        else:
+            dots = gathered @ vv.columns[used].astype(np.float64, copy=False)
     denom = np.outer([float(q @ q) for q in embedded], vv.sq_norms)
     all_ratios = np.divide(dots * np.abs(dots), denom, out=np.zeros_like(dots), where=denom > 0)
     results = []
-    for ratios in all_ratios:
-        order = top_k(ratios, k)
+    for ratios, order in zip(all_ratios, top_k(all_ratios, k)):
         top = ratios[order]
         cosines = np.copysign(np.sqrt(np.abs(top)), top).tolist()
         entries = tuple(zip([vv.ids[pos] for pos in order], cosines))
         results.append(RankedList(entries, provenance="dense"))
     return _unbatch(query, results)
+
+
+def _float32_exact(queries: np.ndarray) -> bool:
+    """Whether float32 holds every product and partial sum of ``queries``
+    times ``int8`` columns exactly: integer values with max‖q‖₁ · 128 < 2**24
+    (an ``int8`` is at most 128 in size). NaN and inf fail."""
+    return bool(
+        np.array_equal(queries, np.trunc(queries))
+        and np.abs(queries).sum(axis=1).max() * 128 < 2**24
+    )
 
 
 def hybrid_search(

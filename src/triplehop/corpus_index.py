@@ -77,6 +77,10 @@ class LexicalView:
     ``indptr[r]:indptr[r + 1]`` of ``doc_positions`` (ascending positions
     into ``ids``) and ``term_freqs``. These arrays are also what
     ``lexical.npz`` stores.
+
+    ``bm25_weights`` maps (k1, b) to every posting's BM25 term weight,
+    aligned with ``doc_positions``. ``bm25_search`` fills an entry on first
+    use and it is kept for the life of the index, in memory only.
     """
 
     ids: tuple[str, ...]
@@ -87,6 +91,9 @@ class LexicalView:
     term_freqs: np.ndarray
     rows: dict[str, int] = field(init=False, repr=False)
     avg_doc_length: float = field(init=False)
+    bm25_weights: dict[tuple[float, float], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         rows = dict(zip(self.vocab.tolist(), range(len(self.vocab))))
@@ -153,7 +160,8 @@ class VectorView:
     transposed, shape (dim, N): a C-contiguous ``int8`` copy when ``int8``
     holds the rows exactly (see ``exact_int8``), as for hashed counts, so one
     bucket's values over the whole view are one contiguous run of N bytes;
-    else the view ``vectors.T``, no copy.
+    else the view ``vectors.T``, no copy. Dense search gathers the ``int8``
+    rows its batch uses and multiplies them in float32 when that is exact.
     """
 
     ids: tuple[str, ...]
@@ -198,7 +206,11 @@ class CorpusIndex:
     """Immutable joint index over passages and their aligned triples.
 
     Made by ``build_index`` and ``load_index``, both through ``_assemble``.
-    The only state it gains afterwards is the ``triple_ends`` memo.
+    The only state it gains afterwards is memos kept for the life of the
+    index: ``triple_ends``; ``neighbour_ids``, each triple id's neighbours in
+    ascending order, filled by ``diverse_beam_search``; and each lexical
+    view's ``bm25_weights``. Threads that race on one entry store equal
+    values, so there is no lock.
     """
 
     passages: dict[str, Passage]
@@ -210,6 +222,9 @@ class CorpusIndex:
     embedder: Callable[[str], np.ndarray]
     _passage_triples: dict[str, tuple[str, ...]] = field(repr=False)
     triple_ends: TripleEnds = field(init=False, repr=False, compare=False)
+    neighbour_ids: dict[str, tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.triple_ends = TripleEnds(self.triples, self.vectors[TRIPLES].ids)

@@ -190,6 +190,16 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     return scorer
 
 
+def _ascending_neighbours(index: CorpusIndex, triple_id: str) -> tuple[str, ...]:
+    """``sorted(get_neighbours(index, triple_id))``, memoised per index in
+    ``index.neighbour_ids``; racing threads store equal tuples, so no lock."""
+    neighbours = index.neighbour_ids.get(triple_id)
+    if neighbours is None:
+        neighbours = tuple(sorted(get_neighbours(index, triple_id)))
+        index.neighbour_ids[triple_id] = neighbours
+    return neighbours
+
+
 def diverse_beam_search(
     index: CorpusIndex,
     query: str,
@@ -231,7 +241,7 @@ def diverse_beam_search(
     for step in range(1, cfg.max_length):
         visited = {tid for _, seq in beams for tid in seq}
         extensions = [
-            [seq + (tid,) for tid in sorted(get_neighbours(index, seq[-1])) if tid not in visited]
+            [seq + (tid,) for tid in _ascending_neighbours(index, seq[-1]) if tid not in visited]
             for _, seq in beams
         ]
         scores = iter(score_all(query, [ext for exts in extensions for ext in exts]))

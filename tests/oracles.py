@@ -4,8 +4,8 @@ The beam-search oracle re-derives the triple graph by brute-force pairwise
 entity comparison and enumerates candidate sequences level by level, replaying
 the same scoring and diversity arithmetic; it shares no code with the package
 implementation. The dense oracle recomputes cosine ranking with plain python
-sorting over independently computed embeddings, in exact rationals for
-integer-valued ones. The BM25 oracle is the
+sorting over independently computed embeddings, optionally in exact
+rationals. The BM25 oracle is the
 scalar per-posting loop over dict postings that the columnar scorer replaced,
 with its own tokenizer and statistics. The hash-embedding and
 sequence-scorer oracles are the straightforward forms the package replaced
@@ -86,9 +86,10 @@ def oracle_beam_search(query, initial_ids, triples, cfg, score_fn):
 def oracle_cosine_ranking(query_vector, item_vectors: dict, k: int, exact: bool = False):
     """Brute-force cosine ranking: plain dot products and python sorting.
 
-    With ``exact`` the vectors must be integer-valued (hashed counts), and
-    items are ordered by the signed squared cosine dot·|dot| / (‖d‖²·‖q‖²)
-    as a ``Fraction``, then by id: mathematically equal cosines tie exactly.
+    With ``exact`` items are ordered by the signed squared cosine
+    dot·|dot| / (‖d‖²·‖q‖²) in exact rationals of the vectors' float values
+    (for hashed counts, of integers), then by id: mathematically equal
+    cosines tie exactly.
     """
     norm = math.sqrt(sum(x * x for x in query_vector))
     scored = []
@@ -98,19 +99,17 @@ def oracle_cosine_ranking(query_vector, item_vectors: dict, k: int, exact: bool 
         cosine = dot / (norm * vnorm) if norm > 0 and vnorm > 0 else 0.0
         key = cosine
         if exact:
-            q, v = _integers(query_vector), _integers(vector)
+            q, v = _rationals(query_vector), _rationals(vector)
             idot = sum(a * b for a, b in zip(q, v))
             denom = sum(x * x for x in q) * sum(x * x for x in v)
-            key = Fraction(idot * abs(idot), denom) if denom else Fraction(0)
+            key = idot * abs(idot) / denom if denom else Fraction(0)
         scored.append((key, item_id, cosine))
     scored.sort(key=lambda entry: (-entry[0], entry[1]))
     return [(item_id, cosine) for _, item_id, cosine in scored[:k]]
 
 
-def _integers(vector) -> list[int]:
-    out = [int(x) for x in vector]
-    assert out == list(vector), "the exact mode needs integer-valued vectors"
-    return out
+def _rationals(vector) -> list[Fraction]:
+    return [Fraction(float(x)) for x in vector]
 
 
 def oracle_hash_embed(text: str, dim: int) -> np.ndarray:

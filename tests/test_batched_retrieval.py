@@ -130,16 +130,49 @@ def test_top_k_ties_straddling_the_cut_keep_smallest_positions():
     # Positions 1, 3, 4 and 6 tie at the 2nd-4th place; a top 3 must take the
     # 9 and then the two smallest tied positions, 1 and 3.
     scores = np.array([0.5, 2.0, 0.0, 2.0, 2.0, 9.0, 2.0, -1.0])
-    assert top_k(scores, 3).tolist() == [5, 1, 3]
-    assert top_k(scores, 5).tolist() == [5, 1, 3, 4, 6]
-    assert top_k(-scores, 2).tolist() == [7, 2]
+    assert [top.tolist() for top in top_k(scores[None], 3)] == [[5, 1, 3]]
+    assert [top.tolist() for top in top_k(scores[None], 5)] == [[5, 1, 3, 4, 6]]
+    assert [top.tolist() for top in top_k(-scores[None], 2)] == [[7, 2]]
+    # Each row of a batch is cut at its own k-th score.
+    both = np.stack([scores, -scores])
+    assert [top.tolist() for top in top_k(both, 3)] == [[5, 1, 3], [7, 2, 0]]
+    assert [top.tolist() for top in top_k(both, 3, positive=True)] == [[5, 1, 3], [7]]
+
+
+def expected_top_k(row: np.ndarray, k: int, positive: bool) -> list[int]:
+    order = np.argsort(-row, kind="stable")
+    if positive:
+        order = order[row[order] > 0]
+    return order[:k].tolist()
+
+
+# Few distinct values make ties at the k-th place common; -0.0 ties with 0.0.
+_SCORES = st.one_of(st.integers(-3, 3).map(lambda v: v / 4.0), st.just(-0.0))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(-3, 3), max_size=30), st.integers(0, 32))
-def test_top_k_equals_prefix_of_stable_argsort(values, k):
-    scores = np.array(values, dtype=np.float64) / 4.0
-    assert top_k(scores, k).tolist() == np.argsort(-scores, kind="stable")[:k].tolist()
+@given(
+    st.integers(0, 30).flatmap(
+        lambda n: st.lists(st.lists(_SCORES, min_size=n, max_size=n), min_size=1, max_size=5)
+    ),
+    st.integers(0, 32),
+    st.booleans(),
+)
+@example(rows=[[0.0] * 6, [-0.0] * 6], k=3, positive=True)
+@example(rows=[[0.0, -0.0, 0.5, -0.5]] * 2, k=4, positive=False)
+@example(rows=[[0.25, -0.25, 0.25]], k=5, positive=True)
+@example(rows=[[], []], k=1, positive=False)
+def test_top_k_equals_prefix_of_stable_argsort(rows, k, positive):
+    scores = np.array(rows, dtype=np.float64)
+    got = top_k(scores, k, positive)
+    assert len(got) == len(rows)
+    for row, top in zip(scores, got):
+        assert top.tolist() == expected_top_k(row, k, positive)
+
+
+def test_top_k_of_no_rows():
+    assert top_k(np.zeros((0, 4)), 2) == []
+    assert top_k(np.zeros((0, 0)), 2, positive=True) == []
 
 
 def test_bm25_tie_at_the_cut_breaks_by_id():

@@ -9,6 +9,7 @@ from triplehop import (
     HashEmbedder,
     Passage,
     Triple,
+    bm25_search,
     build_index,
     dense_search,
     diverse_beam_search,
@@ -69,4 +70,17 @@ def test_dense_search_batch_of_ten(benchmark, dense_index):
     """Ten questions in one call, as the agent links facts."""
     queries = [f"Where was {_name(i)} born?" for i in range(0, 1000, 100)]
     results = benchmark(dense_search, dense_index, queries, PASSAGES, 10)
+    assert [len(result) for result in results] == [10] * 10
+
+
+def test_bm25_search_one_query(benchmark, dense_index):
+    """One question against the 10k-passage view."""
+    result = benchmark(bm25_search, dense_index, "Where was Kalominupe born?", PASSAGES, 10)
+    assert len(result) == 10
+
+
+def test_bm25_search_batch_of_ten(benchmark, dense_index):
+    """Ten questions in one call, as the agent links facts."""
+    queries = [f"Where was {_name(i)} born?" for i in range(0, 1000, 100)]
+    results = benchmark(bm25_search, dense_index, queries, PASSAGES, 10)
     assert [len(result) for result in results] == [10] * 10

@@ -22,7 +22,7 @@ from triplehop import (
     save_index,
     serialize_triple,
 )
-from triplehop.base_retrieval import top_k
+from triplehop.base_retrieval import _float32_exact, top_k
 from triplehop.corpus_index import PASSAGES, TRIPLES
 
 from .oracles import oracle_cosine_ranking, oracle_hash_embed
@@ -120,8 +120,7 @@ def reference_entries(index, texts, view, k):
     denom = np.outer([float(q @ q) for q in embedded], vv.sq_norms)
     ratios = np.divide(dots * np.abs(dots), denom, out=np.zeros_like(dots), where=denom > 0)
     out = []
-    for row in ratios:
-        order = top_k(row, k)
+    for row, order in zip(ratios, top_k(ratios, k)):
         cosines = np.copysign(np.sqrt(np.abs(row[order])), row[order])
         out.append([(vv.ids[pos], float(c).hex()) for pos, c in zip(order, cosines)])
     return out
@@ -199,3 +198,106 @@ def test_float_rows_gather_within_rounding_of_the_oracle():
             assert got.ids == [item_id for item_id, _ in want]
             for (_, score), (_, want_score) in zip(got.entries, want):
                 assert abs(score - want_score) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# float32 products of int8 columns
+# ---------------------------------------------------------------------------
+
+def takes_float32(index, texts, view) -> bool:
+    """Whether ``dense_search`` multiplies this batch's gathered ``int8``
+    columns in float32."""
+    vv = index.vectors[view]
+    embedded = np.stack([index.embed_query(text) for text in texts])
+    used = np.flatnonzero(embedded.any(axis=0))
+    return (
+        vv.columns.dtype == np.int8
+        and len(used) < len(vv.columns)
+        and _float32_exact(embedded[:, used])
+    )
+
+
+def assert_exact_and_float64_bits(index, embed, texts, view, k):
+    """Ids as the exact rational oracle ranks them, scores with the bits of
+    the float64 product over every dimension, batched and alone."""
+    vectors = {item_id: embed(text) for item_id, text in view_texts(index, view).items()}
+    want = reference_entries(index, texts, view, k)
+    got = dense_search(index, texts, view, k)
+    assert [hex_entries(ranked) for ranked in got] == want
+    for text, ranked, expected in zip(texts, got, want):
+        assert hex_entries(dense_search(index, text, view, k)) == expected
+        exact = oracle_cosine_ranking(embed(text), vectors, k, exact=True)
+        assert ranked.ids == [item_id for item_id, _ in exact]
+
+
+_GUARD_BODIES = [
+    "a" * 129,  # "aaa" 127 times: the largest count int8 holds
+    "a" * 100 + " vova",
+    "baaab gude",
+    "Vova Gude married to Pupiba Fatu.",
+    "Deguvo Bova was born in Fefe Puno.",
+    "",
+]
+_GUARD_FACTS = [("Vova Gude", "married to", "Pupiba Fatu"), ("aaaa", "is", "a" * 60)]
+_QUESTIONS = ["Deguvo Bova married to what?", "who is aaaa", "Vova", "vo", ""]
+
+
+def guard_index(embedder):
+    passages = [Passage(f"p{i}", "", body) for i, body in enumerate(_GUARD_BODIES)]
+    triples = [Triple(f"t{i}", s, p, o, "p0") for i, (s, p, o) in enumerate(_GUARD_FACTS)]
+    return build_index(passages, triples, embedder)
+
+
+def test_float32_product_of_hashed_batches_equals_float64_product():
+    index = guard_index(HashEmbedder(64))
+    for searched in (index, saved_and_loaded(index)):
+        for view in (PASSAGES, TRIPLES):
+            assert takes_float32(searched, _QUESTIONS, view)
+            for k in (1, 3, 10):
+                assert_exact_and_float64_bits(
+                    searched, lambda text: oracle_hash_embed(text, 64), _QUESTIONS, view, k
+                )
+
+
+def test_query_over_the_float32_bound_takes_the_float64_product():
+    # 139,999 "aaa" trigrams: ‖q‖₁ · 128 >= 2**24, and the dot product with
+    # the row holding 127 of them, 17,779,873, is odd and above 2**24, so
+    # float32 would round it.
+    long_query = "a" * 140_001
+    index = guard_index(HashEmbedder(64))
+    for searched in (index, saved_and_loaded(index)):
+        for batch in ([long_query], [*_QUESTIONS, long_query]):
+            assert not takes_float32(searched, batch, PASSAGES)
+            assert_exact_and_float64_bits(
+                searched, lambda text: oracle_hash_embed(text, 64), batch, PASSAGES, 4
+            )
+        # just under the bound: 131,071 trigrams take float32, exactly
+        under = ["a" * 131_073, "vova"]
+        assert takes_float32(searched, under, PASSAGES)
+        assert_exact_and_float64_bits(
+            searched, lambda text: oracle_hash_embed(text, 64), under, PASSAGES, 4
+        )
+
+
+class _FractionalQuestions:
+    """Hashed counts at dim 64, times 1 + 2**-30 for texts ending in "?": the
+    corpus rows stay int8-exact, the question vectors are fractional. float64
+    holds every product and sum of them exactly; float32 cannot hold the
+    factor."""
+
+    name = "fractional-questions"
+
+    def __call__(self, text):
+        counts = hash_embed(text, 64)
+        return counts * (1.0 + 2.0**-30) if text.endswith("?") else counts
+
+
+def test_fractional_query_vectors_take_the_float64_product():
+    embedder = _FractionalQuestions()
+    index = guard_index(embedder)
+    questions = ["Deguvo Bova married to what?", "who is aaaa?", "Vova?", "vova"]
+    for searched in (index, saved_and_loaded(index, embedder)):
+        for view in (PASSAGES, TRIPLES):
+            assert searched.vectors[view].columns.dtype == np.int8
+            assert not takes_float32(searched, questions, view)
+            assert_exact_and_float64_bits(searched, embedder, questions, view, 5)

@@ -30,7 +30,12 @@ from triplehop.eval_harness import RetrieverSystem, run_eval
 from triplehop.graph_expansion import make_cosine_scorer
 
 from .conftest import build_hop_corpus
-from .oracles import oracle_beam_search, oracle_hash_embed, oracle_sequence_scorer
+from .oracles import (
+    brute_force_adjacency,
+    oracle_beam_search,
+    oracle_hash_embed,
+    oracle_sequence_scorer,
+)
 
 # 'İ' lower-cases to two characters, 'Σ' to 'σ' or a final 'ς' depending on
 # its neighbours, and 'ß' has a two-character upper case.
@@ -224,5 +229,20 @@ def test_triple_ends_memo_is_thread_safe():
     threaded_report, serial_report, threaded, serial = _threaded_then_serial(index, fresh)
     assert index.triple_ends == fresh.triple_ends
     assert len(index.triple_ends) > 12
+    assert threaded_report.rows == serial_report.rows
+    assert threaded == serial
+
+
+def test_neighbour_memo_is_thread_safe():
+    passages, triples, _ = build_hop_corpus(n_chains=12, n_distractors=12)
+    index = build_index(passages, triples, HashEmbedder(96))
+    assert not index.neighbour_ids
+    fresh = build_index(passages, triples, HashEmbedder(96))
+    threaded_report, serial_report, threaded, serial = _threaded_then_serial(index, fresh)
+    assert index.neighbour_ids == fresh.neighbour_ids
+    assert len(index.neighbour_ids) > 12
+    adjacency = brute_force_adjacency(index.triples)
+    for triple_id, neighbours in index.neighbour_ids.items():
+        assert neighbours == tuple(sorted(adjacency[triple_id]))
     assert threaded_report.rows == serial_report.rows
     assert threaded == serial

@@ -4,7 +4,9 @@ integrity checks ``load_index`` makes on what it reads."""
 from __future__ import annotations
 
 import json
+import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +101,80 @@ def test_bm25_equals_oracle(bodies, facts, common, query):
         for b in B_VALUES:
             assert_matches_oracle(index, query, k1, b)
             assert_matches_oracle(loaded, query, k1, b)
+
+
+def hex_entries(ranked) -> list[tuple[str, str]]:
+    return [(item_id, score.hex()) for item_id, score in ranked.entries]
+
+
+def oracle_hex(index, view: str, query: str, k1: float, b: float) -> list[tuple[str, str]]:
+    want = oracle_bm25(view_texts(index, view), query, 50, k1, b)
+    return [(item_id, score.hex()) for item_id, score in want]
+
+
+# Each query below, in both views, at each of two (k1, b) pairs.
+MEMO_QUERIES = ("beta beta alpha", "every", "every alpha every", "gamma delta", "nope")
+MEMO_PAIRS = ((1.2, 0.75), (2.0, 0.3))
+
+
+def test_bm25_weight_memo_per_pair_equals_oracle():
+    index = make_corpus(FIXED_BODIES, FIXED_FACTS, common=True)
+    for searched in (index, saved_and_loaded(index)):
+        # Weights are filled on first use, not at build or load.
+        assert all(not searched.lexical[view].bm25_weights for view in (PASSAGES, TRIPLES))
+        # A, B, then A again from the memo.
+        for k1, b in (*MEMO_PAIRS, MEMO_PAIRS[0]):
+            for view in (PASSAGES, TRIPLES):
+                for query in MEMO_QUERIES:
+                    got = bm25_search(searched, query, view, 50, k1=k1, b=b)
+                    assert hex_entries(got) == oracle_hex(searched, view, query, k1, b)
+                batched = bm25_search(searched, list(MEMO_QUERIES), view, 50, k1=k1, b=b)
+                assert [hex_entries(ranked) for ranked in batched] == [
+                    oracle_hex(searched, view, query, k1, b) for query in MEMO_QUERIES
+                ]
+        for view in (PASSAGES, TRIPLES):
+            memo = searched.lexical[view].bm25_weights
+            assert sorted(memo) == sorted(MEMO_PAIRS)
+            assert all(len(w) == len(searched.lexical[view].doc_positions) for w in memo.values())
+            kept = dict(memo)
+            bm25_search(searched, "alpha", view, 5, k1=1.2, b=0.75)
+            assert all(memo[pair] is kept[pair] for pair in MEMO_PAIRS)
+
+
+def test_bm25_weight_memo_is_thread_safe():
+    index = make_corpus(FIXED_BODIES * 4, FIXED_FACTS * 4, common=True)
+    calls = [
+        (view, query, pair)
+        for _ in range(6)
+        for pair in MEMO_PAIRS
+        for view in (PASSAGES, TRIPLES)
+        for query in MEMO_QUERIES
+    ]
+
+    def search(call):
+        view, query, (k1, b) = call
+        return hex_entries(bm25_search(index, query, view, 50, k1=k1, b=b))
+
+    assert all(not index.lexical[view].bm25_weights for view in (PASSAGES, TRIPLES))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(search, calls))
+    finally:
+        sys.setswitchinterval(interval)
+    for call, got in zip(calls, threaded):
+        view, query, (k1, b) = call
+        assert got == oracle_hex(index, view, query, k1, b)
+    # A fresh index fills its memo in one thread; the arrays must agree.
+    fresh = make_corpus(FIXED_BODIES * 4, FIXED_FACTS * 4, common=True)
+    for view, query, (k1, b) in calls:
+        bm25_search(fresh, query, view, 50, k1=k1, b=b)
+    for view in (PASSAGES, TRIPLES):
+        memo, want = index.lexical[view].bm25_weights, fresh.lexical[view].bm25_weights
+        assert sorted(memo) == sorted(want) == sorted(MEMO_PAIRS)
+        for pair in MEMO_PAIRS:
+            assert memo[pair].tobytes() == want[pair].tobytes()
 
 
 def test_lexical_npz_keys_unchanged(tmp_path, chain_index):
