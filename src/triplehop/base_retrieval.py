@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus_index import PASSAGES, CorpusIndex, LexicalView, tokenize
+from .corpus_index import PASSAGES, CorpusIndex, LexicalView, embed_texts, tokenize
 from .llm_gateway import post_json
 
 
@@ -211,7 +211,9 @@ def dense_search(
 
     ``query`` is one text, giving one RankedList, or a sequence of texts,
     giving one RankedList per text in order; a single text is the one-row
-    batch. Each text is embedded once and the view is read once, by one
+    batch. The batch is embedded by one ``embed_texts`` call (one
+    ``embed_many`` call for ``HashEmbedder`` and ``HttpEmbedder``, one call
+    per text for a plain callable), and the view is read once, by one
     product over only the ``used`` dimensions, those nonzero in some query:
     ``Q[:, used] @ columns[used]`` (see ``VectorView.columns``). For hashed
     rows that reads the few ``int8`` bucket columns a batch touches instead of
@@ -237,7 +239,7 @@ def dense_search(
     if len(vv.ids) == 0 or not texts:
         return _unbatch(query, [RankedList((), provenance="dense") for _ in texts])
     try:
-        embedded = np.stack([index.embed_query(text) for text in texts])
+        embedded = embed_texts(index.embedder, texts, texts)
     except Exception as e:
         raise RetrievalError(f"query embedding failed: {e}") from e
     if embedded.shape[1] != len(vv.columns):
@@ -341,6 +343,22 @@ class _TrigramCodes(dict):
 # threads that miss on the same trigram store the same code, so no lock.
 _TRIGRAM_CODES: dict[int, _TrigramCodes] = {}
 
+# Texts ``hash_embed_many`` hashes at once, so its working arrays stay about
+# 256 texts' trigrams however many texts a call has.
+_EMBED_CHUNK = 256
+# Fewer texts than this go through ``hash_embed`` one by one: the array
+# passes cost about as much as hashing five short queries that way.
+_EMBED_ARRAY_MIN = 6
+
+
+def _trigram_codes(dim: int) -> _TrigramCodes:
+    if dim < 8:
+        raise ValueError("dim must be >= 8")
+    codes = _TRIGRAM_CODES.get(dim)
+    if codes is None:
+        codes = _TRIGRAM_CODES.setdefault(dim, _TrigramCodes(dim))
+    return codes
+
 
 def trigram_counts(low: str, dim: int) -> np.ndarray:
     """Signed bucket counts of the character 3-grams of an already lower-cased
@@ -349,16 +367,79 @@ def trigram_counts(low: str, dim: int) -> np.ndarray:
     Every entry is a sum of +1s and -1s, so it is an exact integer in float64
     and counts of concatenated pieces may be added in any order.
     """
-    if dim < 8:
-        raise ValueError("dim must be >= 8")
-    codes = _TRIGRAM_CODES.get(dim)
-    if codes is None:
-        codes = _TRIGRAM_CODES.setdefault(dim, _TrigramCodes(dim))
+    codes = _trigram_codes(dim)
     tallies = np.bincount(
         np.array([codes[low[i : i + 3]] for i in range(len(low) - 2)], dtype=np.intp),
         minlength=2 * dim,
     )
     return (tallies[1::2] - tallies[0::2]).astype(np.float64)
+
+
+def hash_embed_many(texts: Sequence[str], dim: int) -> np.ndarray:
+    """``np.stack([hash_embed(text, dim) for text in texts])``, byte for byte,
+    with shape (len(texts), dim), made in array passes over chunks of 256
+    texts (``_EMBED_CHUNK``), so the working arrays stay a chunk's size
+    however many texts there are.
+
+    Each text is lower-cased on its own: ``str.lower`` turns a final ``Σ``
+    into ``ς`` by its neighbours, so lower-casing the joined chunk could
+    change it. The chunk's code points are read as UTF-32, and each trigram
+    lying inside one text is packed into one int64 key (3 × 21 bits). Each
+    distinct key is looked up once in the trigram memo, which hashes it on a
+    miss exactly as ``hash_embed`` does. One weighted ``np.bincount`` then
+    sums the chunk's ±1 signs by (text, bucket); sums of ±1 are exact in
+    float64 and never -0.0, so each row has ``hash_embed``'s bits.
+
+    Fewer than six texts (``_EMBED_ARRAY_MIN``) go through ``hash_embed`` one
+    at a time, and one text costs no more than ``hash_embed`` itself.
+    """
+    codes = _trigram_codes(dim)
+    texts = list(texts)
+    if len(texts) == 1:
+        return hash_embed(texts[0], dim)[None]
+    if len(texts) < _EMBED_ARRAY_MIN:
+        return np.array([hash_embed(text, dim) for text in texts]).reshape(len(texts), dim)
+    out = np.empty((len(texts), dim), dtype=np.float64)
+    for lo in range(0, len(texts), _EMBED_CHUNK):
+        lows = [text.lower() for text in texts[lo : lo + _EMBED_CHUNK]]
+        out[lo : lo + len(lows)] = _chunk_counts(lows, dim, codes)
+    return out
+
+
+def _chunk_counts(lows: list[str], dim: int, codes: _TrigramCodes) -> np.ndarray:
+    """The (len(lows), dim) signed trigram counts of lower-cased texts; see
+    ``hash_embed_many``. Each big array is dropped once it is used, so a
+    chunk's working set stays small."""
+    joined = "".join(lows)
+    # A lone surrogate is kept, so the memo fails on it as hash_embed does.
+    points = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    lengths = np.fromiter(map(len, lows), dtype=np.int64, count=len(lows))
+    # A trigram starts anywhere in a text but at its last two positions.
+    inside = np.ones(len(joined), dtype=bool)
+    ends = np.cumsum(lengths)
+    for back in (1, 2):
+        inside[(ends - back)[lengths >= back]] = False
+    starts = np.flatnonzero(inside)
+    keys = np.left_shift(points[starts], 42, dtype=np.int64)
+    keys |= np.left_shift(points[starts + 1], 21, dtype=np.int64)
+    keys |= points[starts + 2]
+    del points, inside
+    unique, inverse = np.unique(keys, return_inverse=True)
+    del keys
+    # A position of each distinct trigram; any of its positions will do.
+    where = np.empty(len(unique), dtype=np.intp)
+    where[inverse] = starts
+    del starts
+    signed = np.fromiter(
+        (codes[joined[pos : pos + 3]] for pos in where.tolist()),
+        dtype=np.int64,
+        count=len(unique),
+    )
+    index = np.repeat(np.arange(0, len(lows) * dim, dim), np.maximum(lengths - 2, 0))
+    index += (signed >> 1)[inverse]
+    signs = np.where(signed & 1, 1.0, -1.0)[inverse]
+    del inverse
+    return np.bincount(index, signs, len(lows) * dim).reshape(len(lows), dim)
 
 
 def hash_embed(text: str, dim: int) -> np.ndarray:
@@ -393,9 +474,19 @@ def hash_dim(embedder) -> int | None:
 
 @dataclass(frozen=True)
 class HashEmbedder:
-    """Deterministic offline embedder; drop-in for a dense embedding model."""
+    """Deterministic offline embedder; drop-in for a dense embedding model.
+
+    ``embedder(text)`` is ``hash_embed(text, dim)``, and
+    ``embedder.embed_many(texts)`` the same rows for many texts at once (see
+    ``hash_embed_many``). A ``dim`` below 8 is rejected here, at
+    construction.
+    """
 
     dim: int = 256
+
+    def __post_init__(self):
+        if self.dim < 8:
+            raise ValueError(f"HashEmbedder dim must be >= 8, got {self.dim!r}")
 
     @property
     def name(self) -> str:
@@ -404,13 +495,24 @@ class HashEmbedder:
     def __call__(self, text: str) -> np.ndarray:
         return hash_embed(text, self.dim)
 
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        return hash_embed_many(texts, self.dim)
+
+
+# Texts ``HttpEmbedder.embed_many`` sends in one request.
+_HTTP_EMBED_CHUNK = 128
+
 
 class HttpEmbedder:
     """Client for a remote embedding endpoint speaking the common JSON shape.
 
-    POSTs {"model": ..., "input": [text]} and reads data[0].embedding from the
-    response. Retries follow ``post_json``'s defaults; every failure raises
-    ``RetrievalError``.
+    ``embed_many(texts)`` POSTs {"model": ..., "input": [...]} with up to 128
+    texts per request (``_HTTP_EMBED_CHUNK``) and puts each reply item's
+    ``embedding`` in the row its ``index`` names (reply order when no item
+    has one); ``embedder(text)`` is a request of one text. A reply with
+    another number of items, or indexes that are not 0..n-1, raises
+    ``RetrievalError`` at once. Retries follow ``post_json``'s defaults;
+    every failure raises ``RetrievalError``.
     """
 
     def __init__(self, endpoint: str, model: str | None = None, timeout: float = 60.0):
@@ -423,22 +525,47 @@ class HttpEmbedder:
         return f"http:{self.endpoint}"
 
     def __call__(self, text: str) -> np.ndarray:
-        payload: dict = {"input": [text]}
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        texts = list(texts)
+        chunks = [
+            self._request(texts[lo : lo + _HTTP_EMBED_CHUNK])
+            for lo in range(0, len(texts), _HTTP_EMBED_CHUNK)
+        ]
+        return np.concatenate(chunks) if chunks else np.zeros((0, 0))
+
+    def _request(self, texts: list[str]) -> np.ndarray:
+        def parse(data: dict) -> np.ndarray:
+            items = data["data"]
+            if len(items) != len(texts):
+                raise ValueError(f"{len(items)} embeddings for {len(texts)} texts")
+            slots = [item.get("index", pos) for pos, item in enumerate(items)]
+            if sorted(slots) != list(range(len(texts))):
+                raise ValueError(f"indexes {slots} for {len(texts)} texts")
+            rows = [None] * len(texts)
+            for slot, item in zip(slots, items):
+                rows[slot] = item["embedding"]
+            out = np.asarray(rows, dtype=np.float64)
+            if out.ndim != 2:
+                raise ValueError(f"embeddings of shape {out.shape} for {len(texts)} texts")
+            return out
+
+        payload: dict = {"input": texts}
         if self.model:
             payload["model"] = self.model
-        return post_json(
-            self.endpoint,
-            payload,
-            lambda data: np.asarray(data["data"][0]["embedding"], dtype=np.float64),
-            RetrievalError,
-            timeout=self.timeout,
-        )
+        return post_json(self.endpoint, payload, parse, RetrievalError, timeout=self.timeout)
 
 
 def resolve_embedder(spec: str) -> Callable[[str], np.ndarray]:
     """Build an embedder from a config string: "hash:<dim>" or "http:<endpoint>"."""
     if spec.startswith("hash:"):
-        return HashEmbedder(int(spec.split(":", 1)[1]))
+        try:
+            return HashEmbedder(int(spec[5:]))
+        except ValueError:
+            raise ValueError(
+                f"bad embedder spec {spec!r}: expected hash:<dim> with an integer dim >= 8"
+            ) from None
     if spec.startswith(("http://", "https://")):
         return HttpEmbedder(spec)
     if spec.startswith("http:"):

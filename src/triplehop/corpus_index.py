@@ -305,6 +305,48 @@ def _assemble(
     )
 
 
+def embed_texts(
+    embedder: Callable[[str], np.ndarray],
+    texts: Sequence[str],
+    labels: Sequence[str] | None = None,
+) -> np.ndarray:
+    """The embedder's rows for ``texts``: one float64 array of shape
+    (len(texts), dim), and (0, 0) with no call for no texts.
+
+    This is the batch embedding protocol. An embedder with an
+    ``embed_many(texts)`` method, such as ``HashEmbedder`` and
+    ``HttpEmbedder``, is called once with all the texts. Any other callable,
+    such as a plain function or a wrapper that does not pass ``embed_many``
+    on, is called once per text, in order.
+
+    Raises IndexBuildError when ``embed_many`` returns another shape, or a
+    per-text vector is not 1-D or differs in length from the first; the
+    message names the text by its entry in ``labels``, or by its position.
+    """
+    if not texts:
+        return np.zeros((0, 0), dtype=np.float64)
+    embed_many = getattr(embedder, "embed_many", None)
+    if embed_many is not None:
+        rows = np.asarray(embed_many(texts), dtype=np.float64)
+        if rows.ndim != 2 or len(rows) != len(texts):
+            raise IndexBuildError(
+                f"embedder returned shape {rows.shape} for {len(texts)} texts"
+            )
+        return rows
+    rows = None
+    for row, text in enumerate(texts):
+        vec = np.asarray(embedder(text), dtype=np.float64)
+        if rows is None:
+            rows = np.empty((len(texts), vec.size), dtype=np.float64)
+        if vec.shape != rows.shape[1:]:
+            label = repr(labels[row]) if labels is not None else f"text {row}"
+            raise IndexBuildError(
+                f"embedder returned shape {vec.shape} for {label}, not ({rows.shape[1]},)"
+            )
+        rows[row] = vec
+    return rows
+
+
 def build_index(
     passages: Iterable[Passage],
     triples: Iterable[Triple],
@@ -312,25 +354,14 @@ def build_index(
 ) -> CorpusIndex:
     """Build the full index: alignment, adjacency, lexical stats, embeddings.
 
-    Raises IndexBuildError on invalid records, as ``_assemble`` describes, and
-    when the embedder returns anything but 1-D vectors of one length.
-    """
+    Each view is embedded by one ``embed_texts`` call: one
+    ``embedder.embed_many(texts)`` call for the whole view when the embedder
+    has that method (``HashEmbedder`` hashes it in chunks of 256 texts,
+    ``HttpEmbedder`` sends 128 texts per request), else one call per text.
 
-    def embed_all(ids: Sequence[str], texts: list[str]) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, 0), dtype=np.float64)
-        rows = None
-        for row, text in enumerate(texts):
-            vec = np.asarray(embedder(text), dtype=np.float64)
-            if rows is None:
-                rows = np.empty((len(texts), vec.size), dtype=np.float64)
-            if vec.shape != rows.shape[1:]:
-                raise IndexBuildError(
-                    f"embedder returned shape {vec.shape} for {ids[row]!r}, "
-                    f"not ({rows.shape[1]},)"
-                )
-            rows[row] = vec
-        return rows
+    Raises IndexBuildError on invalid records, as ``_assemble`` describes, and
+    when the embedder's rows are not one 1-D vector of one length per text.
+    """
 
     def compute_views(passage_map, triple_map, passage_ids, triple_ids):
         triple_texts = [serialize_triple(triple_map[i]) for i in triple_ids]
@@ -343,9 +374,9 @@ def build_index(
         vectors = {
             PASSAGES: VectorView(
                 passage_ids,
-                embed_all(passage_ids, [passage_map[i].body for i in passage_ids]),
+                embed_texts(embedder, [passage_map[i].body for i in passage_ids], passage_ids),
             ),
-            TRIPLES: VectorView(triple_ids, embed_all(triple_ids, triple_texts)),
+            TRIPLES: VectorView(triple_ids, embed_texts(embedder, triple_texts, triple_ids)),
         }
         return lexical, vectors
 

@@ -28,6 +28,7 @@ from .corpus_index import (
     PASSAGES,
     TRIPLES,
     CorpusIndex,
+    embed_texts,
     get_neighbours,
     serialize_sequence,
     triples_to_passages,
@@ -107,25 +108,27 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     stays one 1-D dot per row: a matrix-vector product sums in another
     order, changes last bits and so reorders exact ties. Every score is
     therefore bit-identical to embedding the serialized text. Any other
-    embedder is called on the serialized text.
+    embedder embeds the serialized texts: one ``embed_texts`` call per batch
+    for the query and the texts this scorer has not embedded yet (one
+    ``embed_many`` call, or one call per text for a plain callable).
     """
+    # text -> its unit vector: the query's, and on the non-hash path every
+    # serialized sequence's.
     cache: dict[str, np.ndarray] = {}
 
-    def embed_unit(text: str) -> np.ndarray:
-        vec = cache.get(text)
-        if vec is None:
-            vec = cache[text] = unit_vector(np.asarray(index.embedder(text), dtype=np.float64))
-        return vec
+    def embed_units(texts: list[str]) -> None:
+        missing = [text for text in dict.fromkeys(texts) if text not in cache]
+        for text, row in zip(missing, embed_texts(index.embedder, missing)):
+            cache[text] = unit_vector(row)
 
     dim = hash_dim(index.embedder)
     if dim is None:
 
         def batch(query: str, sequences: Sequence[tuple[str, ...]]) -> list[float]:
-            unit_query = embed_unit(query)
-            return [
-                float(unit_query @ embed_unit(serialize_sequence(index, seq)))
-                for seq in sequences
-            ]
+            texts = [serialize_sequence(index, seq) for seq in sequences]
+            embed_units([query, *texts])
+            unit_query = cache[query]
+            return [float(unit_query @ cache[text]) for text in texts]
 
     else:
         rows = index.vectors[TRIPLES].vectors
@@ -163,7 +166,8 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
             return entry
 
         def batch(query: str, sequences: Sequence[tuple[str, ...]]) -> list[float]:
-            unit_query = embed_unit(query)
+            embed_units([query])
+            unit_query = cache[query]
             scores: list[float] = []
             for lo in range(0, len(sequences), _BLOCK_ROWS):
                 block = sequences[lo : lo + _BLOCK_ROWS]

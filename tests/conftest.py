@@ -4,9 +4,17 @@ corpus, and a recording backend for scripting agent runs offline.
 
 from __future__ import annotations
 
-import pytest
+import os
 
-from triplehop import (
+# numpy's BLAS must see these before it loads: one thread, as in
+# bench/run.py, so the microbenchmarks time the code, not threads contending
+# for the cores.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import pytest  # noqa: E402
+
+from triplehop import (  # noqa: E402
     EvalQuestion,
     HashEmbedder,
     Passage,
@@ -14,7 +22,7 @@ from triplehop import (
     Triple,
     build_index,
 )
-from triplehop.llm_gateway import CompletionResult, whitespace_tokens
+from triplehop.llm_gateway import CompletionResult, whitespace_tokens  # noqa: E402
 
 
 class RecordingBackend:

@@ -13,6 +13,7 @@ from triplehop import (
     build_index,
     dense_search,
     diverse_beam_search,
+    hash_embed,
 )
 from triplehop.corpus_index import PASSAGES, get_neighbours
 
@@ -84,3 +85,25 @@ def test_bm25_search_batch_of_ten(benchmark, dense_index):
     queries = [f"Where was {_name(i)} born?" for i in range(0, 1000, 100)]
     results = benchmark(bm25_search, dense_index, queries, PASSAGES, 10)
     assert [len(result) for result in results] == [10] * 10
+
+
+def test_embed_many_dense_index_passages(benchmark, dense_index):
+    """``embed_many`` over the 10,240 passage texts, as ``build_index``
+    embeds a view."""
+    embedder = dense_index.embedder
+    texts = [dense_index.passages[pid].body for pid in dense_index.vectors[PASSAGES].ids]
+    rows = benchmark(embedder.embed_many, texts)
+    assert rows.tobytes() == dense_index.vectors[PASSAGES].vectors.tobytes()
+
+
+@pytest.mark.parametrize("how", ["embed_many", "hash_embed"])
+def test_embed_one_text(benchmark, dense_index, how):
+    """A batch of one, as a single query is embedded, against ``hash_embed``
+    itself: the one-text path must be no slower."""
+    embedder = dense_index.embedder
+    text = "Where was Kalominupe born?"
+    if how == "embed_many":
+        row = benchmark(embedder.embed_many, [text])[0]
+    else:
+        row = benchmark(hash_embed, text, embedder.dim)
+    assert row.tobytes() == hash_embed(text, embedder.dim).tobytes()
