@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import requests
 
 from .corpus_index import PASSAGES, CorpusIndex, LexicalView, embed_texts, tokenize
 from .llm_gateway import post_json
@@ -347,7 +348,9 @@ _TRIGRAM_CODES: dict[int, _TrigramCodes] = {}
 # 256 texts' trigrams however many texts a call has.
 _EMBED_CHUNK = 256
 # Fewer texts than this go through ``hash_embed`` one by one: the array
-# passes cost about as much as hashing five short queries that way.
+# passes cost about as much as hashing five short queries that way. On
+# agent-chains a quarter of the batches hold two short texts, which take
+# about 30 us this way against 70-80 us through the arrays.
 _EMBED_ARRAY_MIN = 6
 
 
@@ -391,15 +394,15 @@ def hash_embed_many(texts: Sequence[str], dim: int) -> np.ndarray:
     float64 and never -0.0, so each row has ``hash_embed``'s bits.
 
     Fewer than six texts (``_EMBED_ARRAY_MIN``) go through ``hash_embed`` one
-    at a time, and one text costs no more than ``hash_embed`` itself.
+    at a time, so one text costs about what ``hash_embed`` itself does.
     """
     codes = _trigram_codes(dim)
     texts = list(texts)
-    if len(texts) == 1:
-        return hash_embed(texts[0], dim)[None]
-    if len(texts) < _EMBED_ARRAY_MIN:
-        return np.array([hash_embed(text, dim) for text in texts]).reshape(len(texts), dim)
     out = np.empty((len(texts), dim), dtype=np.float64)
+    if len(texts) < _EMBED_ARRAY_MIN:
+        for row, text in enumerate(texts):
+            out[row] = hash_embed(text, dim)
+        return out
     for lo in range(0, len(texts), _EMBED_CHUNK):
         lows = [text.lower() for text in texts[lo : lo + _EMBED_CHUNK]]
         out[lo : lo + len(lows)] = _chunk_counts(lows, dim, codes)
@@ -499,26 +502,36 @@ class HashEmbedder:
         return hash_embed_many(texts, self.dim)
 
 
-# Texts ``HttpEmbedder.embed_many`` sends in one request.
-_HTTP_EMBED_CHUNK = 128
+# Texts ``HttpEmbedder.embed_many`` sends in its first request: the default
+# client batch limit of text-embeddings-inference (``--max-client-batch-size``).
+# Hosted APIs in this JSON shape take more per request; an endpoint that takes
+# fewer gets smaller requests (see ``HttpEmbedder``).
+_HTTP_EMBED_CHUNK = 32
 
 
 class HttpEmbedder:
     """Client for a remote embedding endpoint speaking the common JSON shape.
 
-    ``embed_many(texts)`` POSTs {"model": ..., "input": [...]} with up to 128
+    ``embed_many(texts)`` POSTs {"model": ..., "input": [...]} with up to 32
     texts per request (``_HTTP_EMBED_CHUNK``) and puts each reply item's
     ``embedding`` in the row its ``index`` names (reply order when no item
     has one); ``embedder(text)`` is a request of one text. A reply with
     another number of items, or indexes that are not 0..n-1, raises
-    ``RetrievalError`` at once. Retries follow ``post_json``'s defaults;
-    every failure raises ``RetrievalError``.
+    ``RetrievalError`` at once. Retries follow ``post_json``'s defaults, and
+    ``timeout`` bounds each request.
+
+    A request of several texts that gets a 4xx reply other than 429 (such as
+    413 for too many inputs), or that times out on every attempt, is sent
+    again as requests of half its size, down to one text; the embedder keeps
+    the smaller size for its later requests. A one-text request fails as
+    before: every failure raises ``RetrievalError``.
     """
 
     def __init__(self, endpoint: str, model: str | None = None, timeout: float = 60.0):
         self.endpoint = endpoint
         self.model = model
         self.timeout = timeout
+        self._chunk = _HTTP_EMBED_CHUNK
 
     @property
     def name(self) -> str:
@@ -529,10 +542,19 @@ class HttpEmbedder:
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         texts = list(texts)
-        chunks = [
-            self._request(texts[lo : lo + _HTTP_EMBED_CHUNK])
-            for lo in range(0, len(texts), _HTTP_EMBED_CHUNK)
-        ]
+        chunks = []
+        lo = 0
+        while lo < len(texts):
+            part = texts[lo : lo + self._chunk]
+            try:
+                chunks.append(self._request(part))
+            except RetrievalError as e:
+                if len(part) == 1 or not _smaller_may_pass(e):
+                    raise
+                # min: another thread may have shrunk it further meanwhile.
+                self._chunk = min(self._chunk, len(part) // 2)
+                continue
+            lo += len(part)
         return np.concatenate(chunks) if chunks else np.zeros((0, 0))
 
     def _request(self, texts: list[str]) -> np.ndarray:
@@ -555,6 +577,16 @@ class HttpEmbedder:
         if self.model:
             payload["model"] = self.model
         return post_json(self.endpoint, payload, parse, RetrievalError, timeout=self.timeout)
+
+
+def _smaller_may_pass(failure: RetrievalError) -> bool:
+    """Whether a smaller request may pass where this one failed: it got a 4xx
+    reply (``post_json`` retries 429 itself) or timed out on its last attempt."""
+    cause = failure.__cause__
+    if isinstance(cause, requests.Timeout):
+        return True
+    status = getattr(getattr(cause, "response", None), "status_code", None)
+    return status is not None and 400 <= status < 500
 
 
 def resolve_embedder(spec: str) -> Callable[[str], np.ndarray]:

@@ -357,7 +357,8 @@ def build_index(
     Each view is embedded by one ``embed_texts`` call: one
     ``embedder.embed_many(texts)`` call for the whole view when the embedder
     has that method (``HashEmbedder`` hashes it in chunks of 256 texts,
-    ``HttpEmbedder`` sends 128 texts per request), else one call per text.
+    ``HttpEmbedder`` sends up to 32 texts per request), else one call per
+    text.
 
     Raises IndexBuildError on invalid records, as ``_assemble`` describes, and
     when the embedder's rows are not one 1-D vector of one length per text.

@@ -368,6 +368,8 @@ def post_json(
     it gives one, else ``backoff_base * 2**attempt`` times a random factor in
     [0.5, 1.5). Any other failed request or status, or a reply ``parse``
     cannot read, raises ``error`` at once; so does the last failed attempt.
+    The raised error's ``__cause__`` is the exception behind it, if any (a
+    ``requests.HTTPError`` carries the reply).
     ``slots``, if given, is held around each request (an in-flight limit).
     """
     last_error: object = None
@@ -396,7 +398,8 @@ def post_json(
             if wait is None:
                 wait = backoff_base * 2**attempt * (0.5 + random.random())
             time.sleep(wait)
-    raise error(f"request to {endpoint} failed after {max_retries} attempts: {last_error}")
+    cause = last_error if isinstance(last_error, Exception) else None
+    raise error(f"request to {endpoint} failed after {max_retries} attempts: {last_error}") from cause
 
 
 class HttpChatBackend:

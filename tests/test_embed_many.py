@@ -326,25 +326,36 @@ def _vector(text: str) -> list[float]:
 
 class FakeEmbeddingServer:
     """Stands in for ``requests.post``: answers each request's inputs with
-    ``_vector`` rows, their ``index`` items in reversed order."""
+    ``_vector`` rows, their ``index`` items in reversed order. A request of
+    more than ``limit`` inputs gets a ``refuse`` reply (a status, or an
+    exception to raise)."""
 
-    def __init__(self, drop_last: bool = False):
+    def __init__(self, drop_last: bool = False, limit: int | None = None, refuse=413):
         self.payloads: list[dict] = []
         self.drop_last = drop_last
+        self.limit = limit
+        self.refuse = refuse
 
     def __call__(self, url, **kwargs):
         payload = kwargs["json"]
         self.payloads.append(payload)
+        if self.limit is not None and len(payload["input"]) > self.limit:
+            if isinstance(self.refuse, Exception):
+                raise self.refuse
+            return _reply([], self.refuse)
         items = [
             {"object": "embedding", "index": i, "embedding": _vector(text)}
             for i, text in enumerate(payload["input"])
         ][::-1]
         return _reply(items[:-1] if self.drop_last else items)
 
+    def sizes(self) -> list[int]:
+        return [len(p["input"]) for p in self.payloads]
 
-def _reply(items: list[dict]) -> requests.Response:
+
+def _reply(items: list[dict], status: int = 200) -> requests.Response:
     response = requests.Response()
-    response.status_code = 200
+    response.status_code = status
     response._content = json.dumps({"data": items}).encode()
     return response
 
@@ -363,8 +374,9 @@ def test_http_build_sends_each_view_in_fixed_size_chunks(monkeypatch):
     server = FakeEmbeddingServer()
     monkeypatch.setattr(requests, "post", server)
     index = build_index(passages, triples, HttpEmbedder("http://embed.invalid/v1", model="m"))
+    assert chunk == 32
     assert len(server.payloads) == math.ceil(len(passages) / chunk) + 1
-    assert [len(p["input"]) for p in server.payloads] == [chunk, 7, 5]
+    assert server.sizes() == [chunk, 7, 5]
     assert all(p["model"] == "m" for p in server.payloads)
     passage_texts, triple_texts = _view_texts(index)
     assert [t for p in server.payloads[:2] for t in p["input"]] == passage_texts
@@ -395,3 +407,56 @@ def test_http_embed_many_rejects_indexes_that_are_not_a_permutation(monkeypatch)
     monkeypatch.setattr(requests, "post", lambda url, **kwargs: _reply(items))
     with pytest.raises(RetrievalError, match=r"indexes \[0, 0\] for 2 texts"):
         HttpEmbedder("http://embed.invalid/v1").embed_many(["a", "b"])
+
+
+def test_http_embed_many_halves_requests_an_endpoint_refuses(monkeypatch, sleeps):
+    # An endpoint that takes at most 6 inputs answers 413 to more, as
+    # text-embeddings-inference does past its client batch limit.
+    server = FakeEmbeddingServer(limit=6)
+    monkeypatch.setattr(requests, "post", server)
+    embedder = HttpEmbedder("http://embed.invalid/v1")
+    texts = [f"text {i}" for i in range(40)]
+    assert embedder.embed_many(texts).tolist() == [_vector(t) for t in texts]
+    # 32 and 16 are refused, 8 is refused, then 4-text requests pass and stay.
+    assert server.sizes() == [32, 16, 8] + [4] * 10
+    assert [t for p in server.payloads if len(p["input"]) == 4 for t in p["input"]] == texts
+    server.payloads.clear()
+    assert embedder.embed_many(texts[:9]).tolist() == [_vector(t) for t in texts[:9]]
+    assert server.sizes() == [4, 4, 1]
+    assert sleeps == []  # a 4xx is not retried, only split
+
+
+def test_http_embed_many_halves_requests_that_time_out(monkeypatch, sleeps):
+    server = FakeEmbeddingServer(limit=2, refuse=requests.Timeout("slow"))
+    monkeypatch.setattr(requests, "post", server)
+    embedder = HttpEmbedder("http://embed.invalid/v1")
+    texts = ["alpha", "beta", "gamma", "delta", "epsilon"]
+    assert embedder.embed_many(texts).tolist() == [_vector(t) for t in texts]
+    # Each size is tried post_json's three times before it is halved.
+    assert server.sizes() == [5] * 3 + [2, 2, 1]
+    assert len(sleeps) == 2
+
+
+def test_http_one_text_failures_and_bad_replies_are_not_split(monkeypatch, sleeps):
+    # One text that gets a 4xx fails after one request, as it always did.
+    server = FakeEmbeddingServer(limit=0, refuse=404)
+    monkeypatch.setattr(requests, "post", server)
+    with pytest.raises(RetrievalError, match="404"):
+        HttpEmbedder("http://embed.invalid/v1")("abc")
+    assert server.sizes() == [1]
+    # Several texts are split down to one, then fail the same way.
+    server.payloads.clear()
+    with pytest.raises(RetrievalError, match="404"):
+        HttpEmbedder("http://embed.invalid/v1").embed_many(["a", "b", "c", "d"])
+    assert server.sizes() == [4, 2, 1]
+    # A 5xx on every attempt, or a reply that cannot be read, is not split.
+    server = FakeEmbeddingServer(limit=0, refuse=503)
+    monkeypatch.setattr(requests, "post", server)
+    with pytest.raises(RetrievalError, match="3 attempts: HTTP 503"):
+        HttpEmbedder("http://embed.invalid/v1").embed_many(["a", "b"])
+    assert server.sizes() == [2, 2, 2]
+    server = FakeEmbeddingServer(drop_last=True)
+    monkeypatch.setattr(requests, "post", server)
+    with pytest.raises(RetrievalError, match="3 embeddings for 4 texts"):
+        HttpEmbedder("http://embed.invalid/v1").embed_many(["a", "b", "c", "d"])
+    assert server.sizes() == [4]
