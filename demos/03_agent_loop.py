@@ -95,7 +95,7 @@ for record in trace.iterations:
         f"({t.subject}, {t.predicate}, {t.object})" for t in record.gist_additions
     )
     print(f"  n={record.iteration}  query: {record.query!r}")
-    print(f"      retrieved: {record.expanded.ids}")
+    print(f"      retrieved: {record.detail.fused.ids}")
     print(f"      new facts: {facts or '(none)'}")
     print(f"      answerable: {record.reason.answerable}")
     if record.rewritten_query:

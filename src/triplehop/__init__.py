@@ -82,7 +82,6 @@ from .graph_expansion import (
     flatten_beams,
     naive_ge_retrieve,
     sync_ge_detail,
-    sync_ge_retrieve,
 )
 from .llm_gateway import (
     CompletionError,

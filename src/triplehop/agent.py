@@ -21,7 +21,7 @@ from .corpus_index import (
     serialize_triple,
     triple_to_passage,
 )
-from .graph_expansion import Beam, ExpansionConfig, sync_ge_detail
+from .graph_expansion import ExpansionConfig, GraphRetrievalDetail, sync_ge_detail
 from .llm_gateway import (
     LLMGateway,
     ProximalTriple,
@@ -105,44 +105,45 @@ class AgentConfig:
         return asdict(self)
 
 
+def _triple_list(triples: Sequence[ProximalTriple]) -> list[list[str]]:
+    return [[t.subject, t.predicate, t.object] for t in triples]
+
+
 @dataclass
 class IterationRecord:
+    """One iteration: its query, its graph-expanded retrieval (``detail``,
+    whose ``fused`` list is the iteration's ranking) and the memory, reason
+    and rewrite steps that followed."""
+
     iteration: int
     query: str
-    base: RankedList
-    proximals: tuple[ProximalTriple, ...]
-    initial_nodes: tuple[str, ...]
-    beams: tuple[Beam, ...]
-    expanded: RankedList
+    detail: GraphRetrievalDetail
     gist_additions: tuple[ProximalTriple, ...]
     reason: ReasonOutcome
     rewritten_query: str | None
     rewrite_fallback: bool
-    expansion_stopped_at: int | None
 
     def to_dict(self) -> dict:
-        def triple_list(triples):
-            return [[t.subject, t.predicate, t.object] for t in triples]
-
+        detail = self.detail
         return {
             "iteration": self.iteration,
             "query": self.query,
-            "base": self.base.to_dict(),
-            "proximals": triple_list(self.proximals),
-            "initial_nodes": list(self.initial_nodes),
+            "base": detail.base.to_dict(),
+            "proximals": _triple_list(detail.proximals),
+            "initial_nodes": list(detail.initial_nodes),
             "beams": [
                 {"score": beam.score, "sequence": list(beam.sequence)}
-                for beam in self.beams
+                for beam in detail.beams
             ],
-            "expanded": self.expanded.to_dict(),
-            "gist_additions": triple_list(self.gist_additions),
+            "expanded": detail.fused.to_dict(),
+            "gist_additions": _triple_list(self.gist_additions),
             "reason": {
                 "answerable": self.reason.answerable,
                 "payload": self.reason.payload,
             },
             "rewritten_query": self.rewritten_query,
             "rewrite_fallback": self.rewrite_fallback,
-            "expansion_stopped_at": self.expansion_stopped_at,
+            "expansion_stopped_at": detail.expansion_stopped_at,
         }
 
 
@@ -168,9 +169,7 @@ class AgentTrace:
             "answer": self.answer,
             "config": self.config,
             "tokens": self.tokens,
-            "linked_facts": [
-                [t.subject, t.predicate, t.object] for t in self.linked_facts
-            ],
+            "linked_facts": _triple_list(self.linked_facts),
         }
 
     def to_json(self) -> str:
@@ -266,7 +265,6 @@ def run_agent(
                 cfg.retrieval,
                 cfg.expansion,
                 gateway,
-                memory=None,
                 chunk_cap=cfg.per_iteration_k,
             )
             iteration_lists.append(detail.fused)
@@ -300,16 +298,11 @@ def run_agent(
                 IterationRecord(
                     iteration=n,
                     query=current_query,
-                    base=detail.base,
-                    proximals=detail.proximals,
-                    initial_nodes=detail.initial_nodes,
-                    beams=detail.beams,
-                    expanded=detail.fused,
+                    detail=detail,
                     gist_additions=tuple(additions),
                     reason=outcome,
                     rewritten_query=rewritten,
                     rewrite_fallback=fallback,
-                    expansion_stopped_at=detail.expansion_stopped_at,
                 )
             )
             if outcome.answerable:

@@ -31,6 +31,7 @@ from .corpus_index import (
 from .eval_harness import (
     AgentSystem,
     RetrieverSystem,
+    format_columns,
     load_questions_jsonl,
     run_eval,
 )
@@ -150,9 +151,7 @@ def _print_ranked(index, ranked) -> None:
     rows = [["rank", "score", "passage", "title"]]
     for rank, (pid, score) in enumerate(ranked.entries, start=1):
         rows.append([str(rank), f"{score:.6f}", pid, index.passages[pid].title])
-    widths = [max(len(row[i]) for row in rows) for i in range(4)]
-    for row in rows:
-        print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
+    print(format_columns(rows))
 
 
 def _make_system(index, cfg: EngineConfig, mode: str, qa: bool = False):

@@ -334,11 +334,17 @@ class EvalReport:
             "-", "-", "-", f"failures={self.failures}",
         ]
         lines.append(agg)
-        widths = [max(len(line[i]) for line in lines) for i in range(len(headers))]
-        return "\n".join(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip()
-            for line in lines
-        )
+        return format_columns(lines)
+
+
+def format_columns(rows: Sequence[Sequence[str]]) -> str:
+    """Rows of cells as left-aligned columns two spaces apart, one line per
+    row with trailing spaces stripped; the first row sets the column count."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in rows
+    )
 
 
 def _fmt_agg(value: float | None) -> str:

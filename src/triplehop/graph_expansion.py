@@ -36,8 +36,7 @@ from .corpus_index import (
 from .llm_gateway import LLMGateway, ProximalTriple
 from .sync import locate_initial_nodes, read_proximal
 
-Scorer = Callable[[str, tuple[str, ...]], float]
-BatchScorer = Callable[[str, Sequence[tuple[str, ...]]], list[float]]
+Scorer = Callable[[str, Sequence[tuple[str, ...]]], list[float]]
 
 # Sequences the hash scorer works on at once, so its working arrays stay
 # 128 x dim floats (256 KB at dim 256) however many candidates a step has.
@@ -80,13 +79,12 @@ def diversity_weight(position: int, gamma: float) -> float:
 
 
 def make_cosine_scorer(index: CorpusIndex) -> Scorer:
-    """Default sequence scorer: cosine of the query and the serialized sequence.
+    """Default scorer: ``scorer(query, sequences)`` is the cosine of the query
+    and each serialized sequence, one float per sequence.
 
-    The scorer's ``batch(query, sequences)`` attribute is the one scoring
-    path: it returns one float per sequence, ``diverse_beam_search`` calls it
-    once per step with every extension of every beam, and
-    ``scorer(query, sequence)`` is the batch of one. Make one scorer per
-    search: it caches the query's unit vector and the counts below.
+    ``diverse_beam_search`` calls it once per step with every extension of
+    every beam. Make one scorer per search: it caches the query's unit vector
+    and the counts below.
 
     With the hash embedder (``hash_dim`` finds its name ``hash:<dim>``) no
     candidate is embedded: ``serialize_sequence`` joins triples with
@@ -124,7 +122,7 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     dim = hash_dim(index.embedder)
     if dim is None:
 
-        def batch(query: str, sequences: Sequence[tuple[str, ...]]) -> list[float]:
+        def scorer(query: str, sequences: Sequence[tuple[str, ...]]) -> list[float]:
             texts = [serialize_sequence(index, seq) for seq in sequences]
             embed_units([query, *texts])
             unit_query = cache[query]
@@ -165,7 +163,7 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
                 entry = prefixes[sequence] = (counts, tail)
             return entry
 
-        def batch(query: str, sequences: Sequence[tuple[str, ...]]) -> list[float]:
+        def scorer(query: str, sequences: Sequence[tuple[str, ...]]) -> list[float]:
             embed_units([query])
             unit_query = cache[query]
             scores: list[float] = []
@@ -187,10 +185,6 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
                 scores += np.matmul(counts[:, None, :], unit_query[:, None]).ravel().tolist()
             return scores
 
-    def scorer(query: str, sequence: tuple[str, ...]) -> float:
-        return batch(query, [sequence])[0]
-
-    scorer.batch = batch
     return scorer
 
 
@@ -221,24 +215,19 @@ def diverse_beam_search(
     out unless ``keep_stranded_beams`` is set. If a step yields no candidates
     at all, the previous step's beams are returned and the trace is flagged.
 
-    Scoring is one batch call for the initial triples and one per step, with
-    the extensions of all beams together (see ``make_cosine_scorer``). A
-    ``scorer`` without a ``batch`` attribute is called once per sequence, in
-    that order: initial triples as given, then beam by beam, each beam's
-    neighbours in ascending id order.
+    The scorer (``make_cosine_scorer``'s by default) is called once for the
+    initial triples, as given, and once per step with the extensions of all
+    beams: beam by beam, each beam's neighbours in ascending id order.
     """
     if trace is not None:
         trace["stopped_early_at"] = None
     if not initial_ids:
         return []
     score = scorer or make_cosine_scorer(index)
-    score_all: BatchScorer = getattr(score, "batch", None) or (
-        lambda query, sequences: [score(query, seq) for seq in sequences]
-    )
 
     starts = [(tid,) for tid in initial_ids]
     beams = sorted(
-        zip(score_all(query, starts), starts), key=lambda entry: (-entry[0], entry[1])
+        zip(score(query, starts), starts), key=lambda entry: (-entry[0], entry[1])
     )
     del beams[cfg.beam_width:]
 
@@ -248,7 +237,7 @@ def diverse_beam_search(
             [seq + (tid,) for tid in _ascending_neighbours(index, seq[-1]) if tid not in visited]
             for _, seq in beams
         ]
-        scores = iter(score_all(query, [ext for exts in extensions for ext in exts]))
+        scores = iter(score(query, [ext for exts in extensions for ext in exts]))
         pool: list[tuple[float, tuple[str, ...]]] = []
         for (accumulated, seq), extended in zip(beams, extensions):
             # Ascending (-score, sequence): best first, ties by sequence.
@@ -307,10 +296,9 @@ def _expand_and_fuse(
     proximals: Sequence[ProximalTriple],
     retrieval: RetrievalConfig,
     expansion: ExpansionConfig,
-    scorer: Scorer | None,
 ) -> GraphRetrievalDetail:
     trace: dict = {}
-    beams = diverse_beam_search(index, query, initial_nodes, expansion, scorer, trace)
+    beams = diverse_beam_search(index, query, initial_nodes, expansion, trace=trace)
     passage_ids = triples_to_passages(index, flatten_beams(beams))
     expanded = RankedList(
         tuple((pid, 1.0 / (rank + 1)) for rank, pid in enumerate(passage_ids)),
@@ -333,33 +321,16 @@ def sync_ge_detail(
     retrieval: RetrievalConfig,
     expansion: ExpansionConfig,
     gateway: LLMGateway,
-    memory: Sequence[ProximalTriple] | None = None,
     chunk_cap: int = 10,
-    scorer: Scorer | None = None,
 ) -> GraphRetrievalDetail:
-    """Graph-expanded retrieval with LLM-located starting nodes (full detail)."""
+    """Base retrieval + LLM-located nodes + beam expansion + rank fusion.
+
+    The proximal read sees no gist memory; the agent makes its own
+    memory-conditioned read. ``.fused`` is the final ranking."""
     base = base_retrieve(index, query, PASSAGES, retrieval)
-    proximals = read_proximal(index, base, query, gateway, memory=memory, cap=chunk_cap)
+    proximals = read_proximal(index, base, query, gateway, cap=chunk_cap)
     initial_nodes = locate_initial_nodes(index, proximals, retrieval)
-    return _expand_and_fuse(
-        index, query, base, initial_nodes, proximals, retrieval, expansion, scorer
-    )
-
-
-def sync_ge_retrieve(
-    index: CorpusIndex,
-    query: str,
-    retrieval: RetrievalConfig,
-    expansion: ExpansionConfig,
-    gateway: LLMGateway,
-    memory: Sequence[ProximalTriple] | None = None,
-    chunk_cap: int = 10,
-    scorer: Scorer | None = None,
-) -> RankedList:
-    """Base retrieval + LLM-located nodes + beam expansion + rank fusion."""
-    return sync_ge_detail(
-        index, query, retrieval, expansion, gateway, memory, chunk_cap, scorer
-    ).fused
+    return _expand_and_fuse(index, query, base, initial_nodes, proximals, retrieval, expansion)
 
 
 def naive_ge_detail(
@@ -367,16 +338,13 @@ def naive_ge_detail(
     query: str,
     retrieval: RetrievalConfig,
     expansion: ExpansionConfig,
-    scorer: Scorer | None = None,
 ) -> GraphRetrievalDetail:
     """Graph expansion seeded with every triple of the base-retrieved passages."""
     base = base_retrieve(index, query, PASSAGES, retrieval)
     initial_nodes: list[str] = []
     for pid in base.ids:
         initial_nodes.extend(index.passage_triples(pid))
-    return _expand_and_fuse(
-        index, query, base, initial_nodes, (), retrieval, expansion, scorer
-    )
+    return _expand_and_fuse(index, query, base, initial_nodes, (), retrieval, expansion)
 
 
 def naive_ge_retrieve(
@@ -384,7 +352,7 @@ def naive_ge_retrieve(
     query: str,
     retrieval: RetrievalConfig,
     expansion: ExpansionConfig,
-    scorer: Scorer | None = None,
 ) -> RankedList:
-    """Like sync_ge_retrieve but with no LLM: all aligned triples seed the search."""
-    return naive_ge_detail(index, query, retrieval, expansion, scorer).fused
+    """``naive_ge_detail(...).fused``: the ranking alone, as the README
+    quickstart, demo 02 and the benchmark's hub-expand operation take it."""
+    return naive_ge_detail(index, query, retrieval, expansion).fused

@@ -26,6 +26,8 @@ from typing import Callable, Iterable, Mapping, Protocol, TypeVar
 
 import requests
 
+from .corpus_index import read_jsonl
+
 TEMPLATE_NAMES = (
     "triple_extraction",
     "reader",
@@ -296,15 +298,13 @@ class ScriptedBackend:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ScriptedBackend":
-        backend = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                backend.register_key(obj["kind"], obj["key"], obj["response"])
-        return backend
+        """Fixtures from ``save_jsonl``'s format: {"kind", "key", "response"}
+        per line. Invalid JSON or a missing field raises ValueError naming
+        ``path:line``."""
+        entries = read_jsonl(
+            path, lambda obj: ((obj["kind"], obj["key"]), obj["response"]), ValueError
+        )
+        return cls(dict(entries))
 
     def save_jsonl(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -485,25 +485,15 @@ class LLMGateway:
         new thread's, keep their own tag (0 until set)."""
         self._iteration.set(iteration)
 
-    def complete(
-        self,
-        template_name: str,
-        variables: Mapping[str, str],
-        *,
-        temperature: float | None = None,
-        max_output_tokens: int | None = None,
-    ) -> str:
+    def complete(self, template_name: str, variables: Mapping[str, str]) -> str:
         prompt = render_prompt(template_name, variables)
         request = CompletionRequest(
             kind=template_name,
             key=canonical_key(variables),
             prompt=prompt,
             variables=dict(variables),
-            temperature=self.temperature if temperature is None else temperature,
-            max_output_tokens=(
-                self.max_output_tokens if max_output_tokens is None
-                else max_output_tokens
-            ),
+            temperature=self.temperature,
+            max_output_tokens=self.max_output_tokens,
         )
         result = self.backend.complete(request)
         self.ledger.add(

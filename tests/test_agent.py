@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -256,8 +258,8 @@ def test_agent_trace_detailed_shape(chain_index):
     record = trace.iterations[0]
     assert record.query == "where does the trail from enta finish"
     assert trace.iterations[1].query == "what comes after entb?"
-    assert record.base.ids == ["p1"]
-    assert record.initial_nodes == ("t1",)
+    assert record.detail.base.ids == ["p1"]
+    assert record.detail.initial_nodes == ("t1",)
     assert record.gist_additions == (ProximalTriple("enta", "linksto", "entb"),)
     assert record.reason.answerable is False
     payload = json.loads(trace.to_json())
@@ -287,7 +289,7 @@ def test_agent_empty_gist_final_is_rrf_of_iteration_lists(chain_index):
         LLMGateway(recorder),
     )
     expected = rrf_fuse(
-        [record.expanded for record in trace.iterations], cfg.retrieval.rrf_constant
+        [record.detail.fused for record in trace.iterations], cfg.retrieval.rrf_constant
     )
     assert trace.final == expected
 
@@ -358,6 +360,26 @@ def test_agent_byte_identical_traces_with_scripted_backend(chain_index):
     first = run_agent(chain_index, query, AGENT_CFG, LLMGateway(scripted))
     second = run_agent(chain_index, query, AGENT_CFG, LLMGateway(scripted))
     assert first.to_json() == second.to_json()
+
+
+PINNED_TRACE = Path(__file__).parent / "data" / "agent_trace_chain.json"
+
+
+def pinned_trace_json(chain_index) -> str:
+    """The trace JSON of a scripted two-iteration run on the chain corpus."""
+    trace = run_agent(
+        chain_index, "where does the trail from enta finish",
+        replace(AGENT_CFG, max_iterations=2),
+        LLMGateway(RecordingBackend(never_answerable_script)),
+    )
+    return trace.to_json() + "\n"
+
+
+def test_agent_trace_matches_pinned_json(chain_index):
+    # The determinism test above compares two runs of the same code; this
+    # compares against a trace written out once, so a change to how traces
+    # are assembled must keep every key, value and byte of the output.
+    assert pinned_trace_json(chain_index) == PINNED_TRACE.read_text(encoding="utf-8")
 
 
 def test_agent_gist_memory_prefix_is_stable(chain_index):

@@ -17,7 +17,6 @@ from triplehop import (
     diversity_weight,
     flatten_beams,
     naive_ge_retrieve,
-    sync_ge_retrieve,
 )
 from triplehop.base_retrieval import base_retrieve
 from triplehop.corpus_index import PASSAGES
@@ -54,17 +53,18 @@ def test_diversity_weight_monotone_with_floor():
 def test_score_sequence_identity_text(chain_index):
     # query identical to the serialized single-triple sequence
     score = make_cosine_scorer(chain_index)
-    assert abs(score("enta linksto entb", ("t1",)) - 1.0) < 1e-9
+    [same] = score("enta linksto entb", [("t1",)])
+    assert abs(same - 1.0) < 1e-9
 
 
 def test_score_sequence_empty_query_is_zero(chain_index):
-    assert make_cosine_scorer(chain_index)("", ("t1",)) == 0.0
+    assert make_cosine_scorer(chain_index)("", [("t1",)]) == [0.0]
 
 
 def test_score_sequence_changes_with_extension(chain_index):
-    score = make_cosine_scorer(chain_index)
-    single = score("enta linksto entb", ("t1",))
-    double = score("enta linksto entb", ("t1", "t2"))
+    single, double = make_cosine_scorer(chain_index)(
+        "enta linksto entb", [("t1",), ("t1", "t2")]
+    )
     assert single != double
 
 
@@ -73,10 +73,7 @@ def test_score_sequence_changes_with_extension(chain_index):
 # ---------------------------------------------------------------------------
 
 def fixed_scorer(table):
-    def scorer(query, sequence):
-        return table[sequence]
-
-    return scorer
+    return lambda query, sequences: [table[seq] for seq in sequences]
 
 
 def test_beam_search_l1_returns_top_singletons(chain_index):
@@ -128,7 +125,10 @@ def test_beam_search_six_triple_fixture_matches_oracle(embedder):
             return table[sequence]
 
         cfg = ExpansionConfig(beam_width=2, max_length=2, neighbour_cap=10, gamma=4.0)
-        got = diverse_beam_search(index, "q", [t.id for t in triples], cfg, scorer)
+        got = diverse_beam_search(
+            index, "q", [t.id for t in triples], cfg,
+            lambda q, sequences: [scorer(q, seq) for seq in sequences],
+        )
         want = oracle_beam_search(
             "q", [t.id for t in triples], index.triples, cfg, scorer
         )
@@ -264,7 +264,7 @@ def constant_reader_gateway(response):
 
 def test_sync_ge_empty_read_degrades_to_base(chain_index):
     gateway = constant_reader_gateway("no facts in sight")
-    result = sync_ge_retrieve(chain_index, "enta", BM25, EXPANSION, gateway)
+    result = sync_ge_detail(chain_index, "enta", BM25, EXPANSION, gateway).fused
     base = base_retrieve(chain_index, "enta", PASSAGES, BM25)
     assert result.ids == base.ids
 
@@ -277,7 +277,7 @@ def test_sync_ge_two_hop_fixture_recovers_gold(chain_index):
     assert base.ids == ["p1"]
 
     gateway = constant_reader_gateway('Facts: ("enta", "linksto", "entb")')
-    result = sync_ge_retrieve(chain_index, query, BM25, EXPANSION, gateway)
+    result = sync_ge_detail(chain_index, query, BM25, EXPANSION, gateway).fused
     assert "p2" in result.ids
     assert "p3" in result.ids
 
@@ -287,16 +287,16 @@ def test_sync_ge_deterministic_across_runs(chain_index):
     recorder = RecordingBackend(
         lambda kind, variables: 'Facts: ("enta", "linksto", "entb")'
     )
-    first = sync_ge_retrieve(
+    first = sync_ge_detail(
         chain_index, query, BM25, EXPANSION, LLMGateway(recorder)
-    )
+    ).fused
     scripted = recorder.to_scripted()
-    second = sync_ge_retrieve(
+    second = sync_ge_detail(
         chain_index, query, BM25, EXPANSION, LLMGateway(scripted)
-    )
-    third = sync_ge_retrieve(
+    ).fused
+    third = sync_ge_detail(
         chain_index, query, BM25, EXPANSION, LLMGateway(scripted)
-    )
+    ).fused
     assert first == second == third
 
 

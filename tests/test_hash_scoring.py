@@ -122,10 +122,10 @@ def test_incremental_scorer_matches_serialize_and_embed(graph, query, data):
     plain = make_cosine_scorer(unnamed)
     expected = [reference(query, sequence) for sequence in sequences]
     # One batch of mixed lengths, and each sequence alone.
-    assert incremental.batch(query, sequences) == expected
+    assert incremental(query, sequences) == expected
     for sequence, want in zip(sequences, expected):
-        assert incremental(query, sequence) == want, sequence
-        assert plain(query, sequence) == want, sequence
+        assert incremental(query, [sequence]) == [want], sequence
+        assert plain(query, [sequence]) == [want], sequence
 
 
 def hex_beams(beams) -> list[tuple[str, tuple[str, ...]]]:
@@ -166,10 +166,12 @@ def test_beam_search_unchanged_by_incremental_scorer(graph, query, max_length, c
     unnamed = dataclasses.replace(index, embedder=lambda t: hash_embed(t, dim))
     for searched in (index, saved_and_loaded(index), unnamed):
         assert hex_beams(diverse_beam_search(searched, query, initial, cfg)) == want
-    # A plain (query, sequence) -> float scorer is called once per sequence,
-    # in the order the oracle calls it.
+    # A scorer is given the sequences the oracle scores, in the same order.
     calls: list[tuple[str, ...]] = []
-    got = diverse_beam_search(index, query, initial, cfg, scorer=recorded(calls))
+    score = recorded(calls)
+    got = diverse_beam_search(
+        index, query, initial, cfg, scorer=lambda q, seqs: [score(q, seq) for seq in seqs]
+    )
     assert hex_beams(got) == want
     assert calls == oracle_calls
 

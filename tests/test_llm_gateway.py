@@ -238,6 +238,23 @@ def test_scripted_backend_jsonl_round_trip(tmp_path):
     assert gateway.complete("reader", {"docs": "D", "query": "Q"}).startswith("Facts")
 
 
+def test_scripted_backend_jsonl_names_line_of_missing_response(tmp_path):
+    path = tmp_path / "fixtures.jsonl"
+    path.write_text(
+        json.dumps({"kind": "reader", "key": "k1", "response": "Facts: none"}) + "\n"
+        + json.dumps({"kind": "reader", "key": "k2"}) + "\n"
+    )
+    with pytest.raises(ValueError, match=r"fixtures.jsonl:2: missing field 'response'"):
+        ScriptedBackend.from_jsonl(path)
+
+
+def test_scripted_backend_jsonl_names_line_of_bad_json(tmp_path):
+    path = tmp_path / "fixtures.jsonl"
+    path.write_text("\n" + '{"kind": "reader",\n')
+    with pytest.raises(ValueError, match=r"fixtures.jsonl:2: invalid JSON"):
+        ScriptedBackend.from_jsonl(path)
+
+
 def test_ledger_iteration_tags_partition_calls():
     backend = ScriptedBackend()
     backend.register("reasoner", {"query": "q", "triples": ""}, "Answerable: No\nWhy: x")
