@@ -40,7 +40,6 @@ from .config import (
     LLMConfig,
     load_engine_config,
     make_backend,
-    make_gateway,
 )
 from .corpus_index import (
     PASSAGES,

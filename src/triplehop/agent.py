@@ -41,47 +41,30 @@ class AgentRunError(RuntimeError):
         self.trace = trace
 
 
-@dataclass(frozen=True)
-class GistEntry:
-    triple: ProximalTriple
-    iteration: int
-
-
 class GistMemory:
-    """Append-only array of proximal triples accumulated across iterations."""
+    """Append-only array of the proximal triples accumulated across
+    iterations, repeats kept. It holds facts only; each iteration's record
+    (``IterationRecord.gist_additions``) says which facts that iteration
+    added."""
 
     def __init__(self):
-        self._entries: list[GistEntry] = []
+        self._facts: list[ProximalTriple] = []
 
-    def extend(self, triples: Sequence[ProximalTriple], iteration: int) -> None:
-        if self._entries and iteration < self._entries[-1].iteration:
-            raise ValueError("iteration numbers must be non-decreasing")
-        for triple in triples:
-            self._entries.append(GistEntry(triple, iteration))
-
-    @property
-    def entries(self) -> tuple[GistEntry, ...]:
-        return tuple(self._entries)
+    def extend(self, triples: Sequence[ProximalTriple]) -> None:
+        self._facts.extend(triples)
 
     def facts(self) -> tuple[ProximalTriple, ...]:
-        return tuple(entry.triple for entry in self._entries)
+        return tuple(self._facts)
 
     def unique_facts(self) -> list[ProximalTriple]:
         """Distinct facts in first-occurrence order (for the link fan-out)."""
-        seen: set[tuple[str, str, str]] = set()
-        out: list[ProximalTriple] = []
-        for entry in self._entries:
-            key = (entry.triple.subject, entry.triple.predicate, entry.triple.object)
-            if key not in seen:
-                seen.add(key)
-                out.append(entry.triple)
-        return out
+        return list(dict.fromkeys(self._facts))
 
     def serialize(self) -> str:
-        return serialize_facts(self.facts())
+        return serialize_facts(self._facts)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._facts)
 
 
 @dataclass(frozen=True)
@@ -275,13 +258,13 @@ def run_agent(
                 prior = memory.facts() if n >= 2 else None
                 additions = read_proximal(
                     index,
-                    detail.fused,
+                    detail.fused.ids,
                     query,
                     gateway,
                     memory=prior,
                     cap=cfg.per_iteration_k,
                 )
-            memory.extend(additions, n)
+            memory.extend(additions)
 
             outcome = reason_step(memory, query, gateway)
             rewritten: str | None = None

@@ -13,13 +13,7 @@ from dataclasses import replace
 
 from .agent import run_agent
 from .base_retrieval import resolve_embedder
-from .config import (
-    ConfigError,
-    EngineConfig,
-    load_engine_config,
-    make_backend,
-    make_gateway,
-)
+from .config import ConfigError, EngineConfig, load_engine_config, make_backend
 from .corpus_index import (
     Triple,
     build_index,
@@ -35,7 +29,7 @@ from .eval_harness import (
     load_questions_jsonl,
     run_eval,
 )
-from .llm_gateway import GatewayError, parse_extraction
+from .llm_gateway import GatewayError, LLMGateway, parse_extraction
 
 log = logging.getLogger(__name__)
 
@@ -51,6 +45,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="triplehop", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -59,8 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     index_sub = p_index.add_subparsers(dest="index_command")
     p_build = index_sub.add_parser("build", help="build and persist an index")
     p_build.add_argument("--passages", required=True, help="passages JSONL")
-    p_build.add_argument("--triples", help="precomputed triples JSONL")
-    p_build.add_argument(
+    triple_source = p_build.add_mutually_exclusive_group()
+    triple_source.add_argument("--triples", help="precomputed triples JSONL")
+    triple_source.add_argument(
         "--extract-llm", action="store_true",
         help="extract triples from passages with the configured LLM",
     )
@@ -72,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_retrieve.add_argument("--index", required=True)
     p_retrieve.add_argument("--query", required=True)
     p_retrieve.add_argument("--mode", choices=RetrieverSystem.MODES, default="base")
-    p_retrieve.add_argument("--k", type=int)
+    p_retrieve.add_argument("--k", type=_positive_int)
     p_retrieve.add_argument("--config")
     p_retrieve.set_defaults(func=cmd_retrieve)
 
@@ -101,8 +106,6 @@ def _load_config(args) -> EngineConfig:
 def cmd_index_build(args) -> int:
     cfg = _load_config(args)
     passages = load_passages_jsonl(args.passages)
-    if args.triples and args.extract_llm:
-        raise UsageError("--triples and --extract-llm are mutually exclusive")
     if args.triples:
         triples = load_triples_jsonl(args.triples)
     elif args.extract_llm:
@@ -120,7 +123,7 @@ def cmd_index_build(args) -> int:
 
 
 def _extract_triples(passages, cfg: EngineConfig) -> list[Triple]:
-    gateway = make_gateway(cfg.llm)
+    gateway = LLMGateway(make_backend(cfg.llm))
     triples: list[Triple] = []
     for passage in passages:
         try:
@@ -157,18 +160,13 @@ def _print_ranked(index, ranked) -> None:
 def _make_system(index, cfg: EngineConfig, mode: str, qa: bool = False):
     """The eval system for ``mode``: one of RetrieverSystem.MODES, or "agent"."""
     backend = make_backend(cfg.llm) if mode in ("sync-ge", "agent") or qa else None
-    llm = {
-        "temperature": cfg.llm.temperature,
-        "max_output_tokens": cfg.llm.max_output_tokens,
-    }
     if mode == "agent":
         return AgentSystem(
-            index, cfg.agent_config(), backend,
-            qa_fallback=qa, qa_k=cfg.eval.qa_k, **llm,
+            index, cfg.agent_config(), backend, qa_fallback=qa, qa_k=cfg.eval.qa_k
         )
     return RetrieverSystem(
         index, cfg.retrieval, mode=mode, expansion=cfg.expansion, backend=backend,
-        qa=qa, chunk_cap=cfg.agent.per_iteration_k, qa_k=cfg.eval.qa_k, **llm,
+        qa=qa, chunk_cap=cfg.agent.per_iteration_k, qa_k=cfg.eval.qa_k,
     )
 
 
@@ -184,7 +182,7 @@ def cmd_retrieve(args) -> int:
 def cmd_agent(args) -> int:
     cfg = _load_config(args)
     index = load_index(args.index)
-    gateway = make_gateway(cfg.llm)
+    gateway = LLMGateway(make_backend(cfg.llm))
     trace = run_agent(index, args.query, cfg.agent_config(), gateway)
     _print_ranked(index, trace.final.truncated(cfg.retrieval.k))
     if trace.answer is not None:
@@ -236,9 +234,6 @@ def dispatch(argv=None) -> int:
         return 1
     try:
         return int(func(args) or 0)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

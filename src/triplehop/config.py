@@ -20,7 +20,7 @@ from pathlib import Path
 from .agent import AgentConfig
 from .base_retrieval import RetrievalConfig
 from .graph_expansion import ExpansionConfig
-from .llm_gateway import ChatBackend, HttpChatBackend, LLMGateway, ScriptedBackend
+from .llm_gateway import ChatBackend, HttpChatBackend, ScriptedBackend
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,14 @@ class EvalSettings:
     binary_recall: bool = False
     qa: bool = False
     qa_k: int = 5
+
+    def __post_init__(self):
+        if not self.cutoffs or min(self.cutoffs) < 1:
+            raise ValueError("cutoffs must be one or more integers >= 1")
+        if self.qa_k < 1:
+            raise ValueError("qa_k must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 _SCALAR_TYPES = (bool, int, float, str, tuple[int, ...])
@@ -163,17 +171,11 @@ def make_backend(cfg: LLMConfig) -> ChatBackend:
         return HttpChatBackend(
             cfg.endpoint,
             cfg.model,
+            temperature=cfg.temperature,
+            max_output_tokens=cfg.max_output_tokens,
             api_key=os.environ.get(cfg.api_key_env) or None,
             max_retries=cfg.max_retries,
             timeout=cfg.timeout,
             in_flight_limit=cfg.in_flight_limit,
         )
     raise ConfigError(f"unknown llm backend: {cfg.backend!r}")
-
-
-def make_gateway(cfg: LLMConfig) -> LLMGateway:
-    return LLMGateway(
-        make_backend(cfg),
-        temperature=cfg.temperature,
-        max_output_tokens=cfg.max_output_tokens,
-    )

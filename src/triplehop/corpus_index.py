@@ -432,8 +432,8 @@ def read_jsonl(
     """``parse`` each non-blank line of a JSON Lines file into a record.
 
     Invalid JSON, a line that is not an object, a missing field (``KeyError``
-    from ``parse``) or a rejected value (``ValueError``) raises ``error``
-    naming ``path:line``.
+    from ``parse``), a field of the wrong JSON type (``TypeError``) or a
+    rejected value (``ValueError``) raises ``error`` naming ``path:line``.
     """
     out = []
     with open(path, encoding="utf-8") as fh:
@@ -451,9 +451,40 @@ def read_jsonl(
                 out.append(parse(obj))
             except KeyError as e:
                 raise error(f"{path}:{lineno}: missing field {e}") from e
-            except ValueError as e:
+            except (TypeError, ValueError) as e:
                 raise error(f"{path}:{lineno}: {e}") from e
     return out
+
+
+_JSON_KINDS = {
+    type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+    str: "a string", list: "an array", dict: "an object",
+}
+
+
+def _as_text(value, key: str) -> str:
+    if type(value) not in (str, int, float):  # a bool's type is bool, not int
+        raise TypeError(f"field {key!r} must be a string, got {_JSON_KINDS[type(value)]}")
+    return str(value)
+
+
+def text_field(obj: dict, key: str, default: str | None = None) -> str:
+    """Field ``key`` of a JSONL record as text: a JSON string or number.
+
+    A missing key gives ``default`` (KeyError when it is None); null, a
+    boolean, an array or an object raises TypeError.
+    """
+    value = obj[key] if default is None else obj.get(key, default)
+    return value if type(value) is str else _as_text(value, key)
+
+
+def text_list_field(obj: dict, key: str) -> list[str]:
+    """Field ``key`` of a JSONL record as a JSON array of texts (see
+    ``text_field``); any other JSON type raises TypeError."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise TypeError(f"field {key!r} must be an array, got {_JSON_KINDS[type(value)]}")
+    return [_as_text(item, f"{key}[{i}]") for i, item in enumerate(value)]
 
 
 def load_passages_jsonl(path: str | Path) -> list[Passage]:
@@ -461,9 +492,9 @@ def load_passages_jsonl(path: str | Path) -> list[Passage]:
     return read_jsonl(
         path,
         lambda obj: Passage(
-            id=str(obj["id"]),
-            title=str(obj.get("title", "")),
-            body=str(obj.get("text", "")),
+            id=text_field(obj, "id"),
+            title=text_field(obj, "title", ""),
+            body=text_field(obj, "text", ""),
         ),
     )
 
@@ -473,16 +504,14 @@ def load_triples_jsonl(path: str | Path) -> list[Triple]:
     per_passage: Counter = Counter()
 
     def parse(obj: dict) -> Triple:
-        pid = str(obj["passage_id"])
-        tid = obj.get("id")
-        if tid is None:
-            tid = f"{pid}#{per_passage[pid]}"
+        pid = text_field(obj, "passage_id")
+        tid = f"{pid}#{per_passage[pid]}" if obj.get("id") is None else text_field(obj, "id")
         per_passage[pid] += 1
         return Triple(
-            id=str(tid),
-            subject=str(obj["subject"]),
-            predicate=str(obj["predicate"]),
-            object=str(obj["object"]),
+            id=tid,
+            subject=text_field(obj, "subject"),
+            predicate=text_field(obj, "predicate"),
+            object=text_field(obj, "object"),
             passage_id=pid,
         )
 

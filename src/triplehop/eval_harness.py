@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .agent import AgentConfig, run_agent
 from .base_retrieval import RankedList, RetrievalConfig, base_retrieve
-from .corpus_index import PASSAGES, CorpusIndex, read_jsonl
+from .corpus_index import PASSAGES, CorpusIndex, read_jsonl, text_field, text_list_field
 from .graph_expansion import ExpansionConfig, naive_ge_detail, sync_ge_detail
 from .llm_gateway import ChatBackend, LLMGateway, format_qa_docs
 
@@ -40,16 +40,17 @@ class EvalQuestion:
 def load_questions_jsonl(path: str | Path) -> list[EvalQuestion]:
     """Read questions from JSONL: {"id", "question", "gold_passage_ids", "answers"}.
 
-    Invalid JSON, a missing field or a rejected question raises ValueError
-    naming ``path:line``.
+    ``gold_passage_ids`` and ``answers`` are JSON arrays of strings. Invalid
+    JSON, a missing field, a field of the wrong JSON type or a rejected
+    question raises ValueError naming ``path:line``.
     """
     return read_jsonl(
         path,
         lambda obj: EvalQuestion(
-            id=str(obj["id"]),
-            question=str(obj["question"]),
-            gold_passage_ids=frozenset(str(p) for p in obj["gold_passage_ids"]),
-            gold_answers=tuple(str(a) for a in obj["answers"]),
+            id=text_field(obj, "id"),
+            question=text_field(obj, "question"),
+            gold_passage_ids=frozenset(text_list_field(obj, "gold_passage_ids")),
+            gold_answers=tuple(text_list_field(obj, "answers")),
         ),
         ValueError,
     )
@@ -154,8 +155,8 @@ def generate_answer(
 class RetrieverSystem:
     """Single-step system: base retrieval or one of the graph-expanded modes.
 
-    Each question gets a fresh ``LLMGateway(backend, **gateway_settings)``
-    (``temperature``, ``max_output_tokens``), so its token counts are its own.
+    Each question gets a fresh ``LLMGateway(backend)``, so its token counts
+    are its own; sampling settings belong to the backend.
     """
 
     MODES = ("base", "naive-ge", "sync-ge")
@@ -170,7 +171,6 @@ class RetrieverSystem:
         qa: bool = False,
         chunk_cap: int = 10,
         qa_k: int = 5,
-        **gateway_settings,
     ):
         if mode not in self.MODES:
             raise ValueError(f"unknown mode: {mode!r}")
@@ -186,7 +186,6 @@ class RetrieverSystem:
         self.qa = qa
         self.chunk_cap = chunk_cap
         self.qa_k = qa_k
-        self.gateway_settings = gateway_settings
 
     def retrieve(self, query: str, gateway: LLMGateway | None = None) -> RankedList:
         """Passages ranked by this system's mode. sync-ge reads through
@@ -198,7 +197,7 @@ class RetrieverSystem:
                 self.index, query, self.retrieval, self.expansion
             ).fused
         if gateway is None:
-            gateway = LLMGateway(self.backend, **self.gateway_settings)
+            gateway = LLMGateway(self.backend)
         return sync_ge_detail(
             self.index,
             query,
@@ -211,7 +210,7 @@ class RetrieverSystem:
     def run(self, question: EvalQuestion) -> SystemResult:
         gateway = None
         if self.backend is not None:
-            gateway = LLMGateway(self.backend, **self.gateway_settings)
+            gateway = LLMGateway(self.backend)
         ranked = self.retrieve(question.question, gateway)
         answer = None
         if self.qa and gateway is not None:
@@ -225,7 +224,8 @@ class RetrieverSystem:
 
 class AgentSystem:
     """Multi-step system: the full agent loop, with a fresh
-    ``LLMGateway(backend, **gateway_settings)`` per question."""
+    ``LLMGateway(backend)`` per question; sampling settings belong to the
+    backend."""
 
     def __init__(
         self,
@@ -234,17 +234,15 @@ class AgentSystem:
         backend: ChatBackend,
         qa_fallback: bool = True,
         qa_k: int = 5,
-        **gateway_settings,
     ):
         self.index = index
         self.config = config
         self.backend = backend
         self.qa_fallback = qa_fallback
         self.qa_k = qa_k
-        self.gateway_settings = gateway_settings
 
     def run(self, question: EvalQuestion) -> SystemResult:
-        gateway = LLMGateway(self.backend, **self.gateway_settings)
+        gateway = LLMGateway(self.backend)
         trace = run_agent(self.index, question.question, self.config, gateway)
         answer = trace.answer
         if answer is None and self.qa_fallback:

@@ -328,7 +328,7 @@ def sync_ge_detail(
     The proximal read sees no gist memory; the agent makes its own
     memory-conditioned read. ``.fused`` is the final ranking."""
     base = base_retrieve(index, query, PASSAGES, retrieval)
-    proximals = read_proximal(index, base, query, gateway, cap=chunk_cap)
+    proximals = read_proximal(index, base.ids, query, gateway, cap=chunk_cap)
     initial_nodes = locate_initial_nodes(index, proximals, retrieval)
     return _expand_and_fuse(index, query, base, initial_nodes, proximals, retrieval, expansion)
 

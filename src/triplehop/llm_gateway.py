@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Protocol, TypeVar
 
 import requests
 
-from .corpus_index import read_jsonl
+from .corpus_index import read_jsonl, text_field
 
 TEMPLATE_NAMES = (
     "triple_extraction",
@@ -264,8 +264,6 @@ class CompletionRequest:
     key: str
     prompt: str
     variables: Mapping[str, str]
-    temperature: float = 0.0
-    max_output_tokens: int = 1024
 
 
 @dataclass(frozen=True)
@@ -299,11 +297,14 @@ class ScriptedBackend:
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ScriptedBackend":
         """Fixtures from ``save_jsonl``'s format: {"kind", "key", "response"}
-        per line. Invalid JSON or a missing field raises ValueError naming
-        ``path:line``."""
-        entries = read_jsonl(
-            path, lambda obj: ((obj["kind"], obj["key"]), obj["response"]), ValueError
-        )
+        per line. Invalid JSON, or a field that is missing or not text (see
+        ``text_field``), raises ValueError naming ``path:line``."""
+
+        def parse(obj: dict) -> tuple[tuple[str, str], str]:
+            kind, key = text_field(obj, "kind"), text_field(obj, "key")
+            return (kind, key), text_field(obj, "response")
+
+        entries = read_jsonl(path, parse, ValueError)
         return cls(dict(entries))
 
     def save_jsonl(self, path: str | Path) -> None:
@@ -314,10 +315,7 @@ class ScriptedBackend:
                 )
 
     def register(self, kind: str, variables: Mapping[str, str], response: str) -> None:
-        self.register_key(kind, canonical_key(variables), response)
-
-    def register_key(self, kind: str, key: str, response: str) -> None:
-        self._fixtures[(kind, key)] = response
+        self._fixtures[(kind, canonical_key(variables))] = response
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         response = self._fixtures.get((request.kind, request.key))
@@ -405,7 +403,9 @@ def post_json(
 class HttpChatBackend:
     """Chat-completion JSON-over-HTTP client with bounded retries.
 
-    Sends {"model", "messages", "temperature", "max_tokens"} and reads the
+    The one place sampling settings live: each request sends {"model",
+    "messages", "temperature", "max_tokens"}, the last two from this
+    backend's ``temperature`` and ``max_output_tokens``. It reads the
     assistant text plus token usage from the response; usage falls back to
     whitespace counts when the server omits it. Retries follow ``post_json``;
     every failure raises ``CompletionError``.
@@ -416,6 +416,8 @@ class HttpChatBackend:
         endpoint: str,
         model: str,
         *,
+        temperature: float = 0.0,
+        max_output_tokens: int = 1024,
         api_key: str | None = None,
         max_retries: int = 3,
         backoff_base: float = 1.0,
@@ -424,6 +426,8 @@ class HttpChatBackend:
     ):
         self.endpoint = endpoint
         self.model = model
+        self.temperature = temperature
+        self.max_output_tokens = max_output_tokens
         self.api_key = api_key
         self.max_retries = max(1, max_retries)
         self.backoff_base = backoff_base
@@ -434,8 +438,8 @@ class HttpChatBackend:
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
-            "max_tokens": request.max_output_tokens,
+            "temperature": self.temperature,
+            "max_tokens": self.max_output_tokens,
         }
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -462,18 +466,13 @@ class HttpChatBackend:
 # ---------------------------------------------------------------------------
 
 class LLMGateway:
-    """Renders prompts, invokes the backend, and accounts for every call."""
+    """Renders prompts, invokes the backend, and accounts for every call.
 
-    def __init__(
-        self,
-        backend: ChatBackend,
-        *,
-        temperature: float = 0.0,
-        max_output_tokens: int = 1024,
-    ):
+    It holds no sampling settings: a backend that samples (``HttpChatBackend``)
+    owns its own, and the scripted backend does not sample."""
+
+    def __init__(self, backend: ChatBackend):
         self.backend = backend
-        self.temperature = temperature
-        self.max_output_tokens = max_output_tokens
         self.ledger = TokenLedger()
         # Per gateway and per context (thread or task): two threads sharing a
         # gateway each tag their own calls.
@@ -492,8 +491,6 @@ class LLMGateway:
             key=canonical_key(variables),
             prompt=prompt,
             variables=dict(variables),
-            temperature=self.temperature,
-            max_output_tokens=self.max_output_tokens,
         )
         result = self.backend.complete(request)
         self.ledger.add(

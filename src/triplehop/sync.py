@@ -1,35 +1,27 @@
 """Knowledge synchronisation: LLM reads passages into proximal triples, and
 each proximal triple is grounded to its most similar indexed triple.
 
-The grounded triples become the starting nodes for graph expansion.
+The reader takes passage ids in rank order (a ranking's ``.ids``). The
+grounded triples become the starting nodes for graph expansion.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .base_retrieval import RankedList, RetrievalConfig, base_retrieve
+from .base_retrieval import RetrievalConfig, base_retrieve
 from .corpus_index import TRIPLES, CorpusIndex, serialize_triple
 from .llm_gateway import LLMGateway, ProximalTriple, parse_facts, serialize_facts
 
 
-def _passage_ids(passages: RankedList | Sequence[str]) -> list[str]:
-    if isinstance(passages, RankedList):
-        return passages.ids
-    return list(passages)
-
-
 def format_docs(
     index: CorpusIndex,
-    passages: RankedList | Sequence[str],
+    passage_ids: Sequence[str],
     cap: int | None = None,
 ) -> str:
     """Render passages as "title\\nbody" blocks in rank order, capped to ``cap``."""
-    ids = _passage_ids(passages)
-    if cap is not None:
-        ids = ids[:cap]
     blocks = []
-    for pid in ids:
+    for pid in passage_ids[:cap]:
         passage = index.passages[pid]
         blocks.append(f"{passage.title}\n{passage.body}")
     return "\n\n".join(blocks)
@@ -37,13 +29,13 @@ def format_docs(
 
 def reader_variables(
     index: CorpusIndex,
-    passages: RankedList | Sequence[str],
+    passage_ids: Sequence[str],
     query: str,
     memory: Sequence[ProximalTriple] | None = None,
     cap: int | None = 10,
 ) -> tuple[str, dict[str, str]]:
     """Template name and variable map for a read call; shared with test fixtures."""
-    variables = {"docs": format_docs(index, passages, cap), "query": query}
+    variables = {"docs": format_docs(index, passage_ids, cap), "query": query}
     if memory is None:
         return "reader", variables
     variables["triples"] = serialize_facts(memory)
@@ -52,7 +44,7 @@ def reader_variables(
 
 def read_proximal(
     index: CorpusIndex,
-    passages: RankedList | Sequence[str],
+    passage_ids: Sequence[str],
     query: str,
     gateway: LLMGateway,
     memory: Sequence[ProximalTriple] | None = None,
@@ -63,7 +55,7 @@ def read_proximal(
     With a memory the read is conditioned on the accumulated facts; an empty
     or fact-free completion yields an empty list.
     """
-    template, variables = reader_variables(index, passages, query, memory, cap)
+    template, variables = reader_variables(index, passage_ids, query, memory, cap)
     return parse_facts(gateway.complete(template, variables))
 
 

@@ -52,24 +52,16 @@ def test_gist_memory_appends_in_order():
     memory = GistMemory()
     a = ProximalTriple("a", "r", "b")
     b = ProximalTriple("c", "s", "d")
-    memory.extend([a], 1)
-    memory.extend([b, a], 2)
+    memory.extend([a])
+    memory.extend([b, a])
     assert memory.facts() == (a, b, a)
-    assert [e.iteration for e in memory.entries] == [1, 2, 2]
     assert memory.unique_facts() == [a, b]
     assert len(memory) == 3
 
 
-def test_gist_memory_rejects_decreasing_iterations():
-    memory = GistMemory()
-    memory.extend([ProximalTriple("a", "r", "b")], 2)
-    with pytest.raises(ValueError):
-        memory.extend([ProximalTriple("c", "s", "d")], 1)
-
-
 def test_gist_memory_serialization():
     memory = GistMemory()
-    memory.extend([ProximalTriple("a", "r", "b"), ProximalTriple("c", "s", "d")], 1)
+    memory.extend([ProximalTriple("a", "r", "b"), ProximalTriple("c", "s", "d")])
     assert memory.serialize() == '("a", "r", "b"), ("c", "s", "d")'
 
 
@@ -79,7 +71,7 @@ def test_gist_memory_serialization():
 
 def make_memory(*triples):
     memory = GistMemory()
-    memory.extend(list(triples), 1)
+    memory.extend(list(triples))
     return memory
 
 

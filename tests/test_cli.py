@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+import requests
 
 from triplehop import (
     LLMGateway,
@@ -258,20 +259,29 @@ def test_mutually_exclusive_triple_sources(tmp_path, capsys):
     assert code == 1
 
 
+def test_exclusive_triple_sources_are_a_usage_error_before_any_file_is_read(tmp_path, capsys):
+    code = dispatch([
+        "index", "build", "--passages", str(tmp_path / "missing.jsonl"),
+        "--triples", str(tmp_path / "missing-triples.jsonl"), "--extract-llm",
+        "--out", str(tmp_path / "x"),
+    ])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "-2", "three"])
+def test_retrieve_k_below_one_is_a_usage_error(built_index, capsys, k):
+    code = dispatch(["retrieve", "--index", str(built_index), "--query", "x", "--k", k])
+    assert code == 1
+    assert "usage error: argument --k" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert dispatch(["--help"]) == 0
     assert "triplehop" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("system", ["sync-ge", "agent"])
-def test_eval_passes_llm_settings_to_the_gateway(
-    built_index, tmp_path, capsys, monkeypatch, system
-):
-    recorder = RecordingBackend(walkthrough_script)
-    monkeypatch.setattr("triplehop.cli.make_backend", lambda cfg: recorder)
-    config = write_config(
-        tmp_path, extra="temperature = 0.7\nmax_output_tokens = 77\n"
-    )
+def _question_dataset(tmp_path):
     dataset = tmp_path / "dataset.jsonl"
     dataset.write_text(
         json.dumps({
@@ -281,14 +291,59 @@ def test_eval_passes_llm_settings_to_the_gateway(
             "answers": ["entd"],
         }) + "\n"
     )
-    code = dispatch([
-        "eval", "--index", str(built_index), "--dataset", str(dataset),
-        "--system", system, "--config", str(config),
-    ])
-    assert code == 0
-    assert recorder.requests
-    assert {r.temperature for r in recorder.requests} == {0.7}
-    assert {r.max_output_tokens for r in recorder.requests} == {77}
+    return dataset
+
+
+# The [llm] sampling settings must reach every request the http backend
+# sends, whichever command builds the backend.
+LLM_COMMANDS = {
+    "eval-sync-ge": lambda idx, tmp: [
+        "eval", "--index", str(idx), "--dataset", str(_question_dataset(tmp)),
+        "--system", "sync-ge",
+    ],
+    "eval-agent": lambda idx, tmp: [
+        "eval", "--index", str(idx), "--dataset", str(_question_dataset(tmp)),
+        "--system", "agent",
+    ],
+    "retrieve-sync-ge": lambda idx, tmp: [
+        "retrieve", "--index", str(idx), "--query", "where does the trail from enta finish",
+        "--mode", "sync-ge",
+    ],
+    "index-build-extract-llm": lambda idx, tmp: [
+        "index", "build", "--passages", str(tmp / "passages.jsonl"), "--extract-llm",
+        "--out", str(tmp / "extracted"),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LLM_COMMANDS))
+def test_llm_settings_reach_the_wire(built_index, tmp_path, capsys, monkeypatch, command):
+    payloads = []
+    reply = {"choices": [{"message": {"content": 'Facts: ("enta", "linksto", "entb")'}}]}
+
+    def post(url, **kwargs):
+        payloads.append(kwargs["json"])
+        response = requests.Response()
+        response.status_code = 200
+        response._content = json.dumps(reply).encode()
+        return response
+
+    monkeypatch.setattr(requests, "post", post)
+    monkeypatch.delenv("LLM_API_KEY", raising=False)
+    config = tmp_path / "http.cfg"
+    config.write_text(
+        write_config(tmp_path).read_text().replace(
+            "backend = scripted",
+            "backend = http\nendpoint = http://chat.invalid/v1\nmodel = m\n"
+            "temperature = 0.7\nmax_output_tokens = 77",
+        )
+    )
+    argv = LLM_COMMANDS[command](built_index, tmp_path) + ["--config", str(config)]
+    assert dispatch(argv) == 0
+    if command.startswith("eval"):
+        assert "failures=0" in capsys.readouterr().out
+    assert payloads
+    assert {(p["temperature"], p["max_tokens"]) for p in payloads} == {(0.7, 77)}
 
 
 @pytest.mark.parametrize("mode", RetrieverSystem.MODES)

@@ -159,6 +159,10 @@ def test_inline_comments_are_stripped(tmp_path):
         ("[expansion]\ngamma = 0\n", r"\[expansion\] gamma"),
         ("[agent]\nmax_iterations = 0\n", r"\[agent\] max_iterations"),
         ("[retrieval]\nretriever = quantum\n", r"\[retrieval\] retriever"),
+        ("[eval]\ncutoffs = 0, 10\n", r"\[eval\] cutoffs"),
+        ("[eval]\ncutoffs =\n", r"\[eval\] cutoffs"),
+        ("[eval]\nqa_k = 0\n", r"\[eval\] qa_k"),
+        ("[eval]\nworkers = -3\n", r"\[eval\] workers"),
     ],
 )
 def test_bad_values_raise_config_error_naming_section_and_key(tmp_path, text, where):

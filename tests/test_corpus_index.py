@@ -33,6 +33,7 @@ from triplehop.corpus_index import (
     VectorView,
     load_passages_jsonl,
     load_triples_jsonl,
+    read_jsonl,
     tokenize,
 )
 
@@ -479,3 +480,37 @@ def test_triples_loader_names_line_of_missing_field(tmp_path):
     path.write_text('["p1", "A", "r", "B"]\n')
     with pytest.raises(IndexBuildError, match=r"triples.jsonl:1: expected a JSON object"):
         load_triples_jsonl(path)
+
+
+def test_passages_loader_rejects_null_text(tmp_path):
+    path = tmp_path / "passages.jsonl"
+    for field in ("id", "title", "text"):
+        path.write_text(json.dumps({"id": "p1", "title": "T", "text": "a", field: None}) + "\n")
+        with pytest.raises(
+            IndexBuildError, match=rf"passages.jsonl:1: field '{field}' must be a string, got null"
+        ):
+            load_passages_jsonl(path)
+
+
+def test_triples_loader_rejects_wrong_json_types(tmp_path):
+    path = tmp_path / "triples.jsonl"
+    good = {"passage_id": "p1", "subject": "A", "predicate": "r", "object": "B"}
+    for field, value, kind in (
+        ("subject", None, "null"), ("object", ["B"], "an array"), ("passage_id", {}, "an object"),
+    ):
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        with pytest.raises(
+            IndexBuildError, match=rf"triples.jsonl:2: field '{field}' must be a string, got {kind}"
+        ):
+            load_triples_jsonl(path)
+    # a numeric id or text is read as its text; a null id is a missing one
+    path.write_text(json.dumps({**good, "id": 7, "object": 1999}) + "\n"
+                    + json.dumps({**good, "id": None}) + "\n")
+    assert [(t.id, t.object) for t in load_triples_jsonl(path)] == [("7", "1999"), ("p1#1", "B")]
+
+
+def test_read_jsonl_names_line_of_type_error(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"n": [1]}\n{"n": 5}\n')
+    with pytest.raises(IndexBuildError, match=r"records.jsonl:2: object of type 'int' has no len"):
+        read_jsonl(path, lambda obj: len(obj["n"]))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -337,6 +338,25 @@ def test_questions_loader_names_line_of_bad_json(tmp_path):
     path = tmp_path / "questions.jsonl"
     path.write_text('{"id": "q1",\n')
     with pytest.raises(ValueError, match=r"questions.jsonl:1: invalid JSON"):
+        load_questions_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("answers", "Paris", "field 'answers' must be an array, got a string"),
+        ("answers", None, "field 'answers' must be an array, got null"),
+        ("gold_passage_ids", "p1", "field 'gold_passage_ids' must be an array, got a string"),
+        ("gold_passage_ids", 5, "field 'gold_passage_ids' must be an array, got a number"),
+        ("gold_passage_ids", ["p1", None], "field 'gold_passage_ids[1]' must be a string, got null"),
+        ("question", None, "field 'question' must be a string, got null"),
+    ],
+)
+def test_questions_loader_names_line_of_wrong_json_type(tmp_path, field, value, message):
+    path = tmp_path / "questions.jsonl"
+    good = {"id": "q1", "question": "x", "gold_passage_ids": ["p1"], "answers": ["a"]}
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+    with pytest.raises(ValueError, match=rf"questions.jsonl:2: {re.escape(message)}"):
         load_questions_jsonl(path)
 
 

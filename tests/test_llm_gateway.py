@@ -255,6 +255,15 @@ def test_scripted_backend_jsonl_names_line_of_bad_json(tmp_path):
         ScriptedBackend.from_jsonl(path)
 
 
+def test_scripted_backend_jsonl_names_line_of_null_response(tmp_path):
+    path = tmp_path / "fixtures.jsonl"
+    path.write_text(json.dumps({"kind": "reader", "key": "k1", "response": None}) + "\n")
+    with pytest.raises(
+        ValueError, match=r"fixtures.jsonl:1: field 'response' must be a string, got null"
+    ):
+        ScriptedBackend.from_jsonl(path)
+
+
 def test_ledger_iteration_tags_partition_calls():
     backend = ScriptedBackend()
     backend.register("reasoner", {"query": "q", "triples": ""}, "Answerable: No\nWhy: x")

@@ -36,7 +36,7 @@ def test_format_docs_rank_order_and_cap(chain_index):
 
 def test_read_proximal_fixture_passthrough(chain_index):
     backend = ScriptedBackend()
-    base = base_retrieve(chain_index, "enta", PASSAGES, BM25)
+    base = base_retrieve(chain_index, "enta", PASSAGES, BM25).ids
     template, variables = reader_variables(chain_index, base, "enta", cap=10)
     assert template == "reader"
     backend.register(
@@ -52,7 +52,7 @@ def test_read_proximal_fixture_passthrough(chain_index):
 
 def test_read_proximal_prose_yields_empty(chain_index):
     backend = ScriptedBackend()
-    base = base_retrieve(chain_index, "enta", PASSAGES, BM25)
+    base = base_retrieve(chain_index, "enta", PASSAGES, BM25).ids
     template, variables = reader_variables(chain_index, base, "enta", cap=10)
     backend.register(template, variables, "I found nothing of note in these texts.")
     gateway = LLMGateway(backend)
@@ -62,7 +62,7 @@ def test_read_proximal_prose_yields_empty(chain_index):
 def test_read_proximal_with_memory_uses_memory_template(chain_index):
     memory = (ProximalTriple("enta", "linksto", "entb"),)
     backend = ScriptedBackend()
-    base = base_retrieve(chain_index, "enta", PASSAGES, BM25)
+    base = base_retrieve(chain_index, "enta", PASSAGES, BM25).ids
     template, variables = reader_variables(
         chain_index, base, "enta", memory=memory, cap=10
     )
@@ -81,7 +81,7 @@ def test_read_walkthrough_style_dedication_fixture(cathedral_index):
         "When did the location of the basilica which is named for the same "
         "saint that the Bremen Cathedral is named for become a country?"
     )
-    base = base_retrieve(cathedral_index, query, PASSAGES, HYBRID)
+    base = base_retrieve(cathedral_index, query, PASSAGES, HYBRID).ids
     template, variables = reader_variables(cathedral_index, base, query, cap=10)
     backend.register(
         template,
@@ -154,7 +154,7 @@ def test_sync_is_pure_under_scripted_backend(chain_index):
     script = lambda kind, variables: 'Facts: ("enta", "linksto", "entb")'
     recorder = RecordingBackend(script)
     gateway = LLMGateway(recorder)
-    base = base_retrieve(chain_index, "enta", PASSAGES, BM25)
+    base = base_retrieve(chain_index, "enta", PASSAGES, BM25).ids
     first = read_proximal(chain_index, base, "enta", gateway, cap=10)
     scripted = LLMGateway(recorder.to_scripted())
     second = read_proximal(chain_index, base, "enta", scripted, cap=10)
