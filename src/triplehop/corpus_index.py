@@ -10,9 +10,15 @@ to share across threads.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import operator
+import os
 import re
+import secrets
+import shutil
 import unicodedata
+import zipfile
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -21,7 +27,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # Index view names: the passage index and the triple index.
 PASSAGES = "passages"
@@ -428,12 +434,15 @@ def read_jsonl(
     path: str | Path,
     parse: Callable[[dict], object],
     error: type[Exception] = IndexBuildError,
+    kind: str | None = None,
 ) -> list:
     """``parse`` each non-blank line of a JSON Lines file into a record.
 
     Invalid JSON, a line that is not an object, a missing field (``KeyError``
     from ``parse``), a field of the wrong JSON type (``TypeError``) or a
     rejected value (``ValueError``) raises ``error`` naming ``path:line``.
+    With ``kind`` given, the records' ``id``s must be distinct: a repeated one
+    raises ``error`` naming its ``path:line`` and the line it first appeared on.
     """
     out = []
     with open(path, encoding="utf-8") as fh:
@@ -453,6 +462,17 @@ def read_jsonl(
                 raise error(f"{path}:{lineno}: missing field {e}") from e
             except (TypeError, ValueError) as e:
                 raise error(f"{path}:{lineno}: {e}") from e
+    if kind is not None and len({record.id for record in out}) < len(out):
+        # each non-blank line made one record: find their line numbers again
+        with open(path, encoding="utf-8") as fh:
+            linenos = [lineno for lineno, line in enumerate(fh, start=1) if line.strip()]
+        first_line: dict[str, int] = {}
+        for record, lineno in zip(out, linenos):
+            first = first_line.setdefault(record.id, lineno)
+            if first != lineno:
+                raise error(
+                    f"{path}:{lineno}: duplicate {kind} id: {record.id!r}, first on line {first}"
+                )
     return out
 
 
@@ -488,7 +508,8 @@ def text_list_field(obj: dict, key: str) -> list[str]:
 
 
 def load_passages_jsonl(path: str | Path) -> list[Passage]:
-    """Read passages from JSON Lines: {"id", "title", "text"}."""
+    """Read passages from JSON Lines: {"id", "title", "text"}. A repeated id
+    raises IndexBuildError naming both lines."""
     return read_jsonl(
         path,
         lambda obj: Passage(
@@ -496,11 +517,13 @@ def load_passages_jsonl(path: str | Path) -> list[Passage]:
             title=text_field(obj, "title", ""),
             body=text_field(obj, "text", ""),
         ),
+        kind="passage",
     )
 
 
 def load_triples_jsonl(path: str | Path) -> list[Triple]:
-    """Read triples from JSON Lines; missing ids become "<passage_id>#<ordinal>"."""
+    """Read triples from JSON Lines; missing ids become "<passage_id>#<ordinal>".
+    A repeated id, given or made, raises IndexBuildError naming both lines."""
     per_passage: Counter = Counter()
 
     def parse(obj: dict) -> Triple:
@@ -515,75 +538,246 @@ def load_triples_jsonl(path: str | Path) -> list[Triple]:
             passage_id=pid,
         )
 
-    return read_jsonl(path, parse)
+    return read_jsonl(path, parse, kind="triple")
 
 
 # Per-view key prefixes in lexical.npz and embeddings.npz.
 _NPZ_PREFIXES = ((PASSAGES, "p", "passage"), (TRIPLES, "t", "triple"))
 
+# The files of a saved index besides its manifest, which records each one's
+# sha256.
+_INDEX_FILES = ("passages.jsonl", "triples.jsonl", "lexical.npz", "embeddings.npz")
 
-def save_index(index: CorpusIndex, directory: str | Path) -> None:
-    """Persist the index: JSONL inputs, binary sidecars, and a manifest."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+# The string escaper json.dumps uses (its C version where there is one).
+_json_string = json.encoder.encode_basestring_ascii
 
-    with open(directory / "passages.jsonl", "w", encoding="utf-8") as fh:
-        for pid in sorted(index.passages):
-            p = index.passages[pid]
-            fh.write(json.dumps({"id": p.id, "title": p.title, "text": p.body}) + "\n")
-    with open(directory / "triples.jsonl", "w", encoding="utf-8") as fh:
-        for tid in sorted(index.triples):
-            t = index.triples[tid]
-            record = {"id": t.id, "passage_id": t.passage_id, "subject": t.subject,
-                      "predicate": t.predicate, "object": t.object}
-            fh.write(json.dumps(record) + "\n")
+# Rows per block when sparse rows are made or scattered, so that no index
+# array spans a whole view.
+_ROW_BLOCK = 512
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """A non-negative integer array in the smallest dtype that holds it."""
+    return values.astype(np.min_scalar_type(values.max() if values.size else 0))
+
+
+def _write_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` as an ``.npz`` that ``np.load`` reads: one ``.npy``
+    member per key, deflated at level 1 (several times faster than
+    ``np.savez_compressed``'s level 6, for about the same size here)."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as zf:
+        for key, array in arrays.items():
+            with zf.open(f"{key}.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.asanyarray(array), allow_pickle=False)
+
+
+def _sparse_rows(vv: VectorView, name: str) -> dict[str, np.ndarray]:
+    """A view that ``int8`` holds exactly as sparse rows: row ``i``'s non-zero
+    values are ``values[offsets[i]:offsets[i + 1]]``, in ascending bucket
+    order, at the buckets ``buckets[offsets[i]:offsets[i + 1]]``; ``shape``
+    is the rows' (N, dim). Made a block of rows at a time, so no index array
+    spans the view."""
+    n, dim = vv.vectors.shape
+    counts = np.empty(n, dtype=np.int64)
+    buckets = [np.zeros(0, np.min_scalar_type(max(dim - 1, 0)))]
+    values = [np.zeros(0, np.int8)]
+    for lo in range(0, n, _ROW_BLOCK):
+        small = vv.vectors[lo : lo + _ROW_BLOCK].astype(np.int8)
+        at = np.flatnonzero(small)
+        row = at // dim
+        counts[lo : lo + _ROW_BLOCK] = np.bincount(row, minlength=len(small))
+        buckets.append((at - row * dim).astype(buckets[0].dtype))
+        values.append(small.ravel()[at])
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return {
+        f"{name}_shape": np.asarray([n, dim], dtype=np.int64),
+        f"{name}_offsets": _narrow(offsets),
+        f"{name}_buckets": np.concatenate(buckets),
+        f"{name}_values": np.concatenate(values),
+    }
+
+
+def _write_jsonl(path: Path, fields: dict[str, str], records: Iterable) -> None:
+    """Write one JSON object per record, its key ``key`` holding the
+    attribute ``fields[key]``: the line ``json.dumps`` writes, made by
+    json's own string escaper (about 5× faster than one ``json.dumps`` per
+    record). A field that is not a string takes ``json.dumps``."""
+    line = "{{" + ", ".join(f'"{key}": {{}}' for key in fields) + "}}\n"
+    get = operator.attrgetter(*fields.values())
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            values = get(record)
+            try:
+                fh.write(line.format(*map(_json_string, values)))
+            except TypeError:
+                fh.write(json.dumps(dict(zip(fields, values))) + "\n")
+
+
+def _write_files(index: CorpusIndex, directory: Path) -> dict[str, str]:
+    """Write the index's files into ``directory``; return each one's sha256."""
+    _write_jsonl(
+        directory / "passages.jsonl",
+        {"id": "id", "title": "title", "text": "body"},
+        (index.passages[pid] for pid in sorted(index.passages)),
+    )
+    _write_jsonl(
+        directory / "triples.jsonl",
+        {key: key for key in ("id", "passage_id", "subject", "predicate", "object")},
+        (index.triples[tid] for tid in sorted(index.triples)),
+    )
 
     emb_payload = {}
     lex_payload = {}
     for view, prefix, name in _NPZ_PREFIXES:
         vv = index.vectors[view]
         emb_payload[f"{name}_ids"] = np.asarray(vv.ids, dtype=np.str_)
-        small = exact_int8(vv.vectors)
-        emb_payload[f"{name}_vectors"] = vv.vectors if small is None else small
+        if vv.columns.dtype == np.int8:
+            emb_payload.update(_sparse_rows(vv, name))
+        else:
+            emb_payload[f"{name}_vectors"] = vv.vectors
         lex = index.lexical[view]
         lex_payload.update(
             {
                 f"{prefix}_ids": np.asarray(lex.ids, dtype=np.str_),
-                f"{prefix}_doc_lengths": lex.doc_lengths,
+                f"{prefix}_doc_lengths": _narrow(lex.doc_lengths),
                 f"{prefix}_vocab": lex.vocab,
-                f"{prefix}_doc_freq": np.diff(lex.indptr),
-                f"{prefix}_indptr": lex.indptr,
-                f"{prefix}_doc_positions": lex.doc_positions,
-                f"{prefix}_term_freqs": lex.term_freqs,
+                f"{prefix}_doc_freq": _narrow(np.diff(lex.indptr)),
+                f"{prefix}_indptr": _narrow(lex.indptr),
+                f"{prefix}_doc_positions": _narrow(lex.doc_positions),
+                f"{prefix}_term_freqs": _narrow(lex.term_freqs),
             }
         )
-    np.savez_compressed(directory / "embeddings.npz", **emb_payload)
-    np.savez_compressed(directory / "lexical.npz", **lex_payload)
+    _write_npz(directory / "embeddings.npz", emb_payload)
+    _write_npz(directory / "lexical.npz", lex_payload)
+    return {name: _sha256(directory / name) for name in _INDEX_FILES}
 
-    dim = int(index.vectors[PASSAGES].vectors.shape[1]) if index.passages else 0
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "embedder": getattr(index.embedder, "name", "custom"),
-        "dim": dim,
-        "passages": len(index.passages),
-        "triples": len(index.triples),
-    }
-    with open(directory / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+
+def _sha256(path: Path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def _sibling(directory: Path, tag: str) -> Path:
+    """A fresh hidden path beside ``directory``."""
+    return directory.with_name(f".{directory.name}.{tag}-{secrets.token_hex(4)}")
+
+
+def save_index(index: CorpusIndex, directory: str | Path) -> None:
+    """Persist the index as format 3: the JSONL records, binary sidecars and
+    a manifest (see README "Data formats").
+
+    ``embeddings.npz`` holds each view's ids and rows: hashed rows (those
+    ``int8`` holds exactly) as sparse ``int8`` rows, others as dense float64.
+    ``lexical.npz`` holds the CSR postings with each integer array in the
+    smallest dtype that holds it. Both are deflated at level 1. The manifest
+    records the embedder, ``dim``, the record counts and each file's sha256.
+
+    The save is atomic: the files are written into a temporary sibling
+    directory, which then takes the place of ``directory`` by ``os.replace``.
+    A save that fails leaves an existing index as it was and removes its
+    temporary directory. An existing ``directory`` must be a directory
+    holding nothing but index files, or IndexBuildError is raised before
+    anything is written.
+    """
+    directory = Path(os.path.abspath(directory))
+    if directory.exists():
+        if not directory.is_dir():
+            raise IndexBuildError(f"{directory}: not a directory")
+        foreign = sorted(
+            entry.name for entry in directory.iterdir()
+            if entry.name not in (*_INDEX_FILES, "manifest.json")
+        )
+        if foreign:
+            raise IndexBuildError(
+                f"{directory}: holds {', '.join(foreign)}; an index is saved only "
+                "into a new directory or over another index"
+            )
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    staging = _sibling(directory, "saving")
+    staging.mkdir()
+    try:
+        dim = int(index.vectors[PASSAGES].vectors.shape[1]) if index.passages else 0
+        manifest = {
+            "format_version": FORMAT_VERSION,
+            "embedder": getattr(index.embedder, "name", "custom"),
+            "dim": dim,
+            "passages": len(index.passages),
+            "triples": len(index.triples),
+            "sha256": _write_files(index, staging),
+        }
+        with open(staging / "manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2)
+            fh.write("\n")
+        if directory.exists():
+            retired = _sibling(directory, "old")
+            os.replace(directory, retired)
+            try:
+                os.replace(staging, directory)
+            except BaseException:
+                os.replace(retired, directory)
+                raise
+            shutil.rmtree(retired)
+        else:
+            os.replace(staging, directory)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+
+
+def _as_int64(array: np.ndarray) -> np.ndarray:
+    """A stored integer array widened back to its in-memory int64."""
+    return np.asarray(array, dtype=np.int64)
 
 
 def _read_vector_view(emb, name: str, ids: tuple[str, ...], path: Path, dim) -> VectorView:
+    def fail(problem: str) -> IndexBuildError:
+        return IndexBuildError(f"{path}: {problem}")
+
     if emb[f"{name}_ids"].tolist() != list(ids):
-        raise IndexBuildError(f"{path}: {name}_ids differ from the sorted JSONL ids")
-    # As stored: int8 hashed counts are widened by VectorView, unchecked.
-    vectors = emb[f"{name}_vectors"]
-    if len(vectors) != len(ids):
-        raise IndexBuildError(f"{path}: {len(vectors)} {name} vectors for {len(ids)} ids")
-    if len(ids) and vectors.shape[1] != dim:
-        width = f"{vectors.shape[1]}-wide {name} vectors"
+        raise fail(f"{name}_ids differ from the sorted JSONL ids")
+    sparse = f"{name}_shape" in emb
+    if sparse:
+        shape = _as_int64(emb[f"{name}_shape"])
+        if shape.shape != (2,):
+            raise fail(f"{name}_shape is not (rows, dim)")
+        n, width = shape.tolist()
+    else:
+        # As stored: format-2 int8 hashed counts are widened by VectorView, unchecked.
+        vectors = emb[f"{name}_vectors"]
+        n, width = vectors.shape
+    if n != len(ids):
+        raise fail(f"{n} {name} vectors for {len(ids)} ids")
+    if len(ids) and width != dim:
+        width = f"{width}-wide {name} vectors"
         raise IndexBuildError(f"{path.parent / 'manifest.json'}: dim {dim!r}, but {width}")
-    return VectorView(ids, vectors)
+    if not sparse:
+        return VectorView(ids, vectors)
+
+    offsets = _as_int64(emb[f"{name}_offsets"])
+    buckets, values = emb[f"{name}_buckets"], emb[f"{name}_values"]
+    if len(offsets) != n + 1 or len(buckets) != len(values):
+        raise fail(f"{name}_offsets, _buckets and _values disagree in length")
+    if offsets[0] != 0 or offsets[-1] != len(values) or np.any(np.diff(offsets) < 0):
+        raise fail(f"{name}_offsets is not non-decreasing from 0 to len({name}_values)")
+    if len(buckets) and (buckets.min() < 0 or buckets.max() >= width):
+        raise fail(f"{name}_buckets has a bucket outside [0, {width})")
+    return VectorView(ids, _dense_rows(offsets, buckets, values, width))
+
+
+def _dense_rows(offsets, buckets, values, dim: int) -> np.ndarray:
+    """Sparse rows (see ``_sparse_rows``) as a dense ``int8`` array, filled a
+    block of rows at a time, so no index array spans the view."""
+    n = len(offsets) - 1
+    rows = np.zeros((n, dim), dtype=np.int8)
+    flat = rows.reshape(-1)
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        start, stop = offsets[lo], offsets[hi]
+        # each value's place in ``flat``: its row's start plus its bucket
+        at = np.repeat(np.arange(lo, hi) * dim, np.diff(offsets[lo : hi + 1]))
+        flat[at + buckets[start:stop]] = values[start:stop]
+    return rows
 
 
 def _read_lexical_view(lex, prefix: str, ids: tuple[str, ...], path: Path) -> LexicalView:
@@ -592,9 +786,11 @@ def _read_lexical_view(lex, prefix: str, ids: tuple[str, ...], path: Path) -> Le
 
     if lex[f"{prefix}_ids"].tolist() != list(ids):
         raise fail("ids differ from the sorted JSONL ids")
-    keys = ("doc_lengths", "vocab", "indptr", "doc_positions", "term_freqs")
-    view = LexicalView(ids, *(lex[f"{prefix}_{key}"] for key in keys))
-    indptr, positions = view.indptr, view.doc_positions
+    doc_lengths, vocab, indptr, positions, term_freqs = (
+        lex[f"{prefix}_{key}"] if key == "vocab" else _as_int64(lex[f"{prefix}_{key}"])
+        for key in ("doc_lengths", "vocab", "indptr", "doc_positions", "term_freqs")
+    )
+    view = LexicalView(ids, doc_lengths, vocab, indptr, positions, term_freqs)
     if (
         len(view.doc_lengths) != len(ids)
         or len(view.term_freqs) != len(positions)
@@ -610,6 +806,23 @@ def _read_lexical_view(lex, prefix: str, ids: tuple[str, ...], path: Path) -> Le
     return view
 
 
+def _check_hashes(directory: Path, manifest: dict) -> None:
+    """Raise IndexBuildError unless every index file has the sha256 the
+    manifest records for it."""
+    manifest_path = directory / "manifest.json"
+    recorded = manifest.get("sha256")
+    if not isinstance(recorded, dict) or sorted(recorded) != sorted(_INDEX_FILES):
+        raise IndexBuildError(f"{manifest_path}: sha256 must name {', '.join(_INDEX_FILES)}")
+    for name in _INDEX_FILES:
+        path = directory / name
+        if not path.is_file():
+            raise IndexBuildError(f"{path}: missing")
+        if _sha256(path) != recorded[name]:
+            raise IndexBuildError(
+                f"{path}: content differs from its sha256 in {manifest_path.name}"
+            )
+
+
 def load_index(
     directory: str | Path,
     embedder: Callable[[str], np.ndarray] | None = None,
@@ -618,10 +831,16 @@ def load_index(
 
     The embedder is reconstructed from the manifest name unless one is passed
     explicitly (required for indexes saved with a custom embedding function).
-    The records get the same checks as in ``build_index``; sidecars that
-    disagree with the JSONL files or with themselves, or a manifest ``dim``
-    unlike the stored rows' or a ``hash:<dim>`` embedder's, raise
-    IndexBuildError naming the file. Version 1 (unit rows) is rebuilt.
+    For format 3, every file must first match the sha256 the manifest records
+    for it, so a file changed after the save (a passage edited in place, say)
+    fails before any of it is read. The records get the same checks as in
+    ``build_index``; sidecars that disagree with the JSONL files or with
+    themselves, or a manifest ``dim`` unlike the stored rows' or a
+    ``hash:<dim>`` embedder's, raise IndexBuildError naming the file. Stored
+    integer arrays are widened back to int64, and sparse rows are scattered
+    into dense ``int8`` rows a block of rows at a time.
+    Version 2 (dense rows, no hashes) loads as it did; version 1 (unit rows)
+    is rebuilt.
     """
     from .base_retrieval import hash_dim, resolve_embedder
 
@@ -630,8 +849,10 @@ def load_index(
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     version = manifest.get("format_version")
-    if version not in (1, FORMAT_VERSION):
+    if version not in (1, 2, FORMAT_VERSION):
         raise IndexBuildError(f"unsupported index format version: {version!r}")
+    if version == FORMAT_VERSION:
+        _check_hashes(directory, manifest)
     if embedder is None:
         name = manifest.get("embedder", "custom")
         if name == "custom":

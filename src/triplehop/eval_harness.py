@@ -41,8 +41,8 @@ def load_questions_jsonl(path: str | Path) -> list[EvalQuestion]:
     """Read questions from JSONL: {"id", "question", "gold_passage_ids", "answers"}.
 
     ``gold_passage_ids`` and ``answers`` are JSON arrays of strings. Invalid
-    JSON, a missing field, a field of the wrong JSON type or a rejected
-    question raises ValueError naming ``path:line``.
+    JSON, a missing field, a field of the wrong JSON type, a rejected
+    question or a repeated id raises ValueError naming ``path:line``.
     """
     return read_jsonl(
         path,
@@ -53,6 +53,7 @@ def load_questions_jsonl(path: str | Path) -> list[EvalQuestion]:
             gold_answers=tuple(text_list_field(obj, "answers")),
         ),
         ValueError,
+        kind="question",
     )
 
 

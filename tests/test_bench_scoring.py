@@ -14,6 +14,8 @@ from triplehop import (
     dense_search,
     diverse_beam_search,
     hash_embed,
+    load_index,
+    save_index,
 )
 from triplehop.corpus_index import PASSAGES, get_neighbours
 
@@ -107,3 +109,19 @@ def test_embed_one_text(benchmark, dense_index, how):
     else:
         row = benchmark(hash_embed, text, embedder.dim)
     assert row.tobytes() == hash_embed(text, embedder.dim).tobytes()
+
+
+def test_save_index_dense_index(benchmark, dense_index, tmp_path):
+    """``save_index`` of the 10k-passage index, each round over the last."""
+    target = tmp_path / "idx"
+    benchmark(save_index, dense_index, target)
+    assert load_index(target).passages == dense_index.passages
+
+
+def test_load_index_dense_index(benchmark, dense_index, tmp_path):
+    """``load_index`` of the 10k-passage index."""
+    save_index(dense_index, tmp_path / "idx")
+    loaded = benchmark(load_index, tmp_path / "idx")
+    assert loaded.vectors[PASSAGES].vectors.tobytes() == (
+        dense_index.vectors[PASSAGES].vectors.tobytes()
+    )

@@ -250,6 +250,21 @@ def test_runtime_errors_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_index_build_names_the_file_and_lines_of_a_repeated_passage_id(tmp_path, capsys):
+    ppath, tpath = write_chain_corpus(tmp_path)
+    first = ppath.read_text().splitlines()[0]
+    ppath.write_text(ppath.read_text() + first + "\n")
+    repeat = len(ppath.read_text().splitlines())
+    code = dispatch([
+        "index", "build", "--passages", str(ppath), "--triples", str(tpath),
+        "--out", str(tmp_path / "x"),
+    ])
+    assert code != 0
+    err = capsys.readouterr().err
+    assert f"{ppath}:{repeat}: duplicate passage id" in err and "first on line 1" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_mutually_exclusive_triple_sources(tmp_path, capsys):
     ppath, tpath = write_chain_corpus(tmp_path)
     code = dispatch([

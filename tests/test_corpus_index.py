@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -277,11 +278,14 @@ def test_persistence_round_trip(tmp_path, chain_index):
     assert loaded.entity_adjacency == chain_index.entity_adjacency
 
     manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
-    assert manifest["format_version"] == 2
+    assert manifest["format_version"] == 3
     assert manifest["embedder"] == "hash:128"
     assert manifest["dim"] == 128
-    for name in ("passages.jsonl", "triples.jsonl", "embeddings.npz", "lexical.npz"):
-        assert (tmp_path / "idx" / name).exists()
+    names = ("passages.jsonl", "triples.jsonl", "lexical.npz", "embeddings.npz")
+    assert sorted(manifest["sha256"]) == sorted(names)
+    for name in names:
+        data = (tmp_path / "idx" / name).read_bytes()
+        assert manifest["sha256"][name] == hashlib.sha256(data).hexdigest()
 
     for query in ("enta linksto entb", "island kind"):
         for view in (PASSAGES, TRIPLES):
@@ -324,8 +328,17 @@ def test_load_rejects_unknown_format(tmp_path, chain_index):
 def test_hashed_rows_are_stored_as_int8_and_other_rows_as_float64(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "hashed")
     with np.load(tmp_path / "hashed" / "embeddings.npz") as emb:
-        assert emb["passage_vectors"].dtype == np.int8
-        assert emb["triple_vectors"].dtype == np.int8
+        for name, view in (("passage", PASSAGES), ("triple", TRIPLES)):
+            rows = chain_index.vectors[view].vectors
+            assert f"{name}_vectors" not in emb
+            assert emb[f"{name}_shape"].tolist() == list(rows.shape)
+            assert emb[f"{name}_values"].dtype == np.int8
+            assert emb[f"{name}_buckets"].dtype == np.uint8
+            offsets = emb[f"{name}_offsets"]
+            assert offsets.dtype == np.min_scalar_type(offsets[-1])
+            for row, lo, hi in zip(rows, offsets[:-1], offsets[1:]):
+                assert emb[f"{name}_buckets"][lo:hi].tolist() == np.flatnonzero(row).tolist()
+                assert emb[f"{name}_values"][lo:hi].tolist() == row[row != 0].tolist()
 
     def halves(text):
         return np.full(4, 0.5 if text else 0.0)
@@ -459,6 +472,28 @@ def test_format_1_index_loads_and_ranks_like_a_fresh_build():
         for view in (PASSAGES, TRIPLES):
             for search in (bm25_search, dense_search, hybrid_search):
                 assert search(loaded, query, view, 8) == search(fresh, query, view, 8)
+
+
+def test_passages_loader_names_both_lines_of_a_repeated_id(tmp_path):
+    path = tmp_path / "passages.jsonl"
+    records = [{"id": "p1", "text": "a"}, {"id": "p2", "text": "b"}, {"id": "p1", "text": "c"}]
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    with pytest.raises(
+        IndexBuildError, match=r"passages.jsonl:3: duplicate passage id: 'p1', first on line 1"
+    ):
+        load_passages_jsonl(path)
+
+
+def test_triples_loader_names_both_lines_of_a_repeated_id(tmp_path):
+    path = tmp_path / "triples.jsonl"
+    fact = {"passage_id": "p1", "subject": "A", "predicate": "r", "object": "B"}
+    # the second line's default id, "p1#1" (its passage's second triple), is
+    # the first line's explicit id
+    path.write_text(json.dumps({**fact, "id": "p1#1"}) + "\n" + json.dumps(fact) + "\n")
+    with pytest.raises(
+        IndexBuildError, match=r"triples.jsonl:2: duplicate triple id: 'p1#1', first on line 1"
+    ):
+        load_triples_jsonl(path)
 
 
 def test_passages_loader_names_line_of_missing_field(tmp_path):

@@ -334,6 +334,18 @@ def test_questions_loader_names_line_of_missing_field(tmp_path):
         load_questions_jsonl(path)
 
 
+def test_questions_loader_names_both_lines_of_a_repeated_id(tmp_path):
+    path = tmp_path / "questions.jsonl"
+    good = {"id": "q1", "question": "x", "gold_passage_ids": ["p1"], "answers": ["a"]}
+    path.write_text("\n".join(
+        json.dumps({**good, "id": qid}) for qid in ("q1", "q2", "q3", "q2")
+    ) + "\n")
+    with pytest.raises(
+        ValueError, match=r"questions.jsonl:4: duplicate question id: 'q2', first on line 2"
+    ):
+        load_questions_jsonl(path)
+
+
 def test_questions_loader_names_line_of_bad_json(tmp_path):
     path = tmp_path / "questions.jsonl"
     path.write_text('{"id": "q1",\n')

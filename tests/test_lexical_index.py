@@ -3,6 +3,7 @@ integrity checks ``load_index`` makes on what it reads."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import tempfile
@@ -193,17 +194,29 @@ def test_lexical_npz_keys_unchanged(tmp_path, chain_index):
 # Integrity at load
 # ---------------------------------------------------------------------------
 
+def reseal(directory: Path) -> None:
+    """Record the files' current sha256 in the manifest, as if they had been
+    saved as they now are, so a load reaches the checks behind the hashes."""
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    for name in manifest["sha256"]:
+        manifest["sha256"][name] = hashlib.sha256((directory / name).read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
 def rewrite_npz(path: Path, **changes) -> None:
     with np.load(path) as stored:
         arrays = dict(stored)
     arrays.update(changes)
     np.savez_compressed(path, **arrays)
+    reseal(path.parent)
 
 
 def test_load_rejects_passage_appended_after_save(tmp_path, chain_index):
     save_index(chain_index, tmp_path)
     with open(tmp_path / "passages.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps({"id": "p5", "title": "", "text": "late island"}) + "\n")
+    reseal(tmp_path)
     with pytest.raises(IndexBuildError, match="lexical.npz: p_ids"):
         load_index(tmp_path)
 
@@ -219,7 +232,17 @@ def test_load_rejects_vector_ids_that_differ(tmp_path, chain_index):
 def test_load_rejects_vector_row_count(tmp_path, chain_index):
     save_index(chain_index, tmp_path)
     emb = tmp_path / "embeddings.npz"
-    rewrite_npz(emb, passage_vectors=np.load(emb)["passage_vectors"][:3])
+    # the first three sparse rows, consistent among themselves
+    with np.load(emb) as stored:
+        cut = {key: stored[f"passage_{key}"] for key in ("shape", "offsets", "buckets", "values")}
+    stop = cut["offsets"][3]
+    rewrite_npz(
+        emb,
+        passage_shape=np.asarray([3, cut["shape"][1]]),
+        passage_offsets=cut["offsets"][:4],
+        passage_buckets=cut["buckets"][:stop],
+        passage_values=cut["values"][:stop],
+    )
     with pytest.raises(IndexBuildError, match="embeddings.npz: 3 passage vectors"):
         load_index(tmp_path)
 
@@ -259,12 +282,15 @@ def test_load_applies_build_record_checks(tmp_path, chain_index):
     path = tmp_path / "triples.jsonl"
     first = path.read_text().splitlines()[0]
     path.write_text(path.read_text() + first + "\n")
+    reseal(tmp_path)
     with pytest.raises(IndexBuildError, match="duplicate triple id: 't1'"):
         load_index(tmp_path)
     record = json.loads(first)
     path.write_text(json.dumps({**record, "id": "tX", "passage_id": "nope"}) + "\n")
+    reseal(tmp_path)
     with pytest.raises(IndexBuildError, match="unknown passage"):
         load_index(tmp_path)
     path.write_text(json.dumps({**record, "subject": " "}) + "\n")
+    reseal(tmp_path)
     with pytest.raises(IndexBuildError, match="blank field"):
         load_index(tmp_path)
