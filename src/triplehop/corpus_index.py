@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import operator
 import os
 import re
 import secrets
@@ -548,9 +547,6 @@ _NPZ_PREFIXES = ((PASSAGES, "p", "passage"), (TRIPLES, "t", "triple"))
 # sha256.
 _INDEX_FILES = ("passages.jsonl", "triples.jsonl", "lexical.npz", "embeddings.npz")
 
-# The string escaper json.dumps uses (its C version where there is one).
-_json_string = json.encoder.encode_basestring_ascii
-
 # Rows per block when sparse rows are made or scattered, so that no index
 # array spans a whole view.
 _ROW_BLOCK = 512
@@ -598,34 +594,18 @@ def _sparse_rows(vv: VectorView, name: str) -> dict[str, np.ndarray]:
     }
 
 
-def _write_jsonl(path: Path, fields: dict[str, str], records: Iterable) -> None:
-    """Write one JSON object per record, its key ``key`` holding the
-    attribute ``fields[key]``: the line ``json.dumps`` writes, made by
-    json's own string escaper (about 5× faster than one ``json.dumps`` per
-    record). A field that is not a string takes ``json.dumps``."""
-    line = "{{" + ", ".join(f'"{key}": {{}}' for key in fields) + "}}\n"
-    get = operator.attrgetter(*fields.values())
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            values = get(record)
-            try:
-                fh.write(line.format(*map(_json_string, values)))
-            except TypeError:
-                fh.write(json.dumps(dict(zip(fields, values))) + "\n")
-
-
 def _write_files(index: CorpusIndex, directory: Path) -> dict[str, str]:
     """Write the index's files into ``directory``; return each one's sha256."""
-    _write_jsonl(
-        directory / "passages.jsonl",
-        {"id": "id", "title": "title", "text": "body"},
-        (index.passages[pid] for pid in sorted(index.passages)),
-    )
-    _write_jsonl(
-        directory / "triples.jsonl",
-        {key: key for key in ("id", "passage_id", "subject", "predicate", "object")},
-        (index.triples[tid] for tid in sorted(index.triples)),
-    )
+    with open(directory / "passages.jsonl", "w", encoding="utf-8") as fh:
+        for pid in sorted(index.passages):
+            p = index.passages[pid]
+            fh.write(json.dumps({"id": p.id, "title": p.title, "text": p.body}) + "\n")
+    with open(directory / "triples.jsonl", "w", encoding="utf-8") as fh:
+        for tid in sorted(index.triples):
+            t = index.triples[tid]
+            record = {"id": t.id, "passage_id": t.passage_id, "subject": t.subject,
+                      "predicate": t.predicate, "object": t.object}
+            fh.write(json.dumps(record) + "\n")
 
     emb_payload = {}
     lex_payload = {}
@@ -654,13 +634,34 @@ def _write_files(index: CorpusIndex, directory: Path) -> dict[str, str]:
 
 
 def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _sibling(directory: Path, tag: str) -> Path:
     """A fresh hidden path beside ``directory``."""
     return directory.with_name(f".{directory.name}.{tag}-{secrets.token_hex(4)}")
+
+
+def _recover(directory: Path) -> None:
+    """Clear what a killed save left beside ``directory``: if it was killed
+    between its two renames, move the old index back; then remove every
+    unfinished (``saving``) and retired (``old``) copy."""
+    left = re.compile(rf"\.{re.escape(directory.name)}\.(saving|old)-[0-9a-f]{{8}}")
+    found = [
+        entry for entry in directory.parent.iterdir()
+        if left.fullmatch(entry.name) and entry.is_dir()
+    ]
+    retired = [entry for entry in found if entry.name.startswith(f".{directory.name}.old-")]
+    if retired and not directory.exists():
+        newest = max(retired, key=lambda entry: entry.stat().st_mtime_ns)
+        os.replace(newest, directory)
+        found.remove(newest)
+    for entry in found:
+        shutil.rmtree(entry, ignore_errors=True)
 
 
 def save_index(index: CorpusIndex, directory: str | Path) -> None:
@@ -673,14 +674,22 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
     smallest dtype that holds it. Both are deflated at level 1. The manifest
     records the embedder, ``dim``, the record counts and each file's sha256.
 
-    The save is atomic: the files are written into a temporary sibling
-    directory, which then takes the place of ``directory`` by ``os.replace``.
-    A save that fails leaves an existing index as it was and removes its
-    temporary directory. An existing ``directory`` must be a directory
-    holding nothing but index files, or IndexBuildError is raised before
-    anything is written.
+    The files are written into a hidden sibling directory, which then takes
+    the place of ``directory`` (a symlink is followed to the directory it
+    names): an existing index is renamed aside, the new one renamed in, and
+    the old one removed. A save that raises leaves an existing index as it
+    was and removes its sibling. A process killed between the two renames
+    leaves no index at ``directory`` (the old one waits in a hidden
+    ``.<name>.old-*`` sibling), and one killed while writing leaves a
+    ``.<name>.saving-*`` sibling; the next save to ``directory`` moves the
+    old index back before it writes and removes such siblings, so saves to
+    one directory must not run at once. An existing ``directory`` must be a
+    directory holding nothing but index files, or IndexBuildError is raised
+    before anything is written.
     """
-    directory = Path(os.path.abspath(directory))
+    directory = Path(directory).resolve()
+    if directory.parent.is_dir():
+        _recover(directory)
     if directory.exists():
         if not directory.is_dir():
             raise IndexBuildError(f"{directory}: not a directory")
@@ -696,6 +705,7 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
     directory.parent.mkdir(parents=True, exist_ok=True)
     staging = _sibling(directory, "saving")
     staging.mkdir()
+    retired = None
     try:
         dim = int(index.vectors[PASSAGES].vectors.shape[1]) if index.passages else 0
         manifest = {
@@ -717,12 +727,13 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
             except BaseException:
                 os.replace(retired, directory)
                 raise
-            shutil.rmtree(retired)
         else:
             os.replace(staging, directory)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
+    if retired is not None:
+        shutil.rmtree(retired, ignore_errors=True)
 
 
 def _as_int64(array: np.ndarray) -> np.ndarray:

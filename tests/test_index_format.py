@@ -54,29 +54,6 @@ def test_sidecars_are_deflated_npz_members(tmp_path, chain_index):
             assert all(i.compress_type == zipfile.ZIP_DEFLATED for i in infos)
 
 
-def test_jsonl_lines_are_what_json_dumps_writes(tmp_path):
-    odd = 'quote " back \\ slash\nnew line\ttab \u00e9t\u00e9 \u03a3 \U0001f600 \x00 {braces}'
-    passages = [Passage("p1", odd, odd), Passage("p2", "", "plain")]
-    triples = [Triple("t1", odd, "r", "B", "p1"), Triple("t2", "A", odd, "{}", "p2")]
-    save_index(build_index(passages, triples, HashEmbedder(32)), tmp_path / "idx")
-    assert (tmp_path / "idx" / "passages.jsonl").read_text(encoding="utf-8") == "".join(
-        json.dumps({"id": p.id, "title": p.title, "text": p.body}) + "\n" for p in passages
-    )
-    assert (tmp_path / "idx" / "triples.jsonl").read_text(encoding="utf-8") == "".join(
-        json.dumps({"id": t.id, "passage_id": t.passage_id, "subject": t.subject,
-                    "predicate": t.predicate, "object": t.object}) + "\n"
-        for t in triples
-    )
-
-
-def test_a_field_that_is_not_a_string_is_written_as_json_dumps_writes_it(tmp_path):
-    index = build_index([Passage("p1", 1984, "body")], [], HashEmbedder(32))
-    save_index(index, tmp_path / "idx")
-    line = (tmp_path / "idx" / "passages.jsonl").read_text()
-    assert line == json.dumps({"id": "p1", "title": 1984, "text": "body"}) + "\n"
-    assert load_index(tmp_path / "idx").passages["p1"].title == "1984"
-
-
 def test_postings_are_stored_narrow_and_loaded_as_int64(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
     loaded = load_index(tmp_path / "idx")
@@ -303,6 +280,48 @@ def test_interrupted_first_save_leaves_nothing(tmp_path, chain_index, monkeypatc
     with pytest.raises(OSError):
         save_index(chain_index, tmp_path / "idx")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_save_over_a_symlinked_index_writes_where_it_points(tmp_path, chain_index):
+    save_index(chain_index, tmp_path / "real")
+    (tmp_path / "link").symlink_to(tmp_path / "real", target_is_directory=True)
+    save_index(other_index(), tmp_path / "link")
+    assert (tmp_path / "link").is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "real"]
+    assert_same_rankings(load_index(tmp_path / "real"), other_index(), ("zeta",))
+
+
+def test_next_save_restores_an_index_left_aside_by_a_killed_save(
+    tmp_path, chain_index, monkeypatch
+):
+    # A save killed between its two renames: the old index renamed aside, the
+    # new one still in its unfinished sibling.
+    target = tmp_path / "idx"
+    save_index(chain_index, target)
+    before = {p.name: p.read_bytes() for p in target.iterdir()}
+    target.rename(tmp_path / ".idx.old-0123abcd")
+    (tmp_path / ".idx.saving-89abcdef").mkdir()
+    (tmp_path / ".idx.saving-89abcdef" / "passages.jsonl").write_text("{}\n")
+
+    def fail(*args, **kwargs):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(np.lib.format, "write_array", fail)
+    with pytest.raises(OSError):
+        save_index(other_index(), target)
+    assert [p.name for p in tmp_path.iterdir()] == ["idx"]
+    assert {p.name: p.read_bytes() for p in target.iterdir()} == before
+
+
+def test_next_save_removes_a_retired_index_left_by_a_killed_save(tmp_path, chain_index):
+    # A save killed after its second rename: the new index in place, the old
+    # one not yet removed.
+    save_index(chain_index, tmp_path / "idx")
+    save_index(chain_index, tmp_path / ".idx.old-0123abcd")
+    (tmp_path / ".idx.old-0123abcd.keep").mkdir()
+    save_index(other_index(), tmp_path / "idx")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".idx.old-0123abcd.keep", "idx"]
+    assert sorted(load_index(tmp_path / "idx").passages) == ["p1", "p9"]
 
 
 def test_save_refuses_a_directory_holding_other_files(tmp_path, chain_index):
