@@ -20,13 +20,14 @@ import unicodedata
 import zipfile
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # Index view names: the passage index and the triple index.
 PASSAGES = "passages"
@@ -254,6 +255,7 @@ def _assemble(
     triples: Iterable[Triple],
     embedder: Callable[[str], np.ndarray],
     make_views: Callable,
+    source: Path | None = None,
 ) -> CorpusIndex:
     """Validate the records and derive the index state: alignment, entity
     adjacency and passage -> triples. ``build_index`` and ``load_index``
@@ -262,34 +264,41 @@ def _assemble(
     ascending id order of ``passage_ids`` and ``triple_ids``.
 
     Raises IndexBuildError on duplicate ids, dangling passage references, or
-    triples with blank fields; the message names the offending record.
+    triples with blank fields; the message names the offending record, after
+    ``source`` (the file the records were read from) when one is given.
     """
+
+    def fail(problem: str) -> IndexBuildError:
+        return IndexBuildError(problem if source is None else f"{source}: {problem}")
+
     passage_map: dict[str, Passage] = {}
     for p in passages:
         if not p.id:
-            raise IndexBuildError("passage with empty id")
+            raise fail("passage with empty id")
         if p.id in passage_map:
-            raise IndexBuildError(f"duplicate passage id: {p.id!r}")
+            raise fail(f"duplicate passage id: {p.id!r}")
         passage_map[p.id] = p
 
     triple_map: dict[str, Triple] = {}
     alignment: dict[str, str] = {}
     adjacency: dict[str, set[str]] = {}
+    keys: dict[str, str] = {}  # raw entity -> normalize_entity(raw entity)
     for t in triples:
         if not t.id:
-            raise IndexBuildError("triple with empty id")
+            raise fail("triple with empty id")
         if t.id in triple_map:
-            raise IndexBuildError(f"duplicate triple id: {t.id!r}")
+            raise fail(f"duplicate triple id: {t.id!r}")
         if t.passage_id not in passage_map:
-            raise IndexBuildError(
-                f"triple {t.id!r} references unknown passage {t.passage_id!r}"
-            )
+            raise fail(f"triple {t.id!r} references unknown passage {t.passage_id!r}")
         if not (t.subject.strip() and t.predicate.strip() and t.object.strip()):
-            raise IndexBuildError(f"triple {t.id!r} has a blank field")
+            raise fail(f"triple {t.id!r} has a blank field")
         triple_map[t.id] = t
         alignment[t.id] = t.passage_id
         for entity in (t.subject, t.object):
-            adjacency.setdefault(normalize_entity(entity), set()).add(t.id)
+            key = keys.get(entity)
+            if key is None:
+                key = keys[entity] = normalize_entity(entity)
+            adjacency.setdefault(key, set()).add(t.id)
 
     passage_ids = tuple(sorted(passage_map))
     triple_ids = tuple(sorted(triple_map))
@@ -544,8 +553,18 @@ def load_triples_jsonl(path: str | Path) -> list[Triple]:
 _NPZ_PREFIXES = ((PASSAGES, "p", "passage"), (TRIPLES, "t", "triple"))
 
 # The files of a saved index besides its manifest, which records each one's
-# sha256.
-_INDEX_FILES = ("passages.jsonl", "triples.jsonl", "lexical.npz", "embeddings.npz")
+# sha256. Format 3 held the records as JSONL files instead of records.npz.
+_SIDECARS = ("lexical.npz", "embeddings.npz")
+_INDEX_FILES = ("records.npz", *_SIDECARS)
+_JSONL_FILES = ("passages.jsonl", "triples.jsonl")
+
+# Each record kind in records.npz: its key prefix (and, plus "s", its count in
+# the manifest), its type, and its fields' keys in the order of the type's
+# fields (a passage's ``body`` is stored as "text", as in the JSONL input).
+_RECORD_KINDS = (
+    ("passage", Passage, ("id", "title", "text")),
+    ("triple", Triple, ("id", "subject", "predicate", "object", "passage_id")),
+)
 
 # Rows per block when sparse rows are made or scattered, so that no index
 # array spans a whole view.
@@ -594,18 +613,26 @@ def _sparse_rows(vv: VectorView, name: str) -> dict[str, np.ndarray]:
     }
 
 
+def _utf8_column(key: str, values: list[str]) -> dict[str, np.ndarray]:
+    """One text field of every record: the values' UTF-8 bytes, back to back,
+    and the code-point offsets where each value starts, plus the total.
+    ``surrogatepass`` keeps lone surrogates, which JSON input may hold."""
+    offsets = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, values), np.int64, len(values)), out=offsets[1:])
+    data = "".join(values).encode("utf-8", "surrogatepass")
+    return {
+        f"{key}_utf8": np.frombuffer(data, dtype=np.uint8),
+        f"{key}_offsets": _narrow(offsets),
+    }
+
+
 def _write_files(index: CorpusIndex, directory: Path) -> dict[str, str]:
     """Write the index's files into ``directory``; return each one's sha256."""
-    with open(directory / "passages.jsonl", "w", encoding="utf-8") as fh:
-        for pid in sorted(index.passages):
-            p = index.passages[pid]
-            fh.write(json.dumps({"id": p.id, "title": p.title, "text": p.body}) + "\n")
-    with open(directory / "triples.jsonl", "w", encoding="utf-8") as fh:
-        for tid in sorted(index.triples):
-            t = index.triples[tid]
-            record = {"id": t.id, "passage_id": t.passage_id, "subject": t.subject,
-                      "predicate": t.predicate, "object": t.object}
-            fh.write(json.dumps(record) + "\n")
+    records = {}
+    for (kind, cls, keys), by_id in zip(_RECORD_KINDS, (index.passages, index.triples)):
+        ordered = [by_id[i] for i in sorted(by_id)]
+        for key, attr in zip(keys, (f.name for f in fields(cls))):
+            records.update(_utf8_column(f"{kind}_{key}", list(map(attrgetter(attr), ordered))))
 
     emb_payload = {}
     lex_payload = {}
@@ -628,6 +655,7 @@ def _write_files(index: CorpusIndex, directory: Path) -> dict[str, str]:
                 f"{prefix}_term_freqs": _narrow(lex.term_freqs),
             }
         )
+    _write_npz(directory / "records.npz", records)
     _write_npz(directory / "embeddings.npz", emb_payload)
     _write_npz(directory / "lexical.npz", lex_payload)
     return {name: _sha256(directory / name) for name in _INDEX_FILES}
@@ -639,6 +667,15 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def _fsync(path: Path) -> None:
+    """Flush a file or a directory to its device."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _sibling(directory: Path, tag: str) -> Path:
@@ -665,27 +702,30 @@ def _recover(directory: Path) -> None:
 
 
 def save_index(index: CorpusIndex, directory: str | Path) -> None:
-    """Persist the index as format 3: the JSONL records, binary sidecars and
-    a manifest (see README "Data formats").
+    """Persist the index as format 4: the records, binary sidecars and a
+    manifest (see README "Data formats").
 
-    ``embeddings.npz`` holds each view's ids and rows: hashed rows (those
-    ``int8`` holds exactly) as sparse ``int8`` rows, others as dense float64.
-    ``lexical.npz`` holds the CSR postings with each integer array in the
-    smallest dtype that holds it. Both are deflated at level 1. The manifest
-    records the embedder, ``dim``, the record counts and each file's sha256.
+    ``records.npz`` holds every record field as one UTF-8 column in
+    ascending id order. ``embeddings.npz`` holds each view's ids and rows:
+    hashed rows (those ``int8`` holds exactly) as sparse ``int8`` rows, others
+    as dense float64. ``lexical.npz`` holds the CSR postings. Offsets and
+    postings are stored in the smallest dtype that holds them, and all three
+    files are deflated at level 1. The manifest records the embedder,
+    ``dim``, the record counts and each file's sha256.
 
-    The files are written into a hidden sibling directory, which then takes
-    the place of ``directory`` (a symlink is followed to the directory it
-    names): an existing index is renamed aside, the new one renamed in, and
-    the old one removed. A save that raises leaves an existing index as it
-    was and removes its sibling. A process killed between the two renames
-    leaves no index at ``directory`` (the old one waits in a hidden
+    The files are written into a hidden sibling directory and fsynced, with
+    that directory; it then takes the place of ``directory`` (a symlink is
+    followed to the directory it names): an existing index is renamed aside,
+    the new one renamed in, the parent directory fsynced, and the old one
+    removed. A save that raises before the renames leaves an existing index
+    as it was and removes its sibling. A process killed between the two
+    renames leaves no index at ``directory`` (the old one waits in a hidden
     ``.<name>.old-*`` sibling), and one killed while writing leaves a
     ``.<name>.saving-*`` sibling; the next save to ``directory`` moves the
     old index back before it writes and removes such siblings, so saves to
     one directory must not run at once. An existing ``directory`` must be a
-    directory holding nothing but index files, or IndexBuildError is raised
-    before anything is written.
+    directory holding nothing but index files (of this format or of format
+    3), or IndexBuildError is raised before anything is written.
     """
     directory = Path(directory).resolve()
     if directory.parent.is_dir():
@@ -695,7 +735,7 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
             raise IndexBuildError(f"{directory}: not a directory")
         foreign = sorted(
             entry.name for entry in directory.iterdir()
-            if entry.name not in (*_INDEX_FILES, "manifest.json")
+            if entry.name not in (*_INDEX_FILES, *_JSONL_FILES, "manifest.json")
         )
         if foreign:
             raise IndexBuildError(
@@ -719,6 +759,9 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
         with open(staging / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
+        for name in (*_INDEX_FILES, "manifest.json"):
+            _fsync(staging / name)
+        _fsync(staging)
         if directory.exists():
             retired = _sibling(directory, "old")
             os.replace(directory, retired)
@@ -732,6 +775,7 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
+    _fsync(directory.parent)
     if retired is not None:
         shutil.rmtree(retired, ignore_errors=True)
 
@@ -746,7 +790,7 @@ def _read_vector_view(emb, name: str, ids: tuple[str, ...], path: Path, dim) -> 
         return IndexBuildError(f"{path}: {problem}")
 
     if emb[f"{name}_ids"].tolist() != list(ids):
-        raise fail(f"{name}_ids differ from the sorted JSONL ids")
+        raise fail(f"{name}_ids differ from the sorted record ids")
     sparse = f"{name}_shape" in emb
     if sparse:
         shape = _as_int64(emb[f"{name}_shape"])
@@ -796,7 +840,7 @@ def _read_lexical_view(lex, prefix: str, ids: tuple[str, ...], path: Path) -> Le
         return IndexBuildError(f"{path}: {prefix}_{problem}")
 
     if lex[f"{prefix}_ids"].tolist() != list(ids):
-        raise fail("ids differ from the sorted JSONL ids")
+        raise fail("ids differ from the sorted record ids")
     doc_lengths, vocab, indptr, positions, term_freqs = (
         lex[f"{prefix}_{key}"] if key == "vocab" else _as_int64(lex[f"{prefix}_{key}"])
         for key in ("doc_lengths", "vocab", "indptr", "doc_positions", "term_freqs")
@@ -817,14 +861,57 @@ def _read_lexical_view(lex, prefix: str, ids: tuple[str, ...], path: Path) -> Le
     return view
 
 
-def _check_hashes(directory: Path, manifest: dict) -> None:
-    """Raise IndexBuildError unless every index file has the sha256 the
-    manifest records for it."""
+def _read_utf8_column(rec, key: str, fail) -> list[str]:
+    """A text field's values from ``records.npz`` (see ``_utf8_column``)."""
+    try:
+        text = rec[f"{key}_utf8"].tobytes().decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError as e:
+        raise fail(f"{key}_utf8 is not UTF-8: {e.reason} at byte {e.start}") from e
+    offsets = _as_int64(rec[f"{key}_offsets"])
+    if (
+        offsets.ndim != 1 or not len(offsets) or offsets[0] != 0
+        or offsets[-1] != len(text) or np.any(np.diff(offsets) < 0)
+    ):
+        raise fail(
+            f"{key}_offsets is not non-decreasing from 0 to the {len(text)} "
+            f"characters of {key}_utf8"
+        )
+    bounds = offsets.tolist()
+    return [text[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _read_records(path: Path, manifest: dict) -> tuple[list[Passage], list[Triple]]:
+    """The passages and triples of ``records.npz``, each field decoded once
+    and sliced. Raises IndexBuildError naming the file when a field is not
+    UTF-8, its offsets do not cut its text, the fields of a kind differ in
+    count, or a count differs from the manifest's."""
+
+    def fail(problem: str) -> IndexBuildError:
+        return IndexBuildError(f"{path}: {problem}")
+
+    kinds = []
+    with np.load(path) as rec:
+        for kind, cls, keys in _RECORD_KINDS:
+            columns = [_read_utf8_column(rec, f"{kind}_{key}", fail) for key in keys]
+            counts = [len(column) for column in columns]
+            if len(set(counts)) > 1:
+                listed = ", ".join(f"{key} {n}" for key, n in zip(keys, counts))
+                raise fail(f"{kind} fields differ in count: {listed}")
+            recorded = manifest.get(f"{kind}s")
+            if counts[0] != recorded:
+                raise fail(f"{counts[0]} {kind}s, but manifest.json records {recorded!r}")
+            kinds.append(list(map(cls, *columns)))
+    return kinds[0], kinds[1]
+
+
+def _check_hashes(directory: Path, manifest: dict, names: tuple[str, ...]) -> None:
+    """Raise IndexBuildError unless every file in ``names`` has the sha256
+    the manifest records for it, and the manifest records no other."""
     manifest_path = directory / "manifest.json"
     recorded = manifest.get("sha256")
-    if not isinstance(recorded, dict) or sorted(recorded) != sorted(_INDEX_FILES):
-        raise IndexBuildError(f"{manifest_path}: sha256 must name {', '.join(_INDEX_FILES)}")
-    for name in _INDEX_FILES:
+    if not isinstance(recorded, dict) or sorted(recorded) != sorted(names):
+        raise IndexBuildError(f"{manifest_path}: sha256 must name {', '.join(names)}")
+    for name in names:
         path = directory / name
         if not path.is_file():
             raise IndexBuildError(f"{path}: missing")
@@ -842,16 +929,16 @@ def load_index(
 
     The embedder is reconstructed from the manifest name unless one is passed
     explicitly (required for indexes saved with a custom embedding function).
-    For format 3, every file must first match the sha256 the manifest records
-    for it, so a file changed after the save (a passage edited in place, say)
-    fails before any of it is read. The records get the same checks as in
-    ``build_index``; sidecars that disagree with the JSONL files or with
-    themselves, or a manifest ``dim`` unlike the stored rows' or a
-    ``hash:<dim>`` embedder's, raise IndexBuildError naming the file. Stored
-    integer arrays are widened back to int64, and sparse rows are scattered
-    into dense ``int8`` rows a block of rows at a time.
-    Version 2 (dense rows, no hashes) loads as it did; version 1 (unit rows)
-    is rebuilt.
+    For formats 3 and 4, every file must first match the sha256 the manifest
+    records for it, so a file changed after the save (a passage edited in
+    place, say) fails before any of it is read. The records get the same
+    checks as in ``build_index``; records, sidecars or a manifest that
+    disagree with each other or with themselves, or a manifest ``dim`` unlike
+    the stored rows' or a ``hash:<dim>`` embedder's, raise IndexBuildError
+    naming the file. Stored integer arrays are widened back to int64, and
+    sparse rows are scattered into dense ``int8`` rows a block of rows at a
+    time. Versions 2 and 3 (records as JSONL; version 2 with dense rows and
+    no hashes) load as they did; version 1 (unit rows) is rebuilt.
     """
     from .base_retrieval import hash_dim, resolve_embedder
 
@@ -860,10 +947,12 @@ def load_index(
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     version = manifest.get("format_version")
-    if version not in (1, 2, FORMAT_VERSION):
+    if version not in (1, 2, 3, FORMAT_VERSION):
         raise IndexBuildError(f"unsupported index format version: {version!r}")
     if version == FORMAT_VERSION:
-        _check_hashes(directory, manifest)
+        _check_hashes(directory, manifest, _INDEX_FILES)
+    elif version == 3:
+        _check_hashes(directory, manifest, (*_JSONL_FILES, *_SIDECARS))
     if embedder is None:
         name = manifest.get("embedder", "custom")
         if name == "custom":
@@ -877,8 +966,13 @@ def load_index(
         raise IndexBuildError(
             f"{manifest_path}: dim {dim!r}, but the embedder is {embedder.name}"
         )
-    passages = load_passages_jsonl(directory / "passages.jsonl")
-    triples = load_triples_jsonl(directory / "triples.jsonl")
+    source = None
+    if version == FORMAT_VERSION:
+        source = directory / "records.npz"
+        passages, triples = _read_records(source, manifest)
+    else:
+        passages = load_passages_jsonl(directory / "passages.jsonl")
+        triples = load_triples_jsonl(directory / "triples.jsonl")
     if version == 1:
         return build_index(passages, triples, embedder)
 
@@ -891,4 +985,4 @@ def load_index(
                 vectors[view] = _read_vector_view(emb, name, ids, emb_path, dim)
         return lexical, vectors
 
-    return _assemble(passages, triples, embedder, read_views)
+    return _assemble(passages, triples, embedder, read_views, source)

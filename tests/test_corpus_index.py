@@ -278,10 +278,10 @@ def test_persistence_round_trip(tmp_path, chain_index):
     assert loaded.entity_adjacency == chain_index.entity_adjacency
 
     manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
-    assert manifest["format_version"] == 3
+    assert manifest["format_version"] == 4
     assert manifest["embedder"] == "hash:128"
     assert manifest["dim"] == 128
-    names = ("passages.jsonl", "triples.jsonl", "lexical.npz", "embeddings.npz")
+    names = ("records.npz", "lexical.npz", "embeddings.npz")
     assert sorted(manifest["sha256"]) == sorted(names)
     for name in names:
         data = (tmp_path / "idx" / name).read_bytes()

@@ -1,9 +1,11 @@
-"""Index format 3 on disk: sparse int8 rows, narrow postings, content hashes
-checked at load, atomic saves, and format-2 indexes that still load."""
+"""Index format 4 on disk: records as UTF-8 columns, sparse int8 rows,
+narrow postings, content hashes checked at load, durable atomic saves, and
+format-2 and format-3 indexes that still load."""
 
 from __future__ import annotations
 
 import json
+import os
 import zipfile
 from pathlib import Path
 
@@ -29,7 +31,15 @@ from triplehop.corpus_index import (
     load_triples_jsonl,
 )
 
-from .test_lexical_index import reseal, rewrite_npz
+from .test_lexical_index import (
+    V3_INDEX,
+    record_column,
+    record_values,
+    reseal,
+    rewrite_npz,
+    rewrite_records,
+    v3_copy,
+)
 
 QUERIES = ("enta linksto entb", "island kind", "ledger three")
 
@@ -41,9 +51,62 @@ def assert_same_rankings(loaded, fresh, queries=QUERIES, k=5):
                 assert search(loaded, query, view, k) == search(fresh, query, view, k)
 
 
+def assert_same_index(loaded, fresh):
+    """Every piece of in-memory state a load derives equals a fresh build's,
+    arrays by dtype and bytes."""
+    assert loaded.passages == fresh.passages
+    assert loaded.triples == fresh.triples
+    assert loaded.alignment == fresh.alignment
+    assert loaded.entity_adjacency == fresh.entity_adjacency
+    assert loaded._passage_triples == fresh._passage_triples
+    for view in (PASSAGES, TRIPLES):
+        back, built = loaded.lexical[view], fresh.lexical[view]
+        assert (back.ids, back.rows, back.avg_doc_length) == (
+            built.ids, built.rows, built.avg_doc_length
+        )
+        for key in ("doc_lengths", "vocab", "indptr", "doc_positions", "term_freqs"):
+            a, b = getattr(back, key), getattr(built, key)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        back, built = loaded.vectors[view], fresh.vectors[view]
+        assert back.ids == built.ids
+        for key in ("vectors", "sq_norms", "columns"):
+            a, b = getattr(back, key), getattr(built, key)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 # ---------------------------------------------------------------------------
 # What is stored
 # ---------------------------------------------------------------------------
+
+def test_format_4_load_equals_a_fresh_build(tmp_path, chain_index):
+    save_index(chain_index, tmp_path / "idx")
+    assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == [
+        "embeddings.npz", "lexical.npz", "manifest.json", "records.npz"
+    ]
+    assert_same_index(load_index(tmp_path / "idx"), chain_index)
+
+
+def test_records_are_utf8_columns_in_ascending_id_order(tmp_path, chain_index):
+    save_index(chain_index, tmp_path / "idx")
+    path = tmp_path / "idx" / "records.npz"
+    with zipfile.ZipFile(path) as zf:
+        assert all(i.compress_type == zipfile.ZIP_DEFLATED for i in zf.infolist())
+    fields = {
+        "passage": {"id": "id", "title": "title", "text": "body"},
+        "triple": {key: key for key in ("id", "passage_id", "subject", "predicate", "object")},
+    }
+    with np.load(path) as rec:
+        assert sorted(rec.files) == sorted(
+            f"{kind}_{key}_{part}" for kind in fields for key in fields[kind]
+            for part in ("utf8", "offsets")
+        )
+        for name in rec.files:
+            assert rec[name].dtype == np.uint8  # every offset of the chain is below 256
+    for kind, records in (("passage", chain_index.passages), ("triple", chain_index.triples)):
+        for key, attr in fields[kind].items():
+            want = [getattr(records[i], attr) for i in sorted(records)]
+            assert record_values(path, f"{kind}_{key}") == want
+
 
 def test_sidecars_are_deflated_npz_members(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
@@ -108,6 +171,54 @@ def test_a_view_without_rows_round_trips(tmp_path):
     assert loaded.vectors[TRIPLES].vectors.shape == index.vectors[TRIPLES].vectors.shape
     assert dense_search(loaded, "lonely", TRIPLES, 3).entries == ()
     assert dense_search(loaded, "lonely", PASSAGES, 3) == dense_search(index, "lonely", PASSAGES, 3)
+
+
+def lengths(text: str) -> np.ndarray:
+    """An embedder that never encodes its text, so lone surrogates pass."""
+    return np.array([len(text), text.count(" "), 1.0, 0.5])
+
+
+def test_unusual_text_round_trips(tmp_path):
+    # JSON escapes a lone surrogate and reads it back; JSONL numbers are text
+    passages = [
+        {"id": "p1", "title": "lone \ud800 mark", "text": "plain body"},
+        {"id": "p2", "title": "", "text": "star \U0001F31F body"},
+        {"id": 3, "title": 1999, "text": 2.5},
+        {"id": "p4", "title": "\U0001D518\U0001D52B\U0001D526 \udfff", "text": "\u00e9t\u00e9"},
+    ]
+    triples = [
+        {"id": "t1", "passage_id": "p1", "subject": "Ada \udc00", "predicate": "met \U0001F642",
+         "object": "x \ud83d"},
+        # the object columns hold "\ud83d" and "\ude00" side by side: two lone
+        # surrogates, not one pair
+        {"id": "t2", "passage_id": "p2", "subject": "\U0001F31F", "predicate": "1999",
+         "object": "\ude00 y"},
+        {"passage_id": "3", "subject": 1999, "predicate": "year", "object": 2000},
+    ]
+    (tmp_path / "p.jsonl").write_text("".join(json.dumps(r) + "\n" for r in passages))
+    (tmp_path / "t.jsonl").write_text("".join(json.dumps(r) + "\n" for r in triples))
+    fresh = build_index(
+        load_passages_jsonl(tmp_path / "p.jsonl"), load_triples_jsonl(tmp_path / "t.jsonl"), lengths
+    )
+    assert fresh.passages["3"] == Passage("3", "1999", "2.5")
+    assert fresh.triples["3#0"] == Triple("3#0", "1999", "year", "2000", "3")
+    assert fresh.passages["p4"].title == "\U0001D518\U0001D52B\U0001D526 \udfff"
+    save_index(fresh, tmp_path / "idx")
+    loaded = load_index(tmp_path / "idx", embedder=lengths)
+    assert_same_index(loaded, fresh)
+    assert loaded.triples["t1"].object == "x \ud83d"
+    assert loaded.triples["t2"].object == "\ude00 y"
+    assert_same_rankings(loaded, fresh, ("lone mark", "star body", "1999", "ada met"), k=4)
+
+
+def test_an_empty_index_round_trips(tmp_path):
+    fresh = build_index([], [], HashEmbedder(32))
+    save_index(fresh, tmp_path / "idx")
+    manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
+    assert (manifest["passages"], manifest["triples"], manifest["dim"]) == (0, 0, 0)
+    loaded = load_index(tmp_path / "idx")
+    assert_same_index(loaded, fresh)
+    assert bm25_search(loaded, "anything", PASSAGES, 3).entries == ()
 
 
 # ---------------------------------------------------------------------------
@@ -180,28 +291,119 @@ def test_load_rejects_a_shape_that_is_not_rows_by_dim(saved):
 
 
 # ---------------------------------------------------------------------------
+# Checks on records.npz (files resealed, so the hashes pass)
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def records(tmp_path, chain_index):
+    save_index(chain_index, tmp_path)
+    return tmp_path / "records.npz"
+
+
+def test_load_rejects_text_offsets_not_from_zero(records):
+    offsets = stored(records, "passage_title_offsets")
+    offsets[0] = 1
+    rewrite_npz(records, passage_title_offsets=offsets)
+    with pytest.raises(IndexBuildError, match="records.npz: passage_title_offsets is not"):
+        load_index(records.parent)
+
+
+def test_load_rejects_decreasing_text_offsets(records):
+    offsets = stored(records, "triple_subject_offsets")
+    offsets[1], offsets[2] = offsets[2], offsets[1]
+    rewrite_npz(records, triple_subject_offsets=offsets)
+    with pytest.raises(IndexBuildError, match="records.npz: triple_subject_offsets is not"):
+        load_index(records.parent)
+
+
+def test_load_rejects_text_offsets_short_of_the_decoded_length(records):
+    data = stored(records, "passage_text_utf8")
+    rewrite_npz(records, passage_text_utf8=np.append(data, np.uint8(ord("x"))))
+    with pytest.raises(IndexBuildError, match="records.npz: passage_text_offsets is not"):
+        load_index(records.parent)
+
+
+def test_load_rejects_text_offsets_past_the_decoded_length(records):
+    offsets = stored(records, "triple_object_offsets")
+    offsets[-1] += 1
+    rewrite_npz(records, triple_object_offsets=offsets)
+    with pytest.raises(IndexBuildError, match="records.npz: triple_object_offsets is not"):
+        load_index(records.parent)
+
+
+def test_load_rejects_fields_of_one_kind_with_different_counts(records):
+    titles = record_values(records, "passage_title")
+    rewrite_npz(records, **record_column("passage_title", titles[:-1]))
+    with pytest.raises(
+        IndexBuildError, match="records.npz: passage fields differ in count: id 4, title 3, text 4"
+    ):
+        load_index(records.parent)
+
+
+@pytest.mark.parametrize("kind", ["passage", "triple"])
+def test_load_rejects_record_counts_unlike_the_manifest(records, kind):
+    manifest_path = records.parent / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest[f"{kind}s"] += 1
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(
+        IndexBuildError, match=rf"records.npz: 4 {kind}s, but manifest.json records 5"
+    ):
+        load_index(records.parent)
+
+
+def test_load_rejects_record_bytes_that_are_not_utf8(records):
+    data = stored(records, "triple_predicate_utf8")
+    data[0] = 0xFF
+    rewrite_npz(records, triple_predicate_utf8=data)
+    with pytest.raises(
+        IndexBuildError, match="records.npz: triple_predicate_utf8 is not UTF-8: invalid start byte"
+    ):
+        load_index(records.parent)
+
+
+# ---------------------------------------------------------------------------
 # Content hashes
 # ---------------------------------------------------------------------------
 
-def test_load_rejects_a_passage_edited_in_place(tmp_path, chain_index):
-    save_index(chain_index, tmp_path / "idx")
-    path = tmp_path / "idx" / "passages.jsonl"
+def test_load_rejects_a_passage_edited_in_place(tmp_path):
+    directory = v3_copy(tmp_path)
+    path = directory / "passages.jsonl"
     lines = path.read_text().splitlines()
     record = json.loads(lines[0])
-    assert record["id"] == "p1"
+    assert record["id"] == "p00"
     lines[0] = json.dumps({**record, "text": "zeta eta"})
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(IndexBuildError, match=r"passages\.jsonl: content differs from its sha256"):
+        load_index(directory)
+
+
+def test_load_rejects_records_edited_in_place(tmp_path, chain_index):
+    save_index(chain_index, tmp_path / "idx")
+    path = tmp_path / "idx" / "records.npz"
+    texts = record_values(path, "passage_text")
+    texts[0] = "zeta eta"
+    with np.load(path) as rec:
+        arrays = {**rec, **record_column("passage_text", texts)}
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(IndexBuildError, match=r"records\.npz: content differs from its sha256"):
         load_index(tmp_path / "idx")
 
 
-@pytest.mark.parametrize("name", ["triples.jsonl", "lexical.npz", "embeddings.npz"])
+@pytest.mark.parametrize(
+    "name", ["triples.jsonl", "records.npz", "lexical.npz", "embeddings.npz"]
+)
 def test_load_rejects_any_file_changed_after_the_save(tmp_path, chain_index, name):
-    save_index(chain_index, tmp_path / "idx")
-    path = tmp_path / "idx" / name
+    # the JSONL files are format 3's
+    if name.endswith(".jsonl"):
+        directory = v3_copy(tmp_path)
+    else:
+        directory = tmp_path / "idx"
+        save_index(chain_index, directory)
+    path = directory / name
     path.write_bytes(path.read_bytes() + b"\n")
     with pytest.raises(IndexBuildError, match=rf"{name}: content differs from its sha256"):
-        load_index(tmp_path / "idx")
+        load_index(directory)
 
 
 def test_load_rejects_a_manifest_without_every_hash(tmp_path, chain_index):
@@ -324,6 +526,47 @@ def test_next_save_removes_a_retired_index_left_by_a_killed_save(tmp_path, chain
     assert sorted(load_index(tmp_path / "idx").passages) == ["p1", "p9"]
 
 
+def test_save_over_a_format_3_index_leaves_no_jsonl(tmp_path, chain_index):
+    directory = v3_copy(tmp_path)
+    save_index(chain_index, directory)
+    assert sorted(p.name for p in directory.iterdir()) == [
+        "embeddings.npz", "lexical.npz", "manifest.json", "records.npz"
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v3"]
+    assert_same_index(load_index(directory), chain_index)
+
+
+def test_save_fsyncs_the_files_and_directory_before_the_swap_and_the_parent_after(
+    tmp_path, chain_index, monkeypatch
+):
+    target = tmp_path / "idx"
+    save_index(chain_index, target)
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recorded_fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def recorded_replace(src, dst):
+        events.append(("replace", Path(dst).name))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recorded_fsync)
+    monkeypatch.setattr(os, "replace", recorded_replace)
+    save_index(other_index(), target)
+    monkeypatch.undo()
+    # a rename keeps the inode: the staging directory and its files are now the target's
+    files = sorted(p.stat().st_ino for p in target.iterdir())
+    assert len(files) == 4
+    assert sorted(ino for _, ino in events[:4]) == files
+    assert [kind for kind, _ in events[:4]] == ["fsync"] * 4
+    assert events[4] == ("fsync", target.stat().st_ino)
+    assert events[5][0] == "replace" and events[5][1].startswith(".idx.old-")
+    assert events[6:] == [("replace", "idx"), ("fsync", tmp_path.stat().st_ino)]
+    assert_same_rankings(load_index(target), other_index(), ("zeta",))
+
+
 def test_save_refuses_a_directory_holding_other_files(tmp_path, chain_index):
     (tmp_path / "notes.txt").write_text("keep me")
     with pytest.raises(IndexBuildError, match="holds notes.txt"):
@@ -370,5 +613,26 @@ def test_format_2_index_loads_and_ranks_like_a_fresh_build():
     assert loaded.entity_adjacency == fresh.entity_adjacency
     for view in (PASSAGES, TRIPLES):
         assert loaded.vectors[view].vectors.tobytes() == fresh.vectors[view].vectors.tobytes()
+    queries = ("Ada Vell met Bo Rinn", "born in Marsh Bay", "Quill", "who met Fay Lund")
+    assert_same_rankings(loaded, fresh, queries, k=8)
+
+
+# ---------------------------------------------------------------------------
+# Format 3
+# ---------------------------------------------------------------------------
+
+def test_format_3_index_loads_and_ranks_like_a_fresh_build():
+    manifest = json.loads((V3_INDEX / "manifest.json").read_text())
+    assert manifest["format_version"] == 3
+    assert sorted(manifest["sha256"]) == [
+        "embeddings.npz", "lexical.npz", "passages.jsonl", "triples.jsonl"
+    ]
+    loaded = load_index(V3_INDEX)
+    fresh = build_index(
+        load_passages_jsonl(V3_INDEX / "passages.jsonl"),
+        load_triples_jsonl(V3_INDEX / "triples.jsonl"),
+        HashEmbedder(manifest["dim"]),
+    )
+    assert_same_index(loaded, fresh)
     queries = ("Ada Vell met Bo Rinn", "born in Marsh Bay", "Quill", "who met Fay Lund")
     assert_same_rankings(loaded, fresh, queries, k=8)

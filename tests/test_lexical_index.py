@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -212,11 +213,67 @@ def rewrite_npz(path: Path, **changes) -> None:
     reseal(path.parent)
 
 
-def test_load_rejects_passage_appended_after_save(tmp_path, chain_index):
+def record_values(path: Path, key: str) -> list[str]:
+    """The values of one text field of a ``records.npz``."""
+    with np.load(path) as rec:
+        text = rec[f"{key}_utf8"].tobytes().decode("utf-8", "surrogatepass")
+        bounds = rec[f"{key}_offsets"].tolist()
+    return [text[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def record_column(key: str, values: list[str]) -> dict[str, np.ndarray]:
+    """The two arrays of a ``records.npz`` text field holding ``values``."""
+    data = "".join(values).encode("utf-8", "surrogatepass")
+    return {
+        f"{key}_utf8": np.frombuffer(data, dtype=np.uint8),
+        f"{key}_offsets": np.cumsum([0, *map(len, values)]),
+    }
+
+
+def rewrite_records(directory: Path, kind: str, edit) -> None:
+    """Replace the ``kind`` ("passage" or "triple") records of a saved
+    index's ``records.npz`` with ``edit(rows)``, each row a dict of field ->
+    text; set the manifest's count to match and reseal."""
+    path = directory / "records.npz"
+    with np.load(path) as rec:
+        keys = [
+            name[len(kind) + 1 : -len("_utf8")] for name in rec.files
+            if name.startswith(f"{kind}_") and name.endswith("_utf8")
+        ]
+    columns = [record_values(path, f"{kind}_{key}") for key in keys]
+    rows = edit([dict(zip(keys, values)) for values in zip(*columns)])
+    manifest_path = directory / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest[f"{kind}s"] = len(rows)
+    manifest_path.write_text(json.dumps(manifest))
+    arrays = {}
+    for key in keys:
+        arrays.update(record_column(f"{kind}_{key}", [row[key] for row in rows]))
+    rewrite_npz(path, **arrays)
+
+
+# Saved by the code of format version 3 (records as JSONL files, hashed),
+# from the records of index_v1.
+V3_INDEX = Path(__file__).parent / "data" / "index_v3"
+
+
+def v3_copy(tmp_path: Path) -> Path:
+    return Path(shutil.copytree(V3_INDEX, tmp_path / "v3"))
+
+
+def test_load_rejects_passage_appended_after_save(tmp_path):
+    directory = v3_copy(tmp_path)
+    with open(directory / "passages.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "p99", "title": "", "text": "late island"}) + "\n")
+    reseal(directory)
+    with pytest.raises(IndexBuildError, match="lexical.npz: p_ids"):
+        load_index(directory)
+
+
+def test_load_rejects_passage_added_to_records_after_save(tmp_path, chain_index):
     save_index(chain_index, tmp_path)
-    with open(tmp_path / "passages.jsonl", "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"id": "p5", "title": "", "text": "late island"}) + "\n")
-    reseal(tmp_path)
+    late = {"id": "p5", "title": "", "text": "late island"}
+    rewrite_records(tmp_path, "passage", lambda rows: rows + [late])
     with pytest.raises(IndexBuildError, match="lexical.npz: p_ids"):
         load_index(tmp_path)
 
@@ -277,20 +334,42 @@ def test_load_rejects_doc_position_out_of_range(tmp_path, chain_index):
         load_index(tmp_path)
 
 
-def test_load_applies_build_record_checks(tmp_path, chain_index):
-    save_index(chain_index, tmp_path)
-    path = tmp_path / "triples.jsonl"
+def test_load_applies_build_record_checks(tmp_path):
+    directory = v3_copy(tmp_path)
+    path = directory / "triples.jsonl"
     first = path.read_text().splitlines()[0]
     path.write_text(path.read_text() + first + "\n")
-    reseal(tmp_path)
-    with pytest.raises(IndexBuildError, match="duplicate triple id: 't1'"):
-        load_index(tmp_path)
+    reseal(directory)
+    with pytest.raises(IndexBuildError, match="duplicate triple id: 'p00#0'"):
+        load_index(directory)
     record = json.loads(first)
     path.write_text(json.dumps({**record, "id": "tX", "passage_id": "nope"}) + "\n")
-    reseal(tmp_path)
+    reseal(directory)
     with pytest.raises(IndexBuildError, match="unknown passage"):
-        load_index(tmp_path)
+        load_index(directory)
     path.write_text(json.dumps({**record, "subject": " "}) + "\n")
-    reseal(tmp_path)
+    reseal(directory)
     with pytest.raises(IndexBuildError, match="blank field"):
+        load_index(directory)
+
+
+@pytest.mark.parametrize(
+    "kind, edit, problem",
+    [
+        ("passage", lambda rows: rows + rows[:1], "duplicate passage id: 'p1'"),
+        ("passage", lambda rows: [{**rows[0], "id": ""}, *rows[1:]], "passage with empty id"),
+        ("triple", lambda rows: rows + rows[:1], "duplicate triple id: 't1'"),
+        (
+            "triple",
+            lambda rows: rows + [{**rows[0], "id": "tX", "passage_id": "nope"}],
+            "triple 'tX' references unknown passage 'nope'",
+        ),
+        ("triple", lambda rows: [{**rows[0], "subject": " "}, *rows[1:]], "triple 't1' has a blank field"),
+        ("triple", lambda rows: [*rows[:-1], {**rows[-1], "object": ""}], "triple 't4' has a blank field"),
+    ],
+)
+def test_load_applies_build_record_checks_to_records_npz(tmp_path, chain_index, kind, edit, problem):
+    save_index(chain_index, tmp_path)
+    rewrite_records(tmp_path, kind, edit)
+    with pytest.raises(IndexBuildError, match=rf"records\.npz: {problem}"):
         load_index(tmp_path)
