@@ -217,9 +217,9 @@ def dense_search(
     per text for a plain callable), and the view is read once, by one
     product over only the ``used`` dimensions, those nonzero in some query:
     ``Q[:, used] @ columns[used]`` (see ``VectorView.columns``). For hashed
-    rows that reads the few ``int8`` bucket columns a batch touches instead of
-    every float64 row; when ``used`` is every dimension it is ``Q @ V.T`` on
-    the float64 rows. The working arrays hold len(query) × view-size floats.
+    rows that reads the ``int8`` bucket columns a batch touches, all of them
+    if need be; on float64 rows a batch using every dimension takes
+    ``Q @ V.T``. The working arrays hold len(query) × view-size floats.
 
     The ``int8`` columns are multiplied in float32 when the queries are
     integer-valued and max‖q‖₁ · 128 < 2**24: every product and partial sum
@@ -247,7 +247,7 @@ def dense_search(
         width = f"{embedded.shape[1]}-wide query vectors"
         raise RetrievalError(f"{width} against {len(vv.columns)}-wide {view} rows")
     used = np.flatnonzero(embedded.any(axis=0))
-    if len(used) == len(vv.columns):
+    if vv.vectors.dtype == np.float64 and len(used) == len(vv.columns):
         dots = embedded @ vv.vectors.T
     else:
         gathered = embedded[:, used]
@@ -334,7 +334,7 @@ class _TrigramCodes(dict):
         self.dim = dim
 
     def __missing__(self, trigram: str) -> int:
-        digest = hashlib.blake2b(trigram.encode("utf-8"), digest_size=8).digest()
+        digest = hashlib.blake2b(trigram.encode("utf-8", "surrogatepass"), digest_size=8).digest()
         code = 2 * (int.from_bytes(digest[:4], "little") % self.dim) + (digest[4] & 1)
         self[trigram] = code
         return code
@@ -414,7 +414,7 @@ def _chunk_counts(lows: list[str], dim: int, codes: _TrigramCodes) -> np.ndarray
     ``hash_embed_many``. Each big array is dropped once it is used, so a
     chunk's working set stays small."""
     joined = "".join(lows)
-    # A lone surrogate is kept, so the memo fails on it as hash_embed does.
+    # A lone surrogate is kept, so the memo hashes it as hash_embed does.
     points = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     lengths = np.fromiter(map(len, lows), dtype=np.int64, count=len(lows))
     # A trigram starts anywhere in a text but at its last two positions.
@@ -450,10 +450,11 @@ def hash_embed(text: str, dim: int) -> np.ndarray:
     bucket counts (Weinberger et al., 2009): integer-valued, not normalised.
 
     Each trigram's bucket and sign come from blake2b, 8-byte digest, of its
-    UTF-8 bytes (the first four bytes, little-endian, modulo ``dim`` pick the
-    bucket; the low bit of the fifth, the sign), so vectors are stable across
-    processes and platforms. The (bucket, sign) of each trigram is memoised
-    per dim for the life of the process; the memo is bounded by the distinct
+    UTF-8 bytes (``surrogatepass``: a lone surrogate gets its 3-byte form;
+    the first four bytes, little-endian, modulo ``dim`` pick the bucket; the
+    low bit of the fifth, the sign), so vectors are stable across processes
+    and platforms. The (bucket, sign) of each trigram is memoised per dim
+    for the life of the process; the memo is bounded by the distinct
     trigrams seen. Texts shorter than 3 characters produce the zero vector;
     cosine against the zero vector is defined as 0.
     """

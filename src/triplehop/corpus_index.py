@@ -137,13 +137,13 @@ class LexicalView:
         )
 
 
-def exact_int8(rows: np.ndarray) -> np.ndarray | None:
+def exact_int8(rows: np.ndarray) -> np.ndarray:
     """``rows`` as ``int8`` when that holds every value exactly, as it does
-    hashed counts, else None. A value ``int8`` cannot hold casts to one that
-    fails the comparison."""
+    hashed counts, else ``rows`` itself. A value ``int8`` cannot hold casts
+    to one that fails the comparison."""
     with np.errstate(invalid="ignore"):
         small = rows.astype(np.int8)
-    return small if np.array_equal(small, rows) else None
+    return small if np.array_equal(small, rows) else rows
 
 
 def _transposed(small: np.ndarray) -> np.ndarray:
@@ -157,17 +157,17 @@ def _transposed(small: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VectorView:
-    """Per-view embedding matrix: the embedder's rows as it returned them, in
-    ascending id order, and two derived fields for dense search.
+    """Per-view embedding matrix: the embedder's rows in ascending id order,
+    and two derived fields for dense search.
 
-    ``vectors`` is always float64 and row-major; an ``int8`` array (as
-    ``load_index`` reads hashed counts) is widened without checking it again.
-    ``sq_norms`` holds the rows' squared norms. ``columns`` is the rows
-    transposed, shape (dim, N): a C-contiguous ``int8`` copy when ``int8``
-    holds the rows exactly (see ``exact_int8``), as for hashed counts, so one
-    bucket's values over the whole view are one contiguous run of N bytes;
-    else the view ``vectors.T``, no copy. Dense search gathers the ``int8``
-    rows its batch uses and multiplies them in float32 when that is exact.
+    ``vectors`` is row-major: ``int8`` when that holds the rows exactly (see
+    ``exact_int8``), as for hashed counts, else float64. An ``int8`` array,
+    as build and load pass hashed counts, is kept unchecked and never
+    widened whole. ``sq_norms`` holds the rows' squared norms in float64.
+    ``columns`` is the rows transposed, (dim, N): of ``int8`` rows a
+    C-contiguous copy, so a bucket's values over the view are N contiguous
+    bytes that dense search gathers (in float32 when that is exact); of
+    float64 rows the view ``vectors.T``, no copy.
     """
 
     ids: tuple[str, ...]
@@ -176,14 +176,13 @@ class VectorView:
     columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.vectors.dtype == np.int8:
-            small, rows = self.vectors, self.vectors.astype(np.float64)
-        else:
-            rows = np.asarray(self.vectors, dtype=np.float64)
-            small = exact_int8(rows)
-        columns = rows.T if small is None else _transposed(small)
+        rows = self.vectors
+        if rows.dtype != np.int8:
+            rows = exact_int8(np.asarray(rows, dtype=np.float64))
+        columns = rows.T if rows.dtype == np.float64 else _transposed(rows)
         object.__setattr__(self, "vectors", rows)
-        object.__setattr__(self, "sq_norms", np.einsum("ij,ij->i", rows, rows))
+        # einsum widens int8 rows to ``dtype`` in small buffers, not whole.
+        object.__setattr__(self, "sq_norms", np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
         object.__setattr__(self, "columns", columns)
 
 
@@ -361,6 +360,31 @@ def embed_texts(
     return rows
 
 
+# Texts per ``embed_texts`` call of a build: an int8 view is float64 one block at most.
+_EMBED_BLOCK = 4096
+
+
+def _embed_view(embedder, texts: list[str], labels: tuple[str, ...]) -> np.ndarray:
+    """A view's rows, one ``embed_texts`` call per 4096 texts, each block
+    narrowed by ``exact_int8`` as it arrives: ``int8``, or float64 from the
+    first block ``int8`` does not hold; (0, 0) and no call for no texts. A
+    block of another width than the first raises IndexBuildError naming it."""
+    rows = np.zeros((0, 0), dtype=np.float64)
+    for lo in range(0, len(texts), _EMBED_BLOCK):
+        hi = lo + _EMBED_BLOCK
+        block = embed_texts(embedder, texts[lo:hi], labels[lo:hi])
+        if not lo:
+            rows = np.zeros((len(texts), block.shape[1]), dtype=np.int8)
+        elif block.shape[1] != rows.shape[1]:
+            width = f"{block.shape[1]}-wide rows from {labels[lo]!r} on"
+            raise IndexBuildError(f"embedder returned {width}, not {rows.shape[1]}-wide")
+        if rows.dtype == np.int8:
+            block = exact_int8(block)
+            rows = rows if block.dtype == np.int8 else rows.astype(np.float64)
+        rows[lo:hi] = block
+    return rows
+
+
 def build_index(
     passages: Iterable[Passage],
     triples: Iterable[Triple],
@@ -368,11 +392,11 @@ def build_index(
 ) -> CorpusIndex:
     """Build the full index: alignment, adjacency, lexical stats, embeddings.
 
-    Each view is embedded by one ``embed_texts`` call: one
-    ``embedder.embed_many(texts)`` call for the whole view when the embedder
-    has that method (``HashEmbedder`` hashes it in chunks of 256 texts,
-    ``HttpEmbedder`` sends up to 32 texts per request), else one call per
-    text.
+    Each view is embedded by one ``embed_texts`` call per 4096 texts (see
+    ``_embed_view``): one ``embedder.embed_many(texts)`` call when the
+    embedder has it (``HashEmbedder`` hashes in chunks of 256 texts,
+    ``HttpEmbedder`` sends up to 32 per request), else one call per text.
+    Rows that ``int8`` holds exactly, as hashed counts, stay ``int8``.
 
     Raises IndexBuildError on invalid records, as ``_assemble`` describes, and
     when the embedder's rows are not one 1-D vector of one length per text.
@@ -389,9 +413,9 @@ def build_index(
         vectors = {
             PASSAGES: VectorView(
                 passage_ids,
-                embed_texts(embedder, [passage_map[i].body for i in passage_ids], passage_ids),
+                _embed_view(embedder, [passage_map[i].body for i in passage_ids], passage_ids),
             ),
-            TRIPLES: VectorView(triple_ids, embed_texts(embedder, triple_texts, triple_ids)),
+            TRIPLES: VectorView(triple_ids, _embed_view(embedder, triple_texts, triple_ids)),
         }
         return lexical, vectors
 
@@ -587,7 +611,7 @@ def _write_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def _sparse_rows(vv: VectorView, name: str) -> dict[str, np.ndarray]:
-    """A view that ``int8`` holds exactly as sparse rows: row ``i``'s non-zero
+    """A view of ``int8`` rows as sparse rows: row ``i``'s non-zero
     values are ``values[offsets[i]:offsets[i + 1]]``, in ascending bucket
     order, at the buckets ``buckets[offsets[i]:offsets[i + 1]]``; ``shape``
     is the rows' (N, dim). Made a block of rows at a time, so no index array
@@ -597,7 +621,7 @@ def _sparse_rows(vv: VectorView, name: str) -> dict[str, np.ndarray]:
     buckets = [np.zeros(0, np.min_scalar_type(max(dim - 1, 0)))]
     values = [np.zeros(0, np.int8)]
     for lo in range(0, n, _ROW_BLOCK):
-        small = vv.vectors[lo : lo + _ROW_BLOCK].astype(np.int8)
+        small = vv.vectors[lo : lo + _ROW_BLOCK]
         at = np.flatnonzero(small)
         row = at // dim
         counts[lo : lo + _ROW_BLOCK] = np.bincount(row, minlength=len(small))
@@ -639,7 +663,7 @@ def _write_files(index: CorpusIndex, directory: Path) -> dict[str, str]:
     for view, prefix, name in _NPZ_PREFIXES:
         vv = index.vectors[view]
         emb_payload[f"{name}_ids"] = np.asarray(vv.ids, dtype=np.str_)
-        if vv.columns.dtype == np.int8:
+        if vv.vectors.dtype == np.int8:
             emb_payload.update(_sparse_rows(vv, name))
         else:
             emb_payload[f"{name}_vectors"] = vv.vectors
@@ -798,7 +822,7 @@ def _read_vector_view(emb, name: str, ids: tuple[str, ...], path: Path, dim) -> 
             raise fail(f"{name}_shape is not (rows, dim)")
         n, width = shape.tolist()
     else:
-        # As stored: format-2 int8 hashed counts are widened by VectorView, unchecked.
+        # As stored: VectorView keeps format-2 int8 hashed counts unchecked.
         vectors = emb[f"{name}_vectors"]
         n, width = vectors.shape
     if n != len(ids):

@@ -98,10 +98,10 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     counts are its row of the triple view; its row and the ends of its
     lower-cased text are memoised per index (``CorpusIndex.triple_ends``),
     and the counts of beam prefixes and of prefix plus boundary are cached
-    per search. A batch, 128 sequences at a time, gathers the last triples'
-    rows, adds each one's prefix-plus-boundary counts by an index array, and
-    normalises all rows with one ``einsum`` and one division. Counts are
-    integer-valued, so every sum and squared norm is exact and each unit row
+    per search. A batch, 128 sequences at a time, takes each one's prefix-
+    plus-boundary counts by an index array, adds the last triples' (``int8``)
+    rows and normalises all rows with one ``einsum`` and one division. Counts
+    are integers, so every sum and squared norm is exact and each unit row
     has the bits of the serialized text's unit vector. The final dot product
     stays one 1-D dot per row: a matrix-vector product sums in another
     order, changes last bits and so reorders exact ties. Every score is
@@ -175,8 +175,8 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
                     keys.setdefault((seq[:-1], head), len(keys))
                     for seq, (_, head, _) in zip(block, last)
                 ]
-                counts = rows[[row for row, _, _ in last]]
-                counts += np.stack([joined(*key) for key in keys])[picks]
+                counts = np.stack([joined(*key) for key in keys])[picks]
+                counts += rows[[row for row, _, _ in last]]
                 norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
                 counts /= np.where(norms > 0, norms, 1.0)[:, None]
                 # One 1-D dot per row, as ``unit_query @ row``: matmul over a

@@ -113,12 +113,14 @@ def _rationals(vector) -> list[Fraction]:
 
 
 def oracle_hash_embed(text: str, dim: int) -> np.ndarray:
-    """Feature hashing with one blake2b digest per trigram occurrence: the
-    signed bucket counts, not normalised."""
+    """Feature hashing with one blake2b digest per trigram occurrence, of its
+    UTF-8 bytes (lone surrogates by ``surrogatepass``): the signed bucket
+    counts, not normalised."""
     vec = np.zeros(dim, dtype=np.float64)
     low = text.lower()
     for i in range(len(low) - 2):
-        digest = hashlib.blake2b(low[i : i + 3].encode("utf-8"), digest_size=8).digest()
+        data = low[i : i + 3].encode("utf-8", "surrogatepass")
+        digest = hashlib.blake2b(data, digest_size=8).digest()
         bucket = int.from_bytes(digest[:4], "little") % dim
         sign = 1.0 if digest[4] & 1 else -1.0
         vec[bucket] += sign

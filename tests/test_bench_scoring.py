@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from triplehop import (
@@ -95,7 +96,7 @@ def test_embed_many_dense_index_passages(benchmark, dense_index):
     embedder = dense_index.embedder
     texts = [dense_index.passages[pid].body for pid in dense_index.vectors[PASSAGES].ids]
     rows = benchmark(embedder.embed_many, texts)
-    assert rows.tobytes() == dense_index.vectors[PASSAGES].vectors.tobytes()
+    assert rows.tobytes() == dense_index.vectors[PASSAGES].vectors.astype(np.float64).tobytes()
 
 
 @pytest.mark.parametrize("how", ["embed_many", "hash_embed"])

@@ -8,11 +8,13 @@ import requests
 from triplehop import (
     LLMGateway,
     RetrieverSystem,
+    dense_search,
     load_engine_config,
     load_index,
     run_agent,
 )
 from triplehop.cli import dispatch
+from triplehop.corpus_index import PASSAGES, TRIPLES
 from triplehop.llm_gateway import ScriptedBackend
 
 from .conftest import RecordingBackend
@@ -263,6 +265,39 @@ def test_index_build_names_the_file_and_lines_of_a_repeated_passage_id(tmp_path,
     err = capsys.readouterr().err
     assert f"{ppath}:{repeat}: duplicate passage id" in err and "first on line 1" in err
     assert not (tmp_path / "x").exists()
+
+
+def test_index_build_takes_text_with_lone_surrogates(tmp_path, capsys):
+    # Valid JSON ("\ud800" escapes) that UTF-8 cannot encode without surrogatepass.
+    body = "Zorblat \ud800 dwells in Quenth by the \udfff river."
+    passages = [
+        {"id": "p1", "title": "odd", "text": body},
+        {"id": "p2", "title": "plain", "text": "island fact lives here."},
+    ]
+    triples = [
+        {"id": "t1", "passage_id": "p1", "subject": "Zorblat \ud800", "predicate": "dwells in",
+         "object": "Quenth"},
+        {"id": "t2", "passage_id": "p2", "subject": "island", "predicate": "kind",
+         "object": "isolated"},
+    ]
+    ppath, tpath = tmp_path / "passages.jsonl", tmp_path / "triples.jsonl"
+    ppath.write_text("".join(json.dumps(p) + "\n" for p in passages))
+    tpath.write_text("".join(json.dumps(t) + "\n" for t in triples))
+    out = tmp_path / "idx"
+    code = dispatch([
+        "index", "build", "--passages", str(ppath), "--triples", str(tpath), "--out", str(out),
+    ])
+    assert code == 0, capsys.readouterr().err
+    loaded = load_index(out)
+    assert loaded.passages["p1"].body == body
+    assert loaded.triples["t1"].subject == "Zorblat \ud800"
+    query = "where does Zorblat \ud800 dwell"
+    assert dense_search(loaded, query, PASSAGES, 1).ids == ["p1"]
+    assert dense_search(loaded, query, TRIPLES, 1).ids == ["t1"]
+    capsys.readouterr()
+    code = dispatch(["retrieve", "--index", str(out), "--query", query, "--k", "1"])
+    assert code == 0
+    assert "p1" in capsys.readouterr().out
 
 
 def test_mutually_exclusive_triple_sources(tmp_path, capsys):

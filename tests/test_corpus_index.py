@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -242,10 +243,11 @@ def test_view_rows_are_the_embedders_output(tmp_path, chain_index):
         for view, by_id in texts.items():
             vv = index.vectors[view]
             assert vv.ids == tuple(sorted(by_id))
-            assert vv.vectors.dtype == np.float64
-            for row, item_id in zip(vv.vectors, vv.ids):
+            assert vv.vectors.dtype == np.int8
+            wide = vv.vectors.astype(np.float64)
+            for row, item_id in zip(wide, vv.ids):
                 assert row.tobytes() == index.embedder(by_id[item_id]).tobytes()
-            assert vv.sq_norms.tolist() == [float(r @ r) for r in vv.vectors]
+            assert vv.sq_norms.tolist() == [float(r @ r) for r in wide]
 
 
 def test_jsonl_loading_and_auto_ids(tmp_path):
@@ -353,18 +355,22 @@ def test_hashed_rows_are_stored_as_int8_and_other_rows_as_float64(tmp_path, chai
     assert loaded.vectors[PASSAGES].vectors.tobytes() == halves("body").tobytes()
 
 
-def test_hashed_views_hold_float64_rows_and_an_int8_column_copy(tmp_path, chain_index):
+def test_hashed_views_hold_int8_rows_and_an_int8_column_copy(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
     loaded = load_index(tmp_path / "idx")
     for index in (chain_index, loaded):
         for view in (PASSAGES, TRIPLES):
             vv = index.vectors[view]
-            assert vv.vectors.dtype == np.float64
+            assert vv.vectors.dtype == np.int8
             assert vv.vectors.flags.c_contiguous
+            assert vv.vectors.shape == (len(vv.ids), 128)
             assert vv.columns.dtype == np.int8
             assert vv.columns.flags.c_contiguous
             assert vv.columns.shape == (128, len(vv.ids))
             assert np.array_equal(vv.columns, vv.vectors.T)
+            wide = vv.vectors.astype(np.float64)
+            assert vv.sq_norms.dtype == np.float64
+            assert vv.sq_norms.tobytes() == np.einsum("ij,ij->i", wide, wide).tobytes()
             assert vv.sq_norms.tobytes() == chain_index.vectors[view].sq_norms.tobytes()
 
 
@@ -375,10 +381,37 @@ def test_int8_columns_span_several_transpose_blocks():
         vv = VectorView(ids, given)
         assert vv.columns.dtype == np.int8 and vv.columns.flags.c_contiguous
         assert np.array_equal(vv.columns, rows.T)
-        assert vv.vectors.dtype == np.float64 and np.array_equal(vv.vectors, rows)
-    # a value int8 cannot hold keeps the float64 rows as their own columns
+        assert vv.vectors.dtype == np.int8
+        assert vv.vectors.astype(np.float64).tobytes() == rows.tobytes()
+        assert vv.sq_norms.tobytes() == np.einsum("ij,ij->i", rows, rows).tobytes()
+    # a value int8 cannot hold keeps the float64 rows, as their own columns too
     rows[299, 15] = 200.0
-    assert np.shares_memory(VectorView(ids, rows).columns, rows)
+    wide = VectorView(ids, rows)
+    assert wide.vectors.dtype == np.float64 and np.shares_memory(wide.vectors, rows)
+    assert np.shares_memory(wide.columns, rows)
+    assert wide.sq_norms.tobytes() == np.einsum("ij,ij->i", rows, rows).tobytes()
+
+
+def test_a_hashed_build_holds_no_float64_copy_of_a_view(monkeypatch):
+    # 3,000 triples at dim 1024, embedded in 12 blocks of 256: a float64 copy
+    # of the triple view is 24.6 MB, its int8 rows and columns 6.1 MB, and
+    # the records and lexical views a few MB more.
+    monkeypatch.setattr("triplehop.corpus_index._EMBED_BLOCK", 256)
+    dim, n = 1024, 3000
+    passages = [Passage(f"p{i:02d}", "", f"passage {i}") for i in range(30)]
+    triples = [
+        Triple(f"t{i:04d}", f"entity {i}", "relates to", f"thing {i % 97}", f"p{i % 30:02d}")
+        for i in range(n)
+    ]
+    # numpy reports its buffers to tracemalloc, so its peak sees every array.
+    tracemalloc.start()
+    try:
+        index = build_index(passages, triples, HashEmbedder(dim))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index.vectors[TRIPLES].vectors.dtype == np.int8
+    assert peak < n * dim * 8
 
 
 def test_float_rows_are_their_own_columns(tmp_path):

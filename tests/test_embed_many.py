@@ -31,11 +31,12 @@ from triplehop import (
     resolve_embedder,
     save_index,
 )
-from triplehop import base_retrieval
+from triplehop import base_retrieval, corpus_index
 from triplehop.corpus_index import PASSAGES, TRIPLES, IndexBuildError, serialize_triple
 from triplehop.graph_expansion import make_cosine_scorer
 
 from .conftest import build_hop_corpus
+from .oracles import oracle_hash_embed
 
 DIMS = [8, 64, 256, 257]
 
@@ -116,17 +117,15 @@ def test_embed_many_keeps_apart_trigrams_that_share_low_bits(monkeypatch):
 
 
 @pytest.mark.parametrize("array_min", [0, base_retrieval._EMBED_ARRAY_MIN])
-def test_embed_many_takes_any_sequence_and_fails_as_hash_embed_does(monkeypatch, array_min):
+def test_embed_many_takes_any_sequence_and_hashes_as_hash_embed_does(monkeypatch, array_min):
     monkeypatch.setattr(base_retrieval, "_EMBED_ARRAY_MIN", array_min)
     texts = ("alpha beta", "gamma")
     assert_bytes_equal(HashEmbedder(64).embed_many(texts), stacked(list(texts), 64))
-    # A lone surrogate in a trigram cannot be UTF-8 encoded, alone or not.
-    with pytest.raises(UnicodeEncodeError):
-        hash_embed("a\ud800b", 64)
-    with pytest.raises(UnicodeEncodeError):
-        HashEmbedder(64).embed_many(["fine", "a\ud800b"])
-    # With no trigram it is never hashed.
-    assert_bytes_equal(HashEmbedder(64).embed_many(["\ud800", "ok!"]), stacked(["\ud800", "ok!"], 64))
+    # A lone surrogate hashes by its surrogatepass bytes, alone or in a batch.
+    lone = ["fine", "a\ud800b", "\udfff\ud800\udfff", "x\udc80", "\ud800", "ok!", "a\ud83d\ude00b"]
+    assert_bytes_equal(HashEmbedder(64).embed_many(lone), stacked(lone, 64))
+    for text in lone:
+        assert hash_embed(text, 64).tobytes() == oracle_hash_embed(text, 64).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +194,8 @@ def test_built_and_loaded_views_equal_per_text_vectors(tmp_path, dim):
     for view, texts in zip((PASSAGES, TRIPLES), _view_texts(index)):
         want = stacked(texts, dim)
         for got in (index, loaded, plain):
-            assert_bytes_equal(got.vectors[view].vectors, want)
+            assert got.vectors[view].vectors.dtype == np.int8
+            assert_bytes_equal(got.vectors[view].vectors.astype(np.float64), want)
             assert got.vectors[view].sq_norms.tobytes() == index.vectors[view].sq_norms.tobytes()
 
 
@@ -210,6 +210,87 @@ def test_build_embeds_each_view_in_one_call():
     no_triples = build_index(passages[:2], [], empty)
     assert len(empty.batches) == 1
     assert no_triples.vectors[TRIPLES].vectors.shape == (0, 0)
+
+
+def _block_corpus(n=10):
+    passages = [Passage(f"p{i:02d}", "", f"body {i} of the corpus") for i in range(n)]
+    triples = [Triple(f"t{i:02d}", f"s{i}", "r", f"o{i}", f"p{i:02d}") for i in range(n)]
+    return passages, triples
+
+
+def test_build_embeds_a_view_in_fixed_blocks_as_int8(monkeypatch):
+    monkeypatch.setattr(corpus_index, "_EMBED_BLOCK", 4)
+    passages, triples = _block_corpus()
+    embedder = RecordingEmbedder()
+    index = build_index(passages, triples, embedder)
+    want_passages, want_triples = _view_texts(index)
+    assert embedder.batches == [
+        want_passages[:4], want_passages[4:8], want_passages[8:],
+        want_triples[:4], want_triples[4:8], want_triples[8:],
+    ]
+    for view, texts in zip((PASSAGES, TRIPLES), (want_passages, want_triples)):
+        rows = index.vectors[view].vectors
+        assert rows.dtype == np.int8
+        assert_bytes_equal(rows.astype(np.float64), stacked(texts, 64))
+    # An empty view is still (0, 0), with no call.
+    empty = RecordingEmbedder()
+    no_triples = build_index(passages, [], empty)
+    assert len(empty.batches) == 3
+    assert no_triples.vectors[TRIPLES].vectors.shape == (0, 0)
+
+
+class _FractionalFrom:
+    """Hashed counts at dim 64, times 1.5 for texts that contain ``marker``:
+    integer rows until the first such text, fractional ones from there."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __call__(self, text):
+        counts = hash_embed(text, 64)
+        return counts * 1.5 if self.marker in text else counts
+
+    def embed_many(self, texts):
+        return np.stack([self(text) for text in texts])
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_a_view_turns_float64_from_its_first_fractional_block(monkeypatch, batched):
+    monkeypatch.setattr(corpus_index, "_EMBED_BLOCK", 4)
+    passages, triples = _block_corpus()
+    # "body 6 " is in the second block of passages only; no triple has it.
+    embedder = _FractionalFrom("body 6 ")
+    if not batched:
+        embedder = embedder.__call__
+    index = build_index(passages, triples, embedder)
+    want_passages, want_triples = _view_texts(index)
+    rows = index.vectors[PASSAGES].vectors
+    assert rows.dtype == np.float64
+    assert_bytes_equal(rows, np.stack([embedder(text) for text in want_passages]))
+    assert index.vectors[PASSAGES].columns.dtype == np.float64
+    assert index.vectors[TRIPLES].vectors.dtype == np.int8
+    assert_bytes_equal(index.vectors[TRIPLES].vectors.astype(np.float64), stacked(want_triples, 64))
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_build_rejects_blocks_of_different_widths(monkeypatch, batched):
+    monkeypatch.setattr(corpus_index, "_EMBED_BLOCK", 4)
+    passages, triples = _block_corpus()
+
+    def widening(text):
+        # bodies of passages p04 on are 16 wide, the rest 8
+        return np.ones(16 if int(text.split()[1]) >= 4 else 8)
+
+    class Batched:
+        def __call__(self, text):
+            raise AssertionError("called one text at a time")
+
+        def embed_many(self, texts):
+            return np.stack([widening(text) for text in texts])
+
+    embedder = Batched() if batched else widening
+    with pytest.raises(IndexBuildError, match=r"16-wide rows from 'p04' on, not 8-wide"):
+        build_index(passages, triples, embedder)
 
 
 def test_build_rejects_embed_many_rows_of_the_wrong_shape():

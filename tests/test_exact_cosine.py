@@ -109,14 +109,14 @@ def test_dense_ids_equal_exact_oracle(corpus, query):
 
 
 def reference_entries(index, texts, view, k):
-    """The ranking from the full product ``Q @ vectors.T``, every dimension
-    read, then the signed squared cosine ratio and ``top_k``; each entry as
-    (id, ``float.hex`` of the score)."""
+    """The ranking from the full float64 product ``Q @ vectors.T``, every
+    dimension read, then the signed squared cosine ratio and ``top_k``; each
+    entry as (id, ``float.hex`` of the score)."""
     vv = index.vectors[view]
     if not vv.ids:
         return [[] for _ in texts]
     embedded = np.stack([index.embed_query(text) for text in texts])
-    dots = embedded @ vv.vectors.T
+    dots = embedded @ vv.vectors.astype(np.float64).T
     denom = np.outer([float(q @ q) for q in embedded], vv.sq_norms)
     ratios = np.divide(dots * np.abs(dots), denom, out=np.zeros_like(dots), where=denom > 0)
     out = []
@@ -210,11 +210,7 @@ def takes_float32(index, texts, view) -> bool:
     vv = index.vectors[view]
     embedded = np.stack([index.embed_query(text) for text in texts])
     used = np.flatnonzero(embedded.any(axis=0))
-    return (
-        vv.columns.dtype == np.int8
-        and len(used) < len(vv.columns)
-        and _float32_exact(embedded[:, used])
-    )
+    return vv.columns.dtype == np.int8 and _float32_exact(embedded[:, used])
 
 
 def assert_exact_and_float64_bits(index, embed, texts, view, k):
@@ -249,14 +245,20 @@ def guard_index(embedder):
 
 
 def test_float32_product_of_hashed_batches_equals_float64_product():
-    index = guard_index(HashEmbedder(64))
-    for searched in (index, saved_and_loaded(index)):
-        for view in (PASSAGES, TRIPLES):
-            assert takes_float32(searched, _QUESTIONS, view)
-            for k in (1, 3, 10):
-                assert_exact_and_float64_bits(
-                    searched, lambda text: oracle_hash_embed(text, 64), _QUESTIONS, view, k
-                )
+    # At dim 8 the long question uses every bucket, so its batch gathers the
+    # int8 columns whole.
+    questions = [*_QUESTIONS, "who married Pupiba Fatu and was born in Fefe Puno"]
+    assert np.count_nonzero(hash_embed(questions[-1], 8)) == 8
+    for dim in (64, 8):
+        index = guard_index(HashEmbedder(dim))
+        for searched in (index, saved_and_loaded(index)):
+            for view in (PASSAGES, TRIPLES):
+                assert searched.vectors[view].vectors.dtype == np.int8
+                assert takes_float32(searched, questions, view)
+                for k in (1, 3, 10):
+                    assert_exact_and_float64_bits(
+                        searched, lambda text: oracle_hash_embed(text, dim), questions, view, k
+                    )
 
 
 def test_query_over_the_float32_bound_takes_the_float64_product():
