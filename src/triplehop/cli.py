@@ -154,7 +154,8 @@ def _print_ranked(index, ranked) -> None:
     rows = [["rank", "score", "passage", "title"]]
     for rank, (pid, score) in enumerate(ranked.entries, start=1):
         rows.append([str(rank), f"{score:.6f}", pid, index.passages[pid].title])
-    print(format_columns(rows))
+    # A lone surrogate (valid JSON "\ud800") prints as its escape.
+    print(format_columns(rows).encode("utf-8", "backslashreplace").decode("utf-8"))
 
 
 def _make_system(index, cfg: EngineConfig, mode: str, qa: bool = False):

@@ -20,8 +20,9 @@ import unicodedata
 import zipfile
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from operator import attrgetter, lt
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -71,6 +72,54 @@ def serialize_triple(triple) -> str:
     return " ".join(
         part.strip() for part in (triple.subject, triple.predicate, triple.object)
     )
+
+
+def _text_column(values: list[str]) -> tuple[str, np.ndarray]:
+    """Texts as one column: joined, and the int64 offsets where each starts, plus the total."""
+    offsets = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, values), np.int64, len(values)), out=offsets[1:])
+    return "".join(values), offsets
+
+
+def _slices(text: str, offsets: np.ndarray) -> list[str]:
+    bounds = offsets.tolist()
+    return [text[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+class Records(Mapping):
+    """Read-only id -> record mapping over columns, as ``records.npz`` holds
+    them: ``ids`` ascending, and each other field, by its key there, as
+    ``(text, offsets)``, value ``i`` being ``text[offsets[i]:offsets[i + 1]]``.
+    A lookup bisects ``ids`` and builds the record, ``make(id, *fields)``."""
+
+    def __init__(self, kind: str, make: Callable, ids: tuple[str, ...], columns: dict):
+        self.kind, self.make, self.ids, self.columns = kind, make, ids, columns
+        # a memoryview indexes to Python ints several times faster than numpy
+        self._cuts = [(text, memoryview(offsets)) for text, offsets in columns.values()]
+
+    @classmethod
+    def of(cls, kind: str, objects: list) -> "Records":
+        """``objects`` of ``kind``'s record type, sorted by id."""
+        make, keys = _RECORD_KINDS[kind]
+        objects = sorted(objects, key=attrgetter("id"))
+        values = {key: list(map(attrgetter(f.name), objects)) for key, f in zip(keys, fields(make))}
+        return cls(kind, make, tuple(values.pop("id")), {k: _text_column(v) for k, v in values.items()})
+
+    def position(self, key: str) -> int:
+        at = bisect_left(self.ids, key) if isinstance(key, str) else len(self.ids)
+        if at == len(self.ids) or self.ids[at] != key:
+            raise KeyError(f"unknown {self.kind} id: {key!r}")
+        return at
+
+    def __getitem__(self, key: str):
+        at = self.position(key)
+        return self.make(self.ids[at], *[text[cut[at] : cut[at + 1]] for text, cut in self._cuts])
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -195,14 +244,13 @@ class TripleEnds(dict):
     unknown id raises KeyError.
     """
 
-    def __init__(self, triples: dict[str, Triple], ids: tuple[str, ...]):
+    def __init__(self, triples: Records):
         super().__init__()
         self.triples = triples
-        self.ids = ids
 
     def __missing__(self, triple_id: str) -> tuple[int, str, str]:
         low = serialize_triple(self.triples[triple_id]).lower()
-        entry = self[triple_id] = (bisect_left(self.ids, triple_id), low[:2], low[-2:])
+        entry = self[triple_id] = (self.triples.position(triple_id), low[:2], low[-2:])
         return entry
 
 
@@ -211,37 +259,48 @@ class CorpusIndex:
     """Immutable joint index over passages and their aligned triples.
 
     Made by ``build_index`` and ``load_index``, both through ``_assemble``.
+    The graph is arrays over positions in ``passages.ids`` and
+    ``triples.ids``: each triple's passage (``triple_passage``) and subject
+    and object entity codes (``entity_codes``, a code per ``normalize_entity``
+    key), and (indptr, ascending triple positions) CSR pairs by entity code
+    (a triple naming one entity twice is in its group twice) and by passage.
+    ``alignment`` maps triple id -> passage id.
+
     The only state it gains afterwards is memos kept for the life of the
     index: ``triple_ends``; ``neighbour_ids``, each triple id's neighbours in
-    ascending order, filled by ``diverse_beam_search``; and each lexical
-    view's ``bm25_weights``. Threads that race on one entry store equal
-    values, so there is no lock.
+    ascending order, filled by ``get_neighbours``; and each lexical view's
+    ``bm25_weights``. Threads that race on one entry store equal values, so
+    there is no lock.
     """
 
-    passages: dict[str, Passage]
-    triples: dict[str, Triple]
-    alignment: dict[str, str]
-    entity_adjacency: dict[str, frozenset[str]]
+    passages: Records
+    triples: Records
     lexical: dict[str, LexicalView]
     vectors: dict[str, VectorView]
     embedder: Callable[[str], np.ndarray]
-    _passage_triples: dict[str, tuple[str, ...]] = field(repr=False)
+    triple_passage: np.ndarray = field(repr=False)
+    entity_codes: np.ndarray = field(repr=False)
+    entity_csr: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    passage_csr: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    alignment: Records = field(init=False, repr=False, compare=False)
     triple_ends: TripleEnds = field(init=False, repr=False, compare=False)
     neighbour_ids: dict[str, tuple[str, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        self.triple_ends = TripleEnds(self.triples, self.vectors[TRIPLES].ids)
+        by_passage = {"passage_id": self.triples.columns["passage_id"]}
+        self.alignment = Records("triple", lambda _, pid: pid, self.triples.ids, by_passage)
+        self.triple_ends = TripleEnds(self.triples)
 
     def embed_query(self, text: str) -> np.ndarray:
         return np.asarray(self.embedder(text), dtype=np.float64)
 
     def passage_triples(self, passage_id: str) -> tuple[str, ...]:
         """Ids of the triples aligned to a passage, ascending."""
-        if passage_id not in self.passages:
-            raise KeyError(f"unknown passage id: {passage_id!r}")
-        return self._passage_triples.get(passage_id, ())
+        at = self.passages.position(passage_id)
+        indptr, members = self.passage_csr
+        return tuple(map(self.triples.ids.__getitem__, members[indptr[at] : indptr[at + 1]].tolist()))
 
 
 def passage_search_text(passage: Passage) -> str:
@@ -249,72 +308,67 @@ def passage_search_text(passage: Passage) -> str:
     return f"{passage.title} {passage.body}" if passage.title else passage.body
 
 
+def _csr(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` grouped by ``keys`` in [0, n), keeping their order in each
+    group: (indptr, grouped), group ``k`` being ``grouped[indptr[k]:indptr[k + 1]]``."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+    return indptr, values[np.argsort(keys, kind="stable")]
+
+
 def _assemble(
-    passages: Iterable[Passage],
-    triples: Iterable[Triple],
+    passages: Records,
+    triples: Records,
     embedder: Callable[[str], np.ndarray],
     make_views: Callable,
     source: Path | None = None,
 ) -> CorpusIndex:
-    """Validate the records and derive the index state: alignment, entity
-    adjacency and passage -> triples. ``build_index`` and ``load_index``
-    differ only in ``make_views(passages, triples, passage_ids, triple_ids)``,
-    which returns the lexical and the vector views, both with rows in the
-    ascending id order of ``passage_ids`` and ``triple_ids``.
+    """Check the records and derive the graph arrays. ``build_index`` and
+    ``load_index`` differ only in ``make_views(passage_ids, triple_ids)``,
+    which returns the lexical and the vector views, rows in that order.
 
-    Raises IndexBuildError on duplicate ids, dangling passage references, or
-    triples with blank fields; the message names the offending record, after
+    Raises IndexBuildError on empty ids, ids not strictly ascending (naming
+    the first repeated id, if any), dangling passage references, or triples
+    with blank fields; the message names the offending record, after
     ``source`` (the file the records were read from) when one is given.
     """
 
     def fail(problem: str) -> IndexBuildError:
         return IndexBuildError(problem if source is None else f"{source}: {problem}")
 
-    passage_map: dict[str, Passage] = {}
-    for p in passages:
-        if not p.id:
-            raise fail("passage with empty id")
-        if p.id in passage_map:
-            raise fail(f"duplicate passage id: {p.id!r}")
-        passage_map[p.id] = p
+    for records in (passages, triples):
+        ids = records.ids
+        if not all(map(lt, ids, ids[1:])):
+            ordered = sorted(ids)
+            repeated = [a for a, b in zip(ordered, ordered[1:]) if a == b]
+            problem = f"duplicate {records.kind} id: {repeated[0]!r}" if repeated else None
+            raise fail(problem or f"{records.kind} ids are not ascending")
+        if ids and not ids[0]:
+            raise fail(f"{records.kind} with empty id")
 
-    triple_map: dict[str, Triple] = {}
-    alignment: dict[str, str] = {}
-    adjacency: dict[str, set[str]] = {}
-    keys: dict[str, str] = {}  # raw entity -> normalize_entity(raw entity)
-    for t in triples:
-        if not t.id:
-            raise fail("triple with empty id")
-        if t.id in triple_map:
-            raise fail(f"duplicate triple id: {t.id!r}")
-        if t.passage_id not in passage_map:
-            raise fail(f"triple {t.id!r} references unknown passage {t.passage_id!r}")
-        if not (t.subject.strip() and t.predicate.strip() and t.object.strip()):
-            raise fail(f"triple {t.id!r} has a blank field")
-        triple_map[t.id] = t
-        alignment[t.id] = t.passage_id
-        for entity in (t.subject, t.object):
-            key = keys.get(entity)
-            if key is None:
-                key = keys[entity] = normalize_entity(entity)
-            adjacency.setdefault(key, set()).add(t.id)
+    triple_ids, n = triples.ids, len(triples)
+    at = dict(zip(passages.ids, range(len(passages))))
+    owners = _slices(*triples.columns["passage_id"])
+    triple_passage = np.fromiter(map(at.get, owners, [-1] * n), np.int64, n)
+    if n and triple_passage.min() < 0:
+        first = int((triple_passage < 0).argmax())
+        raise fail(f"triple {triple_ids[first]!r} references unknown passage {owners[first]!r}")
+    parts = [_slices(*triples.columns[key]) for key in ("subject", "predicate", "object")]
+    if not all(all(map(str.strip, values)) for values in parts):
+        first = min(i for values in parts for i, value in enumerate(values) if not value.strip())
+        raise fail(f"triple {triple_ids[first]!r} has a blank field")
 
-    passage_ids = tuple(sorted(passage_map))
-    triple_ids = tuple(sorted(triple_map))
-    grouped: dict[str, list[str]] = {}
-    for tid in triple_ids:
-        grouped.setdefault(alignment[tid], []).append(tid)
-    lexical, vectors = make_views(passage_map, triple_map, passage_ids, triple_ids)
-
+    subjects, _, objects = parts
+    keys: dict[str, int] = {}  # normalize_entity(raw entity) -> its code
+    code_of = {raw: keys.setdefault(normalize_entity(raw), len(keys))
+               for raw in dict.fromkeys(subjects + objects)}
+    codes = np.fromiter(map(code_of.__getitem__, subjects + objects), np.int64, 2 * n)
+    ends = np.ascontiguousarray(codes.reshape(2, n).T)  # each triple's (subject, object) codes
+    lexical, vectors = make_views(passages.ids, triple_ids)
     return CorpusIndex(
-        passages=passage_map,
-        triples=triple_map,
-        alignment=alignment,
-        entity_adjacency={e: frozenset(ids) for e, ids in adjacency.items()},
-        lexical=lexical,
-        vectors=vectors,
-        embedder=embedder,
-        _passage_triples={pid: tuple(tids) for pid, tids in grouped.items()},
+        passages, triples, lexical, vectors, embedder, triple_passage, ends,
+        _csr(ends.ravel(), np.repeat(np.arange(n), 2), len(keys)),
+        _csr(triple_passage, np.arange(n), len(passages)),
     )
 
 
@@ -390,7 +444,8 @@ def build_index(
     triples: Iterable[Triple],
     embedder: Callable[[str], np.ndarray],
 ) -> CorpusIndex:
-    """Build the full index: alignment, adjacency, lexical stats, embeddings.
+    """Build the full index: the record columns, the graph, lexical stats and
+    embeddings. The records are sorted by id first.
 
     Each view is embedded by one ``embed_texts`` call per 4096 texts (see
     ``_embed_view``): one ``embedder.embed_many(texts)`` call when the
@@ -401,44 +456,44 @@ def build_index(
     Raises IndexBuildError on invalid records, as ``_assemble`` describes, and
     when the embedder's rows are not one 1-D vector of one length per text.
     """
+    passages = sorted(passages, key=attrgetter("id"))
+    triples = sorted(triples, key=attrgetter("id"))
 
-    def compute_views(passage_map, triple_map, passage_ids, triple_ids):
-        triple_texts = [serialize_triple(triple_map[i]) for i in triple_ids]
+    def compute_views(passage_ids, triple_ids):
+        triple_texts = list(map(serialize_triple, triples))
         lexical = {
-            PASSAGES: LexicalView.from_texts(
-                passage_ids, [passage_search_text(passage_map[i]) for i in passage_ids]
-            ),
+            PASSAGES: LexicalView.from_texts(passage_ids, list(map(passage_search_text, passages))),
             TRIPLES: LexicalView.from_texts(triple_ids, triple_texts),
         }
         vectors = {
             PASSAGES: VectorView(
-                passage_ids,
-                _embed_view(embedder, [passage_map[i].body for i in passage_ids], passage_ids),
+                passage_ids, _embed_view(embedder, [p.body for p in passages], passage_ids)
             ),
             TRIPLES: VectorView(triple_ids, _embed_view(embedder, triple_texts, triple_ids)),
         }
         return lexical, vectors
 
-    return _assemble(passages, triples, embedder, compute_views)
+    records = Records.of("passage", passages), Records.of("triple", triples)
+    return _assemble(*records, embedder, compute_views)
 
 
 def get_neighbours(index: CorpusIndex, triple_id: str) -> set[str]:
-    """Triples sharing a normalized head or tail entity with ``triple_id``."""
-    triple = index.triples.get(triple_id)
-    if triple is None:
-        raise KeyError(f"unknown triple id: {triple_id!r}")
-    linked: set[str] = set()
-    for entity in (triple.subject, triple.object):
-        linked |= index.entity_adjacency.get(normalize_entity(entity), frozenset())
-    linked.discard(triple_id)
-    return linked
+    """Triples sharing a normalized head or tail entity with ``triple_id``:
+    the union of its two entity groups in ``index.entity_csr``, less itself.
+    They are also memoised in ascending order in ``index.neighbour_ids``."""
+    neighbours = index.neighbour_ids.get(triple_id)
+    if neighbours is None:
+        at = index.triples.position(triple_id)
+        indptr, members = index.entity_csr
+        linked = np.union1d(*(members[indptr[c] : indptr[c + 1]] for c in index.entity_codes[at]))
+        neighbours = tuple(map(index.triples.ids.__getitem__, linked[linked != at].tolist()))
+        index.neighbour_ids[triple_id] = neighbours
+    return set(neighbours)
 
 
 def triple_to_passage(index: CorpusIndex, triple_id: str) -> str:
     """Source passage id for a triple."""
-    if triple_id not in index.alignment:
-        raise KeyError(f"unknown triple id: {triple_id!r}")
-    return index.alignment[triple_id]
+    return index.passages.ids[index.triple_passage[index.triples.position(triple_id)]]
 
 
 def triples_to_passages(index: CorpusIndex, triple_ids: Iterable[str]) -> list[str]:
@@ -585,10 +640,10 @@ _JSONL_FILES = ("passages.jsonl", "triples.jsonl")
 # Each record kind in records.npz: its key prefix (and, plus "s", its count in
 # the manifest), its type, and its fields' keys in the order of the type's
 # fields (a passage's ``body`` is stored as "text", as in the JSONL input).
-_RECORD_KINDS = (
-    ("passage", Passage, ("id", "title", "text")),
-    ("triple", Triple, ("id", "subject", "predicate", "object", "passage_id")),
-)
+_RECORD_KINDS = {
+    "passage": (Passage, ("id", "title", "text")),
+    "triple": (Triple, ("id", "subject", "predicate", "object", "passage_id")),
+}
 
 # Rows per block when sparse rows are made or scattered, so that no index
 # array spans a whole view.
@@ -637,15 +692,13 @@ def _sparse_rows(vv: VectorView, name: str) -> dict[str, np.ndarray]:
     }
 
 
-def _utf8_column(key: str, values: list[str]) -> dict[str, np.ndarray]:
-    """One text field of every record: the values' UTF-8 bytes, back to back,
-    and the code-point offsets where each value starts, plus the total.
-    ``surrogatepass`` keeps lone surrogates, which JSON input may hold."""
-    offsets = np.zeros(len(values) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, values), np.int64, len(values)), out=offsets[1:])
-    data = "".join(values).encode("utf-8", "surrogatepass")
+def _utf8_column(key: str, text: str, offsets: np.ndarray) -> dict[str, np.ndarray]:
+    """One text field of every record (see ``Records``) as stored: the values'
+    UTF-8 bytes, back to back, and the code-point offsets where each value
+    starts, plus the total. ``surrogatepass`` keeps lone surrogates, which
+    JSON input may hold."""
     return {
-        f"{key}_utf8": np.frombuffer(data, dtype=np.uint8),
+        f"{key}_utf8": np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8),
         f"{key}_offsets": _narrow(offsets),
     }
 
@@ -653,10 +706,10 @@ def _utf8_column(key: str, values: list[str]) -> dict[str, np.ndarray]:
 def _write_files(index: CorpusIndex, directory: Path) -> dict[str, str]:
     """Write the index's files into ``directory``; return each one's sha256."""
     records = {}
-    for (kind, cls, keys), by_id in zip(_RECORD_KINDS, (index.passages, index.triples)):
-        ordered = [by_id[i] for i in sorted(by_id)]
-        for key, attr in zip(keys, (f.name for f in fields(cls))):
-            records.update(_utf8_column(f"{kind}_{key}", list(map(attrgetter(attr), ordered))))
+    for by_id in (index.passages, index.triples):
+        columns = {"id": _text_column(list(by_id.ids)), **by_id.columns}
+        for key in _RECORD_KINDS[by_id.kind][1]:
+            records.update(_utf8_column(f"{by_id.kind}_{key}", *columns[key]))
 
     emb_payload = {}
     lex_payload = {}
@@ -885,8 +938,8 @@ def _read_lexical_view(lex, prefix: str, ids: tuple[str, ...], path: Path) -> Le
     return view
 
 
-def _read_utf8_column(rec, key: str, fail) -> list[str]:
-    """A text field's values from ``records.npz`` (see ``_utf8_column``)."""
+def _read_utf8_column(rec, key: str, fail) -> tuple[str, np.ndarray]:
+    """A text field of ``records.npz`` (see ``_utf8_column``) as ``(text, offsets)``."""
     try:
         text = rec[f"{key}_utf8"].tobytes().decode("utf-8", "surrogatepass")
     except UnicodeDecodeError as e:
@@ -900,31 +953,31 @@ def _read_utf8_column(rec, key: str, fail) -> list[str]:
             f"{key}_offsets is not non-decreasing from 0 to the {len(text)} "
             f"characters of {key}_utf8"
         )
-    bounds = offsets.tolist()
-    return [text[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return text, offsets
 
 
-def _read_records(path: Path, manifest: dict) -> tuple[list[Passage], list[Triple]]:
+def _read_records(path: Path, manifest: dict) -> tuple[Records, Records]:
     """The passages and triples of ``records.npz``, each field decoded once
-    and sliced. Raises IndexBuildError naming the file when a field is not
-    UTF-8, its offsets do not cut its text, the fields of a kind differ in
-    count, or a count differs from the manifest's."""
+    and kept as a column; only the ids are sliced. Raises IndexBuildError
+    naming the file when a field is not UTF-8, its offsets do not cut its
+    text, the fields of a kind differ in count, or a count differs from the
+    manifest's."""
 
     def fail(problem: str) -> IndexBuildError:
         return IndexBuildError(f"{path}: {problem}")
 
     kinds = []
     with np.load(path) as rec:
-        for kind, cls, keys in _RECORD_KINDS:
-            columns = [_read_utf8_column(rec, f"{kind}_{key}", fail) for key in keys]
-            counts = [len(column) for column in columns]
+        for kind, (make, keys) in _RECORD_KINDS.items():
+            columns = {key: _read_utf8_column(rec, f"{kind}_{key}", fail) for key in keys}
+            counts = [len(offsets) - 1 for _, offsets in columns.values()]
             if len(set(counts)) > 1:
                 listed = ", ".join(f"{key} {n}" for key, n in zip(keys, counts))
                 raise fail(f"{kind} fields differ in count: {listed}")
             recorded = manifest.get(f"{kind}s")
             if counts[0] != recorded:
                 raise fail(f"{counts[0]} {kind}s, but manifest.json records {recorded!r}")
-            kinds.append(list(map(cls, *columns)))
+            kinds.append(Records(kind, make, tuple(_slices(*columns.pop("id"))), columns))
     return kinds[0], kinds[1]
 
 
@@ -997,10 +1050,11 @@ def load_index(
     else:
         passages = load_passages_jsonl(directory / "passages.jsonl")
         triples = load_triples_jsonl(directory / "triples.jsonl")
-    if version == 1:
-        return build_index(passages, triples, embedder)
+        if version == 1:
+            return build_index(passages, triples, embedder)
+        passages, triples = Records.of("passage", passages), Records.of("triple", triples)
 
-    def read_views(passage_map, triple_map, passage_ids, triple_ids):
+    def read_views(passage_ids, triple_ids):
         lex_path, emb_path = directory / "lexical.npz", directory / "embeddings.npz"
         lexical, vectors = {}, {}
         with np.load(lex_path) as lex, np.load(emb_path) as emb:

@@ -369,7 +369,7 @@ def run_eval(
     row and excluded from the aggregates.
     """
     for question in questions:
-        unresolved = question.gold_passage_ids - set(system.index.passages)
+        unresolved = {pid for pid in question.gold_passage_ids if pid not in system.index.passages}
         if unresolved:
             raise ValueError(
                 f"question {question.id!r} has unresolved gold passages: "

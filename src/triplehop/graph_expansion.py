@@ -189,12 +189,12 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
 
 
 def _ascending_neighbours(index: CorpusIndex, triple_id: str) -> tuple[str, ...]:
-    """``sorted(get_neighbours(index, triple_id))``, memoised per index in
-    ``index.neighbour_ids``; racing threads store equal tuples, so no lock."""
+    """``sorted(get_neighbours(index, triple_id))``, from the memo
+    ``index.neighbour_ids`` that ``get_neighbours`` fills on a miss."""
     neighbours = index.neighbour_ids.get(triple_id)
     if neighbours is None:
-        neighbours = tuple(sorted(get_neighbours(index, triple_id)))
-        index.neighbour_ids[triple_id] = neighbours
+        get_neighbours(index, triple_id)
+        neighbours = index.neighbour_ids[triple_id]
     return neighbours
 
 

@@ -21,6 +21,8 @@ from triplehop import (  # noqa: E402
     ScriptedBackend,
     Triple,
     build_index,
+    get_neighbours,
+    triple_to_passage,
 )
 from triplehop.llm_gateway import CompletionResult, whitespace_tokens  # noqa: E402
 
@@ -49,6 +51,16 @@ class RecordingBackend:
 
     def to_scripted(self) -> ScriptedBackend:
         return ScriptedBackend(self.fixtures)
+
+
+def graph_of(index) -> tuple[dict, dict, dict]:
+    """The entity graph as the public lookups give it: each triple's
+    neighbours and passage, and each passage's triples."""
+    return (
+        {tid: get_neighbours(index, tid) for tid in index.triples},
+        {tid: triple_to_passage(index, tid) for tid in index.triples},
+        {pid: index.passage_triples(pid) for pid in index.passages},
+    )
 
 
 @pytest.fixture(scope="session")

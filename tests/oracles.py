@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import unicodedata
 from collections import Counter
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ def brute_force_adjacency(triples: dict) -> dict[str, set[str]]:
     """O(n^2) neighbour derivation straight from the raw triple fields."""
 
     def norm(text: str) -> str:
-        return " ".join(text.lower().split())
+        return " ".join(unicodedata.normalize("NFC", text).lower().split())
 
     keys = {
         tid: {norm(t.subject), norm(t.object)} for tid, t in triples.items()

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import json
+import sys
 
 import pytest
 import requests
@@ -416,3 +418,22 @@ def test_retrieve_prints_the_eval_systems_ranking(
         backend=recorder, chunk_cap=cfg.agent.per_iteration_k,
     )
     assert printed == system.retrieve(query).ids
+
+
+def test_retrieve_prints_a_title_with_a_lone_surrogate_escaped(tmp_path, monkeypatch):
+    # build, save and load keep "\ud800" (valid JSON); a strict UTF-8 stdout cannot print it
+    passages = [
+        {"id": "p1", "title": "Zorblat \ud800 hall", "text": "Zorblat dwells in Quenth."},
+        {"id": "p2", "title": "plain", "text": "island fact lives here."},
+    ]
+    ppath = tmp_path / "passages.jsonl"
+    ppath.write_text("".join(json.dumps(p) + "\n" for p in passages))
+    out = tmp_path / "idx"
+    assert dispatch(["index", "build", "--passages", str(ppath), "--out", str(out)]) == 0
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = dispatch(["retrieve", "--index", str(out), "--query", "Zorblat Quenth", "--k", "1"])
+    stdout.flush()
+    printed = stdout.buffer.getvalue().decode("utf-8")
+    assert code == 0
+    assert "p1" in printed and "Zorblat \\ud800 hall" in printed

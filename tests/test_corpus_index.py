@@ -39,6 +39,8 @@ from triplehop.corpus_index import (
     tokenize,
 )
 
+from .conftest import graph_of
+
 
 def make_index(passages, triples, dim=64):
     return build_index(passages, triples, HashEmbedder(dim))
@@ -48,7 +50,9 @@ def test_empty_index():
     index = make_index([], [])
     assert index.passages == {}
     assert index.triples == {}
-    assert index.entity_adjacency == {}
+    assert graph_of(index) == ({}, {}, {})
+    with pytest.raises(KeyError, match="unknown triple id: 'x'"):
+        get_neighbours(index, "x")
     assert bm25_search(index, "anything", PASSAGES, 5).entries == ()
     assert dense_search(index, "anything", TRIPLES, 5).entries == ()
 
@@ -58,8 +62,16 @@ def test_single_triple_adjacency_keys():
         [Passage("P1", "t", "body")],
         [Triple("x", "A", "r", "B", "P1")],
     )
-    assert index.entity_adjacency[normalize_entity("A")] == {"x"}
-    assert index.entity_adjacency[normalize_entity("B")] == {"x"}
+    assert get_neighbours(index, "x") == set()
+    # x is linked under normalize_entity("A") and normalize_entity("B"): a
+    # triple naming either key, in any case, is its neighbour
+    probed = make_index(
+        [Passage("P1", "t", "body")],
+        [Triple("x", "A", "r", "B", "P1"), Triple("ya", " a ", "s", "E", "P1"),
+         Triple("yb", "F", "s", "b", "P1")],
+    )
+    assert get_neighbours(probed, "ya") == get_neighbours(probed, "yb") == {"x"}
+    assert get_neighbours(probed, "x") == {"ya", "yb"}
 
 
 def test_shared_entity_adjacency_hand_enumerated():
@@ -67,7 +79,9 @@ def test_shared_entity_adjacency_hand_enumerated():
         [Passage("P1", "", "one"), Passage("P2", "", "two")],
         [Triple("x", "A", "r", "B", "P1"), Triple("y", "B", "s", "C", "P2")],
     )
-    assert index.entity_adjacency[normalize_entity("B")] == {"x", "y"}
+    # x and y share normalize_entity("B")
+    assert get_neighbours(index, "x") == {"y"}
+    assert get_neighbours(index, "y") == {"x"}
 
 
 def test_duplicate_passage_id_names_id():
@@ -277,7 +291,7 @@ def test_persistence_round_trip(tmp_path, chain_index):
     assert loaded.passages == chain_index.passages
     assert loaded.triples == chain_index.triples
     assert loaded.alignment == chain_index.alignment
-    assert loaded.entity_adjacency == chain_index.entity_adjacency
+    assert graph_of(loaded) == graph_of(chain_index)
 
     manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
     assert manifest["format_version"] == 4
@@ -499,7 +513,7 @@ def test_format_1_index_loads_and_ranks_like_a_fresh_build():
     )
     assert loaded.passages == fresh.passages
     assert loaded.triples == fresh.triples
-    assert loaded.entity_adjacency == fresh.entity_adjacency
+    assert graph_of(loaded) == graph_of(fresh)
     queries = ("Ada Vell met Bo Rinn", "born in Marsh Bay", "Quill", "who met Fay Lund")
     for query in queries:
         for view in (PASSAGES, TRIPLES):

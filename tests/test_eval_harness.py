@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,37 @@ def test_run_eval_rejects_unresolved_gold(chain_index):
     questions = [question("a", {"does-not-exist"})]
     with pytest.raises(ValueError, match="does-not-exist"):
         run_eval(questions, StubSystem(chain_index, {}), cutoffs=(5,))
+
+
+class UnlistedPassages(Mapping):
+    """A passage mapping that answers lookups but fails on iteration."""
+
+    def __init__(self, passages):
+        self.passages = passages
+
+    def __getitem__(self, pid):
+        return self.passages[pid]
+
+    def __contains__(self, pid):
+        return pid in self.passages
+
+    def __iter__(self):
+        raise AssertionError("the gold check iterated every passage id")
+
+    def __len__(self):
+        return len(self.passages)
+
+
+def test_run_eval_tests_each_gold_id_without_listing_the_index(chain_index):
+    index = SimpleNamespace(passages=UnlistedPassages(chain_index.passages))
+    questions = [question("a", {"p1", "p3"})]
+    report = run_eval(
+        questions, StubSystem(index, {"a": SystemResult(ranked("p1"), "x", 1, 2, 3)}),
+        cutoffs=(5,), workers=1,
+    )
+    assert report.failures == 0
+    with pytest.raises(ValueError, match=r"unresolved gold passages: \['nope'\]"):
+        run_eval([question("b", {"p1", "nope"})], StubSystem(index, {}), cutoffs=(5,))
 
 
 def test_run_eval_report_json_and_table(chain_index):

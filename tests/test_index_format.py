@@ -31,6 +31,7 @@ from triplehop.corpus_index import (
     load_triples_jsonl,
 )
 
+from .conftest import graph_of
 from .test_lexical_index import (
     V3_INDEX,
     record_column,
@@ -57,8 +58,14 @@ def assert_same_index(loaded, fresh):
     assert loaded.passages == fresh.passages
     assert loaded.triples == fresh.triples
     assert loaded.alignment == fresh.alignment
-    assert loaded.entity_adjacency == fresh.entity_adjacency
-    assert loaded._passage_triples == fresh._passage_triples
+    assert graph_of(loaded) == graph_of(fresh)
+    for back, built in ((loaded.passages, fresh.passages), (loaded.triples, fresh.triples)):
+        assert back.ids == built.ids
+        for (text, a), (want, b) in zip(back.columns.values(), built.columns.values()):
+            assert text == want and (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+    for a, b in zip(*([i.triple_passage, i.entity_codes, *i.entity_csr, *i.passage_csr]
+                      for i in (loaded, fresh))):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
     for view in (PASSAGES, TRIPLES):
         back, built = loaded.lexical[view], fresh.lexical[view]
         assert (back.ids, back.rows, back.avg_doc_length) == (
@@ -610,7 +617,7 @@ def test_format_2_index_loads_and_ranks_like_a_fresh_build():
     )
     assert loaded.passages == fresh.passages
     assert loaded.triples == fresh.triples
-    assert loaded.entity_adjacency == fresh.entity_adjacency
+    assert graph_of(loaded) == graph_of(fresh)
     for view in (PASSAGES, TRIPLES):
         assert loaded.vectors[view].vectors.tobytes() == fresh.vectors[view].vectors.tobytes()
     queries = ("Ada Vell met Bo Rinn", "born in Marsh Bay", "Quill", "who met Fay Lund")
