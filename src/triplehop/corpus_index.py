@@ -18,6 +18,7 @@ import secrets
 import shutil
 import unicodedata
 import zipfile
+import zlib
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
@@ -99,9 +100,8 @@ class Records(Mapping):
 
     @classmethod
     def of(cls, kind: str, objects: list) -> "Records":
-        """``objects`` of ``kind``'s record type, sorted by id."""
+        """``objects`` of ``kind``'s record type, in ascending id order."""
         make, keys = _RECORD_KINDS[kind]
-        objects = sorted(objects, key=attrgetter("id"))
         values = {key: list(map(attrgetter(f.name), objects)) for key, f in zip(keys, fields(make))}
         return cls(kind, make, tuple(values.pop("id")), {k: _text_column(v) for k, v in values.items()})
 
@@ -531,7 +531,7 @@ def read_jsonl(
     With ``kind`` given, the records' ``id``s must be distinct: a repeated one
     raises ``error`` naming its ``path:line`` and the line it first appeared on.
     """
-    out = []
+    out, linenos = [], []  # each record and its line
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -549,10 +549,8 @@ def read_jsonl(
                 raise error(f"{path}:{lineno}: missing field {e}") from e
             except (TypeError, ValueError) as e:
                 raise error(f"{path}:{lineno}: {e}") from e
+            linenos.append(lineno)
     if kind is not None and len({record.id for record in out}) < len(out):
-        # each non-blank line made one record: find their line numbers again
-        with open(path, encoding="utf-8") as fh:
-            linenos = [lineno for lineno, line in enumerate(fh, start=1) if line.strip()]
         first_line: dict[str, int] = {}
         for record, lineno in zip(out, linenos):
             first = first_line.setdefault(record.id, lineno)
@@ -631,10 +629,9 @@ def load_triples_jsonl(path: str | Path) -> list[Triple]:
 # Per-view key prefixes in lexical.npz and embeddings.npz.
 _NPZ_PREFIXES = ((PASSAGES, "p", "passage"), (TRIPLES, "t", "triple"))
 
-# The files of a saved index besides its manifest, which records each one's
-# sha256. Format 3 held the records as JSONL files instead of records.npz.
-_SIDECARS = ("lexical.npz", "embeddings.npz")
-_INDEX_FILES = ("records.npz", *_SIDECARS)
+# The files of an index besides its manifest (which records their sha256), and
+# the files that formats 1-3 held in place of records.npz, which a save replaces.
+_INDEX_FILES = ("records.npz", "lexical.npz", "embeddings.npz")
 _JSONL_FILES = ("passages.jsonl", "triples.jsonl")
 
 # Each record kind in records.npz: its key prefix (and, plus "s", its count in
@@ -791,18 +788,14 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
     ``dim``, the record counts and each file's sha256.
 
     The files are written into a hidden sibling directory and fsynced, with
-    that directory; it then takes the place of ``directory`` (a symlink is
-    followed to the directory it names): an existing index is renamed aside,
-    the new one renamed in, the parent directory fsynced, and the old one
-    removed. A save that raises before the renames leaves an existing index
-    as it was and removes its sibling. A process killed between the two
-    renames leaves no index at ``directory`` (the old one waits in a hidden
-    ``.<name>.old-*`` sibling), and one killed while writing leaves a
-    ``.<name>.saving-*`` sibling; the next save to ``directory`` moves the
-    old index back before it writes and removes such siblings, so saves to
-    one directory must not run at once. An existing ``directory`` must be a
-    directory holding nothing but index files (of this format or of format
-    3), or IndexBuildError is raised before anything is written.
+    that directory, which then takes the place of ``directory`` (a symlink
+    is followed) by two renames: an existing index aside, the new one in.
+    A save that raises before the renames leaves an existing index as it
+    was. The next save to ``directory`` clears what a killed save left (see
+    ``_recover``), so saves to one directory must not run at once. An
+    existing ``directory`` must be a directory holding nothing but the files
+    of an index of any format, or IndexBuildError is raised before anything
+    is written.
     """
     directory = Path(directory).resolve()
     if directory.parent.is_dir():
@@ -862,38 +855,59 @@ def _as_int64(array: np.ndarray) -> np.ndarray:
     return np.asarray(array, dtype=np.int64)
 
 
-def _read_vector_view(emb, name: str, ids: tuple[str, ...], path: Path, dim) -> VectorView:
-    def fail(problem: str) -> IndexBuildError:
-        return IndexBuildError(f"{path}: {problem}")
+class _Npz(zipfile.ZipFile):
+    """An ``.npz`` file of an index, read one array per key as ``np.load``
+    reads it. A file that is not an ``.npz``, or a key that it lacks or
+    cannot read, raises IndexBuildError naming the file, as ``fail`` does."""
 
+    def __init__(self, path: Path):
+        self.path = path
+        try:
+            super().__init__(path)
+        except zipfile.BadZipFile as e:
+            raise self.fail(f"not an .npz file: {e}") from None
+
+    def fail(self, problem: str) -> IndexBuildError:
+        return IndexBuildError(f"{self.path}: {problem}")
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        try:
+            with self.open(f"{key}.npy") as fh:
+                return np.lib.format.read_array(fh, allow_pickle=False)
+        except KeyError:
+            raise self.fail(f"no array {key!r}") from None
+        except (EOFError, ValueError, zipfile.BadZipFile, zlib.error) as e:
+            raise self.fail(f"array {key!r} does not read: {e}") from e
+
+
+def _read_vector_view(emb: _Npz, name: str, ids: tuple[str, ...], dim) -> VectorView:
     if emb[f"{name}_ids"].tolist() != list(ids):
-        raise fail(f"{name}_ids differ from the sorted record ids")
-    sparse = f"{name}_shape" in emb
+        raise emb.fail(f"{name}_ids differ from the sorted record ids")
+    sparse = f"{name}_shape.npy" in emb.namelist()
     if sparse:
         shape = _as_int64(emb[f"{name}_shape"])
         if shape.shape != (2,):
-            raise fail(f"{name}_shape is not (rows, dim)")
+            raise emb.fail(f"{name}_shape is not (rows, dim)")
         n, width = shape.tolist()
     else:
-        # As stored: VectorView keeps format-2 int8 hashed counts unchecked.
         vectors = emb[f"{name}_vectors"]
         n, width = vectors.shape
     if n != len(ids):
-        raise fail(f"{n} {name} vectors for {len(ids)} ids")
+        raise emb.fail(f"{n} {name} vectors for {len(ids)} ids")
     if len(ids) and width != dim:
         width = f"{width}-wide {name} vectors"
-        raise IndexBuildError(f"{path.parent / 'manifest.json'}: dim {dim!r}, but {width}")
+        raise IndexBuildError(f"{emb.path.parent / 'manifest.json'}: dim {dim!r}, but {width}")
     if not sparse:
         return VectorView(ids, vectors)
 
     offsets = _as_int64(emb[f"{name}_offsets"])
     buckets, values = emb[f"{name}_buckets"], emb[f"{name}_values"]
     if len(offsets) != n + 1 or len(buckets) != len(values):
-        raise fail(f"{name}_offsets, _buckets and _values disagree in length")
+        raise emb.fail(f"{name}_offsets, _buckets and _values disagree in length")
     if offsets[0] != 0 or offsets[-1] != len(values) or np.any(np.diff(offsets) < 0):
-        raise fail(f"{name}_offsets is not non-decreasing from 0 to len({name}_values)")
+        raise emb.fail(f"{name}_offsets is not non-decreasing from 0 to len({name}_values)")
     if len(buckets) and (buckets.min() < 0 or buckets.max() >= width):
-        raise fail(f"{name}_buckets has a bucket outside [0, {width})")
+        raise emb.fail(f"{name}_buckets has a bucket outside [0, {width})")
     return VectorView(ids, _dense_rows(offsets, buckets, values, width))
 
 
@@ -912,12 +926,9 @@ def _dense_rows(offsets, buckets, values, dim: int) -> np.ndarray:
     return rows
 
 
-def _read_lexical_view(lex, prefix: str, ids: tuple[str, ...], path: Path) -> LexicalView:
-    def fail(problem: str) -> IndexBuildError:
-        return IndexBuildError(f"{path}: {prefix}_{problem}")
-
+def _read_lexical_view(lex: _Npz, prefix: str, ids: tuple[str, ...]) -> LexicalView:
     if lex[f"{prefix}_ids"].tolist() != list(ids):
-        raise fail("ids differ from the sorted record ids")
+        raise lex.fail(f"{prefix}_ids differ from the sorted record ids")
     doc_lengths, vocab, indptr, positions, term_freqs = (
         lex[f"{prefix}_{key}"] if key == "vocab" else _as_int64(lex[f"{prefix}_{key}"])
         for key in ("doc_lengths", "vocab", "indptr", "doc_positions", "term_freqs")
@@ -928,28 +939,28 @@ def _read_lexical_view(lex, prefix: str, ids: tuple[str, ...], path: Path) -> Le
         or len(view.term_freqs) != len(positions)
         or len(indptr) != len(view.vocab) + 1
     ):
-        raise fail("arrays disagree in length")
+        raise lex.fail(f"{prefix}_arrays disagree in length")
     if indptr[0] != 0 or indptr[-1] != len(positions) or np.any(np.diff(indptr) < 0):
-        raise fail("indptr is not non-decreasing from 0 to len(doc_positions)")
+        raise lex.fail(f"{prefix}_indptr is not non-decreasing from 0 to len(doc_positions)")
     if not np.array_equal(lex[f"{prefix}_doc_freq"], np.diff(indptr)):
-        raise fail("doc_freq differs from np.diff(indptr)")
+        raise lex.fail(f"{prefix}_doc_freq differs from np.diff(indptr)")
     if len(positions) and (positions.min() < 0 or positions.max() >= len(ids)):
-        raise fail(f"doc_positions has a position outside [0, {len(ids)})")
+        raise lex.fail(f"{prefix}_doc_positions has a position outside [0, {len(ids)})")
     return view
 
 
-def _read_utf8_column(rec, key: str, fail) -> tuple[str, np.ndarray]:
+def _read_utf8_column(rec: _Npz, key: str) -> tuple[str, np.ndarray]:
     """A text field of ``records.npz`` (see ``_utf8_column``) as ``(text, offsets)``."""
     try:
         text = rec[f"{key}_utf8"].tobytes().decode("utf-8", "surrogatepass")
     except UnicodeDecodeError as e:
-        raise fail(f"{key}_utf8 is not UTF-8: {e.reason} at byte {e.start}") from e
+        raise rec.fail(f"{key}_utf8 is not UTF-8: {e.reason} at byte {e.start}") from e
     offsets = _as_int64(rec[f"{key}_offsets"])
     if (
         offsets.ndim != 1 or not len(offsets) or offsets[0] != 0
         or offsets[-1] != len(text) or np.any(np.diff(offsets) < 0)
     ):
-        raise fail(
+        raise rec.fail(
             f"{key}_offsets is not non-decreasing from 0 to the {len(text)} "
             f"characters of {key}_utf8"
         )
@@ -962,33 +973,29 @@ def _read_records(path: Path, manifest: dict) -> tuple[Records, Records]:
     naming the file when a field is not UTF-8, its offsets do not cut its
     text, the fields of a kind differ in count, or a count differs from the
     manifest's."""
-
-    def fail(problem: str) -> IndexBuildError:
-        return IndexBuildError(f"{path}: {problem}")
-
     kinds = []
-    with np.load(path) as rec:
+    with _Npz(path) as rec:
         for kind, (make, keys) in _RECORD_KINDS.items():
-            columns = {key: _read_utf8_column(rec, f"{kind}_{key}", fail) for key in keys}
+            columns = {key: _read_utf8_column(rec, f"{kind}_{key}") for key in keys}
             counts = [len(offsets) - 1 for _, offsets in columns.values()]
             if len(set(counts)) > 1:
                 listed = ", ".join(f"{key} {n}" for key, n in zip(keys, counts))
-                raise fail(f"{kind} fields differ in count: {listed}")
+                raise rec.fail(f"{kind} fields differ in count: {listed}")
             recorded = manifest.get(f"{kind}s")
             if counts[0] != recorded:
-                raise fail(f"{counts[0]} {kind}s, but manifest.json records {recorded!r}")
+                raise rec.fail(f"{counts[0]} {kind}s, but manifest.json records {recorded!r}")
             kinds.append(Records(kind, make, tuple(_slices(*columns.pop("id"))), columns))
     return kinds[0], kinds[1]
 
 
-def _check_hashes(directory: Path, manifest: dict, names: tuple[str, ...]) -> None:
-    """Raise IndexBuildError unless every file in ``names`` has the sha256
-    the manifest records for it, and the manifest records no other."""
+def _check_hashes(directory: Path, manifest: dict) -> None:
+    """Raise IndexBuildError unless every index file has the sha256 the
+    manifest records for it, and the manifest records no other."""
     manifest_path = directory / "manifest.json"
     recorded = manifest.get("sha256")
-    if not isinstance(recorded, dict) or sorted(recorded) != sorted(names):
-        raise IndexBuildError(f"{manifest_path}: sha256 must name {', '.join(names)}")
-    for name in names:
+    if not isinstance(recorded, dict) or sorted(recorded) != sorted(_INDEX_FILES):
+        raise IndexBuildError(f"{manifest_path}: sha256 must name {', '.join(_INDEX_FILES)}")
+    for name in _INDEX_FILES:
         path = directory / name
         if not path.is_file():
             raise IndexBuildError(f"{path}: missing")
@@ -1002,65 +1009,57 @@ def load_index(
     directory: str | Path,
     embedder: Callable[[str], np.ndarray] | None = None,
 ) -> CorpusIndex:
-    """Load a persisted index without recomputation.
+    """Load a persisted index of format 4 without recomputation. Any other
+    ``format_version`` raises IndexBuildError naming ``triplehop index build``.
 
     The embedder is reconstructed from the manifest name unless one is passed
     explicitly (required for indexes saved with a custom embedding function).
-    For formats 3 and 4, every file must first match the sha256 the manifest
-    records for it, so a file changed after the save (a passage edited in
-    place, say) fails before any of it is read. The records get the same
-    checks as in ``build_index``; records, sidecars or a manifest that
-    disagree with each other or with themselves, or a manifest ``dim`` unlike
-    the stored rows' or a ``hash:<dim>`` embedder's, raise IndexBuildError
-    naming the file. Stored integer arrays are widened back to int64, and
-    sparse rows are scattered into dense ``int8`` rows a block of rows at a
-    time. Versions 2 and 3 (records as JSONL; version 2 with dense rows and
-    no hashes) load as they did; version 1 (unit rows) is rebuilt.
+    Every file must first match the sha256 the manifest records for it, so a
+    file changed after the save fails before any of it is read. The records
+    get ``build_index``'s checks; a file that does not read or disagrees with
+    itself or the others, or a manifest ``dim`` unlike the stored rows' or a
+    ``hash:<dim>`` embedder's, raises IndexBuildError naming the file. Stored
+    integer arrays are widened back to int64, and sparse rows are scattered
+    into dense ``int8`` rows a block of rows at a time.
     """
     from .base_retrieval import hash_dim, resolve_embedder
 
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise IndexBuildError(f"{manifest_path}: not JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise IndexBuildError(f"{manifest_path}: not a JSON object")
     version = manifest.get("format_version")
-    if version not in (1, 2, 3, FORMAT_VERSION):
-        raise IndexBuildError(f"unsupported index format version: {version!r}")
-    if version == FORMAT_VERSION:
-        _check_hashes(directory, manifest, _INDEX_FILES)
-    elif version == 3:
-        _check_hashes(directory, manifest, (*_JSONL_FILES, *_SIDECARS))
+    if version != FORMAT_VERSION:
+        raise IndexBuildError(
+            f"{manifest_path}: format_version {version!r}, but only {FORMAT_VERSION} "
+            "loads; rebuild the index with `triplehop index build`"
+        )
+    _check_hashes(directory, manifest)
     if embedder is None:
         name = manifest.get("embedder", "custom")
         if name == "custom":
-            raise IndexBuildError(
-                "index was saved with a custom embedder; pass one to load_index"
-            )
-        embedder = resolve_embedder(name)
+            raise IndexBuildError("index was saved with a custom embedder; pass one to load_index")
+        try:
+            embedder = resolve_embedder(str(name))
+        except ValueError as e:
+            raise IndexBuildError(f"{manifest_path}: embedder {name!r}: {e}") from e
     dim = manifest.get("dim")
     # An empty index stores dim 0, and any embedder may load it.
     if dim and hash_dim(embedder) not in (None, dim):
-        raise IndexBuildError(
-            f"{manifest_path}: dim {dim!r}, but the embedder is {embedder.name}"
-        )
-    source = None
-    if version == FORMAT_VERSION:
-        source = directory / "records.npz"
-        passages, triples = _read_records(source, manifest)
-    else:
-        passages = load_passages_jsonl(directory / "passages.jsonl")
-        triples = load_triples_jsonl(directory / "triples.jsonl")
-        if version == 1:
-            return build_index(passages, triples, embedder)
-        passages, triples = Records.of("passage", passages), Records.of("triple", triples)
+        raise IndexBuildError(f"{manifest_path}: dim {dim!r}, but the embedder is {embedder.name}")
+    source = directory / "records.npz"
+    passages, triples = _read_records(source, manifest)
 
     def read_views(passage_ids, triple_ids):
-        lex_path, emb_path = directory / "lexical.npz", directory / "embeddings.npz"
         lexical, vectors = {}, {}
-        with np.load(lex_path) as lex, np.load(emb_path) as emb:
+        with _Npz(directory / "lexical.npz") as lex, _Npz(directory / "embeddings.npz") as emb:
             for (view, prefix, name), ids in zip(_NPZ_PREFIXES, (passage_ids, triple_ids)):
-                lexical[view] = _read_lexical_view(lex, prefix, ids, lex_path)
-                vectors[view] = _read_vector_view(emb, name, ids, emb_path, dim)
+                lexical[view] = _read_lexical_view(lex, prefix, ids)
+                vectors[view] = _read_vector_view(emb, name, ids, dim)
         return lexical, vectors
 
     return _assemble(passages, triples, embedder, read_views, source)

@@ -20,6 +20,7 @@ from triplehop.corpus_index import PASSAGES, TRIPLES
 from triplehop.llm_gateway import ScriptedBackend
 
 from .conftest import RecordingBackend
+from .test_lexical_index import v3_copy
 
 WALKTHROUGH_REWRITE = (
     "What is the location of the basilica dedicated to St. Peter, "
@@ -252,6 +253,34 @@ def test_runtime_errors_exit_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_retrieve_from_an_old_format_index_names_the_rebuild(tmp_path, capsys):
+    old = v3_copy(tmp_path)
+    assert dispatch(["retrieve", "--index", str(old), "--query", "Ada Vell"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {old / 'manifest.json'}: format_version 3, but only 4 loads")
+    assert line.endswith("rebuild the index with `triplehop index build`")
+
+
+def test_index_build_replaces_an_old_format_index_in_place(tmp_path, capsys):
+    old = v3_copy(tmp_path)
+    code = dispatch([
+        "index", "build", "--passages", str(old / "passages.jsonl"),
+        "--triples", str(old / "triples.jsonl"), "--out", str(old),
+    ])
+    assert code == 0, capsys.readouterr().err
+    assert sorted(p.name for p in old.iterdir()) == [
+        "embeddings.npz", "lexical.npz", "manifest.json", "records.npz"
+    ]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v3"]
+    index = load_index(old)
+    assert (len(index.passages), len(index.triples)) == (24, 48)
+    capsys.readouterr()
+    assert dispatch(["retrieve", "--index", str(old), "--query", "Ada Vell", "--k", "1"]) == 0
+    assert capsys.readouterr().out != ""
 
 
 def test_index_build_names_the_file_and_lines_of_a_repeated_passage_id(tmp_path, capsys):

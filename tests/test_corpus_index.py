@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import json
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +19,6 @@ from triplehop import (
     build_index,
     dense_search,
     get_neighbours,
-    hybrid_search,
     load_index,
     normalize_entity,
     save_index,
@@ -331,13 +329,36 @@ def test_custom_embedder_round_trip_requires_explicit_embedder(tmp_path):
     assert loaded.passages == index.passages
 
 
-def test_load_rejects_unknown_format(tmp_path, chain_index):
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        *(
+            pytest.param(
+                lambda m, v=version: {**m, "format_version": v},
+                rf"format_version {version}, but only 4 loads; .*`triplehop index build`",
+                id=f"format-{version}",
+            )
+            for version in (1, 2, 3, 999)
+        ),
+        pytest.param(lambda m: b"{not json", "not JSON", id="not-json"),
+        pytest.param(lambda m: b'{"format_version": 4, "\xff": 1}', "not JSON", id="not-utf8"),
+        pytest.param(lambda m: [], "not a JSON object", id="not-an-object"),
+        pytest.param(
+            lambda m: {**m, "embedder": "nope"},
+            "embedder 'nope': unknown embedder spec",
+            id="unknown-embedder",
+        ),
+        pytest.param(lambda m: {**m, "embedder": 7}, "embedder 7: ", id="embedder-not-a-string"),
+    ],
+)
+def test_load_rejects_unknown_format(tmp_path, chain_index, edit, problem):
     save_index(chain_index, tmp_path / "idx")
     manifest_path = tmp_path / "idx" / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["format_version"] = 999
-    manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(IndexBuildError, match="format"):
+    manifest = edit(json.loads(manifest_path.read_text()))
+    if not isinstance(manifest, bytes):
+        manifest = json.dumps(manifest).encode()
+    manifest_path.write_bytes(manifest)
+    with pytest.raises(IndexBuildError, match=rf"manifest\.json: {problem}"):
         load_index(tmp_path / "idx")
 
 
@@ -496,29 +517,6 @@ def test_load_rejects_a_manifest_dim_unlike_the_stored_rows(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(IndexBuildError, match=r"manifest\.json: dim 32, but 64-wide passage"):
         load_index(tmp_path / "idx", embedder=lambda text: np.zeros(32))
-
-
-# Saved by the code of format version 1, which stored unit-normalised rows.
-V1_INDEX = Path(__file__).parent / "data" / "index_v1"
-
-
-def test_format_1_index_loads_and_ranks_like_a_fresh_build():
-    manifest = json.loads((V1_INDEX / "manifest.json").read_text())
-    assert manifest["format_version"] == 1
-    loaded = load_index(V1_INDEX)
-    fresh = build_index(
-        load_passages_jsonl(V1_INDEX / "passages.jsonl"),
-        load_triples_jsonl(V1_INDEX / "triples.jsonl"),
-        HashEmbedder(manifest["dim"]),
-    )
-    assert loaded.passages == fresh.passages
-    assert loaded.triples == fresh.triples
-    assert graph_of(loaded) == graph_of(fresh)
-    queries = ("Ada Vell met Bo Rinn", "born in Marsh Bay", "Quill", "who met Fay Lund")
-    for query in queries:
-        for view in (PASSAGES, TRIPLES):
-            for search in (bm25_search, dense_search, hybrid_search):
-                assert search(loaded, query, view, 8) == search(fresh, query, view, 8)
 
 
 def test_passages_loader_names_both_lines_of_a_repeated_id(tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triplehop import (
+    AgentConfig,
     Beam,
     ExpansionConfig,
     HashEmbedder,
@@ -26,10 +27,10 @@ from triplehop import (
     save_index,
 )
 from triplehop import base_retrieval
-from triplehop.eval_harness import RetrieverSystem, run_eval
+from triplehop.eval_harness import AgentSystem, RetrieverSystem, run_eval
 from triplehop.graph_expansion import make_cosine_scorer
 
-from .conftest import build_hop_corpus
+from .conftest import RecordingBackend, build_hop_corpus, hop_reader_script
 from .oracles import (
     brute_force_adjacency,
     oracle_beam_search,
@@ -176,8 +177,9 @@ def test_beam_search_unchanged_by_incremental_scorer(graph, query, max_length, c
     assert calls == oracle_calls
 
 
-class _RecordingSystem(RetrieverSystem):
-    """Keeps every ranked list it returns, keyed by question id."""
+class _Recording:
+    """Mixed into a system: keeps every ranked list it returns, keyed by
+    question id."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -187,6 +189,14 @@ class _RecordingSystem(RetrieverSystem):
         result = super().run(question)
         self.ranked[question.id] = result.ranked.entries
         return result
+
+
+class _RecordingSystem(_Recording, RetrieverSystem):
+    pass
+
+
+class _RecordingAgent(_Recording, AgentSystem):
+    pass
 
 
 def _threaded_then_serial(threaded_index, serial_index):
@@ -248,3 +258,46 @@ def test_neighbour_memo_is_thread_safe():
         assert neighbours == tuple(sorted(adjacency[triple_id]))
     assert threaded_report.rows == serial_report.rows
     assert threaded == serial
+
+
+@pytest.mark.parametrize("workers", [4, 8])
+def test_agent_eval_is_thread_safe(workers):
+    """Agent evals of the hop corpus with ``workers`` threads switching as
+    often as the interpreter allows equal a serial eval's. Each run gets a
+    freshly built index and an empty trigram memo, so the threads race to
+    fill the ``neighbour_ids``, ``triple_ends`` and ``bm25_weights`` memos
+    and the serial run cannot read what they stored."""
+    passages, triples, questions = build_hop_corpus(n_chains=12, n_distractors=12)
+    config = AgentConfig(
+        RetrievalConfig(k=5, retriever="hybrid"),
+        ExpansionConfig(beam_width=4, max_length=3),
+        max_iterations=2,
+    )
+
+    def run(workers):
+        index = build_index(passages, triples, HashEmbedder(96))
+        backend = RecordingBackend(hop_reader_script)
+        system = _RecordingAgent(index, config, backend, qa_fallback=False)
+        base_retrieval._TRIGRAM_CODES.clear()
+        return index, run_eval(questions, system, workers=workers), system.ranked
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded_index, threaded_report, threaded = run(workers)
+    finally:
+        sys.setswitchinterval(interval)
+    serial_index, serial_report, serial = run(1)
+    assert threaded_report.failures == 0
+    assert len(threaded) == len(questions)
+    assert threaded_report.rows == serial_report.rows
+    assert threaded == serial
+    assert len(threaded_index.neighbour_ids) > 12
+    assert threaded_index.neighbour_ids == serial_index.neighbour_ids
+    assert len(threaded_index.triple_ends) > 12
+    assert threaded_index.triple_ends == serial_index.triple_ends
+    for view, lexical in threaded_index.lexical.items():
+        weights = serial_index.lexical[view].bm25_weights
+        assert lexical.bm25_weights and lexical.bm25_weights.keys() == weights.keys()
+        for pair, array in lexical.bm25_weights.items():
+            assert array.tobytes() == weights[pair].tobytes()

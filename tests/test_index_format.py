@@ -1,6 +1,6 @@
 """Index format 4 on disk: records as UTF-8 columns, sparse int8 rows,
-narrow postings, content hashes checked at load, durable atomic saves, and
-format-2 and format-3 indexes that still load."""
+narrow postings, content hashes and readable arrays checked at load, and
+durable atomic saves, which also replace an index of an older format."""
 
 from __future__ import annotations
 
@@ -24,23 +24,10 @@ from triplehop import (
     load_index,
     save_index,
 )
-from triplehop.corpus_index import (
-    PASSAGES,
-    TRIPLES,
-    load_passages_jsonl,
-    load_triples_jsonl,
-)
+from triplehop.corpus_index import PASSAGES, TRIPLES, load_passages_jsonl, load_triples_jsonl
 
 from .conftest import graph_of
-from .test_lexical_index import (
-    V3_INDEX,
-    record_column,
-    record_values,
-    reseal,
-    rewrite_npz,
-    rewrite_records,
-    v3_copy,
-)
+from .test_lexical_index import record_column, record_values, reseal, rewrite_npz, v3_copy
 
 QUERIES = ("enta linksto entb", "island kind", "ledger three")
 
@@ -373,18 +360,6 @@ def test_load_rejects_record_bytes_that_are_not_utf8(records):
 # Content hashes
 # ---------------------------------------------------------------------------
 
-def test_load_rejects_a_passage_edited_in_place(tmp_path):
-    directory = v3_copy(tmp_path)
-    path = directory / "passages.jsonl"
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[0])
-    assert record["id"] == "p00"
-    lines[0] = json.dumps({**record, "text": "zeta eta"})
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(IndexBuildError, match=r"passages\.jsonl: content differs from its sha256"):
-        load_index(directory)
-
-
 def test_load_rejects_records_edited_in_place(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
     path = tmp_path / "idx" / "records.npz"
@@ -397,16 +372,10 @@ def test_load_rejects_records_edited_in_place(tmp_path, chain_index):
         load_index(tmp_path / "idx")
 
 
-@pytest.mark.parametrize(
-    "name", ["triples.jsonl", "records.npz", "lexical.npz", "embeddings.npz"]
-)
+@pytest.mark.parametrize("name", ["records.npz", "lexical.npz", "embeddings.npz"])
 def test_load_rejects_any_file_changed_after_the_save(tmp_path, chain_index, name):
-    # the JSONL files are format 3's
-    if name.endswith(".jsonl"):
-        directory = v3_copy(tmp_path)
-    else:
-        directory = tmp_path / "idx"
-        save_index(chain_index, directory)
+    directory = tmp_path / "idx"
+    save_index(chain_index, directory)
     path = directory / name
     path.write_bytes(path.read_bytes() + b"\n")
     with pytest.raises(IndexBuildError, match=rf"{name}: content differs from its sha256"):
@@ -434,6 +403,53 @@ def test_resealed_files_pass_the_hash_check(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
     reseal(tmp_path / "idx")
     assert load_index(tmp_path / "idx").passages == chain_index.passages
+
+
+# ---------------------------------------------------------------------------
+# Arrays that do not read
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        ("records.npz", "passage_title_utf8"),
+        ("lexical.npz", "t_doc_freq"),
+        ("embeddings.npz", "triple_values"),
+    ],
+)
+def test_load_names_an_array_missing_from_its_npz(tmp_path, chain_index, name, key):
+    save_index(chain_index, tmp_path)
+    path = tmp_path / name
+    with np.load(path) as stored:
+        arrays = {k: stored[k] for k in stored.files if k != key}
+    np.savez_compressed(path, **arrays)
+    reseal(tmp_path)
+    with pytest.raises(IndexBuildError, match=rf"{name}: no array '{key}'"):
+        load_index(tmp_path)
+
+
+@pytest.mark.parametrize("content", [b"", b"not an npz\n", b"\x93NUMPY"], ids=["empty", "text", "npy"])
+def test_load_names_an_npz_that_is_not_one(tmp_path, chain_index, content):
+    save_index(chain_index, tmp_path)
+    (tmp_path / "lexical.npz").write_bytes(content)
+    reseal(tmp_path)
+    with pytest.raises(IndexBuildError, match=r"lexical\.npz: not an \.npz file"):
+        load_index(tmp_path)
+
+
+def test_load_names_an_array_that_does_not_read(tmp_path, chain_index):
+    save_index(chain_index, tmp_path)
+    path = tmp_path / "embeddings.npz"
+    with np.load(path) as stored:
+        # an object array needs pickle, which a load never allows
+        arrays = {**stored, "passage_ids": np.asarray(["p1", None], dtype=object)}
+    with zipfile.ZipFile(path, "w") as zf:
+        for key, array in arrays.items():
+            with zf.open(f"{key}.npy", "w") as fh:
+                np.lib.format.write_array(fh, array)
+    reseal(tmp_path)
+    with pytest.raises(IndexBuildError, match=r"embeddings\.npz: array 'passage_ids' does not read"):
+        load_index(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -593,53 +609,3 @@ def test_save_into_an_empty_directory(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
     assert [p.name for p in tmp_path.iterdir()] == ["idx"]
     assert load_index(tmp_path / "idx").passages == chain_index.passages
-
-
-# ---------------------------------------------------------------------------
-# Format 2
-# ---------------------------------------------------------------------------
-
-# Saved by the code of format version 2 (dense int8 rows, level-6 deflate, no
-# hashes), from the records of index_v1.
-V2_INDEX = Path(__file__).parent / "data" / "index_v2"
-
-
-def test_format_2_index_loads_and_ranks_like_a_fresh_build():
-    manifest = json.loads((V2_INDEX / "manifest.json").read_text())
-    assert manifest["format_version"] == 2 and "sha256" not in manifest
-    with np.load(V2_INDEX / "embeddings.npz") as emb:
-        assert emb["passage_vectors"].dtype == np.int8
-    loaded = load_index(V2_INDEX)
-    fresh = build_index(
-        load_passages_jsonl(V2_INDEX / "passages.jsonl"),
-        load_triples_jsonl(V2_INDEX / "triples.jsonl"),
-        HashEmbedder(manifest["dim"]),
-    )
-    assert loaded.passages == fresh.passages
-    assert loaded.triples == fresh.triples
-    assert graph_of(loaded) == graph_of(fresh)
-    for view in (PASSAGES, TRIPLES):
-        assert loaded.vectors[view].vectors.tobytes() == fresh.vectors[view].vectors.tobytes()
-    queries = ("Ada Vell met Bo Rinn", "born in Marsh Bay", "Quill", "who met Fay Lund")
-    assert_same_rankings(loaded, fresh, queries, k=8)
-
-
-# ---------------------------------------------------------------------------
-# Format 3
-# ---------------------------------------------------------------------------
-
-def test_format_3_index_loads_and_ranks_like_a_fresh_build():
-    manifest = json.loads((V3_INDEX / "manifest.json").read_text())
-    assert manifest["format_version"] == 3
-    assert sorted(manifest["sha256"]) == [
-        "embeddings.npz", "lexical.npz", "passages.jsonl", "triples.jsonl"
-    ]
-    loaded = load_index(V3_INDEX)
-    fresh = build_index(
-        load_passages_jsonl(V3_INDEX / "passages.jsonl"),
-        load_triples_jsonl(V3_INDEX / "triples.jsonl"),
-        HashEmbedder(manifest["dim"]),
-    )
-    assert_same_index(loaded, fresh)
-    queries = ("Ada Vell met Bo Rinn", "born in Marsh Bay", "Quill", "who met Fay Lund")
-    assert_same_rankings(loaded, fresh, queries, k=8)

@@ -252,22 +252,13 @@ def rewrite_records(directory: Path, kind: str, edit) -> None:
     rewrite_npz(path, **arrays)
 
 
-# Saved by the code of format version 3 (records as JSONL files, hashed),
-# from the records of index_v1.
+# Saved by the code of format version 3 (records as JSONL files, hashed): the
+# one old index kept, which a load refuses and a save replaces.
 V3_INDEX = Path(__file__).parent / "data" / "index_v3"
 
 
 def v3_copy(tmp_path: Path) -> Path:
     return Path(shutil.copytree(V3_INDEX, tmp_path / "v3"))
-
-
-def test_load_rejects_passage_appended_after_save(tmp_path):
-    directory = v3_copy(tmp_path)
-    with open(directory / "passages.jsonl", "a", encoding="utf-8") as fh:
-        fh.write(json.dumps({"id": "p99", "title": "", "text": "late island"}) + "\n")
-    reseal(directory)
-    with pytest.raises(IndexBuildError, match="lexical.npz: p_ids"):
-        load_index(directory)
 
 
 def test_load_rejects_passage_added_to_records_after_save(tmp_path, chain_index):
@@ -332,25 +323,6 @@ def test_load_rejects_doc_position_out_of_range(tmp_path, chain_index):
     rewrite_npz(lex, p_doc_positions=positions)
     with pytest.raises(IndexBuildError, match="lexical.npz: p_doc_positions"):
         load_index(tmp_path)
-
-
-def test_load_applies_build_record_checks(tmp_path):
-    directory = v3_copy(tmp_path)
-    path = directory / "triples.jsonl"
-    first = path.read_text().splitlines()[0]
-    path.write_text(path.read_text() + first + "\n")
-    reseal(directory)
-    with pytest.raises(IndexBuildError, match="duplicate triple id: 'p00#0'"):
-        load_index(directory)
-    record = json.loads(first)
-    path.write_text(json.dumps({**record, "id": "tX", "passage_id": "nope"}) + "\n")
-    reseal(directory)
-    with pytest.raises(IndexBuildError, match="unknown passage"):
-        load_index(directory)
-    path.write_text(json.dumps({**record, "subject": " "}) + "\n")
-    reseal(directory)
-    with pytest.raises(IndexBuildError, match="blank field"):
-        load_index(directory)
 
 
 @pytest.mark.parametrize(

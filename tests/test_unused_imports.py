@@ -1,8 +1,10 @@
-"""Every module-level import of a package module is used by that module.
+"""Every module-level import of a package module is used by that module, and
+every module-level private name (``_x``) is read somewhere in the package.
 
-An import left behind when its last use goes is a relay in waiting; this
-keeps refactors from leaving them. ``__init__.py`` is exempt: its imports are
-the package's exports.
+An import or a private constant, function or class left behind when its last
+use goes is a relay in waiting; this keeps refactors from leaving them.
+``__init__.py`` is exempt from the import check: its imports are the
+package's exports.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "triplehop"
 MODULES = sorted(p.name for p in SRC_DIR.glob("*.py") if p.name != "__init__.py")
+SOURCES = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC_DIR.glob("*.py"))}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +44,48 @@ def test_unused_imports_finds_a_name_the_module_never_reads():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((SRC_DIR / module).read_text(encoding="utf-8")) == []
+
+
+def private_names(source: str) -> list[str]:
+    """Names starting with one underscore that the module binds at its top
+    level: by assignment, ``def`` or ``class``."""
+    names: list[str] = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def names_read(source: str) -> set[str]:
+    """Names the module reads: as a variable, an attribute or an import."""
+    read: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_private_names_finds_what_no_module_reads():
+    source = (
+        "import json as _json\n"
+        "_KEPT = 1\n_LEFT: int = 2\n_A, (_B, c) = 3, (4, 5)\n__all__ = []\n"
+        "def _used():\n    return _KEPT + _A\n"
+        "class _Gone:\n    _attr = 6\n"
+        "print(_used(), other._B)\n"
+    )
+    assert private_names(source) == ["_KEPT", "_LEFT", "_A", "_B", "_used", "_Gone"]
+    read = names_read(source) | names_read("from .m import _LEFT")
+    assert [name for name in private_names(source) if name not in read] == ["_Gone"]
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_module_private_names_are_read_in_the_package(module):
+    read = set().union(*map(names_read, SOURCES.values()))
+    assert [name for name in private_names(SOURCES[module]) if name not in read] == []
