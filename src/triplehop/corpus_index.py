@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 # Index view names: the passage index and the triple index.
 PASSAGES = "passages"
@@ -88,7 +88,7 @@ def _slices(text: str, offsets: np.ndarray) -> list[str]:
 
 
 class Records(Mapping):
-    """Read-only id -> record mapping over columns, as ``records.npz`` holds
+    """Read-only id -> record mapping over columns, as ``index.npz`` holds
     them: ``ids`` ascending, and each other field, by its key there, as
     ``(text, offsets)``, value ``i`` being ``text[offsets[i]:offsets[i + 1]]``.
     A lookup bisects ``ids`` and builds the record, ``make(id, *fields)``."""
@@ -130,8 +130,8 @@ class LexicalView:
     deterministic tie-break order everywhere downstream. The postings of the
     term ``vocab[r]`` (``vocab`` sorted ascending) are the slice
     ``indptr[r]:indptr[r + 1]`` of ``doc_positions`` (ascending positions
-    into ``ids``) and ``term_freqs``. These arrays are also what
-    ``lexical.npz`` stores.
+    into ``ids``) and ``term_freqs``. These arrays but ``ids`` are also what
+    ``index.npz`` stores.
 
     ``bm25_weights`` maps (k1, b) to every posting's BM25 term weight,
     aligned with ``doc_positions``. ``bm25_search`` fills an entry on first
@@ -477,10 +477,10 @@ def build_index(
     return _assemble(*records, embedder, compute_views)
 
 
-def get_neighbours(index: CorpusIndex, triple_id: str) -> set[str]:
-    """Triples sharing a normalized head or tail entity with ``triple_id``:
-    the union of its two entity groups in ``index.entity_csr``, less itself.
-    They are also memoised in ascending order in ``index.neighbour_ids``."""
+def get_neighbours(index: CorpusIndex, triple_id: str) -> tuple[str, ...]:
+    """Ids of the triples sharing a normalized head or tail entity with
+    ``triple_id``, ascending: the union of its two entity groups in
+    ``index.entity_csr``, less itself, memoised in ``index.neighbour_ids``."""
     neighbours = index.neighbour_ids.get(triple_id)
     if neighbours is None:
         at = index.triples.position(triple_id)
@@ -488,7 +488,7 @@ def get_neighbours(index: CorpusIndex, triple_id: str) -> set[str]:
         linked = np.union1d(*(members[indptr[c] : indptr[c + 1]] for c in index.entity_codes[at]))
         neighbours = tuple(map(index.triples.ids.__getitem__, linked[linked != at].tolist()))
         index.neighbour_ids[triple_id] = neighbours
-    return set(neighbours)
+    return neighbours
 
 
 def triple_to_passage(index: CorpusIndex, triple_id: str) -> str:
@@ -626,15 +626,15 @@ def load_triples_jsonl(path: str | Path) -> list[Triple]:
     return read_jsonl(path, parse, kind="triple")
 
 
-# Per-view key prefixes in lexical.npz and embeddings.npz.
+# Per-view key prefixes in index.npz: of the postings, and of the rows.
 _NPZ_PREFIXES = ((PASSAGES, "p", "passage"), (TRIPLES, "t", "triple"))
 
-# The files of an index besides its manifest (which records their sha256), and
-# the files that formats 1-3 held in place of records.npz, which a save replaces.
-_INDEX_FILES = ("records.npz", "lexical.npz", "embeddings.npz")
-_JSONL_FILES = ("passages.jsonl", "triples.jsonl")
+# The one array file of an index besides its manifest (which records its
+# sha256), and the files that formats 1-4 held instead, which a save replaces.
+_INDEX_FILE = "index.npz"
+_OLD_FILES = ("records.npz", "lexical.npz", "embeddings.npz", "passages.jsonl", "triples.jsonl")
 
-# Each record kind in records.npz: its key prefix (and, plus "s", its count in
+# Each record kind in index.npz: its key prefix (and, plus "s", its count in
 # the manifest), its type, and its fields' keys in the order of the type's
 # fields (a passage's ``body`` is stored as "text", as in the JSONL input).
 _RECORD_KINDS = {
@@ -700,27 +700,18 @@ def _utf8_column(key: str, text: str, offsets: np.ndarray) -> dict[str, np.ndarr
     }
 
 
-def _write_files(index: CorpusIndex, directory: Path) -> dict[str, str]:
-    """Write the index's files into ``directory``; return each one's sha256."""
-    records = {}
+def _index_arrays(index: CorpusIndex) -> dict[str, np.ndarray]:
+    """What ``index.npz`` stores, by key: the record columns, then each
+    view's postings and rows. Each id is stored once, in its record column."""
+    arrays = {}
     for by_id in (index.passages, index.triples):
         columns = {"id": _text_column(list(by_id.ids)), **by_id.columns}
         for key in _RECORD_KINDS[by_id.kind][1]:
-            records.update(_utf8_column(f"{by_id.kind}_{key}", *columns[key]))
-
-    emb_payload = {}
-    lex_payload = {}
+            arrays.update(_utf8_column(f"{by_id.kind}_{key}", *columns[key]))
     for view, prefix, name in _NPZ_PREFIXES:
-        vv = index.vectors[view]
-        emb_payload[f"{name}_ids"] = np.asarray(vv.ids, dtype=np.str_)
-        if vv.vectors.dtype == np.int8:
-            emb_payload.update(_sparse_rows(vv, name))
-        else:
-            emb_payload[f"{name}_vectors"] = vv.vectors
         lex = index.lexical[view]
-        lex_payload.update(
+        arrays.update(
             {
-                f"{prefix}_ids": np.asarray(lex.ids, dtype=np.str_),
                 f"{prefix}_doc_lengths": _narrow(lex.doc_lengths),
                 f"{prefix}_vocab": lex.vocab,
                 f"{prefix}_doc_freq": _narrow(np.diff(lex.indptr)),
@@ -729,10 +720,12 @@ def _write_files(index: CorpusIndex, directory: Path) -> dict[str, str]:
                 f"{prefix}_term_freqs": _narrow(lex.term_freqs),
             }
         )
-    _write_npz(directory / "records.npz", records)
-    _write_npz(directory / "embeddings.npz", emb_payload)
-    _write_npz(directory / "lexical.npz", lex_payload)
-    return {name: _sha256(directory / name) for name in _INDEX_FILES}
+        vv = index.vectors[view]
+        if vv.vectors.dtype == np.int8:
+            arrays.update(_sparse_rows(vv, name))
+        else:
+            arrays[f"{name}_vectors"] = vv.vectors
+    return arrays
 
 
 def _sha256(path: Path) -> str:
@@ -776,16 +769,16 @@ def _recover(directory: Path) -> None:
 
 
 def save_index(index: CorpusIndex, directory: str | Path) -> None:
-    """Persist the index as format 4: the records, binary sidecars and a
-    manifest (see README "Data formats").
+    """Persist the index as format 5: ``index.npz`` and a manifest (see
+    README "Data formats").
 
-    ``records.npz`` holds every record field as one UTF-8 column in
-    ascending id order. ``embeddings.npz`` holds each view's ids and rows:
-    hashed rows (those ``int8`` holds exactly) as sparse ``int8`` rows, others
-    as dense float64. ``lexical.npz`` holds the CSR postings. Offsets and
-    postings are stored in the smallest dtype that holds them, and all three
-    files are deflated at level 1. The manifest records the embedder,
-    ``dim``, the record counts and each file's sha256.
+    ``index.npz`` holds every record field as one UTF-8 column in ascending
+    id order, each view's CSR postings, and each view's rows: hashed rows
+    (those ``int8`` holds exactly) as sparse ``int8`` rows, others as dense
+    float64. The ids are stored once, as the record id columns. Offsets and
+    postings are stored in the smallest dtype that holds them, and the file
+    is deflated at level 1. The manifest records the embedder, ``dim``, the
+    record counts and the file's sha256.
 
     The files are written into a hidden sibling directory and fsynced, with
     that directory, which then takes the place of ``directory`` (a symlink
@@ -795,7 +788,7 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
     ``_recover``), so saves to one directory must not run at once. An
     existing ``directory`` must be a directory holding nothing but the files
     of an index of any format, or IndexBuildError is raised before anything
-    is written.
+    is written; a save replaces an index of formats 1-4 in place.
     """
     directory = Path(directory).resolve()
     if directory.parent.is_dir():
@@ -805,7 +798,7 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
             raise IndexBuildError(f"{directory}: not a directory")
         foreign = sorted(
             entry.name for entry in directory.iterdir()
-            if entry.name not in (*_INDEX_FILES, *_JSONL_FILES, "manifest.json")
+            if entry.name not in (_INDEX_FILE, "manifest.json", *_OLD_FILES)
         )
         if foreign:
             raise IndexBuildError(
@@ -818,19 +811,20 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
     retired = None
     try:
         dim = int(index.vectors[PASSAGES].vectors.shape[1]) if index.passages else 0
+        _write_npz(staging / _INDEX_FILE, _index_arrays(index))
         manifest = {
             "format_version": FORMAT_VERSION,
             "embedder": getattr(index.embedder, "name", "custom"),
             "dim": dim,
             "passages": len(index.passages),
             "triples": len(index.triples),
-            "sha256": _write_files(index, staging),
+            "sha256": {_INDEX_FILE: _sha256(staging / _INDEX_FILE)},
         }
         with open(staging / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
-        for name in (*_INDEX_FILES, "manifest.json"):
-            _fsync(staging / name)
+        _fsync(staging / _INDEX_FILE)
+        _fsync(staging / "manifest.json")
         _fsync(staging)
         if directory.exists():
             retired = _sibling(directory, "old")
@@ -850,13 +844,8 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
         shutil.rmtree(retired, ignore_errors=True)
 
 
-def _as_int64(array: np.ndarray) -> np.ndarray:
-    """A stored integer array widened back to its in-memory int64."""
-    return np.asarray(array, dtype=np.int64)
-
-
 class _Npz(zipfile.ZipFile):
-    """An ``.npz`` file of an index, read one array per key as ``np.load``
+    """The ``index.npz`` of an index, read one array per key as ``np.load``
     reads it. A file that is not an ``.npz``, or a key that it lacks or
     cannot read, raises IndexBuildError naming the file, as ``fail`` does."""
 
@@ -879,35 +868,55 @@ class _Npz(zipfile.ZipFile):
         except (EOFError, ValueError, zipfile.BadZipFile, zlib.error) as e:
             raise self.fail(f"array {key!r} does not read: {e}") from e
 
+    def array(self, key: str, dtype: type = np.integer, ndim: int = 1) -> np.ndarray:
+        """Array ``key``, which must have ``ndim`` dimensions and a dtype that
+        ``np.issubdtype`` counts as ``dtype``; any other raises
+        IndexBuildError naming the key."""
+        array = self[key]
+        if array.ndim != ndim or not np.issubdtype(array.dtype, dtype):
+            wanted = f"{ndim}-D {dtype.__name__}"
+            raise self.fail(f"{key} is {array.ndim}-D {array.dtype}, not {wanted}")
+        return array
 
-def _read_vector_view(emb: _Npz, name: str, ids: tuple[str, ...], dim) -> VectorView:
-    if emb[f"{name}_ids"].tolist() != list(ids):
-        raise emb.fail(f"{name}_ids differ from the sorted record ids")
-    sparse = f"{name}_shape.npy" in emb.namelist()
+    def ints(self, key: str) -> np.ndarray:
+        """The 1-D integer array ``key`` widened back to its in-memory int64."""
+        return self.array(key).astype(np.int64, copy=False)
+
+    def check_offsets(self, key: str, offsets: np.ndarray, total: int, of: str) -> None:
+        """Raise IndexBuildError naming ``key`` unless ``offsets`` runs
+        non-decreasing from 0 to ``total``, which the message calls ``of``."""
+        if (
+            not len(offsets) or offsets[0] != 0 or offsets[-1] != total
+            or np.any(np.diff(offsets) < 0)
+        ):
+            raise self.fail(f"{key} is not non-decreasing from 0 to {of}")
+
+
+def _read_vector_view(npz: _Npz, name: str, ids: tuple[str, ...], dim) -> VectorView:
+    sparse = f"{name}_shape.npy" in npz.namelist()
     if sparse:
-        shape = _as_int64(emb[f"{name}_shape"])
+        shape = npz.ints(f"{name}_shape")
         if shape.shape != (2,):
-            raise emb.fail(f"{name}_shape is not (rows, dim)")
+            raise npz.fail(f"{name}_shape is not (rows, dim)")
         n, width = shape.tolist()
     else:
-        vectors = emb[f"{name}_vectors"]
+        vectors = npz.array(f"{name}_vectors", np.float64, ndim=2)
         n, width = vectors.shape
     if n != len(ids):
-        raise emb.fail(f"{n} {name} vectors for {len(ids)} ids")
+        raise npz.fail(f"{n} {name} vectors for {len(ids)} ids")
     if len(ids) and width != dim:
         width = f"{width}-wide {name} vectors"
-        raise IndexBuildError(f"{emb.path.parent / 'manifest.json'}: dim {dim!r}, but {width}")
+        raise IndexBuildError(f"{npz.path.parent / 'manifest.json'}: dim {dim!r}, but {width}")
     if not sparse:
         return VectorView(ids, vectors)
 
-    offsets = _as_int64(emb[f"{name}_offsets"])
-    buckets, values = emb[f"{name}_buckets"], emb[f"{name}_values"]
+    offsets, buckets = npz.ints(f"{name}_offsets"), npz.array(f"{name}_buckets")
+    values = npz.array(f"{name}_values", np.int8)
     if len(offsets) != n + 1 or len(buckets) != len(values):
-        raise emb.fail(f"{name}_offsets, _buckets and _values disagree in length")
-    if offsets[0] != 0 or offsets[-1] != len(values) or np.any(np.diff(offsets) < 0):
-        raise emb.fail(f"{name}_offsets is not non-decreasing from 0 to len({name}_values)")
+        raise npz.fail(f"{name}_offsets, _buckets and _values disagree in length")
+    npz.check_offsets(f"{name}_offsets", offsets, len(values), f"len({name}_values)")
     if len(buckets) and (buckets.min() < 0 or buckets.max() >= width):
-        raise emb.fail(f"{name}_buckets has a bucket outside [0, {width})")
+        raise npz.fail(f"{name}_buckets has a bucket outside [0, {width})")
     return VectorView(ids, _dense_rows(offsets, buckets, values, width))
 
 
@@ -926,101 +935,76 @@ def _dense_rows(offsets, buckets, values, dim: int) -> np.ndarray:
     return rows
 
 
-def _read_lexical_view(lex: _Npz, prefix: str, ids: tuple[str, ...]) -> LexicalView:
-    if lex[f"{prefix}_ids"].tolist() != list(ids):
-        raise lex.fail(f"{prefix}_ids differ from the sorted record ids")
-    doc_lengths, vocab, indptr, positions, term_freqs = (
-        lex[f"{prefix}_{key}"] if key == "vocab" else _as_int64(lex[f"{prefix}_{key}"])
-        for key in ("doc_lengths", "vocab", "indptr", "doc_positions", "term_freqs")
+def _read_lexical_view(npz: _Npz, prefix: str, ids: tuple[str, ...]) -> LexicalView:
+    doc_lengths, indptr, positions, term_freqs = (
+        npz.ints(f"{prefix}_{key}")
+        for key in ("doc_lengths", "indptr", "doc_positions", "term_freqs")
     )
-    view = LexicalView(ids, doc_lengths, vocab, indptr, positions, term_freqs)
+    vocab = npz.array(f"{prefix}_vocab", np.str_)
     if (
-        len(view.doc_lengths) != len(ids)
-        or len(view.term_freqs) != len(positions)
-        or len(indptr) != len(view.vocab) + 1
+        len(doc_lengths) != len(ids)
+        or len(term_freqs) != len(positions)
+        or len(indptr) != len(vocab) + 1
     ):
-        raise lex.fail(f"{prefix}_arrays disagree in length")
-    if indptr[0] != 0 or indptr[-1] != len(positions) or np.any(np.diff(indptr) < 0):
-        raise lex.fail(f"{prefix}_indptr is not non-decreasing from 0 to len(doc_positions)")
-    if not np.array_equal(lex[f"{prefix}_doc_freq"], np.diff(indptr)):
-        raise lex.fail(f"{prefix}_doc_freq differs from np.diff(indptr)")
+        raise npz.fail(f"{prefix}_arrays disagree in length")
+    npz.check_offsets(f"{prefix}_indptr", indptr, len(positions), f"len({prefix}_doc_positions)")
+    if not np.array_equal(npz[f"{prefix}_doc_freq"], np.diff(indptr)):
+        raise npz.fail(f"{prefix}_doc_freq differs from np.diff(indptr)")
     if len(positions) and (positions.min() < 0 or positions.max() >= len(ids)):
-        raise lex.fail(f"{prefix}_doc_positions has a position outside [0, {len(ids)})")
-    return view
+        raise npz.fail(f"{prefix}_doc_positions has a position outside [0, {len(ids)})")
+    return LexicalView(ids, doc_lengths, vocab, indptr, positions, term_freqs)
 
 
-def _read_utf8_column(rec: _Npz, key: str) -> tuple[str, np.ndarray]:
-    """A text field of ``records.npz`` (see ``_utf8_column``) as ``(text, offsets)``."""
+def _read_utf8_column(npz: _Npz, key: str) -> tuple[str, np.ndarray]:
+    """A text field of ``index.npz`` (see ``_utf8_column``) as ``(text, offsets)``."""
     try:
-        text = rec[f"{key}_utf8"].tobytes().decode("utf-8", "surrogatepass")
+        text = npz[f"{key}_utf8"].tobytes().decode("utf-8", "surrogatepass")
     except UnicodeDecodeError as e:
-        raise rec.fail(f"{key}_utf8 is not UTF-8: {e.reason} at byte {e.start}") from e
-    offsets = _as_int64(rec[f"{key}_offsets"])
-    if (
-        offsets.ndim != 1 or not len(offsets) or offsets[0] != 0
-        or offsets[-1] != len(text) or np.any(np.diff(offsets) < 0)
-    ):
-        raise rec.fail(
-            f"{key}_offsets is not non-decreasing from 0 to the {len(text)} "
-            f"characters of {key}_utf8"
-        )
+        raise npz.fail(f"{key}_utf8 is not UTF-8: {e.reason} at byte {e.start}") from e
+    offsets = npz.ints(f"{key}_offsets")
+    of = f"the {len(text)} characters of {key}_utf8"
+    npz.check_offsets(f"{key}_offsets", offsets, len(text), of)
     return text, offsets
 
 
-def _read_records(path: Path, manifest: dict) -> tuple[Records, Records]:
-    """The passages and triples of ``records.npz``, each field decoded once
-    and kept as a column; only the ids are sliced. Raises IndexBuildError
+def _read_records(npz: _Npz, manifest: dict) -> tuple[Records, Records]:
+    """The passages and triples of ``index.npz``, each field decoded once
+    and kept as a column; only the ids are sliced, and they are the one
+    stored copy of the ids, which the views take too. Raises IndexBuildError
     naming the file when a field is not UTF-8, its offsets do not cut its
     text, the fields of a kind differ in count, or a count differs from the
     manifest's."""
     kinds = []
-    with _Npz(path) as rec:
-        for kind, (make, keys) in _RECORD_KINDS.items():
-            columns = {key: _read_utf8_column(rec, f"{kind}_{key}") for key in keys}
-            counts = [len(offsets) - 1 for _, offsets in columns.values()]
-            if len(set(counts)) > 1:
-                listed = ", ".join(f"{key} {n}" for key, n in zip(keys, counts))
-                raise rec.fail(f"{kind} fields differ in count: {listed}")
-            recorded = manifest.get(f"{kind}s")
-            if counts[0] != recorded:
-                raise rec.fail(f"{counts[0]} {kind}s, but manifest.json records {recorded!r}")
-            kinds.append(Records(kind, make, tuple(_slices(*columns.pop("id"))), columns))
+    for kind, (make, keys) in _RECORD_KINDS.items():
+        columns = {key: _read_utf8_column(npz, f"{kind}_{key}") for key in keys}
+        counts = [len(offsets) - 1 for _, offsets in columns.values()]
+        if len(set(counts)) > 1:
+            listed = ", ".join(f"{key} {n}" for key, n in zip(keys, counts))
+            raise npz.fail(f"{kind} fields differ in count: {listed}")
+        recorded = manifest.get(f"{kind}s")
+        if counts[0] != recorded:
+            raise npz.fail(f"{counts[0]} {kind}s, but manifest.json records {recorded!r}")
+        kinds.append(Records(kind, make, tuple(_slices(*columns.pop("id"))), columns))
     return kinds[0], kinds[1]
-
-
-def _check_hashes(directory: Path, manifest: dict) -> None:
-    """Raise IndexBuildError unless every index file has the sha256 the
-    manifest records for it, and the manifest records no other."""
-    manifest_path = directory / "manifest.json"
-    recorded = manifest.get("sha256")
-    if not isinstance(recorded, dict) or sorted(recorded) != sorted(_INDEX_FILES):
-        raise IndexBuildError(f"{manifest_path}: sha256 must name {', '.join(_INDEX_FILES)}")
-    for name in _INDEX_FILES:
-        path = directory / name
-        if not path.is_file():
-            raise IndexBuildError(f"{path}: missing")
-        if _sha256(path) != recorded[name]:
-            raise IndexBuildError(
-                f"{path}: content differs from its sha256 in {manifest_path.name}"
-            )
 
 
 def load_index(
     directory: str | Path,
     embedder: Callable[[str], np.ndarray] | None = None,
 ) -> CorpusIndex:
-    """Load a persisted index of format 4 without recomputation. Any other
+    """Load a persisted index of format 5 without recomputation. Any other
     ``format_version`` raises IndexBuildError naming ``triplehop index build``.
 
     The embedder is reconstructed from the manifest name unless one is passed
     explicitly (required for indexes saved with a custom embedding function).
-    Every file must first match the sha256 the manifest records for it, so a
-    file changed after the save fails before any of it is read. The records
-    get ``build_index``'s checks; a file that does not read or disagrees with
-    itself or the others, or a manifest ``dim`` unlike the stored rows' or a
-    ``hash:<dim>`` embedder's, raises IndexBuildError naming the file. Stored
-    integer arrays are widened back to int64, and sparse rows are scattered
-    into dense ``int8`` rows a block of rows at a time.
+    ``index.npz`` must first match the sha256 the manifest records for it, so
+    a file changed after the save fails before any of it is read. The records
+    get ``build_index``'s checks, and the views take their ids from them. An
+    array that does not read, is stored in another shape or dtype than a save
+    writes, or disagrees with the others, and a manifest ``dim`` unlike the
+    stored rows' or a ``hash:<dim>`` embedder's, raises IndexBuildError naming
+    the file. Stored integer arrays are widened back to int64, and sparse rows
+    are scattered into dense ``int8`` rows a block of rows at a time.
     """
     from .base_retrieval import hash_dim, resolve_embedder
 
@@ -1038,7 +1022,13 @@ def load_index(
             f"{manifest_path}: format_version {version!r}, but only {FORMAT_VERSION} "
             "loads; rebuild the index with `triplehop index build`"
         )
-    _check_hashes(directory, manifest)
+    path, recorded = directory / _INDEX_FILE, manifest.get("sha256")
+    if not isinstance(recorded, dict) or list(recorded) != [_INDEX_FILE]:
+        raise IndexBuildError(f"{manifest_path}: sha256 must name {_INDEX_FILE} alone")
+    if not path.is_file():
+        raise IndexBuildError(f"{path}: missing")
+    if _sha256(path) != recorded[_INDEX_FILE]:
+        raise IndexBuildError(f"{path}: content differs from its sha256 in {manifest_path.name}")
     if embedder is None:
         name = manifest.get("embedder", "custom")
         if name == "custom":
@@ -1051,15 +1041,13 @@ def load_index(
     # An empty index stores dim 0, and any embedder may load it.
     if dim and hash_dim(embedder) not in (None, dim):
         raise IndexBuildError(f"{manifest_path}: dim {dim!r}, but the embedder is {embedder.name}")
-    source = directory / "records.npz"
-    passages, triples = _read_records(source, manifest)
 
     def read_views(passage_ids, triple_ids):
         lexical, vectors = {}, {}
-        with _Npz(directory / "lexical.npz") as lex, _Npz(directory / "embeddings.npz") as emb:
-            for (view, prefix, name), ids in zip(_NPZ_PREFIXES, (passage_ids, triple_ids)):
-                lexical[view] = _read_lexical_view(lex, prefix, ids)
-                vectors[view] = _read_vector_view(emb, name, ids, dim)
+        for (view, prefix, name), ids in zip(_NPZ_PREFIXES, (passage_ids, triple_ids)):
+            lexical[view] = _read_lexical_view(npz, prefix, ids)
+            vectors[view] = _read_vector_view(npz, name, ids, dim)
         return lexical, vectors
 
-    return _assemble(passages, triples, embedder, read_views, source)
+    with _Npz(path) as npz:
+        return _assemble(*_read_records(npz, manifest), embedder, read_views, path)

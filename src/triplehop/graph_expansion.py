@@ -188,16 +188,6 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     return scorer
 
 
-def _ascending_neighbours(index: CorpusIndex, triple_id: str) -> tuple[str, ...]:
-    """``sorted(get_neighbours(index, triple_id))``, from the memo
-    ``index.neighbour_ids`` that ``get_neighbours`` fills on a miss."""
-    neighbours = index.neighbour_ids.get(triple_id)
-    if neighbours is None:
-        get_neighbours(index, triple_id)
-        neighbours = index.neighbour_ids[triple_id]
-    return neighbours
-
-
 def diverse_beam_search(
     index: CorpusIndex,
     query: str,
@@ -234,7 +224,7 @@ def diverse_beam_search(
     for step in range(1, cfg.max_length):
         visited = {tid for _, seq in beams for tid in seq}
         extensions = [
-            [seq + (tid,) for tid in _ascending_neighbours(index, seq[-1]) if tid not in visited]
+            [seq + (tid,) for tid in get_neighbours(index, seq[-1]) if tid not in visited]
             for _, seq in beams
         ]
         scores = iter(score(query, [ext for exts in extensions for ext in exts]))

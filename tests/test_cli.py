@@ -20,7 +20,7 @@ from triplehop.corpus_index import PASSAGES, TRIPLES
 from triplehop.llm_gateway import ScriptedBackend
 
 from .conftest import RecordingBackend
-from .test_lexical_index import v3_copy
+from .test_lexical_index import v3_copy, v4_copy
 
 WALKTHROUGH_REWRITE = (
     "What is the location of the basilica dedicated to St. Peter, "
@@ -261,7 +261,7 @@ def test_retrieve_from_an_old_format_index_names_the_rebuild(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
-    assert line.startswith(f"error: {old / 'manifest.json'}: format_version 3, but only 4 loads")
+    assert line.startswith(f"error: {old / 'manifest.json'}: format_version 3, but only 5 loads")
     assert line.endswith("rebuild the index with `triplehop index build`")
 
 
@@ -272,15 +272,29 @@ def test_index_build_replaces_an_old_format_index_in_place(tmp_path, capsys):
         "--triples", str(old / "triples.jsonl"), "--out", str(old),
     ])
     assert code == 0, capsys.readouterr().err
-    assert sorted(p.name for p in old.iterdir()) == [
-        "embeddings.npz", "lexical.npz", "manifest.json", "records.npz"
-    ]
+    assert sorted(p.name for p in old.iterdir()) == ["index.npz", "manifest.json"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v3"]
     index = load_index(old)
     assert (len(index.passages), len(index.triples)) == (24, 48)
     capsys.readouterr()
     assert dispatch(["retrieve", "--index", str(old), "--query", "Ada Vell", "--k", "1"]) == 0
     assert capsys.readouterr().out != ""
+
+
+def test_index_build_replaces_a_format_4_index_in_place(tmp_path, capsys):
+    # the format-4 fixture holds no JSONL: it is rebuilt from the input it was built from
+    old, source = v4_copy(tmp_path), v3_copy(tmp_path)
+    assert dispatch(["retrieve", "--index", str(old), "--query", "Ada Vell"]) == 2
+    assert "format_version 4, but only 5 loads" in capsys.readouterr().err
+    code = dispatch([
+        "index", "build", "--passages", str(source / "passages.jsonl"),
+        "--triples", str(source / "triples.jsonl"), "--out", str(old),
+    ])
+    assert code == 0, capsys.readouterr().err
+    assert sorted(p.name for p in old.iterdir()) == ["index.npz", "manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v3", "v4"]
+    index = load_index(old)
+    assert (len(index.passages), len(index.triples)) == (24, 48)
 
 
 def test_index_build_names_the_file_and_lines_of_a_repeated_passage_id(tmp_path, capsys):

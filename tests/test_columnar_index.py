@@ -1,6 +1,6 @@
 """The index in memory: records held as columns and built on access, the
 entity graph as CSR arrays checked against the brute-force oracle, and the
-order checks a load makes on ``records.npz``."""
+order checks a load makes on the records in ``index.npz``."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from triplehop import (
     save_index,
     triple_to_passage,
 )
-from triplehop.graph_expansion import _ascending_neighbours
 
 from .oracles import brute_force_adjacency
 from .test_lexical_index import rewrite_records
@@ -41,7 +40,7 @@ def test_a_load_builds_no_record_and_an_access_builds_one(tmp_path, chain_index,
     assert made == []
     # ids, membership and the graph lookups build none either
     assert sorted(loaded.passages) == ["p1", "p2", "p3", "p4"] and "t9" not in loaded.triples
-    assert get_neighbours(loaded, "t2") == {"t1", "t3"}
+    assert get_neighbours(loaded, "t2") == ("t1", "t3")
     assert triple_to_passage(loaded, "t3") == "p3" and loaded.passage_triples("p4") == ("t4",)
     assert made == []
     passage = loaded.passages["p2"]
@@ -86,13 +85,11 @@ def test_graph_matches_the_oracle_built_and_loaded(corpus):
     with tempfile.TemporaryDirectory() as tmp:
         save_index(built, Path(tmp) / "idx")
         loaded = load_index(Path(tmp) / "idx")
-    # the built index fills its neighbour memo from _ascending_neighbours, the
-    # loaded one from get_neighbours; then both read it
-    assert {tid: _ascending_neighbours(built, tid) for tid in oracle} == ascending
-    assert {tid: get_neighbours(loaded, tid) for tid in oracle} == oracle
     for index in (built, loaded):
-        assert {tid: get_neighbours(index, tid) for tid in oracle} == oracle
-        assert {tid: _ascending_neighbours(index, tid) for tid in oracle} == ascending
+        # the first lookup fills the neighbour memo, the second reads it
+        assert {tid: get_neighbours(index, tid) for tid in oracle} == ascending
+        assert {tid: get_neighbours(index, tid) for tid in oracle} == ascending
+        assert index.neighbour_ids == ascending
         assert {tid: triple_to_passage(index, tid) for tid in oracle} == {
             t.id: t.passage_id for t in triples
         }
@@ -107,9 +104,9 @@ def test_load_rejects_records_out_of_order_or_repeated(tmp_path, chain_index, ki
     # so a load takes them as stored and checks the order.
     save_index(chain_index, tmp_path)
     rewrite_records(tmp_path, kind, lambda rows: rows[::-1])
-    with pytest.raises(IndexBuildError, match=rf"records\.npz: {kind} ids are not ascending"):
+    with pytest.raises(IndexBuildError, match=rf"index\.npz: {kind} ids are not ascending"):
         load_index(tmp_path)
     save_index(chain_index, tmp_path)
     rewrite_records(tmp_path, kind, lambda rows: [rows[0], {**rows[1], "id": rows[0]["id"]}, *rows[2:]])
-    with pytest.raises(IndexBuildError, match=rf"records\.npz: duplicate {kind} id: '{prefix}1'"):
+    with pytest.raises(IndexBuildError, match=rf"index\.npz: duplicate {kind} id: '{prefix}1'"):
         load_index(tmp_path)

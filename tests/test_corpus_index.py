@@ -60,7 +60,7 @@ def test_single_triple_adjacency_keys():
         [Passage("P1", "t", "body")],
         [Triple("x", "A", "r", "B", "P1")],
     )
-    assert get_neighbours(index, "x") == set()
+    assert get_neighbours(index, "x") == ()
     # x is linked under normalize_entity("A") and normalize_entity("B"): a
     # triple naming either key, in any case, is its neighbour
     probed = make_index(
@@ -68,8 +68,8 @@ def test_single_triple_adjacency_keys():
         [Triple("x", "A", "r", "B", "P1"), Triple("ya", " a ", "s", "E", "P1"),
          Triple("yb", "F", "s", "b", "P1")],
     )
-    assert get_neighbours(probed, "ya") == get_neighbours(probed, "yb") == {"x"}
-    assert get_neighbours(probed, "x") == {"ya", "yb"}
+    assert get_neighbours(probed, "ya") == get_neighbours(probed, "yb") == ("x",)
+    assert get_neighbours(probed, "x") == ("ya", "yb")
 
 
 def test_shared_entity_adjacency_hand_enumerated():
@@ -78,8 +78,8 @@ def test_shared_entity_adjacency_hand_enumerated():
         [Triple("x", "A", "r", "B", "P1"), Triple("y", "B", "s", "C", "P2")],
     )
     # x and y share normalize_entity("B")
-    assert get_neighbours(index, "x") == {"y"}
-    assert get_neighbours(index, "y") == {"x"}
+    assert get_neighbours(index, "x") == ("y",)
+    assert get_neighbours(index, "y") == ("x",)
 
 
 def test_duplicate_passage_id_names_id():
@@ -113,8 +113,8 @@ def test_neighbours_chain():
             Triple("cd", "C", "u", "D", "P"),
         ],
     )
-    assert get_neighbours(index, "ab") == {"bc"}
-    assert get_neighbours(index, "bc") == {"ab", "cd"}
+    assert get_neighbours(index, "ab") == ("bc",)
+    assert get_neighbours(index, "bc") == ("ab", "cd")
 
 
 def test_neighbours_isolated_triple():
@@ -122,7 +122,7 @@ def test_neighbours_isolated_triple():
         [Passage("P", "", "x")],
         [Triple("xy", "X", "y", "Z", "P"), Triple("ab", "A", "r", "B", "P")],
     )
-    assert get_neighbours(index, "xy") == set()
+    assert get_neighbours(index, "xy") == ()
 
 
 def test_neighbours_mutual_shared_both_ways():
@@ -130,8 +130,8 @@ def test_neighbours_mutual_shared_both_ways():
         [Passage("P", "", "x")],
         [Triple("ab", "A", "r", "B", "P"), Triple("ba", "B", "s", "A", "P")],
     )
-    assert get_neighbours(index, "ab") == {"ba"}
-    assert get_neighbours(index, "ba") == {"ab"}
+    assert get_neighbours(index, "ab") == ("ba",)
+    assert get_neighbours(index, "ba") == ("ab",)
 
 
 def test_neighbours_unknown_id():
@@ -292,14 +292,11 @@ def test_persistence_round_trip(tmp_path, chain_index):
     assert graph_of(loaded) == graph_of(chain_index)
 
     manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
-    assert manifest["format_version"] == 4
+    assert manifest["format_version"] == 5
     assert manifest["embedder"] == "hash:128"
     assert manifest["dim"] == 128
-    names = ("records.npz", "lexical.npz", "embeddings.npz")
-    assert sorted(manifest["sha256"]) == sorted(names)
-    for name in names:
-        data = (tmp_path / "idx" / name).read_bytes()
-        assert manifest["sha256"][name] == hashlib.sha256(data).hexdigest()
+    data = (tmp_path / "idx" / "index.npz").read_bytes()
+    assert manifest["sha256"] == {"index.npz": hashlib.sha256(data).hexdigest()}
 
     for query in ("enta linksto entb", "island kind"):
         for view in (PASSAGES, TRIPLES):
@@ -335,13 +332,13 @@ def test_custom_embedder_round_trip_requires_explicit_embedder(tmp_path):
         *(
             pytest.param(
                 lambda m, v=version: {**m, "format_version": v},
-                rf"format_version {version}, but only 4 loads; .*`triplehop index build`",
+                rf"format_version {version}, but only 5 loads; .*`triplehop index build`",
                 id=f"format-{version}",
             )
-            for version in (1, 2, 3, 999)
+            for version in (1, 2, 3, 4, 999)
         ),
         pytest.param(lambda m: b"{not json", "not JSON", id="not-json"),
-        pytest.param(lambda m: b'{"format_version": 4, "\xff": 1}', "not JSON", id="not-utf8"),
+        pytest.param(lambda m: b'{"format_version": 5, "\xff": 1}', "not JSON", id="not-utf8"),
         pytest.param(lambda m: [], "not a JSON object", id="not-an-object"),
         pytest.param(
             lambda m: {**m, "embedder": "nope"},
@@ -364,7 +361,7 @@ def test_load_rejects_unknown_format(tmp_path, chain_index, edit, problem):
 
 def test_hashed_rows_are_stored_as_int8_and_other_rows_as_float64(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "hashed")
-    with np.load(tmp_path / "hashed" / "embeddings.npz") as emb:
+    with np.load(tmp_path / "hashed" / "index.npz") as emb:
         for name, view in (("passage", PASSAGES), ("triple", TRIPLES)):
             rows = chain_index.vectors[view].vectors
             assert f"{name}_vectors" not in emb
@@ -384,7 +381,7 @@ def test_hashed_rows_are_stored_as_int8_and_other_rows_as_float64(tmp_path, chai
         [Passage("p1", "", "body")], [Triple("t1", "A", "r", "B", "p1")], halves
     )
     save_index(index, tmp_path / "custom")
-    with np.load(tmp_path / "custom" / "embeddings.npz") as emb:
+    with np.load(tmp_path / "custom" / "index.npz") as emb:
         assert emb["passage_vectors"].dtype == np.float64
     loaded = load_index(tmp_path / "custom", embedder=halves)
     assert loaded.vectors[PASSAGES].vectors.tobytes() == halves("body").tobytes()

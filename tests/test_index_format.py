@@ -1,11 +1,13 @@
-"""Index format 4 on disk: records as UTF-8 columns, sparse int8 rows,
-narrow postings, content hashes and readable arrays checked at load, and
-durable atomic saves, which also replace an index of an older format."""
+"""Index format 5 on disk: one ``index.npz`` holding records as UTF-8
+columns, sparse int8 rows and narrow postings; its content hash and readable,
+typed arrays checked at load; and durable atomic saves, which also replace an
+index of an older format."""
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import zipfile
 from pathlib import Path
 
@@ -72,50 +74,58 @@ def assert_same_index(loaded, fresh):
 # What is stored
 # ---------------------------------------------------------------------------
 
-def test_format_4_load_equals_a_fresh_build(tmp_path, chain_index):
+def test_format_5_load_equals_a_fresh_build(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
-    assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == [
-        "embeddings.npz", "lexical.npz", "manifest.json", "records.npz"
-    ]
+    assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == ["index.npz", "manifest.json"]
     assert_same_index(load_index(tmp_path / "idx"), chain_index)
+
+
+def readme_index_keys() -> list[str]:
+    """The keys listed in the one ``text`` block of README "Data formats"."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Data formats\n", 1)[1].split("\n## ", 1)[0]
+    [block] = re.findall(r"```text\n(.*?)```", section, re.S)
+    return block.split()
+
+
+def test_readme_lists_the_keys_a_save_writes(tmp_path, chain_index):
+    save_index(chain_index, tmp_path)
+    with np.load(tmp_path / "index.npz") as npz:
+        assert readme_index_keys() == npz.files
 
 
 def test_records_are_utf8_columns_in_ascending_id_order(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
-    path = tmp_path / "idx" / "records.npz"
-    with zipfile.ZipFile(path) as zf:
-        assert all(i.compress_type == zipfile.ZIP_DEFLATED for i in zf.infolist())
+    path = tmp_path / "idx" / "index.npz"
     fields = {
         "passage": {"id": "id", "title": "title", "text": "body"},
         "triple": {key: key for key in ("id", "passage_id", "subject", "predicate", "object")},
     }
     with np.load(path) as rec:
-        assert sorted(rec.files) == sorted(
-            f"{kind}_{key}_{part}" for kind in fields for key in fields[kind]
-            for part in ("utf8", "offsets")
-        )
-        for name in rec.files:
-            assert rec[name].dtype == np.uint8  # every offset of the chain is below 256
+        for kind in fields:
+            for key in fields[kind]:
+                for part in ("utf8", "offsets"):
+                    # every offset of the chain is below 256
+                    assert rec[f"{kind}_{key}_{part}"].dtype == np.uint8
     for kind, records in (("passage", chain_index.passages), ("triple", chain_index.triples)):
         for key, attr in fields[kind].items():
             want = [getattr(records[i], attr) for i in sorted(records)]
             assert record_values(path, f"{kind}_{key}") == want
 
 
-def test_sidecars_are_deflated_npz_members(tmp_path, chain_index):
+def test_index_npz_members_are_deflated_npy(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
-    for name in ("embeddings.npz", "lexical.npz"):
-        with zipfile.ZipFile(tmp_path / "idx" / name) as zf:
-            infos = zf.infolist()
-            assert infos and all(i.filename.endswith(".npy") for i in infos)
-            assert all(i.compress_type == zipfile.ZIP_DEFLATED for i in infos)
+    with zipfile.ZipFile(tmp_path / "idx" / "index.npz") as zf:
+        infos = zf.infolist()
+        assert infos and all(i.filename.endswith(".npy") for i in infos)
+        assert all(i.compress_type == zipfile.ZIP_DEFLATED for i in infos)
 
 
 def test_postings_are_stored_narrow_and_loaded_as_int64(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
     loaded = load_index(tmp_path / "idx")
     keys = ("doc_lengths", "indptr", "doc_positions", "term_freqs")
-    with np.load(tmp_path / "idx" / "lexical.npz") as lex:
+    with np.load(tmp_path / "idx" / "index.npz") as lex:
         for prefix, view in (("p", PASSAGES), ("t", TRIPLES)):
             built, back = chain_index.lexical[view], loaded.lexical[view]
             for key in keys:
@@ -132,7 +142,7 @@ def test_wide_values_keep_a_dtype_that_holds_them(tmp_path):
     passages = [Passage(f"p{i:03d}", "", f"word{i % 7} shared") for i in range(300)]
     index = build_index(passages, [], HashEmbedder(32))
     save_index(index, tmp_path / "idx")
-    with np.load(tmp_path / "idx" / "lexical.npz") as lex:
+    with np.load(tmp_path / "idx" / "index.npz") as lex:
         assert lex["p_doc_positions"].dtype == np.uint16
         assert lex["p_doc_positions"].max() == 299
     loaded = load_index(tmp_path / "idx")
@@ -227,14 +237,14 @@ def stored(path: Path, key: str) -> np.ndarray:
 @pytest.fixture()
 def saved(tmp_path, chain_index):
     save_index(chain_index, tmp_path)
-    return tmp_path / "embeddings.npz"
+    return tmp_path / "index.npz"
 
 
 def test_load_rejects_offsets_not_from_zero(saved):
     offsets = stored(saved, "passage_offsets")
     offsets[0] = 1
     rewrite_npz(saved, passage_offsets=offsets)
-    with pytest.raises(IndexBuildError, match="embeddings.npz: passage_offsets is not"):
+    with pytest.raises(IndexBuildError, match="index.npz: passage_offsets is not"):
         load_index(saved.parent)
 
 
@@ -242,7 +252,7 @@ def test_load_rejects_decreasing_offsets(saved):
     offsets = stored(saved, "triple_offsets")
     offsets[1], offsets[2] = offsets[2], offsets[1]
     rewrite_npz(saved, triple_offsets=offsets)
-    with pytest.raises(IndexBuildError, match="embeddings.npz: triple_offsets is not"):
+    with pytest.raises(IndexBuildError, match="index.npz: triple_offsets is not"):
         load_index(saved.parent)
 
 
@@ -254,7 +264,7 @@ def test_load_rejects_offsets_short_of_the_value_count(saved):
         passage_values=np.append(values, np.int8(1)),
         passage_buckets=np.append(buckets, np.uint8(0)),
     )
-    with pytest.raises(IndexBuildError, match="embeddings.npz: passage_offsets is not"):
+    with pytest.raises(IndexBuildError, match="index.npz: passage_offsets is not"):
         load_index(saved.parent)
 
 
@@ -268,92 +278,86 @@ def test_load_rejects_a_bucket_outside_dim(saved):
 
 def test_load_rejects_buckets_and_values_of_other_lengths(saved):
     rewrite_npz(saved, passage_buckets=stored(saved, "passage_buckets")[:-1])
-    with pytest.raises(IndexBuildError, match="embeddings.npz: passage_offsets, _buckets"):
+    with pytest.raises(IndexBuildError, match="index.npz: passage_offsets, _buckets"):
         load_index(saved.parent)
 
 
 def test_load_rejects_offsets_of_another_row_count(saved):
     rewrite_npz(saved, triple_offsets=stored(saved, "triple_offsets")[:-1])
-    with pytest.raises(IndexBuildError, match="embeddings.npz: triple_offsets, _buckets"):
+    with pytest.raises(IndexBuildError, match="index.npz: triple_offsets, _buckets"):
         load_index(saved.parent)
 
 
 def test_load_rejects_a_shape_that_is_not_rows_by_dim(saved):
     rewrite_npz(saved, passage_shape=np.asarray([4, 128, 1]))
-    with pytest.raises(IndexBuildError, match=r"embeddings.npz: passage_shape is not \(rows, dim\)"):
+    with pytest.raises(IndexBuildError, match=r"index.npz: passage_shape is not \(rows, dim\)"):
         load_index(saved.parent)
 
 
 # ---------------------------------------------------------------------------
-# Checks on records.npz (files resealed, so the hashes pass)
+# Checks on the records (files resealed, so the hashes pass)
 # ---------------------------------------------------------------------------
 
-@pytest.fixture()
-def records(tmp_path, chain_index):
-    save_index(chain_index, tmp_path)
-    return tmp_path / "records.npz"
-
-
-def test_load_rejects_text_offsets_not_from_zero(records):
-    offsets = stored(records, "passage_title_offsets")
+def test_load_rejects_text_offsets_not_from_zero(saved):
+    offsets = stored(saved, "passage_title_offsets")
     offsets[0] = 1
-    rewrite_npz(records, passage_title_offsets=offsets)
-    with pytest.raises(IndexBuildError, match="records.npz: passage_title_offsets is not"):
-        load_index(records.parent)
+    rewrite_npz(saved, passage_title_offsets=offsets)
+    with pytest.raises(IndexBuildError, match="index.npz: passage_title_offsets is not"):
+        load_index(saved.parent)
 
 
-def test_load_rejects_decreasing_text_offsets(records):
-    offsets = stored(records, "triple_subject_offsets")
+def test_load_rejects_decreasing_text_offsets(saved):
+    offsets = stored(saved, "triple_subject_offsets")
     offsets[1], offsets[2] = offsets[2], offsets[1]
-    rewrite_npz(records, triple_subject_offsets=offsets)
-    with pytest.raises(IndexBuildError, match="records.npz: triple_subject_offsets is not"):
-        load_index(records.parent)
+    rewrite_npz(saved, triple_subject_offsets=offsets)
+    with pytest.raises(IndexBuildError, match="index.npz: triple_subject_offsets is not"):
+        load_index(saved.parent)
 
 
-def test_load_rejects_text_offsets_short_of_the_decoded_length(records):
-    data = stored(records, "passage_text_utf8")
-    rewrite_npz(records, passage_text_utf8=np.append(data, np.uint8(ord("x"))))
-    with pytest.raises(IndexBuildError, match="records.npz: passage_text_offsets is not"):
-        load_index(records.parent)
+def test_load_rejects_text_offsets_short_of_the_decoded_length(saved):
+    data = stored(saved, "passage_text_utf8")
+    rewrite_npz(saved, passage_text_utf8=np.append(data, np.uint8(ord("x"))))
+    with pytest.raises(IndexBuildError, match="index.npz: passage_text_offsets is not"):
+        load_index(saved.parent)
 
 
-def test_load_rejects_text_offsets_past_the_decoded_length(records):
-    offsets = stored(records, "triple_object_offsets")
+def test_load_rejects_text_offsets_past_the_decoded_length(saved):
+    offsets = stored(saved, "triple_object_offsets")
     offsets[-1] += 1
-    rewrite_npz(records, triple_object_offsets=offsets)
-    with pytest.raises(IndexBuildError, match="records.npz: triple_object_offsets is not"):
-        load_index(records.parent)
+    rewrite_npz(saved, triple_object_offsets=offsets)
+    with pytest.raises(IndexBuildError, match="index.npz: triple_object_offsets is not"):
+        load_index(saved.parent)
 
 
-def test_load_rejects_fields_of_one_kind_with_different_counts(records):
-    titles = record_values(records, "passage_title")
-    rewrite_npz(records, **record_column("passage_title", titles[:-1]))
+def test_load_rejects_fields_of_one_kind_with_different_counts(saved):
+    titles = record_values(saved, "passage_title")
+    rewrite_npz(saved, **record_column("passage_title", titles[:-1]))
     with pytest.raises(
-        IndexBuildError, match="records.npz: passage fields differ in count: id 4, title 3, text 4"
+        IndexBuildError, match="index.npz: passage fields differ in count: id 4, title 3, text 4"
     ):
-        load_index(records.parent)
+        load_index(saved.parent)
 
 
 @pytest.mark.parametrize("kind", ["passage", "triple"])
-def test_load_rejects_record_counts_unlike_the_manifest(records, kind):
-    manifest_path = records.parent / "manifest.json"
+def test_load_rejects_record_counts_unlike_the_manifest(saved, kind):
+    manifest_path = saved.parent / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest[f"{kind}s"] += 1
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(
-        IndexBuildError, match=rf"records.npz: 4 {kind}s, but manifest.json records 5"
+        IndexBuildError, match=rf"index.npz: 4 {kind}s, but manifest.json records 5"
     ):
-        load_index(records.parent)
+        load_index(saved.parent)
 
 
-def test_load_rejects_record_bytes_that_are_not_utf8(records):
-    data = stored(records, "triple_predicate_utf8")
+def test_load_rejects_record_bytes_that_are_not_utf8(saved):
+    data = stored(saved, "triple_predicate_utf8")
     data[0] = 0xFF
-    rewrite_npz(records, triple_predicate_utf8=data)
+    rewrite_npz(saved, triple_predicate_utf8=data)
     with pytest.raises(
-        IndexBuildError, match="records.npz: triple_predicate_utf8 is not UTF-8: invalid start byte"
+        IndexBuildError, match="index.npz: triple_predicate_utf8 is not UTF-8: invalid start byte"
     ):
-        load_index(records.parent)
+        load_index(saved.parent)
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +366,34 @@ def test_load_rejects_record_bytes_that_are_not_utf8(records):
 
 def test_load_rejects_records_edited_in_place(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
-    path = tmp_path / "idx" / "records.npz"
+    path = tmp_path / "idx" / "index.npz"
     texts = record_values(path, "passage_text")
     texts[0] = "zeta eta"
     with np.load(path) as rec:
         arrays = {**rec, **record_column("passage_text", texts)}
     np.savez_compressed(path, **arrays)
-    with pytest.raises(IndexBuildError, match=r"records\.npz: content differs from its sha256"):
+    with pytest.raises(IndexBuildError, match=r"index\.npz: content differs from its sha256"):
         load_index(tmp_path / "idx")
 
 
-@pytest.mark.parametrize("name", ["records.npz", "lexical.npz", "embeddings.npz"])
-def test_load_rejects_any_file_changed_after_the_save(tmp_path, chain_index, name):
+# Format 4 kept records, postings and vectors in three files; each case
+# changes one array of that part of ``index.npz``, to a value that still loads
+# if the hash is not checked.
+@pytest.mark.parametrize(
+    "key",
+    ["passage_title_utf8", "t_term_freqs", "triple_values"],
+    ids=["records.npz", "lexical.npz", "embeddings.npz"],
+)
+def test_load_rejects_any_file_changed_after_the_save(tmp_path, chain_index, key):
     directory = tmp_path / "idx"
     save_index(chain_index, directory)
-    path = directory / name
-    path.write_bytes(path.read_bytes() + b"\n")
-    with pytest.raises(IndexBuildError, match=rf"{name}: content differs from its sha256"):
+    path = directory / "index.npz"
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    changed = arrays[key].copy()
+    changed[0] += 1
+    np.savez_compressed(path, **{**arrays, key: changed})
+    with pytest.raises(IndexBuildError, match=r"index\.npz: content differs from its sha256"):
         load_index(directory)
 
 
@@ -386,7 +401,7 @@ def test_load_rejects_a_manifest_without_every_hash(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
     manifest_path = tmp_path / "idx" / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    del manifest["sha256"]["lexical.npz"]
+    del manifest["sha256"]["index.npz"]
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(IndexBuildError, match=r"manifest\.json: sha256 must name"):
         load_index(tmp_path / "idx")
@@ -394,8 +409,8 @@ def test_load_rejects_a_manifest_without_every_hash(tmp_path, chain_index):
 
 def test_load_rejects_a_missing_file(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
-    (tmp_path / "idx" / "embeddings.npz").unlink()
-    with pytest.raises(IndexBuildError, match=r"embeddings\.npz: missing"):
+    (tmp_path / "idx" / "index.npz").unlink()
+    with pytest.raises(IndexBuildError, match=r"index\.npz: missing"):
         load_index(tmp_path / "idx")
 
 
@@ -409,47 +424,76 @@ def test_resealed_files_pass_the_hash_check(tmp_path, chain_index):
 # Arrays that do not read
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "name, key",
-    [
-        ("records.npz", "passage_title_utf8"),
-        ("lexical.npz", "t_doc_freq"),
-        ("embeddings.npz", "triple_values"),
-    ],
-)
-def test_load_names_an_array_missing_from_its_npz(tmp_path, chain_index, name, key):
+@pytest.mark.parametrize("key", ["passage_title_utf8", "t_doc_freq", "triple_values"])
+def test_load_names_an_array_missing_from_its_npz(tmp_path, chain_index, key):
     save_index(chain_index, tmp_path)
-    path = tmp_path / name
+    path = tmp_path / "index.npz"
     with np.load(path) as stored:
         arrays = {k: stored[k] for k in stored.files if k != key}
     np.savez_compressed(path, **arrays)
     reseal(tmp_path)
-    with pytest.raises(IndexBuildError, match=rf"{name}: no array '{key}'"):
+    with pytest.raises(IndexBuildError, match=rf"index\.npz: no array '{key}'"):
         load_index(tmp_path)
 
 
 @pytest.mark.parametrize("content", [b"", b"not an npz\n", b"\x93NUMPY"], ids=["empty", "text", "npy"])
 def test_load_names_an_npz_that_is_not_one(tmp_path, chain_index, content):
     save_index(chain_index, tmp_path)
-    (tmp_path / "lexical.npz").write_bytes(content)
+    (tmp_path / "index.npz").write_bytes(content)
     reseal(tmp_path)
-    with pytest.raises(IndexBuildError, match=r"lexical\.npz: not an \.npz file"):
+    with pytest.raises(IndexBuildError, match=r"index\.npz: not an \.npz file"):
         load_index(tmp_path)
 
 
 def test_load_names_an_array_that_does_not_read(tmp_path, chain_index):
     save_index(chain_index, tmp_path)
-    path = tmp_path / "embeddings.npz"
+    path = tmp_path / "index.npz"
     with np.load(path) as stored:
         # an object array needs pickle, which a load never allows
-        arrays = {**stored, "passage_ids": np.asarray(["p1", None], dtype=object)}
+        arrays = {**stored, "p_vocab": np.asarray(["p1", None], dtype=object)}
     with zipfile.ZipFile(path, "w") as zf:
         for key, array in arrays.items():
             with zf.open(f"{key}.npy", "w") as fh:
                 np.lib.format.write_array(fh, array)
     reseal(tmp_path)
-    with pytest.raises(IndexBuildError, match=r"embeddings\.npz: array 'passage_ids' does not read"):
+    with pytest.raises(IndexBuildError, match=r"index\.npz: array 'p_vocab' does not read"):
         load_index(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "key, change, stored_as",
+    [
+        pytest.param("p_indptr", lambda a: np.full(len(a), "a"), "1-D <U1", id="letters"),
+        pytest.param("p_indptr", lambda a: a + 0.5, "1-D float64", id="float"),
+        pytest.param("p_indptr", lambda a: np.stack([a, a]), "2-D uint8", id="2-d"),
+        pytest.param("p_doc_lengths", lambda a: a[:, None], "2-D uint8", id="2-d-doc-lengths"),
+        pytest.param(
+            "triple_subject_offsets", lambda a: a.astype(np.float32), "1-D float32",
+            id="float-text-offsets",
+        ),
+        pytest.param("passage_shape", lambda a: a.astype(np.float64), "1-D float64", id="float-shape"),
+        pytest.param("triple_buckets", lambda a: a[None], "2-D uint8", id="2-d-buckets"),
+        pytest.param("passage_values", lambda a: a.astype(np.int16), "1-D int16", id="wide-values"),
+        pytest.param("triple_values", lambda a: a.view(np.uint8), "1-D uint8", id="unsigned-values"),
+        pytest.param("t_vocab", lambda a: a[:, None], "2-D <U8", id="2-d-vocab"),
+    ],
+)
+def test_load_rejects_an_array_stored_with_another_type(saved, key, change, stored_as):
+    rewrite_npz(saved, **{key: change(stored(saved, key))})
+    with pytest.raises(IndexBuildError, match=rf"index\.npz: {key} is {stored_as}, not 1-D"):
+        load_index(saved.parent)
+
+
+def test_load_rejects_dense_rows_stored_with_another_type(tmp_path):
+    def halves(text):
+        return np.full(4, 0.5)
+
+    save_index(build_index([Passage("p1", "", "body")], [], halves), tmp_path)
+    rewrite_npz(tmp_path / "index.npz", passage_vectors=np.full((1, 4), 0.5, dtype=np.float32))
+    with pytest.raises(
+        IndexBuildError, match=r"index\.npz: passage_vectors is 2-D float32, not 2-D float64"
+    ):
+        load_index(tmp_path, embedder=halves)
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +596,7 @@ def test_next_save_removes_a_retired_index_left_by_a_killed_save(tmp_path, chain
 def test_save_over_a_format_3_index_leaves_no_jsonl(tmp_path, chain_index):
     directory = v3_copy(tmp_path)
     save_index(chain_index, directory)
-    assert sorted(p.name for p in directory.iterdir()) == [
-        "embeddings.npz", "lexical.npz", "manifest.json", "records.npz"
-    ]
+    assert sorted(p.name for p in directory.iterdir()) == ["index.npz", "manifest.json"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["v3"]
     assert_same_index(load_index(directory), chain_index)
 
@@ -581,12 +623,12 @@ def test_save_fsyncs_the_files_and_directory_before_the_swap_and_the_parent_afte
     monkeypatch.undo()
     # a rename keeps the inode: the staging directory and its files are now the target's
     files = sorted(p.stat().st_ino for p in target.iterdir())
-    assert len(files) == 4
-    assert sorted(ino for _, ino in events[:4]) == files
-    assert [kind for kind, _ in events[:4]] == ["fsync"] * 4
-    assert events[4] == ("fsync", target.stat().st_ino)
-    assert events[5][0] == "replace" and events[5][1].startswith(".idx.old-")
-    assert events[6:] == [("replace", "idx"), ("fsync", tmp_path.stat().st_ino)]
+    assert len(files) == 2
+    assert sorted(ino for _, ino in events[:2]) == files
+    assert [kind for kind, _ in events[:2]] == ["fsync"] * 2
+    assert events[2] == ("fsync", target.stat().st_ino)
+    assert events[3][0] == "replace" and events[3][1].startswith(".idx.old-")
+    assert events[4:] == [("replace", "idx"), ("fsync", tmp_path.stat().st_ino)]
     assert_same_rankings(load_index(target), other_index(), ("zeta",))
 
 

@@ -179,16 +179,22 @@ def test_bm25_weight_memo_is_thread_safe():
             assert memo[pair].tobytes() == want[pair].tobytes()
 
 
-def test_lexical_npz_keys_unchanged(tmp_path, chain_index):
+def test_index_npz_keys_unchanged(tmp_path, chain_index):
     save_index(chain_index, tmp_path)
-    keys = ("ids", "doc_lengths", "vocab", "doc_freq", "indptr", "doc_positions",
-            "term_freqs")
-    lex = np.load(tmp_path / "lexical.npz")
-    assert list(lex.keys()) == [f"{p}_{key}" for p in "pt" for key in keys]
-    for prefix, view in (("p", PASSAGES), ("t", TRIPLES)):
-        assert np.array_equal(
-            lex[f"{prefix}_doc_freq"], np.diff(chain_index.lexical[view].indptr)
-        )
+    fields = {"passage": ("id", "title", "text"),
+              "triple": ("id", "subject", "predicate", "object", "passage_id")}
+    keys = [f"{kind}_{key}_{part}" for kind, names in fields.items() for key in names
+            for part in ("utf8", "offsets")]
+    for prefix, name in (("p", "passage"), ("t", "triple")):
+        keys += [f"{prefix}_{key}" for key in ("doc_lengths", "vocab", "doc_freq", "indptr",
+                                                "doc_positions", "term_freqs")]
+        keys += [f"{name}_{key}" for key in ("shape", "offsets", "buckets", "values")]
+    with np.load(tmp_path / "index.npz") as npz:
+        assert npz.files == keys
+        for prefix, view in (("p", PASSAGES), ("t", TRIPLES)):
+            assert np.array_equal(
+                npz[f"{prefix}_doc_freq"], np.diff(chain_index.lexical[view].indptr)
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +220,7 @@ def rewrite_npz(path: Path, **changes) -> None:
 
 
 def record_values(path: Path, key: str) -> list[str]:
-    """The values of one text field of a ``records.npz``."""
+    """The values of one text field of an ``index.npz``."""
     with np.load(path) as rec:
         text = rec[f"{key}_utf8"].tobytes().decode("utf-8", "surrogatepass")
         bounds = rec[f"{key}_offsets"].tolist()
@@ -222,7 +228,7 @@ def record_values(path: Path, key: str) -> list[str]:
 
 
 def record_column(key: str, values: list[str]) -> dict[str, np.ndarray]:
-    """The two arrays of a ``records.npz`` text field holding ``values``."""
+    """The two arrays of an ``index.npz`` text field holding ``values``."""
     data = "".join(values).encode("utf-8", "surrogatepass")
     return {
         f"{key}_utf8": np.frombuffer(data, dtype=np.uint8),
@@ -232,9 +238,9 @@ def record_column(key: str, values: list[str]) -> dict[str, np.ndarray]:
 
 def rewrite_records(directory: Path, kind: str, edit) -> None:
     """Replace the ``kind`` ("passage" or "triple") records of a saved
-    index's ``records.npz`` with ``edit(rows)``, each row a dict of field ->
+    index's ``index.npz`` with ``edit(rows)``, each row a dict of field ->
     text; set the manifest's count to match and reseal."""
-    path = directory / "records.npz"
+    path = directory / "index.npz"
     with np.load(path) as rec:
         keys = [
             name[len(kind) + 1 : -len("_utf8")] for name in rec.files
@@ -252,34 +258,33 @@ def rewrite_records(directory: Path, kind: str, edit) -> None:
     rewrite_npz(path, **arrays)
 
 
-# Saved by the code of format version 3 (records as JSONL files, hashed): the
-# one old index kept, which a load refuses and a save replaces.
+# Saved by the code of format version 3 (records as JSONL files, hashed) and
+# of format version 4 (records.npz, lexical.npz and embeddings.npz), from the
+# same input: the old indexes kept, which a load refuses and a save replaces.
 V3_INDEX = Path(__file__).parent / "data" / "index_v3"
+V4_INDEX = Path(__file__).parent / "data" / "index_v4"
 
 
 def v3_copy(tmp_path: Path) -> Path:
     return Path(shutil.copytree(V3_INDEX, tmp_path / "v3"))
 
 
+def v4_copy(tmp_path: Path) -> Path:
+    return Path(shutil.copytree(V4_INDEX, tmp_path / "v4"))
+
+
 def test_load_rejects_passage_added_to_records_after_save(tmp_path, chain_index):
     save_index(chain_index, tmp_path)
     late = {"id": "p5", "title": "", "text": "late island"}
     rewrite_records(tmp_path, "passage", lambda rows: rows + [late])
-    with pytest.raises(IndexBuildError, match="lexical.npz: p_ids"):
-        load_index(tmp_path)
-
-
-def test_load_rejects_vector_ids_that_differ(tmp_path, chain_index):
-    save_index(chain_index, tmp_path)
-    emb = tmp_path / "embeddings.npz"
-    rewrite_npz(emb, triple_ids=np.asarray(["t1", "t2", "t3", "t9"]))
-    with pytest.raises(IndexBuildError, match="embeddings.npz: triple_ids"):
+    # the views' rows are the saved four, not the records' five
+    with pytest.raises(IndexBuildError, match="index.npz: p_arrays disagree in length"):
         load_index(tmp_path)
 
 
 def test_load_rejects_vector_row_count(tmp_path, chain_index):
     save_index(chain_index, tmp_path)
-    emb = tmp_path / "embeddings.npz"
+    emb = tmp_path / "index.npz"
     # the first three sparse rows, consistent among themselves
     with np.load(emb) as stored:
         cut = {key: stored[f"passage_{key}"] for key in ("shape", "offsets", "buckets", "values")}
@@ -291,37 +296,37 @@ def test_load_rejects_vector_row_count(tmp_path, chain_index):
         passage_buckets=cut["buckets"][:stop],
         passage_values=cut["values"][:stop],
     )
-    with pytest.raises(IndexBuildError, match="embeddings.npz: 3 passage vectors"):
+    with pytest.raises(IndexBuildError, match="index.npz: 3 passage vectors"):
         load_index(tmp_path)
 
 
 def test_load_rejects_doc_freq_mismatch(tmp_path, chain_index):
     save_index(chain_index, tmp_path)
-    lex = tmp_path / "lexical.npz"
+    lex = tmp_path / "index.npz"
     doc_freq = np.load(lex)["t_doc_freq"].copy()
     doc_freq[0] += 1
     rewrite_npz(lex, t_doc_freq=doc_freq)
-    with pytest.raises(IndexBuildError, match="lexical.npz: t_doc_freq"):
+    with pytest.raises(IndexBuildError, match="index.npz: t_doc_freq"):
         load_index(tmp_path)
 
 
 def test_load_rejects_decreasing_indptr(tmp_path, chain_index):
     save_index(chain_index, tmp_path)
-    lex = tmp_path / "lexical.npz"
+    lex = tmp_path / "index.npz"
     indptr = np.load(lex)["p_indptr"].copy()
     indptr[1], indptr[2] = indptr[2], indptr[1]
     rewrite_npz(lex, p_indptr=indptr, p_doc_freq=np.diff(indptr))
-    with pytest.raises(IndexBuildError, match="lexical.npz: p_indptr"):
+    with pytest.raises(IndexBuildError, match="index.npz: p_indptr"):
         load_index(tmp_path)
 
 
 def test_load_rejects_doc_position_out_of_range(tmp_path, chain_index):
     save_index(chain_index, tmp_path)
-    lex = tmp_path / "lexical.npz"
+    lex = tmp_path / "index.npz"
     positions = np.load(lex)["p_doc_positions"].copy()
     positions[-1] = len(chain_index.passages)
     rewrite_npz(lex, p_doc_positions=positions)
-    with pytest.raises(IndexBuildError, match="lexical.npz: p_doc_positions"):
+    with pytest.raises(IndexBuildError, match="index.npz: p_doc_positions"):
         load_index(tmp_path)
 
 
@@ -343,5 +348,5 @@ def test_load_rejects_doc_position_out_of_range(tmp_path, chain_index):
 def test_load_applies_build_record_checks_to_records_npz(tmp_path, chain_index, kind, edit, problem):
     save_index(chain_index, tmp_path)
     rewrite_records(tmp_path, kind, edit)
-    with pytest.raises(IndexBuildError, match=rf"records\.npz: {problem}"):
+    with pytest.raises(IndexBuildError, match=rf"index\.npz: {problem}"):
         load_index(tmp_path)
