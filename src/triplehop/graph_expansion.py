@@ -18,10 +18,10 @@ import numpy as np
 from .base_retrieval import (
     RankedList,
     RetrievalConfig,
+    _trigram_codes,
     base_retrieve,
     hash_dim,
     rrf_fuse,
-    trigram_counts,
     unit_vector,
 )
 from .corpus_index import (
@@ -87,28 +87,31 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     and the counts below.
 
     With the hash embedder (``hash_dim`` finds its name ``hash:<dim>``) no
-    candidate is embedded: ``serialize_sequence`` joins triples with
-    ``"; "``, and lower-casing never carries context across ``";"``, so the
-    trigram counts of ``a; b`` are
+    candidate text is hashed. ``serialize_sequence`` joins triples with
+    ``"; "``, and lower-casing never carries context across ``";"``, so with A
+    and B the lower-cased texts of triples a and b, the counts of ``a; b`` are
 
-        counts(a) + counts(low(a)[-2:] + "; " + low(b)[:2]) + counts(b),
+        counts(a) + tail(a) + head(b) + counts(b),
 
-    the middle term being the trigrams that touch the separator (sliced after
-    lower-casing, because ``'İ'.lower()`` is two characters). A triple's
-    counts are its row of the triple view; its row and the ends of its
-    lower-cased text are memoised per index (``CorpusIndex.triple_ends``),
-    and the counts of beam prefixes and of prefix plus boundary are cached
-    per search. A batch, 128 sequences at a time, takes each one's prefix-
-    plus-boundary counts by an index array, adds the last triples' (``int8``)
-    rows and normalises all rows with one ``einsum`` and one division. Counts
-    are integers, so every sum and squared norm is exact and each unit row
-    has the bits of the serialized text's unit vector. The final dot product
-    stays one 1-D dot per row: a matrix-vector product sums in another
-    order, changes last bits and so reorders exact ties. Every score is
-    therefore bit-identical to embedding the serialized text. Any other
-    embedder embeds the serialized texts: one ``embed_texts`` call per batch
-    for the query and the texts this scorer has not embedded yet (one
-    ``embed_many`` call, or one call per text for a plain callable).
+    tail(a) being the trigrams ``A[-2:] + ";"`` and ``A[-1] + "; "``, head(b)
+    ``"; " + B[0]`` and ``" " + B[:2]``, each a code of the trigram memo.
+    That needs A and B of at least 2 characters; each is at least 5 (three
+    non-blank fields joined by spaces), and is sliced after lower-casing,
+    because ``'İ'.lower()`` is two characters. A triple's counts are its
+    (``int8``) row of the triple view; its row and ends are memoised per index
+    (``CorpusIndex.triple_ends``). A search keeps each beam prefix's counts
+    plus its last triple's tail, and each distinct head's codes. A batch, 128
+    sequences at a time, gathers its prefix vectors by an index array, adds
+    the last triples' rows and heads, and normalises all rows with one
+    ``einsum`` and one division. Counts are integers, so every sum and
+    squared norm is exact and each unit row has the bits of the serialized
+    text's unit vector. The final dot product stays one 1-D dot per row: a
+    matrix-vector product sums in another order, changes last bits and so
+    reorders exact ties. Every score is therefore bit-identical to embedding
+    the serialized text. Any other embedder embeds the serialized texts: one
+    ``embed_texts`` call per batch for the query and the texts this scorer
+    has not embedded yet (one ``embed_many`` call, or one call per text for
+    a plain callable).
     """
     # text -> its unit vector: the query's, and on the non-hash path every
     # serialized sequence's.
@@ -131,52 +134,59 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     else:
         rows = index.vectors[TRIPLES].vectors
         ends = index.triple_ends
-        zero = np.zeros(dim)
-        # sequence -> (counts, its last two lower-cased characters), for the
-        # prefixes of candidates; boundary text -> counts; (prefix, head of
-        # the next triple) -> prefix counts + boundary counts, zero for the
-        # empty prefix (hashed rows hold no -0.0, so adding it changes no
-        # bit).
-        prefixes: dict[tuple[str, ...], tuple[np.ndarray, str]] = {}
-        boundaries: dict[str, np.ndarray] = {}
-        joins: dict[tuple[tuple[str, ...], str], np.ndarray] = {}
+        codes = _trigram_codes(dim)
+        # prefix -> its counts plus its last triple's tail, zero for (); head
+        # -> its slot in ``heads``: the (bucket, sign) of "; " + head[0], then
+        # of " " + head. Slot 0 adds +0.0, which changes no sum of ±1s.
+        prefix_vectors: dict[tuple[str, ...], np.ndarray] = {(): np.zeros(dim)}
+        slots: dict[str, int] = {}
+        heads: list[tuple[int, float, int, float]] = [(0, 0.0, 0, 0.0)]
+        table = [np.array(column) for column in zip(*heads)]
 
-        def joined(prefix: tuple[str, ...], head: str) -> np.ndarray:
-            out = joins.get((prefix, head))
-            if out is None:
-                out = zero
-                if prefix:
-                    counts, tail = sequence_counts(prefix)
-                    window = tail + "; " + head
-                    boundary = boundaries.get(window)
-                    if boundary is None:
-                        boundary = boundaries[window] = trigram_counts(window, dim)
-                    out = counts + boundary
-                joins[prefix, head] = out
-            return out
+        def signed(trigram: str) -> tuple[int, float]:
+            code = codes[trigram]
+            return code >> 1, code % 2 * 2.0 - 1.0
 
-        def sequence_counts(sequence: tuple[str, ...]) -> tuple[np.ndarray, str]:
-            entry = prefixes.get(sequence)
-            if entry is None:
-                row, head, tail = ends[sequence[-1]]
-                counts = joined(sequence[:-1], head) + rows[row]
-                entry = prefixes[sequence] = (counts, tail)
-            return entry
+        def prefix_vector(prefix: tuple[str, ...]) -> np.ndarray:
+            counts = prefix_vectors.get(prefix)
+            if counts is None:
+                row, head, tail = ends[prefix[-1]]
+                counts = prefix_vectors[prefix] = prefix_vector(prefix[:-1]) + rows[row]
+                trigrams = [tail + ";", tail[-1] + "; "]
+                if len(prefix) > 1:
+                    trigrams += ["; " + head[0], " " + head]
+                for bucket, sign in map(signed, trigrams):
+                    counts[bucket] += sign
+            return counts
 
         def scorer(query: str, sequences: Sequence[tuple[str, ...]]) -> list[float]:
+            nonlocal table
             embed_units([query])
             unit_query = cache[query]
             scores: list[float] = []
             for lo in range(0, len(sequences), _BLOCK_ROWS):
                 block = sequences[lo : lo + _BLOCK_ROWS]
-                last = [ends[seq[-1]] for seq in block]
-                keys: dict[tuple[tuple[str, ...], str], int] = {}
-                picks = [
-                    keys.setdefault((seq[:-1], head), len(keys))
-                    for seq, (_, head, _) in zip(block, last)
-                ]
-                counts = np.stack([joined(*key) for key in keys])[picks]
-                counts += rows[[row for row, _, _ in last]]
+                last_rows, last_heads, _ = zip(*[ends[seq[-1]] for seq in block])
+                keys: dict[tuple[str, ...], int] = {}
+                picks = [keys.setdefault(seq[:-1], len(keys)) for seq in block]
+                counts = np.stack([prefix_vector(key) for key in keys])[picks]
+                counts += rows[list(last_rows)]
+                if keys.keys() != {()}:  # one-triple sequences have no head
+                    for head in dict.fromkeys(last_heads):
+                        if head not in slots:
+                            slots[head] = len(heads)
+                            heads.append(signed("; " + head[0]) + signed(" " + head))
+                    if len(table[0]) < len(heads):
+                        table = [np.array(column) for column in zip(*heads)]
+                    picked = np.fromiter(map(slots.__getitem__, last_heads), np.intp, len(block))
+                    if () in keys:
+                        picked[np.array(picks) == keys[()]] = 0
+                    one, one_sign, two, two_sign = (column[picked] for column in table)
+                    # Two +=, at flat positions: at a small dim a head's two
+                    # trigrams can share a bucket, which one += adds once.
+                    lines = np.arange(0, counts.size, dim)
+                    counts.ravel()[one + lines] += one_sign
+                    counts.ravel()[two + lines] += two_sign
                 norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
                 counts /= np.where(norms > 0, norms, 1.0)[:, None]
                 # One 1-D dot per row, as ``unit_query @ row``: matmul over a

@@ -47,6 +47,41 @@ def test_score_hub_beam(benchmark, hub_index):
     assert [len(beam.sequence) for beam in beams] == [2]
 
 
+# 32 lower-case letters, so 32 x 32 two-letter heads tell 1,024 subjects apart.
+_HEAD_LETTERS = "abcdefghijklmnopqrstuvwxyzàáâãäå"
+
+
+@pytest.fixture(scope="module")
+def distinct_hub_index():
+    """``hub_index`` with a distinct first two letters per person, so no two
+    triples share the head of their serialization."""
+    passages, triples = [], []
+    for i in range(1001):
+        pid = f"p{i:04d}"
+        name = _HEAD_LETTERS[i // 32] + _HEAD_LETTERS[i % 32] + f"son {i}"
+        passages.append(Passage(pid, name, f"{name} was born in Germany."))
+        triples.append(Triple(f"t{i:04d}", name, "born in", "Germany", pid))
+    return build_index(passages, triples, HashEmbedder(256))
+
+
+def test_score_hub_beam_distinct_heads(benchmark, distinct_hub_index):
+    """``test_score_hub_beam``'s step where the 1,000 extensions have 1,000
+    distinct heads."""
+    cfg = ExpansionConfig(beam_width=1, max_length=2)
+
+    def step():
+        return diverse_beam_search(
+            distinct_hub_index, "where was Person 7 born", ["t0000"], cfg
+        )
+
+    beams = benchmark(step)
+    neighbours = get_neighbours(distinct_hub_index, "t0000")
+    assert len(neighbours) == 1000
+    heads = {distinct_hub_index.triples[tid].subject.lower()[:2] for tid in neighbours}
+    assert len(heads) == 1000
+    assert [len(beam.sequence) for beam in beams] == [2]
+
+
 _SYLLABLES = ("ka", "lo", "mi", "nu", "pe", "ra", "si", "to", "vu", "ze")
 
 

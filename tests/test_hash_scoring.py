@@ -26,7 +26,7 @@ from triplehop import (
     load_index,
     save_index,
 )
-from triplehop import base_retrieval
+from triplehop import base_retrieval, graph_expansion
 from triplehop.eval_harness import AgentSystem, RetrieverSystem, run_eval
 from triplehop.graph_expansion import make_cosine_scorer
 
@@ -175,6 +175,53 @@ def test_beam_search_unchanged_by_incremental_scorer(graph, query, max_length, c
     )
     assert hex_beams(got) == want
     assert calls == oracle_calls
+
+
+def _hub_graph():
+    """Thirty people born in one country. Ten share the head (the first two
+    lower-cased characters of a triple) "pe", the rest share theirs in
+    pairs, and 'İ' lower-cases to two characters."""
+    names = [f"Person {i}" for i in range(10)] + [f"{c}{c}son" for c in "abcdefghİß"]
+    names += [f"{name} Jr" for name in names[10:]]
+    passages, triples = [], []
+    for i, name in enumerate(names):
+        passages.append(Passage(f"p{i:02d}", name, f"{name} was born in Germany."))
+        triples.append(Triple(f"t{i:02d}", name, "born in", "Germany", f"p{i:02d}"))
+    triples.append(Triple("t99", "Germany", "capital", "Berlin", "p00"))
+    return passages, triples
+
+
+@pytest.mark.parametrize(
+    "corpus, query, initial",
+    [
+        (lambda: build_hop_corpus()[:2], "where does the trail from ent1a finish", ["q1t1", "q2t1"]),
+        (_hub_graph, "where was Person 7 born", ["t07", "t99"]),
+    ],
+    ids=["hop", "hub"],
+)
+def test_hash_scorer_hashes_no_boundary_window(monkeypatch, corpus, query, initial):
+    """A search's boundary trigrams come from each triple's head and tail
+    codes: no text holding the ``"; "`` separator is hashed, and the beams
+    are the oracle's."""
+    passages, triples = corpus()
+    index = build_index(passages, triples, HashEmbedder(64))
+    real = base_retrieval.trigram_counts
+
+    def no_window(low, dim):
+        if "; " in low:
+            raise AssertionError(f"hashed the boundary window {low!r}")
+        return real(low, dim)
+
+    monkeypatch.setattr(base_retrieval, "trigram_counts", no_window)
+    monkeypatch.setattr(graph_expansion, "trigram_counts", no_window, raising=False)
+    cfg = ExpansionConfig(beam_width=4, max_length=3, neighbour_cap=10)
+    reference = oracle_sequence_scorer(index.triples, lambda t: oracle_hash_embed(t, 64))
+    want = hex_beams(
+        Beam(*entry) for entry in oracle_beam_search(query, initial, index.triples, cfg, reference)
+    )
+    got = diverse_beam_search(index, query, initial, cfg)
+    assert hex_beams(got) == want
+    assert max(len(beam.sequence) for beam in got) == 3
 
 
 class _Recording:

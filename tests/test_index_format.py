@@ -5,6 +5,7 @@ index of an older format."""
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
@@ -457,6 +458,36 @@ def test_load_names_an_array_that_does_not_read(tmp_path, chain_index):
                 np.lib.format.write_array(fh, array)
     reseal(tmp_path)
     with pytest.raises(IndexBuildError, match=r"index\.npz: array 'p_vocab' does not read"):
+        load_index(tmp_path)
+
+
+def restate_header(path: Path, key: str, shape: tuple[int, ...]) -> None:
+    """Give array ``key`` of an ``index.npz`` a header that states ``shape``
+    over the same data bytes, and reseal the index."""
+    with zipfile.ZipFile(path) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    array = np.lib.format.read_array(io.BytesIO(members[f"{key}.npy"]))
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header,
+        {"descr": np.lib.format.dtype_to_descr(array.dtype), "fortran_order": False, "shape": shape},
+    )
+    members[f"{key}.npy"] = header.getvalue() + array.tobytes()
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+    reseal(path.parent)
+
+
+@pytest.mark.parametrize("shape", [(2**44,), (1,)], ids=["past-memory", "short"])
+def test_load_names_an_array_whose_header_misstates_its_size(tmp_path, chain_index, shape):
+    """A header is checked against the member's size before its array is
+    allocated: 2**44 entries would otherwise raise MemoryError."""
+    save_index(chain_index, tmp_path)
+    restate_header(tmp_path / "index.npz", "p_doc_positions", shape)
+    with pytest.raises(
+        IndexBuildError, match=rf"index\.npz: array 'p_doc_positions' claims shape \({shape[0]},\)"
+    ):
         load_index(tmp_path)
 
 
