@@ -201,15 +201,10 @@ def passage_link(
     triple_lists = base_retrieve(index, queries, TRIPLES, retrieval, k=k)
     linked = []
     for passage_list, triple_list in zip(passage_lists, triple_lists):
-        seen: set[str] = set()
-        mapped_entries = []
+        first: dict[str, float] = {}  # passage id -> its first triple's score
         for tid, score in triple_list.entries:
-            pid = triple_to_passage(index, tid)
-            if pid in seen:
-                continue
-            seen.add(pid)
-            mapped_entries.append((pid, score))
-        mapped = RankedList(tuple(mapped_entries), provenance="triples->passages")
+            first.setdefault(triple_to_passage(index, tid), score)
+        mapped = RankedList(tuple(first.items()), provenance="triples->passages")
         linked.append(rrf_fuse([passage_list, mapped], retrieval.rrf_constant).truncated(k))
     return linked
 

@@ -11,15 +11,15 @@ All ranking is deterministic: ties break by ascending item id.
 from __future__ import annotations
 
 import hashlib
-import math
 import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 import requests
 
-from .corpus_index import PASSAGES, CorpusIndex, LexicalView, embed_texts, tokenize
+from .corpus_index import PASSAGES, CorpusIndex, Memo, embed_texts, tokenize
 from .llm_gateway import post_json
 
 
@@ -141,25 +141,6 @@ def top_k(scores: np.ndarray, k: int, positive: bool = False) -> list[np.ndarray
     return [cols[lo : min(hi, lo + k)] for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _bm25_weights(lex: LexicalView, k1: float, b: float) -> np.ndarray:
-    """Every posting's BM25 term weight at (k1, b), aligned with
-    ``lex.doc_positions``; filled on first use into ``lex.bm25_weights``."""
-    weights = lex.bm25_weights.get((k1, b))
-    if weights is None:
-        n_docs = len(lex.ids)
-        avg = lex.avg_doc_length or 1.0
-        df = np.diff(lex.indptr)
-        idf = [math.log(1.0 + (n_docs - d + 0.5) / (d + 0.5)) for d in df.tolist()]
-        tf = lex.term_freqs
-        # Keep this operation order: the per-posting loop in tests/oracles.py
-        # must give the same bits.
-        denom = tf + k1 * (1.0 - b + b * lex.doc_lengths[lex.doc_positions] / avg)
-        weights = np.repeat(np.asarray(idf, dtype=np.float64), df) * (tf * (k1 + 1.0)) / denom
-        # Racing threads store equal arrays, so no lock.
-        lex.bm25_weights[k1, b] = weights
-    return weights
-
-
 def bm25_search(
     index: CorpusIndex,
     query: str | Sequence[str],
@@ -174,7 +155,8 @@ def bm25_search(
     ``query`` is one text, giving one RankedList, or a sequence of texts,
     giving one RankedList per text in order; a single text is the one-row
     batch. Every posting's term weight at (k1, b) is computed once per index
-    and kept (``LexicalView.bm25_weights``), so a query only adds its terms'
+    and kept (``LexicalView.bm25_weights``; the formula is
+    ``corpus_index._posting_weights``), so a query only adds its terms'
     weight slices into its row of one (len(query) × view-size) score array,
     in its own token order: a score does not depend on the rest of the batch.
 
@@ -185,7 +167,7 @@ def bm25_search(
     """
     texts = _batch(query)
     lex = index.lexical[view]
-    weights = _bm25_weights(lex, k1, b)
+    weights = lex.bm25_weights[k1, b]
     all_scores = np.zeros((len(texts), len(lex.ids)), dtype=np.float64)
     for scores, text in zip(all_scores, texts):
         for term in tokenize(text):
@@ -216,10 +198,10 @@ def dense_search(
     ``embed_many`` call for ``HashEmbedder`` and ``HttpEmbedder``, one call
     per text for a plain callable), and the view is read once, by one
     product over only the ``used`` dimensions, those nonzero in some query:
-    ``Q[:, used] @ columns[used]`` (see ``VectorView.columns``). For hashed
-    rows that reads the ``int8`` bucket columns a batch touches, all of them
-    if need be; on float64 rows a batch using every dimension takes
-    ``Q @ V.T``. The working arrays hold len(query) × view-size floats.
+    ``Q[:, used] @ columns[used]`` (see ``VectorView.columns``), or
+    ``Q @ columns`` with no gather when the batch uses every dimension. For
+    hashed rows that reads the ``int8`` bucket columns a batch touches. The
+    working arrays hold len(query) × view-size floats.
 
     The ``int8`` columns are multiplied in float32 when the queries are
     integer-valued and max‖q‖₁ · 128 < 2**24: every product and partial sum
@@ -246,16 +228,15 @@ def dense_search(
     if embedded.shape[1] != len(vv.columns):
         width = f"{embedded.shape[1]}-wide query vectors"
         raise RetrievalError(f"{width} against {len(vv.columns)}-wide {view} rows")
-    used = np.flatnonzero(embedded.any(axis=0))
-    if vv.vectors.dtype == np.float64 and len(used) == len(vv.columns):
-        dots = embedded @ vv.vectors.T
+    queries, columns = embedded, vv.columns
+    used = embedded.any(axis=0)
+    if not used.all():
+        used = np.flatnonzero(used)
+        queries, columns = embedded[:, used], columns[used]
+    if columns.dtype == np.int8 and _float32_exact(queries):
+        dots = (queries.astype(np.float32) @ columns.astype(np.float32)).astype(np.float64)
     else:
-        gathered = embedded[:, used]
-        if vv.columns.dtype == np.int8 and _float32_exact(gathered):
-            small = vv.columns[used].astype(np.float32)
-            dots = (gathered.astype(np.float32) @ small).astype(np.float64)
-        else:
-            dots = gathered @ vv.columns[used].astype(np.float64, copy=False)
+        dots = queries @ columns.astype(np.float64, copy=False)
     denom = np.outer([float(q @ q) for q in embedded], vv.sq_norms)
     all_ratios = np.divide(dots * np.abs(dots), denom, out=np.zeros_like(dots), where=denom > 0)
     results = []
@@ -322,27 +303,15 @@ def base_retrieve(
 # Embedders
 # ---------------------------------------------------------------------------
 
-class _TrigramCodes(dict):
-    """trigram -> 2 * bucket + (1 if the sign is +1 else 0), for one dim.
-
-    A trigram is hashed on its first lookup and answered from the dict after
-    that, so the memo holds one entry per distinct trigram seen at this dim.
-    """
-
-    def __init__(self, dim: int):
-        super().__init__()
-        self.dim = dim
-
-    def __missing__(self, trigram: str) -> int:
-        digest = hashlib.blake2b(trigram.encode("utf-8", "surrogatepass"), digest_size=8).digest()
-        code = 2 * (int.from_bytes(digest[:4], "little") % self.dim) + (digest[4] & 1)
-        self[trigram] = code
-        return code
+def _trigram_code(dim: int, trigram: str) -> int:
+    """2 * bucket + (1 if the sign is +1 else 0) of a trigram at ``dim``."""
+    digest = hashlib.blake2b(trigram.encode("utf-8", "surrogatepass"), digest_size=8).digest()
+    return 2 * (int.from_bytes(digest[:4], "little") % dim) + (digest[4] & 1)
 
 
-# One memo per dim, shared by every index and thread of the process. Two
-# threads that miss on the same trigram store the same code, so no lock.
-_TRIGRAM_CODES: dict[int, _TrigramCodes] = {}
+# dim -> trigram -> its code: one memo per dim, shared by every index and
+# thread of the process, holding one entry per distinct trigram seen.
+_TRIGRAM_CODES = Memo(lambda dim: Memo(partial(_trigram_code, dim)))
 
 # Texts ``hash_embed_many`` hashes at once, so its working arrays stay about
 # 256 texts' trigrams however many texts a call has.
@@ -354,28 +323,13 @@ _EMBED_CHUNK = 256
 _EMBED_ARRAY_MIN = 6
 
 
-def _trigram_codes(dim: int) -> _TrigramCodes:
+def trigram_codes(dim: int) -> Memo:
+    """The shared trigram memo at ``dim``: trigram -> 2 * bucket + (1 if the
+    sign is +1 else 0), as ``hash_embed`` hashes it. The beam scorer reads
+    its boundary trigrams from it."""
     if dim < 8:
         raise ValueError("dim must be >= 8")
-    codes = _TRIGRAM_CODES.get(dim)
-    if codes is None:
-        codes = _TRIGRAM_CODES.setdefault(dim, _TrigramCodes(dim))
-    return codes
-
-
-def trigram_counts(low: str, dim: int) -> np.ndarray:
-    """Signed bucket counts of the character 3-grams of an already lower-cased
-    text: ``hash_embed`` of any text that lower-cases to it.
-
-    Every entry is a sum of +1s and -1s, so it is an exact integer in float64
-    and counts of concatenated pieces may be added in any order.
-    """
-    codes = _trigram_codes(dim)
-    tallies = np.bincount(
-        np.array([codes[low[i : i + 3]] for i in range(len(low) - 2)], dtype=np.intp),
-        minlength=2 * dim,
-    )
-    return (tallies[1::2] - tallies[0::2]).astype(np.float64)
+    return _TRIGRAM_CODES[dim]
 
 
 def hash_embed_many(texts: Sequence[str], dim: int) -> np.ndarray:
@@ -396,7 +350,7 @@ def hash_embed_many(texts: Sequence[str], dim: int) -> np.ndarray:
     Fewer than six texts (``_EMBED_ARRAY_MIN``) go through ``hash_embed`` one
     at a time, so one text costs about what ``hash_embed`` itself does.
     """
-    codes = _trigram_codes(dim)
+    codes = trigram_codes(dim)
     texts = list(texts)
     out = np.empty((len(texts), dim), dtype=np.float64)
     if len(texts) < _EMBED_ARRAY_MIN:
@@ -409,7 +363,7 @@ def hash_embed_many(texts: Sequence[str], dim: int) -> np.ndarray:
     return out
 
 
-def _chunk_counts(lows: list[str], dim: int, codes: _TrigramCodes) -> np.ndarray:
+def _chunk_counts(lows: list[str], dim: int, codes: Memo) -> np.ndarray:
     """The (len(lows), dim) signed trigram counts of lower-cased texts; see
     ``hash_embed_many``. Each big array is dropped once it is used, so a
     chunk's working set stays small."""
@@ -457,8 +411,17 @@ def hash_embed(text: str, dim: int) -> np.ndarray:
     for the life of the process; the memo is bounded by the distinct
     trigrams seen. Texts shorter than 3 characters produce the zero vector;
     cosine against the zero vector is defined as 0.
+
+    Every entry is a sum of +1s and -1s, so it is an exact integer in float64
+    and counts of concatenated pieces may be added in any order.
     """
-    return trigram_counts(text.lower(), dim)
+    codes = trigram_codes(dim)
+    low = text.lower()
+    tallies = np.bincount(
+        np.array([codes[low[i : i + 3]] for i in range(len(low) - 2)], dtype=np.intp),
+        minlength=2 * dim,
+    )
+    return (tallies[1::2] - tallies[0::2]).astype(np.float64)
 
 
 def unit_vector(vec: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from pathlib import Path
 from .agent import AgentConfig
 from .base_retrieval import RetrievalConfig
 from .graph_expansion import ExpansionConfig
-from .llm_gateway import ChatBackend, HttpChatBackend, ScriptedBackend
+from .llm_gateway import ChatBackend, HttpChatBackend, ScriptedBackend, check_http_limits
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,12 @@ class LLMConfig:
     fixtures: str = ""
     in_flight_limit: int = 4
     timeout: float = 60.0
+
+    def __post_init__(self):
+        check_http_limits(
+            self.timeout, max_retries=self.max_retries,
+            in_flight_limit=self.in_flight_limit, max_output_tokens=self.max_output_tokens,
+        )
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
+from functools import partial
 from operator import attrgetter, lt
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -41,6 +42,23 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 class IndexBuildError(ValueError):
     """Raised when index inputs violate the build contract."""
+
+
+class Memo(dict):
+    """A dict that fills a missing key with ``compute(key)`` on its first
+    lookup and keeps it.
+
+    It takes no lock. Threads that miss on one key may each compute it, and
+    every thread gets the value stored first, so ``compute`` need only give
+    equal values for one key. An exception from ``compute`` stores nothing.
+    """
+
+    def __init__(self, compute: Callable):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.compute(key))
 
 
 def tokenize(text: str) -> list[str]:
@@ -123,6 +141,20 @@ class Records(Mapping):
         return len(self.ids)
 
 
+def _posting_weights(avg, indptr, doc_positions, term_freqs, doc_lengths, pair):
+    """Every posting's BM25 term weight at ``pair`` = (k1, b), aligned with
+    ``doc_positions``: idf * (tf * (k1 + 1)) / (tf + k1 * (1 - b + b * dl /
+    avg)), with the non-negative idf ln(1 + (N - df + 0.5) / (df + 0.5))."""
+    k1, b = pair
+    n_docs = len(doc_lengths)
+    df = np.diff(indptr)
+    idf = [math.log(1.0 + (n_docs - d + 0.5) / (d + 0.5)) for d in df.tolist()]
+    # Keep this operation order: the per-posting loop in tests/oracles.py
+    # must give the same bits.
+    denom = term_freqs + k1 * (1.0 - b + b * doc_lengths[doc_positions] / avg)
+    return np.repeat(np.asarray(idf, dtype=np.float64), df) * (term_freqs * (k1 + 1.0)) / denom
+
+
 @dataclass(frozen=True)
 class LexicalView:
     """Per-view term statistics backing BM25 scoring, as CSR postings.
@@ -134,9 +166,10 @@ class LexicalView:
     into ``ids``) and ``term_freqs``. These arrays but ``ids`` are also what
     ``index.npz`` stores.
 
-    ``bm25_weights`` maps (k1, b) to every posting's BM25 term weight,
-    aligned with ``doc_positions``. ``bm25_search`` fills an entry on first
-    use and it is kept for the life of the index, in memory only.
+    ``bm25_weights`` is a ``Memo`` of (k1, b) -> every posting's BM25 term
+    weight (``_posting_weights``), aligned with ``doc_positions``.
+    ``bm25_search`` fills an entry on first use and it is kept for the life
+    of the index, in memory only.
     """
 
     ids: tuple[str, ...]
@@ -147,15 +180,18 @@ class LexicalView:
     term_freqs: np.ndarray
     rows: dict[str, int] = field(init=False, repr=False)
     avg_doc_length: float = field(init=False)
-    bm25_weights: dict[tuple[float, float], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    bm25_weights: Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = dict(zip(self.vocab.tolist(), range(len(self.vocab))))
         avg = float(self.doc_lengths.mean()) if len(self.ids) else 0.0
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "avg_doc_length", avg)
+        weights = partial(
+            _posting_weights, avg or 1.0, self.indptr, self.doc_positions,
+            self.term_freqs, self.doc_lengths,
+        )
+        object.__setattr__(self, "bm25_weights", Memo(weights))
 
     @classmethod
     def from_texts(cls, ids: Sequence[str], texts: Sequence[str]) -> "LexicalView":
@@ -236,23 +272,16 @@ class VectorView:
         object.__setattr__(self, "columns", columns)
 
 
-class TripleEnds(dict):
-    """triple id -> (its row in the triple vector view, the first and the last
-    two characters of its lower-cased serialization), for the beam scorer.
+def _triple_ends(triples: Records, triple_id: str) -> tuple[int, str, str]:
+    low = serialize_triple(triples[triple_id]).lower()
+    return triples.position(triple_id), low[:2], low[-2:]
 
-    An id is computed on its first lookup and kept for the life of the index.
-    Threads that miss on the same id store equal entries, so no lock. An
-    unknown id raises KeyError.
-    """
 
-    def __init__(self, triples: Records):
-        super().__init__()
-        self.triples = triples
-
-    def __missing__(self, triple_id: str) -> tuple[int, str, str]:
-        low = serialize_triple(self.triples[triple_id]).lower()
-        entry = self[triple_id] = (self.triples.position(triple_id), low[:2], low[-2:])
-        return entry
+def _neighbours(triples: Records, entity_codes, entity_csr, triple_id: str) -> tuple[str, ...]:
+    at = triples.position(triple_id)
+    indptr, members = entity_csr
+    linked = np.union1d(*(members[indptr[c] : indptr[c + 1]] for c in entity_codes[at]))
+    return tuple(map(triples.ids.__getitem__, linked[linked != at].tolist()))
 
 
 @dataclass
@@ -267,11 +296,13 @@ class CorpusIndex:
     (a triple naming one entity twice is in its group twice) and by passage.
     ``alignment`` maps triple id -> passage id.
 
-    The only state it gains afterwards is memos kept for the life of the
-    index: ``triple_ends``; ``neighbour_ids``, each triple id's neighbours in
-    ascending order, filled by ``get_neighbours``; and each lexical view's
-    ``bm25_weights``. Threads that race on one entry store equal values, so
-    there is no lock.
+    The only state it gains afterwards is ``Memo``s, kept for the life of
+    the index: ``triple_ends``, triple id -> (its row in the triple vector
+    view, the first and the last two characters of its lower-cased
+    serialization), for the beam scorer; ``neighbour_ids``, triple id -> its
+    neighbours, ascending; and each lexical view's ``bm25_weights``. Threads
+    that miss on one entry may each compute it, and all get the value stored
+    first, so there is no lock.
     """
 
     passages: Records
@@ -284,15 +315,16 @@ class CorpusIndex:
     entity_csr: tuple[np.ndarray, np.ndarray] = field(repr=False)
     passage_csr: tuple[np.ndarray, np.ndarray] = field(repr=False)
     alignment: Records = field(init=False, repr=False, compare=False)
-    triple_ends: TripleEnds = field(init=False, repr=False, compare=False)
-    neighbour_ids: dict[str, tuple[str, ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    triple_ends: Memo = field(init=False, repr=False, compare=False)
+    neighbour_ids: Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_passage = {"passage_id": self.triples.columns["passage_id"]}
         self.alignment = Records("triple", lambda _, pid: pid, self.triples.ids, by_passage)
-        self.triple_ends = TripleEnds(self.triples)
+        self.triple_ends = Memo(partial(_triple_ends, self.triples))
+        self.neighbour_ids = Memo(
+            partial(_neighbours, self.triples, self.entity_codes, self.entity_csr)
+        )
 
     def embed_query(self, text: str) -> np.ndarray:
         return np.asarray(self.embedder(text), dtype=np.float64)
@@ -482,14 +514,7 @@ def get_neighbours(index: CorpusIndex, triple_id: str) -> tuple[str, ...]:
     """Ids of the triples sharing a normalized head or tail entity with
     ``triple_id``, ascending: the union of its two entity groups in
     ``index.entity_csr``, less itself, memoised in ``index.neighbour_ids``."""
-    neighbours = index.neighbour_ids.get(triple_id)
-    if neighbours is None:
-        at = index.triples.position(triple_id)
-        indptr, members = index.entity_csr
-        linked = np.union1d(*(members[indptr[c] : indptr[c + 1]] for c in index.entity_codes[at]))
-        neighbours = tuple(map(index.triples.ids.__getitem__, linked[linked != at].tolist()))
-        index.neighbour_ids[triple_id] = neighbours
-    return neighbours
+    return index.neighbour_ids[triple_id]
 
 
 def triple_to_passage(index: CorpusIndex, triple_id: str) -> str:
@@ -499,14 +524,7 @@ def triple_to_passage(index: CorpusIndex, triple_id: str) -> str:
 
 def triples_to_passages(index: CorpusIndex, triple_ids: Iterable[str]) -> list[str]:
     """Map triples to source passages, deduplicating on first occurrence."""
-    seen: set[str] = set()
-    out: list[str] = []
-    for tid in triple_ids:
-        pid = triple_to_passage(index, tid)
-        if pid not in seen:
-            seen.add(pid)
-            out.append(pid)
-    return out
+    return list(dict.fromkeys(triple_to_passage(index, tid) for tid in triple_ids))
 
 
 def serialize_sequence(index: CorpusIndex, triple_ids: Sequence[str]) -> str:

@@ -18,10 +18,10 @@ import numpy as np
 from .base_retrieval import (
     RankedList,
     RetrievalConfig,
-    _trigram_codes,
     base_retrieve,
     hash_dim,
     rrf_fuse,
+    trigram_codes,
     unit_vector,
 )
 from .corpus_index import (
@@ -94,20 +94,23 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
         counts(a) + tail(a) + head(b) + counts(b),
 
     tail(a) being the trigrams ``A[-2:] + ";"`` and ``A[-1] + "; "``, head(b)
-    ``"; " + B[0]`` and ``" " + B[:2]``, each a code of the trigram memo.
-    That needs A and B of at least 2 characters; each is at least 5 (three
-    non-blank fields joined by spaces), and is sliced after lower-casing,
-    because ``'İ'.lower()`` is two characters. A triple's counts are its
-    (``int8``) row of the triple view; its row and ends are memoised per index
-    (``CorpusIndex.triple_ends``). A search keeps each beam prefix's counts
-    plus its last triple's tail, and each distinct head's codes. A batch, 128
-    sequences at a time, gathers its prefix vectors by an index array, adds
-    the last triples' rows and heads, and normalises all rows with one
-    ``einsum`` and one division. Counts are integers, so every sum and
-    squared norm is exact and each unit row has the bits of the serialized
-    text's unit vector. The final dot product stays one 1-D dot per row: a
-    matrix-vector product sums in another order, changes last bits and so
-    reorders exact ties. Every score is therefore bit-identical to embedding
+    ``"; " + B[0]`` and ``" " + B[:2]``, each a code of the shared trigram
+    memo (``trigram_codes``). That needs A and B of at least 2 characters;
+    each is at least 5 (three non-blank fields joined by spaces), and is
+    sliced after lower-casing, because ``'İ'.lower()`` is two characters. A
+    triple's counts are its (``int8``) row of the triple view; its row and
+    ends come from the index's ``triple_ends`` memo. Both memos are
+    ``Memo``s: threads that miss on one entry may each compute it, and all
+    get the value stored first, so scorers on several threads share them
+    with no lock. A search keeps each beam prefix's counts plus its last
+    triple's tail, and each distinct head's codes. A batch, 128 sequences at
+    a time, gathers its prefix vectors by an index array, adds the last
+    triples' rows and heads, and normalises all rows with one ``einsum`` and
+    one division. Counts are integers, so every sum and squared norm is
+    exact and each unit row has the bits of the serialized text's unit
+    vector. The final dot product stays one 1-D dot per row: a matrix-vector
+    product sums in another order, changes last bits and so reorders exact
+    ties. Every score is therefore bit-identical to embedding
     the serialized text. Any other embedder embeds the serialized texts: one
     ``embed_texts`` call per batch for the query and the texts this scorer
     has not embedded yet (one ``embed_many`` call, or one call per text for
@@ -134,7 +137,7 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     else:
         rows = index.vectors[TRIPLES].vectors
         ends = index.triple_ends
-        codes = _trigram_codes(dim)
+        codes = trigram_codes(dim)
         # prefix -> its counts plus its last triple's tail, zero for (); head
         # -> its slot in ``heads``: the (bucket, sign) of "; " + head[0], then
         # of " " + head. Slot 0 adds +0.0, which changes no sum of ±1s.
@@ -262,18 +265,13 @@ def flatten_beams(beams: Sequence[Beam]) -> list[str]:
 
     Duplicates keep their first occurrence.
     """
-    seen: set[str] = set()
-    out: list[str] = []
     longest = max((len(b.sequence) for b in beams), default=0)
-    for position in range(longest):
-        for beam in beams:
-            if position >= len(beam.sequence):
-                continue
-            tid = beam.sequence[position]
-            if tid not in seen:
-                seen.add(tid)
-                out.append(tid)
-    return out
+    return list(dict.fromkeys(
+        beam.sequence[position]
+        for position in range(longest)
+        for beam in beams
+        if position < len(beam.sequence)
+    ))
 
 
 @dataclass(frozen=True)

@@ -261,7 +261,6 @@ class TokenLedger:
 @dataclass(frozen=True)
 class CompletionRequest:
     kind: str
-    key: str
     prompt: str
     variables: Mapping[str, str]
 
@@ -318,11 +317,10 @@ class ScriptedBackend:
         self._fixtures[(kind, canonical_key(variables))] = response
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        response = self._fixtures.get((request.kind, request.key))
+        key = canonical_key(request.variables)
+        response = self._fixtures.get((request.kind, key))
         if response is None:
-            raise FixtureMissError(
-                f"no fixture for kind={request.kind!r} key={request.key}"
-            )
+            raise FixtureMissError(f"no fixture for kind={request.kind!r} key={key}")
         return CompletionResult(
             response, whitespace_tokens(request.prompt), whitespace_tokens(response)
         )
@@ -400,6 +398,16 @@ def post_json(
     raise error(f"request to {endpoint} failed after {max_retries} attempts: {last_error}") from cause
 
 
+def check_http_limits(timeout: float, **counts: int) -> None:
+    """Raise ValueError naming the first bad value unless ``timeout`` > 0
+    and each of ``counts`` (name -> value) is >= 1."""
+    if not timeout > 0:  # also false for NaN
+        raise ValueError(f"timeout must be > 0, got {timeout!r}")
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+
 class HttpChatBackend:
     """Chat-completion JSON-over-HTTP client with bounded retries.
 
@@ -408,7 +416,9 @@ class HttpChatBackend:
     backend's ``temperature`` and ``max_output_tokens``. It reads the
     assistant text plus token usage from the response; usage falls back to
     whitespace counts when the server omits it. Retries follow ``post_json``;
-    every failure raises ``CompletionError``.
+    every failure raises ``CompletionError``. A ``timeout`` not above 0, or a
+    ``max_retries``, ``in_flight_limit`` or ``max_output_tokens`` below 1,
+    raises ValueError here, at construction (``check_http_limits``).
     """
 
     def __init__(
@@ -424,15 +434,19 @@ class HttpChatBackend:
         timeout: float = 60.0,
         in_flight_limit: int = 4,
     ):
+        check_http_limits(
+            timeout, max_retries=max_retries, in_flight_limit=in_flight_limit,
+            max_output_tokens=max_output_tokens,
+        )
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
         self.max_output_tokens = max_output_tokens
         self.api_key = api_key
-        self.max_retries = max(1, max_retries)
+        self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.timeout = timeout
-        self._slots = threading.Semaphore(max(1, in_flight_limit))
+        self._slots = threading.Semaphore(in_flight_limit)
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         payload = {
@@ -486,12 +500,7 @@ class LLMGateway:
 
     def complete(self, template_name: str, variables: Mapping[str, str]) -> str:
         prompt = render_prompt(template_name, variables)
-        request = CompletionRequest(
-            kind=template_name,
-            key=canonical_key(variables),
-            prompt=prompt,
-            variables=dict(variables),
-        )
+        request = CompletionRequest(kind=template_name, prompt=prompt, variables=dict(variables))
         result = self.backend.complete(request)
         self.ledger.add(
             template_name, result.input_tokens, result.output_tokens,

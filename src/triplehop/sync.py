@@ -81,11 +81,5 @@ def locate_initial_nodes(
 ) -> list[str]:
     """Link every proximal triple in one ``triple_link`` call; drop failures,
     dedupe keeping first occurrence."""
-    seen: set[str] = set()
-    out: list[str] = []
-    for linked in triple_link(index, proximals, config):
-        if linked is None or linked in seen:
-            continue
-        seen.add(linked)
-        out.append(linked)
-    return out
+    linked = dict.fromkeys(triple_link(index, proximals, config))
+    return [tid for tid in linked if tid is not None]

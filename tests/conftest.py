@@ -24,7 +24,7 @@ from triplehop import (  # noqa: E402
     get_neighbours,
     triple_to_passage,
 )
-from triplehop.llm_gateway import CompletionResult, whitespace_tokens  # noqa: E402
+from triplehop.llm_gateway import CompletionResult, canonical_key, whitespace_tokens  # noqa: E402
 
 
 class RecordingBackend:
@@ -42,7 +42,7 @@ class RecordingBackend:
     def complete(self, request):
         self.requests.append(request)
         response = self.script(request.kind, request.variables)
-        self.fixtures[(request.kind, request.key)] = response
+        self.fixtures[(request.kind, canonical_key(request.variables))] = response
         return CompletionResult(
             response,
             whitespace_tokens(request.prompt),

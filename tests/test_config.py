@@ -163,6 +163,12 @@ def test_inline_comments_are_stripped(tmp_path):
         ("[eval]\ncutoffs =\n", r"\[eval\] cutoffs"),
         ("[eval]\nqa_k = 0\n", r"\[eval\] qa_k"),
         ("[eval]\nworkers = -3\n", r"\[eval\] workers"),
+        ("[llm]\ntimeout = 0\n", r"\[llm\] timeout"),
+        ("[llm]\ntimeout = -1\n", r"\[llm\] timeout"),
+        ("[llm]\ntimeout = nan\n", r"\[llm\] timeout"),
+        ("[llm]\nmax_retries = 0\n", r"\[llm\] max_retries"),
+        ("[llm]\nin_flight_limit = 0\n", r"\[llm\] in_flight_limit"),
+        ("[llm]\nmax_output_tokens = 0\n", r"\[llm\] max_output_tokens"),
     ],
 )
 def test_bad_values_raise_config_error_naming_section_and_key(tmp_path, text, where):

@@ -30,6 +30,7 @@ from triplehop import (
 from triplehop.corpus_index import (
     PASSAGES,
     TRIPLES,
+    Memo,
     VectorView,
     load_passages_jsonl,
     load_triples_jsonl,
@@ -138,6 +139,29 @@ def test_neighbours_unknown_id():
     index = make_index([], [])
     with pytest.raises(KeyError):
         get_neighbours(index, "missing")
+
+
+def test_memo_keeps_the_first_value_stored():
+    # ``compute`` stores a value under its key before it returns another, as
+    # a thread that loses a race on the key would find: the lookup returns
+    # the stored value, and the memo keeps it.
+    def compute(key):
+        memo[key] = ["stored", key]
+        return ["returned", key]
+
+    memo = Memo(compute)
+    first = memo["a"]
+    assert first == ["stored", "a"]
+    assert memo == {"a": ["stored", "a"]}
+    assert memo["a"] is first
+
+    def fail(key):
+        raise KeyError(key)
+
+    failing = Memo(fail)
+    with pytest.raises(KeyError):
+        failing["b"]
+    assert failing == {}
 
 
 def test_serialize_triple_direct_join():

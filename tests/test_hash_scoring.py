@@ -26,7 +26,7 @@ from triplehop import (
     load_index,
     save_index,
 )
-from triplehop import base_retrieval, graph_expansion
+from triplehop import base_retrieval
 from triplehop.eval_harness import AgentSystem, RetrieverSystem, run_eval
 from triplehop.graph_expansion import make_cosine_scorer
 
@@ -205,15 +205,14 @@ def test_hash_scorer_hashes_no_boundary_window(monkeypatch, corpus, query, initi
     are the oracle's."""
     passages, triples = corpus()
     index = build_index(passages, triples, HashEmbedder(64))
-    real = base_retrieval.trigram_counts
+    real = base_retrieval.hash_embed
 
-    def no_window(low, dim):
-        if "; " in low:
-            raise AssertionError(f"hashed the boundary window {low!r}")
-        return real(low, dim)
+    def no_window(text, dim):
+        if "; " in text:
+            raise AssertionError(f"hashed the boundary window {text!r}")
+        return real(text, dim)
 
-    monkeypatch.setattr(base_retrieval, "trigram_counts", no_window)
-    monkeypatch.setattr(graph_expansion, "trigram_counts", no_window, raising=False)
+    monkeypatch.setattr(base_retrieval, "hash_embed", no_window)
     cfg = ExpansionConfig(beam_width=4, max_length=3, neighbour_cap=10)
     reference = oracle_sequence_scorer(index.triples, lambda t: oracle_hash_embed(t, 64))
     want = hex_beams(

@@ -448,6 +448,23 @@ def test_http_backend_unreachable_errors():
         backend.complete(_request("qa_with_passages", QA_VARIABLES))
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"timeout": 0},
+        {"timeout": -1.0},
+        {"timeout": float("nan")},
+        {"max_retries": 0},
+        {"in_flight_limit": 0},
+        {"max_output_tokens": 0},
+    ],
+)
+def test_http_backend_rejects_bad_limits_at_construction(setting):
+    (name,) = setting
+    with pytest.raises(ValueError, match=name):
+        HttpChatBackend("http://chat.invalid/v1", "m", **setting)
+
+
 # Retry policy, with requests.post and time.sleep replaced: no network.
 
 class _Replies:
@@ -558,12 +575,7 @@ def test_http_embedder_shares_the_retry_policy(monkeypatch, sleeps):
 def _request(kind, variables):
     from triplehop.llm_gateway import CompletionRequest
 
-    return CompletionRequest(
-        kind=kind,
-        key=canonical_key(variables),
-        prompt=render_prompt(kind, variables),
-        variables=variables,
-    )
+    return CompletionRequest(kind=kind, prompt=render_prompt(kind, variables), variables=variables)
 
 
 # ---------------------------------------------------------------------------

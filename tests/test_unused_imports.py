@@ -1,10 +1,12 @@
-"""Every module-level import of a package module is used by that module, and
-every module-level private name (``_x``) is read somewhere in the package.
+"""Every module-level import of a package module is used by that module,
+every module-level private name (``_x``) is read somewhere in the package,
+and no package module imports another's private name, at any level.
 
 An import or a private constant, function or class left behind when its last
 use goes is a relay in waiting; this keeps refactors from leaving them.
 ``__init__.py`` is exempt from the import check: its imports are the
-package's exports.
+package's exports. A name another module imports is part of its owner's
+interface, so it is named as public.
 """
 
 from __future__ import annotations
@@ -89,3 +91,31 @@ def test_private_names_finds_what_no_module_reads():
 def test_module_private_names_are_read_in_the_package(module):
     read = set().union(*map(names_read, SOURCES.values()))
     assert [name for name in private_names(SOURCES[module]) if name not in read] == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Private names (``_x``) the module imports from a package module, by a
+    relative or a ``triplehop`` import, in its body or inside a function."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "triplehop")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+def test_private_imports_finds_module_and_function_level_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "from json import _default_decoder\n"
+        "from .a import _x, y\nfrom triplehop.b import _z\n"
+        "def f():\n    from . import _w\n    from ..c import __all__\n"
+    )
+    assert private_imports(source) == ["_x", "_z", "_w"]
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_module_imports_no_private_name_of_the_package(module):
+    assert private_imports(SOURCES[module]) == []
