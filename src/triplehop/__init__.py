@@ -13,7 +13,6 @@ from .agent import (
     AgentConfig,
     AgentRunError,
     AgentTrace,
-    GistMemory,
     IterationRecord,
     passage_link,
     reason_step,

@@ -41,32 +41,6 @@ class AgentRunError(RuntimeError):
         self.trace = trace
 
 
-class GistMemory:
-    """Append-only array of the proximal triples accumulated across
-    iterations, repeats kept. It holds facts only; each iteration's record
-    (``IterationRecord.gist_additions``) says which facts that iteration
-    added."""
-
-    def __init__(self):
-        self._facts: list[ProximalTriple] = []
-
-    def extend(self, triples: Sequence[ProximalTriple]) -> None:
-        self._facts.extend(triples)
-
-    def facts(self) -> tuple[ProximalTriple, ...]:
-        return tuple(self._facts)
-
-    def unique_facts(self) -> list[ProximalTriple]:
-        """Distinct facts in first-occurrence order (for the link fan-out)."""
-        return list(dict.fromkeys(self._facts))
-
-    def serialize(self) -> str:
-        return serialize_facts(self._facts)
-
-    def __len__(self) -> int:
-        return len(self._facts)
-
-
 @dataclass(frozen=True)
 class AgentConfig:
     retrieval: RetrievalConfig = RetrievalConfig()
@@ -159,16 +133,21 @@ class AgentTrace:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def reason_step(memory: GistMemory, query: str, gateway: LLMGateway) -> ReasonOutcome:
+def reason_step(
+    memory: Sequence[ProximalTriple], query: str, gateway: LLMGateway
+) -> ReasonOutcome:
     """Ask whether the memorised facts answer the original question."""
     raw = gateway.complete(
-        "reasoner", {"query": query, "triples": memory.serialize()}
+        "reasoner", {"query": query, "triples": serialize_facts(memory)}
     )
     return parse_reason(raw)
 
 
 def rewrite_step(
-    memory: GistMemory, query: str, reason_text: str, gateway: LLMGateway
+    memory: Sequence[ProximalTriple],
+    query: str,
+    reason_text: str,
+    gateway: LLMGateway,
 ) -> tuple[str, bool]:
     """Produce the next query; falls back to the original when the reply is blank.
 
@@ -176,7 +155,7 @@ def rewrite_step(
     """
     raw = gateway.complete(
         "rewriter",
-        {"query": query, "triples": memory.serialize(), "reason": reason_text},
+        {"query": query, "triples": serialize_facts(memory), "reason": reason_text},
     )
     next_query = parse_next_question(raw)
     if not next_query:
@@ -216,9 +195,8 @@ def run_agent(
     gateway: LLMGateway,
 ) -> AgentTrace:
     """Run the full multi-step loop and return the complete trace."""
-    memory = GistMemory()
+    memory: list[ProximalTriple] = []  # every fact read, in order, repeats kept
     records: list[IterationRecord] = []
-    iteration_lists: list[RankedList] = []
     current_query = query
     cause = "max_iterations"
     answer: str | None = None
@@ -245,18 +223,16 @@ def run_agent(
                 gateway,
                 chunk_cap=cfg.per_iteration_k,
             )
-            iteration_lists.append(detail.fused)
 
             if n == 1 and cfg.reuse_first_read:
                 additions = list(detail.proximals)
             else:
-                prior = memory.facts() if n >= 2 else None
                 additions = read_proximal(
                     index,
                     detail.fused.ids,
                     query,
                     gateway,
-                    memory=prior,
+                    memory=memory if n >= 2 else None,
                     cap=cfg.per_iteration_k,
                 )
             memory.extend(additions)
@@ -292,9 +268,12 @@ def run_agent(
     finally:
         gateway.set_iteration(0)
 
-    linked_facts = memory.unique_facts()
+    linked_facts = list(dict.fromkeys(memory))
     link_lists = passage_link(index, linked_facts, cfg.retrieval, cfg.passage_link_k)
-    final = rrf_fuse([*link_lists, *iteration_lists], cfg.retrieval.rrf_constant)
+    final = rrf_fuse(
+        [*link_lists, *(record.detail.fused for record in records)],
+        cfg.retrieval.rrf_constant,
+    )
     return AgentTrace(
         query=query,
         iterations=records,

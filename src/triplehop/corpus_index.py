@@ -179,14 +179,12 @@ class LexicalView:
     doc_positions: np.ndarray
     term_freqs: np.ndarray
     rows: dict[str, int] = field(init=False, repr=False)
-    avg_doc_length: float = field(init=False)
     bm25_weights: Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = dict(zip(self.vocab.tolist(), range(len(self.vocab))))
         avg = float(self.doc_lengths.mean()) if len(self.ids) else 0.0
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "avg_doc_length", avg)
         weights = partial(
             _posting_weights, avg or 1.0, self.indptr, self.doc_positions,
             self.term_freqs, self.doc_lengths,

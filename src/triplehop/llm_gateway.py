@@ -10,7 +10,6 @@ with retries, shared with the remote embedder.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import email.utils
 import hashlib
 import json
@@ -18,7 +17,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -239,18 +238,12 @@ class TokenLedger:
         return totals
 
     def to_dict(self) -> dict:
+        """The records and their totals, all from one snapshot."""
+        records = self.records
         return {
-            "records": [
-                {
-                    "kind": r.kind,
-                    "input_tokens": r.input_tokens,
-                    "output_tokens": r.output_tokens,
-                    "iteration": r.iteration,
-                }
-                for r in self.records
-            ],
-            "total_input": self.total_input(),
-            "total_output": self.total_output(),
+            "records": [asdict(r) for r in records],
+            "total_input": sum(r.input_tokens for r in records),
+            "total_output": sum(r.output_tokens for r in records),
         }
 
 
@@ -479,24 +472,29 @@ class HttpChatBackend:
 # Gateway
 # ---------------------------------------------------------------------------
 
+class _IterationTag(threading.local):
+    iteration = 0  # each thread starts outside the agent loop
+
+
 class LLMGateway:
     """Renders prompts, invokes the backend, and accounts for every call.
 
     It holds no sampling settings: a backend that samples (``HttpChatBackend``)
-    owns its own, and the scripted backend does not sample."""
+    owns its own, and the scripted backend does not sample. Its iteration tag
+    is per gateway and per thread, and goes with the gateway: two threads
+    sharing a gateway each tag their own calls."""
 
     def __init__(self, backend: ChatBackend):
         self.backend = backend
         self.ledger = TokenLedger()
-        # Per gateway and per context (thread or task): two threads sharing a
-        # gateway each tag their own calls.
-        self._iteration = contextvars.ContextVar("iteration", default=0)
+        self._tag = _IterationTag()
 
     def set_iteration(self, iteration: int) -> None:
-        """Tag this context's subsequent calls through this gateway with an
-        agent iteration (0 = outside the loop). Another thread's calls, and a
-        new thread's, keep their own tag (0 until set)."""
-        self._iteration.set(iteration)
+        """Tag this thread's subsequent calls through this gateway with an
+        agent iteration (0 = outside the loop), per gateway and per thread.
+        Another thread's calls, and a new thread's, keep their own tag (0
+        until set)."""
+        self._tag.iteration = iteration
 
     def complete(self, template_name: str, variables: Mapping[str, str]) -> str:
         prompt = render_prompt(template_name, variables)
@@ -504,6 +502,6 @@ class LLMGateway:
         result = self.backend.complete(request)
         self.ledger.add(
             template_name, result.input_tokens, result.output_tokens,
-            self._iteration.get(),
+            self._tag.iteration,
         )
         return result.text

@@ -10,7 +10,6 @@ from triplehop import (
     AgentConfig,
     AgentRunError,
     ExpansionConfig,
-    GistMemory,
     LLMGateway,
     Passage,
     ProximalTriple,
@@ -22,6 +21,7 @@ from triplehop import (
     rewrite_step,
     run_agent,
     rrf_fuse,
+    serialize_facts,
 )
 from triplehop.base_retrieval import base_retrieve
 from triplehop.corpus_index import PASSAGES, TRIPLES, triple_to_passage
@@ -45,42 +45,21 @@ WALKTHROUGH_REWRITE = (
 
 
 # ---------------------------------------------------------------------------
-# Gist memory
-# ---------------------------------------------------------------------------
-
-def test_gist_memory_appends_in_order():
-    memory = GistMemory()
-    a = ProximalTriple("a", "r", "b")
-    b = ProximalTriple("c", "s", "d")
-    memory.extend([a])
-    memory.extend([b, a])
-    assert memory.facts() == (a, b, a)
-    assert memory.unique_facts() == [a, b]
-    assert len(memory) == 3
-
-
-def test_gist_memory_serialization():
-    memory = GistMemory()
-    memory.extend([ProximalTriple("a", "r", "b"), ProximalTriple("c", "s", "d")])
-    assert memory.serialize() == '("a", "r", "b"), ("c", "s", "d")'
-
-
-# ---------------------------------------------------------------------------
 # reason / rewrite steps
 # ---------------------------------------------------------------------------
 
-def make_memory(*triples):
-    memory = GistMemory()
-    memory.extend(list(triples))
-    return memory
+def test_serialize_facts_joins_triples_in_order():
+    facts = [ProximalTriple("a", "r", "b"), ProximalTriple("c", "s", "d")]
+    assert serialize_facts(facts) == '("a", "r", "b"), ("c", "s", "d")'
+    assert serialize_facts([]) == ""
 
 
 def test_reason_step_walkthrough_answer():
-    memory = make_memory(ProximalTriple("Bremen", "part of", "Germany"))
+    memory = [ProximalTriple("Bremen", "part of", "Germany")]
     backend = ScriptedBackend()
     backend.register(
         "reasoner",
-        {"query": "when?", "triples": memory.serialize()},
+        {"query": "when?", "triples": serialize_facts(memory)},
         "Answerable: Yes\nAnswer: 1929",
     )
     outcome = reason_step(memory, "when?", LLMGateway(backend))
@@ -89,11 +68,11 @@ def test_reason_step_walkthrough_answer():
 
 
 def test_reason_step_continue_signal():
-    memory = make_memory(ProximalTriple("a", "r", "b"))
+    memory = [ProximalTriple("a", "r", "b")]
     backend = ScriptedBackend()
     backend.register(
         "reasoner",
-        {"query": "q", "triples": memory.serialize()},
+        {"query": "q", "triples": serialize_facts(memory)},
         "Answerable: No\nWhy: the location is missing",
     )
     outcome = reason_step(memory, "q", LLMGateway(backend))
@@ -102,7 +81,7 @@ def test_reason_step_continue_signal():
 
 
 def test_reason_step_empty_memory():
-    memory = GistMemory()
+    memory = []
     backend = ScriptedBackend()
     backend.register(
         "reasoner", {"query": "q", "triples": ""}, "Answerable: No\nWhy: no facts"
@@ -112,9 +91,7 @@ def test_reason_step_empty_memory():
 
 
 def test_rewrite_step_walkthrough_fixture():
-    memory = make_memory(
-        ProximalTriple("Bremen Cathedral", "dedicated to", "St. Peter")
-    )
+    memory = [ProximalTriple("Bremen Cathedral", "dedicated to", "St. Peter")]
     query = (
         "When did the location of the basilica which is named for the same "
         "saint that the Bremen Cathedral is named for become a country?"
@@ -123,7 +100,7 @@ def test_rewrite_step_walkthrough_fixture():
     backend = ScriptedBackend()
     backend.register(
         "rewriter",
-        {"query": query, "triples": memory.serialize(), "reason": reason},
+        {"query": query, "triples": serialize_facts(memory), "reason": reason},
         WALKTHROUGH_REWRITE,
     )
     gateway = LLMGateway(backend)
@@ -135,11 +112,11 @@ def test_rewrite_step_walkthrough_fixture():
 
 
 def test_rewrite_step_blank_falls_back_to_original():
-    memory = make_memory(ProximalTriple("a", "r", "b"))
+    memory = [ProximalTriple("a", "r", "b")]
     backend = ScriptedBackend()
     backend.register(
         "rewriter",
-        {"query": "the original", "triples": memory.serialize(), "reason": "r"},
+        {"query": "the original", "triples": serialize_facts(memory), "reason": "r"},
         "   ",
     )
     rewritten, fallback = rewrite_step(memory, "the original", "r", LLMGateway(backend))
@@ -315,6 +292,43 @@ def test_agent_memory_reaches_later_reads(chain_index):
     assert trace.iterations[1].gist_additions == (
         ProximalTriple("entb", "linksto", "entc"),
     )
+
+
+def test_agent_links_each_fact_once_in_first_occurrence_order(chain_index):
+    ab = ProximalTriple("enta", "linksto", "entb")
+    bc = ProximalTriple("entb", "linksto", "entc")
+    cd = ProximalTriple("entc", "linksto", "entd")
+
+    def script(kind, variables):
+        if kind == "reader":
+            return (
+                'Facts: ("entb", "linksto", "entc"), ("enta", "linksto", "entb"), '
+                '("entb", "linksto", "entc")'
+            )
+        if kind == "reader_with_memory":
+            return 'Facts: ("entc", "linksto", "entd"), ("enta", "linksto", "entb")'
+        if kind == "reasoner":
+            return "Answerable: No\nWhy: incomplete"
+        if kind == "rewriter":
+            return "Next Question: and after entb?"
+        raise AssertionError(kind)
+
+    cfg = AgentConfig(
+        retrieval=RetrievalConfig(k=3, retriever="bm25"),
+        expansion=ExpansionConfig(beam_width=4, max_length=2),
+        max_iterations=2,
+    )
+    trace = run_agent(
+        chain_index, "where does the trail from enta finish", cfg,
+        LLMGateway(RecordingBackend(script)),
+    )
+    assert [record.gist_additions for record in trace.iterations] == [
+        (bc, ab, bc), (cd, ab),
+    ]
+    assert trace.linked_facts == (bc, ab, cd)
+    assert trace.to_dict()["linked_facts"] == [
+        ["entb", "linksto", "entc"], ["enta", "linksto", "entb"], ["entc", "linksto", "entd"],
+    ]
 
 
 def test_agent_reuse_first_read_skips_gist_read(chain_index):

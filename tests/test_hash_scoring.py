@@ -24,9 +24,10 @@ from triplehop import (
     diverse_beam_search,
     hash_embed,
     load_index,
+    run_agent,
     save_index,
 )
-from triplehop import base_retrieval
+from triplehop import base_retrieval, eval_harness
 from triplehop.eval_harness import AgentSystem, RetrieverSystem, run_eval
 from triplehop.graph_expansion import make_cosine_scorer
 
@@ -307,37 +308,50 @@ def test_neighbour_memo_is_thread_safe():
 
 
 @pytest.mark.parametrize("workers", [4, 8])
-def test_agent_eval_is_thread_safe(workers):
+def test_agent_eval_is_thread_safe(workers, monkeypatch):
     """Agent evals of the hop corpus with ``workers`` threads switching as
-    often as the interpreter allows equal a serial eval's. Each run gets a
-    freshly built index and an empty trigram memo, so the threads race to
-    fill the ``neighbour_ids``, ``triple_ends`` and ``bm25_weights`` memos
-    and the serial run cannot read what they stored."""
+    often as the interpreter allows equal a serial eval's, down to each
+    question's trace JSON (every token record and its iteration tag). Each
+    run gets a freshly built index and an empty trigram memo, so the threads
+    race to fill the ``neighbour_ids``, ``triple_ends`` and ``bm25_weights``
+    memos and the serial run cannot read what they stored."""
     passages, triples, questions = build_hop_corpus(n_chains=12, n_distractors=12)
     config = AgentConfig(
         RetrievalConfig(k=5, retriever="hybrid"),
         ExpansionConfig(beam_width=4, max_length=3),
         max_iterations=2,
     )
+    traces: dict[str, str] = {}  # question -> its trace JSON, for the current run
+
+    def run_and_record(index, query, *args):
+        trace = run_agent(index, query, *args)
+        traces[query] = trace.to_json()
+        return trace
+
+    monkeypatch.setattr(eval_harness, "run_agent", run_and_record)
 
     def run(workers):
         index = build_index(passages, triples, HashEmbedder(96))
         backend = RecordingBackend(hop_reader_script)
         system = _RecordingAgent(index, config, backend, qa_fallback=False)
         base_retrieval._TRIGRAM_CODES.clear()
-        return index, run_eval(questions, system, workers=workers), system.ranked
+        traces.clear()
+        report = run_eval(questions, system, workers=workers)
+        return index, report, system.ranked, dict(traces)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded_index, threaded_report, threaded = run(workers)
+        threaded_index, threaded_report, threaded, threaded_traces = run(workers)
     finally:
         sys.setswitchinterval(interval)
-    serial_index, serial_report, serial = run(1)
+    serial_index, serial_report, serial, serial_traces = run(1)
     assert threaded_report.failures == 0
     assert len(threaded) == len(questions)
     assert threaded_report.rows == serial_report.rows
     assert threaded == serial
+    assert len(threaded_traces) == len(questions)
+    assert threaded_traces == serial_traces
     assert len(threaded_index.neighbour_ids) > 12
     assert threaded_index.neighbour_ids == serial_index.neighbour_ids
     assert len(threaded_index.triple_ends) > 12

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextvars
 import email.utils
 import http.server
 import json
@@ -23,6 +24,7 @@ from triplehop import (
     ProximalTriple,
     RetrievalError,
     ScriptedBackend,
+    TokenLedger,
     parse_facts,
     parse_reason,
     render_prompt,
@@ -320,6 +322,46 @@ def test_iteration_tags_are_per_thread_on_a_shared_gateway():
     assert tags == {(4, 1), (5, 2), (4, 0)}
 
 
+def test_iteration_tags_leave_the_thread_context_unchanged():
+    # The tag goes with its gateway: gateways that tag and are dropped leave
+    # no entry behind in the calling thread's context.
+    backend = ScriptedBackend()
+    before = len(contextvars.copy_context())
+    for iteration in range(1, 51):
+        LLMGateway(backend).set_iteration(iteration)
+    assert len(contextvars.copy_context()) == before
+
+
+class _AddOnFirstRelease:
+    """Lock stand-in whose first release adds a record, as another thread
+    would right after a reader's first read."""
+
+    def __init__(self, ledger):
+        self.ledger = ledger
+        self.released = False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if not self.released:
+            self.released = True
+            self.ledger.add("reader", 7, 11, 2)
+
+
+def test_ledger_to_dict_totals_are_the_sums_of_its_records():
+    ledger = TokenLedger()
+    ledger.add("reasoner", 3, 5, 1)
+    ledger._lock = _AddOnFirstRelease(ledger)
+    out = ledger.to_dict()
+    assert len(ledger.records) == 2  # the stand-in did add a record
+    assert out == {
+        "records": [{"kind": "reasoner", "input_tokens": 3, "output_tokens": 5, "iteration": 1}],
+        "total_input": 3,
+        "total_output": 5,
+    }
+
+
 def test_ledger_rejects_negative_counts():
     backend = ScriptedBackend()
     gateway = LLMGateway(backend)
@@ -328,8 +370,6 @@ def test_ledger_rejects_negative_counts():
 
 
 def test_ledger_is_thread_safe():
-    from triplehop import TokenLedger
-
     ledger = TokenLedger()
 
     def hammer():

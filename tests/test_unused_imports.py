@@ -1,12 +1,15 @@
 """Every module-level import of a package module is used by that module,
 every module-level private name (``_x``) is read somewhere in the package,
-and no package module imports another's private name, at any level.
+no package module imports another's private name, at any level, and every
+``ContextVar`` is created at a module's top level.
 
 An import or a private constant, function or class left behind when its last
 use goes is a relay in waiting; this keeps refactors from leaving them.
 ``__init__.py`` is exempt from the import check: its imports are the
 package's exports. A name another module imports is part of its owner's
-interface, so it is named as public.
+interface, so it is named as public. A ``ContextVar`` made anywhere else (in
+a function or an ``__init__``) is never freed: each context that sets it
+keeps it, so the Python docs ask for them at module level.
 """
 
 from __future__ import annotations
@@ -119,3 +122,35 @@ def test_private_imports_finds_module_and_function_level_imports():
 @pytest.mark.parametrize("module", sorted(SOURCES))
 def test_module_imports_no_private_name_of_the_package(module):
     assert private_imports(SOURCES[module]) == []
+
+
+
+def nested_context_vars(source: str) -> list[int]:
+    """Lines of ``ContextVar(...)`` calls that are not the value of a
+    top-level assignment."""
+    tree = ast.parse(source)
+    top = [node.value for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))]
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "ContextVar" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and not any(node is value for value in top)
+    )
+
+
+def test_nested_context_vars_finds_calls_below_the_top_level():
+    source = (
+        "import contextvars\nfrom contextvars import ContextVar\n"
+        "A = contextvars.ContextVar('a')\nB: ContextVar[int] = ContextVar('b', default=0)\n"
+        "class G:\n    C = ContextVar('c')\n"
+        "    def __init__(self):\n        self.d = contextvars.ContextVar('d')\n"
+        "def f():\n    return ContextVar('e')\n"
+        "E = [ContextVar('f')]\n"
+    )
+    assert nested_context_vars(source) == [6, 8, 10, 11]
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_module_makes_context_vars_at_top_level_only(module):
+    assert nested_context_vars(SOURCES[module]) == []
