@@ -67,10 +67,12 @@ def triple_link(
     """Ground each proximal triple to its most similar indexed triple.
 
     Returns one triple id, or None where nothing matches, per proximal triple
-    in order, from one ``base_retrieve`` call over the whole batch.
+    in order, from one ``base_retrieve`` call over the whole batch. Each link
+    is the top of a ranking made at ``config.k``, so a hybrid link fuses lists
+    of that depth, not two one-item lists.
     """
     queries = [serialize_triple(proximal) for proximal in proximals]
-    results = base_retrieve(index, queries, TRIPLES, config, k=1)
+    results = base_retrieve(index, queries, TRIPLES, config)
     return [result.entries[0][0] if result.entries else None for result in results]
 
 

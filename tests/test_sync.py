@@ -16,7 +16,7 @@ from triplehop import (
     triple_link,
 )
 from triplehop.base_retrieval import base_retrieve
-from triplehop.corpus_index import PASSAGES
+from triplehop.corpus_index import PASSAGES, TRIPLES, serialize_triple
 from triplehop.sync import reader_variables
 
 from .conftest import RecordingBackend
@@ -100,6 +100,23 @@ def test_triple_link_exact_match_wins(chain_index):
     for retriever in ("bm25", "dense", "hybrid"):
         config = RetrievalConfig(k=5, retriever=retriever)
         assert triple_link(chain_index, [proximal], config) == ["t2"]
+
+
+def test_triple_link_fuses_lists_of_real_depth():
+    # BM25 finds only t2 (on "zebrafish"), while the hashed trigrams rank t1
+    # first. Fused at depth 1, the two tops tie at 1/61 and the smaller id,
+    # t1, wins; fused at depth k, t2 scores 1/61 + 1/62 against t1's 1/61.
+    passages = [Passage("p1", "", "first"), Passage("p2", "", "second")]
+    triples = [
+        Triple("t1", "zebrafishes", "swimmings", "happilyish", "p1"),
+        Triple("t2", "zebrafish", "is", "a vertebrate model", "p2"),
+    ]
+    index = build_index(passages, triples, HashEmbedder(256))
+    proximal = ProximalTriple("zebrafish", "swimming", "happily")
+    query = serialize_triple(proximal)
+    assert base_retrieve(index, query, TRIPLES, RetrievalConfig(retriever="bm25")).ids == ["t2"]
+    assert base_retrieve(index, query, TRIPLES, RetrievalConfig(retriever="dense")).ids[0] == "t1"
+    assert triple_link(index, [proximal], RetrievalConfig()) == ["t2"]
 
 
 def test_triple_link_empty_triple_index(embedder):
