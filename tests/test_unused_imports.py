@@ -124,7 +124,6 @@ def test_module_imports_no_private_name_of_the_package(module):
     assert private_imports(SOURCES[module]) == []
 
 
-
 def nested_context_vars(source: str) -> list[int]:
     """Lines of ``ContextVar(...)`` calls that are not the value of a
     top-level assignment."""
