@@ -17,7 +17,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-import requests
 
 from .corpus_index import PASSAGES, CorpusIndex, Memo, embed_texts, tokenize
 from .llm_gateway import post_json
@@ -92,8 +91,11 @@ def rrf_fuse(lists: Sequence[RankedList], rrf_constant: int = 60) -> RankedList:
     for ranked in lists:
         for rank, (item_id, _) in enumerate(ranked.entries, start=1):
             fused[item_id] = fused.get(item_id, 0.0) + 1.0 / (rrf_constant + rank)
-    ordered = sorted(fused.items(), key=lambda kv: (-kv[1], kv[0]))
-    return RankedList(tuple(ordered), provenance="rrf")
+    # Ascending ids, then a stable sort by score, highest first: ties keep
+    # ascending id order, with no Python key function per item.
+    ids = sorted(fused)
+    ids.sort(key=fused.__getitem__, reverse=True)
+    return RankedList(tuple(zip(ids, map(fused.__getitem__, ids))), provenance="rrf")
 
 
 def _batch(query: str | Sequence[str]) -> list[str]:
@@ -546,6 +548,8 @@ class HttpEmbedder:
 def _smaller_may_pass(failure: RetrievalError) -> bool:
     """Whether a smaller request may pass where this one failed: it got a 4xx
     reply (``post_json`` retries 429 itself) or timed out on its last attempt."""
+    import requests  # loaded already: ``post_json`` made the request
+
     cause = failure.__cause__
     if isinstance(cause, requests.Timeout):
         return True

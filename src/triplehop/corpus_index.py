@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from operator import attrgetter, lt
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -347,6 +347,37 @@ def _csr(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     return indptr, values[np.argsort(keys, kind="stable")]
 
 
+def _graph(passages: Records, triples: Records, fail: Callable) -> tuple:
+    """Check each triple's passage and fields, and derive the graph arrays
+    of ``CorpusIndex``, in its field order: ``triple_passage``,
+    ``entity_codes``, ``entity_csr`` and ``passage_csr``. Its own function,
+    so the field slices and the id and entity dicts are freed on return,
+    before any view is made."""
+    triple_ids, n = triples.ids, len(triples)
+    at = dict(zip(passages.ids, range(len(passages))))
+    owners = _slices(*triples.columns["passage_id"])
+    triple_passage = np.fromiter(map(at.get, owners, [-1] * n), np.int64, n)
+    if n and triple_passage.min() < 0:
+        first = int((triple_passage < 0).argmax())
+        raise fail(f"triple {triple_ids[first]!r} references unknown passage {owners[first]!r}")
+    parts = [_slices(*triples.columns[key]) for key in ("subject", "predicate", "object")]
+    if not all(all(map(str.strip, values)) for values in parts):
+        first = min(i for values in parts for i, value in enumerate(values) if not value.strip())
+        raise fail(f"triple {triple_ids[first]!r} has a blank field")
+
+    entities = parts[0] + parts[2]  # every subject, then every object
+    keys: dict[str, int] = {}  # normalize_entity(raw entity) -> its code
+    code_of = {raw: keys.setdefault(normalize_entity(raw), len(keys))
+               for raw in dict.fromkeys(entities)}
+    codes = np.fromiter(map(code_of.__getitem__, entities), np.int64, 2 * n)
+    ends = np.ascontiguousarray(codes.reshape(2, n).T)  # each triple's (subject, object) codes
+    return (
+        triple_passage, ends,
+        _csr(ends.ravel(), np.repeat(np.arange(n), 2), len(keys)),
+        _csr(triple_passage, np.arange(n), len(passages)),
+    )
+
+
 def _assemble(
     passages: Records,
     triples: Records,
@@ -354,14 +385,16 @@ def _assemble(
     make_views: Callable,
     source: Path | None = None,
 ) -> CorpusIndex:
-    """Check the records and derive the graph arrays. ``build_index`` and
-    ``load_index`` differ only in ``make_views(passage_ids, triple_ids)``,
-    which returns the lexical and the vector views, rows in that order.
+    """Check the records and derive the graph arrays (``_graph``), then make
+    the views. ``build_index`` and ``load_index`` differ only in
+    ``make_views(passage_ids, triple_ids)``, which returns the lexical and
+    the vector views, rows in that order.
 
     Raises IndexBuildError on empty ids, ids not strictly ascending (naming
     the first repeated id, if any), dangling passage references, or triples
-    with blank fields; the message names the offending record, after
-    ``source`` (the file the records were read from) when one is given.
+    with blank fields, before any view is made; the message names the
+    offending record, after ``source`` (the file the records were read from)
+    when one is given.
     """
 
     def fail(problem: str) -> IndexBuildError:
@@ -377,30 +410,9 @@ def _assemble(
         if ids and not ids[0]:
             raise fail(f"{records.kind} with empty id")
 
-    triple_ids, n = triples.ids, len(triples)
-    at = dict(zip(passages.ids, range(len(passages))))
-    owners = _slices(*triples.columns["passage_id"])
-    triple_passage = np.fromiter(map(at.get, owners, [-1] * n), np.int64, n)
-    if n and triple_passage.min() < 0:
-        first = int((triple_passage < 0).argmax())
-        raise fail(f"triple {triple_ids[first]!r} references unknown passage {owners[first]!r}")
-    parts = [_slices(*triples.columns[key]) for key in ("subject", "predicate", "object")]
-    if not all(all(map(str.strip, values)) for values in parts):
-        first = min(i for values in parts for i, value in enumerate(values) if not value.strip())
-        raise fail(f"triple {triple_ids[first]!r} has a blank field")
-
-    subjects, _, objects = parts
-    keys: dict[str, int] = {}  # normalize_entity(raw entity) -> its code
-    code_of = {raw: keys.setdefault(normalize_entity(raw), len(keys))
-               for raw in dict.fromkeys(subjects + objects)}
-    codes = np.fromiter(map(code_of.__getitem__, subjects + objects), np.int64, 2 * n)
-    ends = np.ascontiguousarray(codes.reshape(2, n).T)  # each triple's (subject, object) codes
-    lexical, vectors = make_views(passages.ids, triple_ids)
-    return CorpusIndex(
-        passages, triples, lexical, vectors, embedder, triple_passage, ends,
-        _csr(ends.ravel(), np.repeat(np.arange(n), 2), len(keys)),
-        _csr(triple_passage, np.arange(n), len(passages)),
-    )
+    graph = _graph(passages, triples, fail)
+    lexical, vectors = make_views(passages.ids, triples.ids)
+    return CorpusIndex(passages, triples, lexical, vectors, embedder, *graph)
 
 
 def embed_texts(
@@ -445,15 +457,17 @@ def embed_texts(
     return rows
 
 
-# Texts per ``embed_texts`` call of a build: an int8 view is float64 one block at most.
-_EMBED_BLOCK = 4096
+# Texts per ``embed_texts`` call of a build: an int8 view is float64 one
+# block at most, the chunk ``hash_embed_many`` hashes at once.
+_EMBED_BLOCK = 256
 
 
 def _embed_view(embedder, texts: list[str], labels: tuple[str, ...]) -> np.ndarray:
-    """A view's rows, one ``embed_texts`` call per 4096 texts, each block
-    narrowed by ``exact_int8`` as it arrives: ``int8``, or float64 from the
-    first block ``int8`` does not hold; (0, 0) and no call for no texts. A
-    block of another width than the first raises IndexBuildError naming it."""
+    """A view's rows, one ``embed_texts`` call per 256 texts
+    (``_EMBED_BLOCK``), each block narrowed by ``exact_int8`` as it arrives:
+    ``int8``, or float64 from the first block ``int8`` does not hold; (0, 0)
+    and no call for no texts. A block of another width than the first
+    raises IndexBuildError naming it."""
     rows = np.zeros((0, 0), dtype=np.float64)
     for lo in range(0, len(texts), _EMBED_BLOCK):
         hi = lo + _EMBED_BLOCK
@@ -478,11 +492,13 @@ def build_index(
     """Build the full index: the record columns, the graph, lexical stats and
     embeddings. The records are sorted by id first.
 
-    Each view is embedded by one ``embed_texts`` call per 4096 texts (see
-    ``_embed_view``): one ``embedder.embed_many(texts)`` call when the
-    embedder has it (``HashEmbedder`` hashes in chunks of 256 texts,
-    ``HttpEmbedder`` sends up to 32 per request), else one call per text.
-    Rows that ``int8`` holds exactly, as hashed counts, stay ``int8``.
+    The records are checked and the graph derived before any view is made
+    (see ``_assemble``). Each view is embedded by one ``embed_texts`` call
+    per 256 texts (see ``_embed_view``): one ``embedder.embed_many(texts)``
+    call when the embedder has it (``HttpEmbedder`` sends up to 32 texts per
+    request), else one call per text. Rows that ``int8`` holds exactly, as
+    hashed counts, stay ``int8``, so a hashed view is float64 one block of
+    256 rows at most.
 
     Raises IndexBuildError on invalid records, as ``_assemble`` describes, and
     when the embedder's rows are not one 1-D vector of one length per text.
@@ -664,27 +680,45 @@ _RECORD_KINDS = {
 _ROW_BLOCK = 512
 
 
+# Bytes of array data written, and read by ``_Npz``, at a time, as
+# ``read_array`` reads them.
+_NPY_PIECE = 1 << 18
+
+
 def _narrow(values: np.ndarray) -> np.ndarray:
     """A non-negative integer array in the smallest dtype that holds it."""
     return values.astype(np.min_scalar_type(values.max() if values.size else 0))
 
 
-def _write_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
-    """Write ``arrays`` as an ``.npz`` that ``np.load`` reads: one ``.npy``
-    member per key, deflated at level 1 (several times faster than
-    ``np.savez_compressed``'s level 6, for about the same size here)."""
+def _write_npz(path: Path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
+    """Write ``(key, array)`` pairs as an ``.npz`` that ``np.load`` reads:
+    one ``.npy`` member per key, deflated at level 1 (several times faster
+    than ``np.savez_compressed``'s level 6, for about the same size here).
+
+    Each member holds the bytes ``np.save`` writes: a version 1.0 header,
+    then the data in the order it names, written here in ``_NPY_PIECE``
+    pieces rather than by ``write_array``, which first copies an array of up
+    to 16 MiB whole. Each array is dropped once written, so pairs from a
+    generator are held one at a time."""
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as zf:
-        for key, array in arrays.items():
+        for key, array in arrays:
+            array = np.asanyarray(array)
             with zf.open(f"{key}.npy", "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, np.asanyarray(array), allow_pickle=False)
+                header = np.lib.format.header_data_from_array_1_0(array)
+                np.lib.format.write_array_header_1_0(fh, header)
+                # "A": Fortran order for the arrays whose header says so
+                data = array.ravel(order="A").view(np.uint8)
+                for lo in range(0, len(data), _NPY_PIECE):
+                    fh.write(data[lo : lo + _NPY_PIECE])
+            del array, data
 
 
-def _sparse_rows(vv: VectorView, name: str) -> dict[str, np.ndarray]:
+def _sparse_rows(vv: VectorView, name: str) -> Iterator[tuple[str, np.ndarray]]:
     """A view of ``int8`` rows as sparse rows: row ``i``'s non-zero
     values are ``values[offsets[i]:offsets[i + 1]]``, in ascending bucket
     order, at the buckets ``buckets[offsets[i]:offsets[i + 1]]``; ``shape``
     is the rows' (N, dim). Made a block of rows at a time, so no index array
-    spans the view."""
+    spans the view, and yielded as ``(key, array)`` pairs."""
     n, dim = vv.vectors.shape
     counts = np.empty(n, dtype=np.int64)
     buckets = [np.zeros(0, np.min_scalar_type(max(dim - 1, 0)))]
@@ -698,51 +732,44 @@ def _sparse_rows(vv: VectorView, name: str) -> dict[str, np.ndarray]:
         values.append(small.ravel()[at])
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return {
-        f"{name}_shape": np.asarray([n, dim], dtype=np.int64),
-        f"{name}_offsets": _narrow(offsets),
-        f"{name}_buckets": np.concatenate(buckets),
-        f"{name}_values": np.concatenate(values),
-    }
+    yield f"{name}_shape", np.asarray([n, dim], dtype=np.int64)
+    yield f"{name}_offsets", _narrow(offsets)
+    yield f"{name}_buckets", np.concatenate(buckets)
+    del buckets
+    yield f"{name}_values", np.concatenate(values)
 
 
-def _utf8_column(key: str, text: str, offsets: np.ndarray) -> dict[str, np.ndarray]:
+def _utf8_column(key: str, text: str, offsets: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
     """One text field of every record (see ``Records``) as stored: the values'
     UTF-8 bytes, back to back, and the code-point offsets where each value
     starts, plus the total. ``surrogatepass`` keeps lone surrogates, which
     JSON input may hold."""
-    return {
-        f"{key}_utf8": np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8),
-        f"{key}_offsets": _narrow(offsets),
-    }
+    yield f"{key}_utf8", np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    yield f"{key}_offsets", _narrow(offsets)
 
 
-def _index_arrays(index: CorpusIndex) -> dict[str, np.ndarray]:
-    """What ``index.npz`` stores, by key: the record columns, then each
-    view's postings and rows. Each id is stored once, in its record column."""
-    arrays = {}
+def _index_arrays(index: CorpusIndex) -> Iterator[tuple[str, np.ndarray]]:
+    """What ``index.npz`` stores, as ``(key, array)`` pairs in its order: the
+    record columns, then each view's postings and rows. Each id is stored
+    once, in its record column. Each array is made when the next pair is
+    asked for, so ``_write_npz`` holds one at a time."""
     for by_id in (index.passages, index.triples):
         columns = {"id": _text_column(list(by_id.ids)), **by_id.columns}
         for key in _RECORD_KINDS[by_id.kind][1]:
-            arrays.update(_utf8_column(f"{by_id.kind}_{key}", *columns[key]))
+            yield from _utf8_column(f"{by_id.kind}_{key}", *columns[key])
     for view, prefix, name in _NPZ_PREFIXES:
         lex = index.lexical[view]
-        arrays.update(
-            {
-                f"{prefix}_doc_lengths": _narrow(lex.doc_lengths),
-                f"{prefix}_vocab": lex.vocab,
-                f"{prefix}_doc_freq": _narrow(np.diff(lex.indptr)),
-                f"{prefix}_indptr": _narrow(lex.indptr),
-                f"{prefix}_doc_positions": _narrow(lex.doc_positions),
-                f"{prefix}_term_freqs": _narrow(lex.term_freqs),
-            }
-        )
+        yield f"{prefix}_doc_lengths", _narrow(lex.doc_lengths)
+        yield f"{prefix}_vocab", lex.vocab
+        yield f"{prefix}_doc_freq", _narrow(np.diff(lex.indptr))
+        yield f"{prefix}_indptr", _narrow(lex.indptr)
+        yield f"{prefix}_doc_positions", _narrow(lex.doc_positions)
+        yield f"{prefix}_term_freqs", _narrow(lex.term_freqs)
         vv = index.vectors[view]
         if vv.vectors.dtype == np.int8:
-            arrays.update(_sparse_rows(vv, name))
+            yield from _sparse_rows(vv, name)
         else:
-            arrays[f"{name}_vectors"] = vv.vectors
-    return arrays
+            yield f"{name}_vectors", vv.vectors
 
 
 def _sha256(path: Path) -> str:
@@ -794,7 +821,9 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
     (those ``int8`` holds exactly) as sparse ``int8`` rows, others as dense
     float64. The ids are stored once, as the record id columns. Offsets and
     postings are stored in the smallest dtype that holds them, and the file
-    is deflated at level 1. The manifest records the embedder, ``dim``, the
+    is deflated at level 1. Each array is made, written and dropped before
+    the next (``_index_arrays``), so a save holds one stored array beside
+    the index at a time. The manifest records the embedder, ``dim``, the
     record counts and the file's sha256.
 
     The files are written into a hidden sibling directory and fsynced, with
@@ -859,10 +888,6 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
     _fsync(directory.parent)
     if retired is not None:
         shutil.rmtree(retired, ignore_errors=True)
-
-
-# Bytes of array data ``_Npz`` reads at a time, as ``read_array`` does.
-_NPY_PIECE = 1 << 18
 
 
 class _Npz(zipfile.ZipFile):

@@ -10,7 +10,6 @@ with retries, shared with the remote embedder.
 from __future__ import annotations
 
 import contextlib
-import email.utils
 import hashlib
 import json
 import random
@@ -22,8 +21,6 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, TypeVar
-
-import requests
 
 from .corpus_index import read_jsonl, text_field
 
@@ -322,8 +319,9 @@ class ScriptedBackend:
 T = TypeVar("T")
 
 
-def _retry_after(response: requests.Response) -> float | None:
-    """Seconds the server asked to wait (delta-seconds or an HTTP date), if any."""
+def _retry_after(response) -> float | None:
+    """Seconds a ``requests.Response`` asked to wait (delta-seconds or an
+    HTTP date), if any."""
     value = response.headers.get("Retry-After")
     if value is None:
         return None
@@ -331,6 +329,8 @@ def _retry_after(response: requests.Response) -> float | None:
         return max(0.0, float(value))
     except ValueError:
         pass
+    import email.utils
+
     try:
         when = email.utils.parsedate_to_datetime(value)
     except (TypeError, ValueError):
@@ -360,7 +360,12 @@ def post_json(
     The raised error's ``__cause__`` is the exception behind it, if any (a
     ``requests.HTTPError`` carries the reply).
     ``slots``, if given, is held around each request (an in-flight limit).
+
+    ``requests`` is imported here, on the first call, not with the package:
+    a process that makes no HTTP request never loads it, urllib3 or ssl.
     """
+    import requests
+
     last_error: object = None
     for attempt in range(max_retries):
         wait = None

@@ -448,11 +448,10 @@ def test_int8_columns_span_several_transpose_blocks():
     assert wide.sq_norms.tobytes() == np.einsum("ij,ij->i", rows, rows).tobytes()
 
 
-def test_a_hashed_build_holds_no_float64_copy_of_a_view(monkeypatch):
+def test_a_hashed_build_holds_no_float64_copy_of_a_view():
     # 3,000 triples at dim 1024, embedded in 12 blocks of 256: a float64 copy
     # of the triple view is 24.6 MB, its int8 rows and columns 6.1 MB, and
     # the records and lexical views a few MB more.
-    monkeypatch.setattr("triplehop.corpus_index._EMBED_BLOCK", 256)
     dim, n = 1024, 3000
     passages = [Passage(f"p{i:02d}", "", f"passage {i}") for i in range(30)]
     triples = [
@@ -468,6 +467,32 @@ def test_a_hashed_build_holds_no_float64_copy_of_a_view(monkeypatch):
         tracemalloc.stop()
     assert index.vectors[TRIPLES].vectors.dtype == np.int8
     assert peak < n * dim * 8
+
+
+def test_a_save_holds_one_stored_array_at_a_time(tmp_path):
+    # 20,000 passages and triples: about 9.4 MB of stored arrays, the largest
+    # the 4.2 MB of passage text. A save that made every array before writing
+    # held them all at once (13.1 MB traced); one that makes, writes and drops
+    # each in turn holds the largest and zlib's and the ids' few buffers.
+    n = 20_000
+    passages = [Passage(f"p{i:05d}", f"title {i}", f"body {i} " + "word " * 40) for i in range(n)]
+    triples = [
+        Triple(f"t{i:05d}", f"entity {i}", "relates to", f"thing {i % 97}", f"p{i:05d}")
+        for i in range(n)
+    ]
+    index = build_index(passages, triples, HashEmbedder(64))
+    tracemalloc.start()
+    try:
+        save_index(index, tmp_path / "idx")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with np.load(tmp_path / "idx" / "index.npz") as npz:
+        sizes = sorted(npz[key].nbytes for key in npz.files)
+    largest, total = sizes[-1], sum(sizes)
+    assert largest > 4_000_000 and total > 9_000_000
+    # the largest array, and less than half the others' bytes beside it
+    assert peak < largest + (total - largest) / 2
 
 
 def test_float_rows_are_their_own_columns(tmp_path):

@@ -1,7 +1,9 @@
-"""Hybrid search and naive graph expansion against compositions of the
-oracles: the BM25 and exact-cosine rankings fused by RRF, and the brute-force
-beam search with the serialize-and-embed scorer, flattened and fused with the
-base list. Ids and scores must be equal, on the built and the loaded index."""
+"""Hybrid search and naive and sync graph expansion against compositions of
+the oracles: the BM25 and exact-cosine rankings fused by RRF, and the
+brute-force beam search with the serialize-and-embed scorer, flattened and
+fused with the base list. Sync expansion starts from each proximal triple's
+top triple in the oracle ranking of the triple view. Ids and scores must be
+equal, on the built and the loaded index."""
 
 from __future__ import annotations
 
@@ -13,16 +15,23 @@ from hypothesis import strategies as st
 from triplehop import (
     ExpansionConfig,
     HashEmbedder,
+    LLMGateway,
     Passage,
+    ProximalTriple,
     RetrievalConfig,
+    ScriptedBackend,
     Triple,
     build_index,
     hybrid_search,
     load_index,
     naive_ge_retrieve,
     save_index,
+    serialize_facts,
+    serialize_triple,
+    sync_ge_detail,
 )
 from triplehop.corpus_index import PASSAGES, TRIPLES
+from triplehop.sync import reader_variables
 
 from .oracles import (
     oracle_beam_search,
@@ -94,13 +103,8 @@ def expected_base(index, dim, query, cfg: RetrievalConfig) -> list[str]:
     return sparse if cfg.retriever == "bm25" else dense
 
 
-def expected_naive_ge(index, dim, query, retrieval, expansion) -> list[tuple[str, float]]:
-    base = expected_base(index, dim, query, retrieval)
-    initial = [
-        tid
-        for pid in base
-        for tid in sorted(tid for tid, t in index.triples.items() if t.passage_id == pid)
-    ]
+def expected_fused(index, dim, query, base, initial, retrieval, expansion):
+    """The oracle beam search from ``initial``, its passages fused with ``base``."""
     scorer = oracle_sequence_scorer(index.triples, lambda text: oracle_hash_embed(text, dim))
     beams = oracle_beam_search(query, initial, index.triples, expansion, scorer)
     # Breadth first: every beam's first triple, then every second, ...
@@ -111,12 +115,37 @@ def expected_naive_ge(index, dim, query, retrieval, expansion) -> list[tuple[str
     return oracle_rrf([expanded, base], retrieval.rrf_constant)[: retrieval.k]
 
 
+def expected_naive_ge(index, dim, query, retrieval, expansion) -> list[tuple[str, float]]:
+    base = expected_base(index, dim, query, retrieval)
+    initial = [
+        tid
+        for pid in base
+        for tid in sorted(tid for tid, t in index.triples.items() if t.passage_id == pid)
+    ]
+    return expected_fused(index, dim, query, base, initial, retrieval, expansion)
+
+
+def expected_initial_nodes(index, dim, proximals, cfg: RetrievalConfig) -> list[str]:
+    """Per proximal triple, the first id of the oracle ranking of the triple
+    view at ``cfg.k``, if any; deduped in order."""
+    linked = []
+    for proximal in proximals:
+        sparse, dense = oracle_lists(index, dim, serialize_triple(proximal), TRIPLES, cfg)
+        if cfg.retriever == "hybrid":
+            ranking = [item_id for item_id, _ in oracle_rrf((sparse, dense), cfg.rrf_constant)]
+        else:
+            ranking = sparse if cfg.retriever == "bm25" else dense
+        linked += ranking[:1]
+    return list(dict.fromkeys(linked))
+
+
 RETRIEVAL = st.builds(
     RetrievalConfig,
     k=st.integers(1, 6),
     retriever=st.sampled_from(["bm25", "dense", "hybrid"]),
     rrf_constant=st.sampled_from([1, 60]),
 )
+PROXIMALS = st.lists(st.builds(ProximalTriple, _WORDS, _WORDS, _WORDS), max_size=4)
 EXPANSION = st.builds(
     ExpansionConfig,
     beam_width=st.integers(1, 4),
@@ -145,3 +174,20 @@ def test_naive_ge_equals_fused_oracles(corpus, query, retrieval, expansion):
     want = expected_naive_ge(index, dim, query, retrieval, expansion)
     for searched in (index, saved_and_loaded(index)):
         assert list(naive_ge_retrieve(searched, query, retrieval, expansion).entries) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_corpora(), _TEXT, PROXIMALS, RETRIEVAL, EXPANSION)
+def test_sync_ge_equals_fused_oracles(corpus, query, proximals, retrieval, expansion):
+    index, dim = corpus
+    base = expected_base(index, dim, query, retrieval)
+    initial = expected_initial_nodes(index, dim, proximals, retrieval)
+    want = expected_fused(index, dim, query, base, initial, retrieval, expansion)
+    # the reader answers only a read of the oracle's base passages
+    reader = ScriptedBackend()
+    reader.register("reader", reader_variables(index, base, query)[1], serialize_facts(proximals))
+    for searched in (index, saved_and_loaded(index)):
+        detail = sync_ge_detail(searched, query, retrieval, expansion, LLMGateway(reader))
+        assert list(detail.proximals) == proximals
+        assert list(detail.initial_nodes) == initial
+        assert list(detail.fused.entries) == want

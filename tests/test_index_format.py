@@ -27,7 +27,13 @@ from triplehop import (
     load_index,
     save_index,
 )
-from triplehop.corpus_index import PASSAGES, TRIPLES, load_passages_jsonl, load_triples_jsonl
+from triplehop.corpus_index import (
+    PASSAGES,
+    TRIPLES,
+    _write_npz,
+    load_passages_jsonl,
+    load_triples_jsonl,
+)
 
 from .conftest import graph_of
 from .test_lexical_index import record_column, record_values, reseal, rewrite_npz, v3_copy
@@ -118,6 +124,27 @@ def test_index_npz_members_are_deflated_npy(tmp_path, chain_index):
         infos = zf.infolist()
         assert infos and all(i.filename.endswith(".npy") for i in infos)
         assert all(i.compress_type == zipfile.ZIP_DEFLATED for i in infos)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.arange(300_000, dtype=np.int64),  # several pieces
+        np.array(5, dtype=np.int64),
+        np.arange(12.0).reshape(3, 4).T,  # Fortran order
+        np.arange(24).reshape(4, 6)[:, ::2],  # neither order
+        np.array(["ab", "Σx"]),
+        np.asarray([], dtype=np.str_),
+        np.zeros((5, 0)),
+    ],
+    ids=["pieces", "0-d", "fortran", "strided", "str", "empty-str", "no-columns"],
+)
+def test_npz_members_hold_the_bytes_np_save_writes(tmp_path, array):
+    _write_npz(tmp_path / "x.npz", iter([("a", array)]))
+    want = io.BytesIO()
+    np.save(want, array, allow_pickle=False)
+    with zipfile.ZipFile(tmp_path / "x.npz") as zf:
+        assert zf.read("a.npy") == want.getvalue()
 
 
 def test_postings_are_stored_narrow_and_loaded_as_int64(tmp_path, chain_index):
@@ -550,16 +577,17 @@ def test_interrupted_save_leaves_the_old_index(tmp_path, chain_index, monkeypatc
     target = tmp_path / "idx"
     save_index(chain_index, target)
     before = {p.name: p.read_bytes() for p in target.iterdir()}
-    write_array = np.lib.format.write_array
+    # a save writes each array's .npy header with write_array_header_1_0
+    write_header = np.lib.format.write_array_header_1_0
     calls = []
 
     def fail_on_the_third_array(*args, **kwargs):
         calls.append(1)
         if len(calls) == 3:
             raise OSError("No space left on device")
-        return write_array(*args, **kwargs)
+        return write_header(*args, **kwargs)
 
-    monkeypatch.setattr(np.lib.format, "write_array", fail_on_the_third_array)
+    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", fail_on_the_third_array)
     with pytest.raises(OSError, match="No space left"):
         save_index(other_index(), target)
     monkeypatch.undo()
@@ -573,7 +601,7 @@ def test_interrupted_first_save_leaves_nothing(tmp_path, chain_index, monkeypatc
     def fail(*args, **kwargs):
         raise OSError("No space left on device")
 
-    monkeypatch.setattr(np.lib.format, "write_array", fail)
+    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", fail)
     with pytest.raises(OSError):
         save_index(chain_index, tmp_path / "idx")
     assert list(tmp_path.iterdir()) == []
@@ -603,7 +631,7 @@ def test_next_save_restores_an_index_left_aside_by_a_killed_save(
     def fail(*args, **kwargs):
         raise OSError("No space left on device")
 
-    monkeypatch.setattr(np.lib.format, "write_array", fail)
+    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", fail)
     with pytest.raises(OSError):
         save_index(other_index(), target)
     assert [p.name for p in tmp_path.iterdir()] == ["idx"]
