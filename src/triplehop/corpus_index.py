@@ -21,10 +21,12 @@ import unicodedata
 import zipfile
 import zlib
 from bisect import bisect_left
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import partial
+from itertools import count
 from operator import attrgetter, lt
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -160,11 +162,12 @@ class LexicalView:
     """Per-view term statistics backing BM25 scoring, as CSR postings.
 
     ``ids`` is sorted ascending so positional order doubles as the
-    deterministic tie-break order everywhere downstream. The postings of the
-    term ``vocab[r]`` (``vocab`` sorted ascending) are the slice
+    deterministic tie-break order everywhere downstream. ``rows`` maps each
+    term to its row, in ascending term order, and is the view's one copy of
+    its vocabulary. The postings of row ``r`` are the slice
     ``indptr[r]:indptr[r + 1]`` of ``doc_positions`` (ascending positions
-    into ``ids``) and ``term_freqs``. These arrays but ``ids`` are also what
-    ``index.npz`` stores.
+    into ``ids``) and ``term_freqs``. These arrays but ``ids``, and the keys
+    of ``rows`` as ``vocab``, are what ``index.npz`` stores.
 
     ``bm25_weights`` is a ``Memo`` of (k1, b) -> every posting's BM25 term
     weight (``_posting_weights``), aligned with ``doc_positions``.
@@ -174,17 +177,14 @@ class LexicalView:
 
     ids: tuple[str, ...]
     doc_lengths: np.ndarray
-    vocab: np.ndarray
     indptr: np.ndarray
     doc_positions: np.ndarray
     term_freqs: np.ndarray
-    rows: dict[str, int] = field(init=False, repr=False)
+    rows: dict[str, int] = field(repr=False)
     bm25_weights: Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = dict(zip(self.vocab.tolist(), range(len(self.vocab))))
         avg = float(self.doc_lengths.mean()) if len(self.ids) else 0.0
-        object.__setattr__(self, "rows", rows)
         weights = partial(
             _posting_weights, avg or 1.0, self.indptr, self.doc_positions,
             self.term_freqs, self.doc_lengths,
@@ -193,32 +193,28 @@ class LexicalView:
 
     @classmethod
     def from_texts(cls, ids: Sequence[str], texts: Sequence[str]) -> "LexicalView":
+        """The view of ``texts``, ``texts[i]`` the search text of ``ids[i]``.
+        Each token's key is its term's row times ``len(ids)`` plus its text's
+        position, so the distinct keys, sorted and counted, are the postings
+        in CSR order with their term frequencies."""
+        codes: dict[str, int] = defaultdict(count().__next__)
+        token_codes = array("q")
         lengths = np.zeros(len(ids), dtype=np.int64)
-        terms: list[str] = []
-        positions: list[int] = []
-        freqs: list[int] = []
         for pos, text in enumerate(texts):
             tokens = tokenize(text)
             lengths[pos] = len(tokens)
-            counts = Counter(tokens)
-            terms.extend(counts)
-            freqs.extend(counts.values())
-            positions.extend([pos] * len(counts))
-        vocab = sorted(set(terms))
-        row_of = {term: row for row, term in enumerate(vocab)}
-        rows = np.array([row_of[term] for term in terms], dtype=np.int64)
-        # A stable sort by row keeps each row's positions ascending.
-        order = np.argsort(rows, kind="stable")
-        indptr = np.zeros(len(vocab) + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(np.bincount(rows, minlength=len(vocab)))
-        return cls(
-            ids=tuple(ids),
-            doc_lengths=lengths,
-            vocab=np.asarray(vocab, dtype=np.str_),
-            indptr=indptr,
-            doc_positions=np.asarray(positions, dtype=np.int64)[order],
-            term_freqs=np.asarray(freqs, dtype=np.int64)[order],
-        )
+            token_codes.extend(map(codes.__getitem__, tokens))
+        rows = dict(zip(sorted(codes), count()))
+        row_of_code = np.fromiter(map(rows.__getitem__, codes), np.int64, len(rows))
+        n = len(ids) or 1
+        keys = row_of_code[np.frombuffer(token_codes, np.int64)] * n
+        keys += np.repeat(np.arange(len(ids)), lengths)
+        del codes, token_codes  # freed before np.unique copies and sorts the keys
+        keys, term_freqs = np.unique(keys, return_counts=True)
+        term_rows, positions = np.divmod(keys, n)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(term_rows, minlength=len(rows)), out=indptr[1:])
+        return cls(tuple(ids), lengths, indptr, positions, term_freqs, rows)
 
 
 def exact_int8(rows: np.ndarray) -> np.ndarray:
@@ -760,7 +756,7 @@ def _index_arrays(index: CorpusIndex) -> Iterator[tuple[str, np.ndarray]]:
     for view, prefix, name in _NPZ_PREFIXES:
         lex = index.lexical[view]
         yield f"{prefix}_doc_lengths", _narrow(lex.doc_lengths)
-        yield f"{prefix}_vocab", lex.vocab
+        yield f"{prefix}_vocab", np.asarray(list(lex.rows), dtype=np.str_)
         yield f"{prefix}_doc_freq", _narrow(np.diff(lex.indptr))
         yield f"{prefix}_indptr", _narrow(lex.indptr)
         yield f"{prefix}_doc_positions", _narrow(lex.doc_positions)
@@ -1019,19 +1015,21 @@ def _read_lexical_view(npz: _Npz, prefix: str, ids: tuple[str, ...]) -> LexicalV
         npz.ints(f"{prefix}_{key}")
         for key in ("doc_lengths", "indptr", "doc_positions", "term_freqs")
     )
-    vocab = npz.array(f"{prefix}_vocab", np.str_)
+    vocab = npz.array(f"{prefix}_vocab", np.str_).tolist()
     if (
         len(doc_lengths) != len(ids)
         or len(term_freqs) != len(positions)
         or len(indptr) != len(vocab) + 1
     ):
         raise npz.fail(f"{prefix}_arrays disagree in length")
+    if not all(map(lt, vocab, vocab[1:])):
+        raise npz.fail(f"{prefix}_vocab is not strictly ascending")
     npz.check_offsets(f"{prefix}_indptr", indptr, len(positions), f"len({prefix}_doc_positions)")
     if not np.array_equal(npz[f"{prefix}_doc_freq"], np.diff(indptr)):
         raise npz.fail(f"{prefix}_doc_freq differs from np.diff(indptr)")
     if len(positions) and (positions.min() < 0 or positions.max() >= len(ids)):
         raise npz.fail(f"{prefix}_doc_positions has a position outside [0, {len(ids)})")
-    return LexicalView(ids, doc_lengths, vocab, indptr, positions, term_freqs)
+    return LexicalView(ids, doc_lengths, indptr, positions, term_freqs, dict(zip(vocab, count())))
 
 
 def _read_utf8_column(npz: _Npz, key: str) -> tuple[str, np.ndarray]:

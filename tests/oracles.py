@@ -7,7 +7,9 @@ implementation. The dense oracle recomputes cosine ranking with plain python
 sorting over independently computed embeddings, optionally in exact
 rationals. The BM25 oracle is the
 scalar per-posting loop over dict postings that the columnar scorer replaced,
-with its own tokenizer and statistics. The hash-embedding and
+with its own tokenizer and statistics. The postings oracle is the CSR build
+the single-sort one replaced: a ``Counter`` per text, Python lists, then a
+stable sort by row. The hash-embedding and
 sequence-scorer oracles are the straightforward forms the package replaced
 with memoised and incremental ones: hash every trigram, and serialize every
 candidate before embedding it. The RRF oracle fuses plain id lists.
@@ -147,20 +149,50 @@ def oracle_sequence_scorer(triples: dict, embed):
     return scorer
 
 
+def _tokens(text: str) -> list[str]:
+    return re.findall(r"[^\W_]+", text.lower())
+
+
+def oracle_postings(texts: list[str]) -> tuple[dict[str, int], dict[str, np.ndarray]]:
+    """The CSR postings of ``texts``: term -> row with the terms ascending,
+    and the int64 arrays ``doc_lengths``, ``indptr``, ``doc_positions`` and
+    ``term_freqs`` (see ``LexicalView``)."""
+    lengths = np.zeros(len(texts), dtype=np.int64)
+    terms: list[str] = []
+    positions: list[int] = []
+    freqs: list[int] = []
+    for pos, text in enumerate(texts):
+        tokens = _tokens(text)
+        lengths[pos] = len(tokens)
+        counts = Counter(tokens)
+        terms.extend(counts)
+        freqs.extend(counts.values())
+        positions.extend([pos] * len(counts))
+    vocab = sorted(set(terms))
+    row_of = {term: row for row, term in enumerate(vocab)}
+    rows = np.array([row_of[term] for term in terms], dtype=np.int64)
+    # A stable sort by row keeps each row's positions ascending.
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(len(vocab) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=len(vocab)))
+    return row_of, {
+        "doc_lengths": lengths,
+        "indptr": indptr,
+        "doc_positions": np.asarray(positions, dtype=np.int64)[order],
+        "term_freqs": np.asarray(freqs, dtype=np.int64)[order],
+    }
+
+
 def oracle_bm25(docs: dict[str, str], query: str, k: int, k1: float, b: float):
     """Okapi BM25 (idf ln(1 + (N - df + 0.5)/(df + 0.5))) one posting at a
     time over dict postings built here from ``docs`` (id -> search text);
     zero scores are dropped, ties break by ascending id."""
-
-    def tokens(text: str) -> list[str]:
-        return re.findall(r"[^\W_]+", text.lower())
-
     ids = sorted(docs)
     lengths: list[int] = []
     doc_freq: dict[str, int] = {}
     postings: dict[str, list[tuple[int, int]]] = {}
     for pos, item_id in enumerate(ids):
-        words = tokens(docs[item_id])
+        words = _tokens(docs[item_id])
         lengths.append(len(words))
         for term, tf in sorted(Counter(words).items()):
             doc_freq[term] = doc_freq.get(term, 0) + 1
@@ -168,7 +200,7 @@ def oracle_bm25(docs: dict[str, str], query: str, k: int, k1: float, b: float):
     n_docs = len(ids)
     avg = (sum(lengths) / n_docs if n_docs else 0.0) or 1.0
     scores = [0.0] * n_docs
-    for term in tokens(query):
+    for term in _tokens(query):
         df = doc_freq.get(term)
         if not df:
             continue

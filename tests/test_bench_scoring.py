@@ -18,7 +18,7 @@ from triplehop import (
     load_index,
     save_index,
 )
-from triplehop.corpus_index import PASSAGES, get_neighbours
+from triplehop.corpus_index import PASSAGES, LexicalView, get_neighbours, passage_search_text
 
 pytestmark = pytest.mark.bench
 
@@ -123,6 +123,17 @@ def test_bm25_search_batch_of_ten(benchmark, dense_index):
     queries = [f"Where was {_name(i)} born?" for i in range(0, 1000, 100)]
     results = benchmark(bm25_search, dense_index, queries, PASSAGES, 10)
     assert [len(result) for result in results] == [10] * 10
+
+
+def test_lexical_view_from_texts_dense_index_passages(benchmark, dense_index):
+    """``LexicalView.from_texts`` over the 10,240 passage texts, as
+    ``build_index`` makes the passage view."""
+    built = dense_index.lexical[PASSAGES]
+    texts = [passage_search_text(dense_index.passages[pid]) for pid in built.ids]
+    view = benchmark(LexicalView.from_texts, built.ids, texts)
+    assert list(view.rows.items()) == list(built.rows.items())
+    for key in ("doc_lengths", "indptr", "doc_positions", "term_freqs"):
+        assert getattr(view, key).tobytes() == getattr(built, key).tobytes()
 
 
 def test_embed_many_dense_index_passages(benchmark, dense_index):

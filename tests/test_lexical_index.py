@@ -1,4 +1,4 @@
-"""The CSR lexical index: BM25 against the dict-postings oracle, and the
+"""The CSR lexical index: its postings and BM25 against the oracles, and the
 integrity checks ``load_index`` makes on what it reads."""
 
 from __future__ import annotations
@@ -8,12 +8,13 @@ import json
 import shutil
 import sys
 import tempfile
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triplehop import (
@@ -27,9 +28,9 @@ from triplehop import (
     save_index,
     serialize_triple,
 )
-from triplehop.corpus_index import PASSAGES, TRIPLES, passage_search_text
+from triplehop.corpus_index import PASSAGES, TRIPLES, LexicalView, passage_search_text
 
-from .oracles import oracle_bm25
+from .oracles import oracle_bm25, oracle_postings
 
 K1_VALUES = (0.0, 1.2, 2.0)
 B_VALUES = (0.0, 0.75, 1.0)
@@ -103,6 +104,43 @@ def test_bm25_equals_oracle(bodies, facts, common, query):
         for b in B_VALUES:
             assert_matches_oracle(index, query, k1, b)
             assert_matches_oracle(loaded, query, k1, b)
+
+
+# Pieces with no token ("-", "_", " "), case mappings that change length or
+# depend on context ("İ", "Σ", "ß"), and lone surrogates, which JSON input may
+# hold; short texts of few pieces repeat terms.
+PIECES = ("a", "b", "ab", "1", "İ", "Σ", "σ", "ς", "ß", "SS", "\ud800", "\udfff", "-", "_", " ")
+
+
+@settings(max_examples=200, deadline=None)
+@example([])
+@example(["", "--", "_"])
+@example(["a b a a", "İ Σ ß \ud800", "ΣΑΣ ßSS", "b"])
+@given(st.lists(st.lists(st.sampled_from(PIECES), max_size=10).map("".join), max_size=8))
+def test_from_texts_equals_postings_oracle(texts):
+    view = LexicalView.from_texts([f"d{i}" for i in range(len(texts))], texts)
+    rows, arrays = oracle_postings(texts)
+    assert list(view.rows.items()) == list(rows.items())
+    for key, want in arrays.items():
+        got = getattr(view, key)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_from_texts_holds_no_string_per_posting():
+    # 50,000 postings over 500 terms: 0.84 MB of arrays returned. A build
+    # that keeps a string and a Python int per posting, as the oracle does,
+    # peaks at 7.7 times that; one that holds integer arrays per token, 2.9.
+    words = [f"w{i:03d}" for i in range(500)]
+    texts = [" ".join(words[(i * 7 + j * 13) % 500] for j in range(10)) for i in range(5000)]
+    tracemalloc.start()
+    try:
+        view = LexicalView.from_texts([f"d{i:04d}" for i in range(5000)], texts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = (view.doc_lengths, view.indptr, view.doc_positions, view.term_freqs)
+    assert len(view.doc_positions) == 50_000
+    assert peak < 4 * sum(a.nbytes for a in arrays)
 
 
 def hex_entries(ranked) -> list[tuple[str, str]]:
@@ -327,6 +365,23 @@ def test_load_rejects_doc_position_out_of_range(tmp_path, chain_index):
     positions[-1] = len(chain_index.passages)
     rewrite_npz(lex, p_doc_positions=positions)
     with pytest.raises(IndexBuildError, match="index.npz: p_doc_positions"):
+        load_index(tmp_path)
+
+
+@pytest.mark.parametrize("prefix", ["p", "t"])
+@pytest.mark.parametrize(
+    "vocab", [["alpha", "alpha", "gamma"], ["gamma", "beta", "alpha"]], ids=["repeated", "reordered"]
+)
+def test_load_rejects_a_vocab_not_strictly_ascending(tmp_path, prefix, vocab):
+    # A vocabulary's order is its rows': loaded out of order, "alpha" would
+    # find both passages and "gamma" the first.
+    passages = [Passage("p1", "", "alpha beta"), Passage("p2", "", "beta gamma")]
+    triples = [Triple("t1", "alpha", "beta", "gamma", "p1")]
+    save_index(build_index(passages, triples, HashEmbedder(16)), tmp_path)
+    with np.load(tmp_path / "index.npz") as stored:
+        assert stored[f"{prefix}_vocab"].tolist() == ["alpha", "beta", "gamma"]
+    rewrite_npz(tmp_path / "index.npz", **{f"{prefix}_vocab": np.asarray(vocab)})
+    with pytest.raises(IndexBuildError, match=rf"index\.npz: {prefix}_vocab is not strictly ascending"):
         load_index(tmp_path)
 
 
