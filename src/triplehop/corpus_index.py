@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 # Index view names: the passage index and the triple index.
 PASSAGES = "passages"
@@ -226,44 +226,60 @@ def exact_int8(rows: np.ndarray) -> np.ndarray:
     return small if np.array_equal(small, rows) else rows
 
 
-def _transposed(small: np.ndarray) -> np.ndarray:
-    """``small.T`` as a C-contiguous copy, made a block of rows at a time
-    (several times faster than ``np.ascontiguousarray(small.T)``)."""
-    out = np.empty(small.shape[::-1], dtype=small.dtype)
-    for lo in range(0, len(small), 128):
-        out[:, lo : lo + 128] = small[lo : lo + 128].T
+def _transposed(layout: np.ndarray) -> np.ndarray:
+    """The other layout of a view's 2-D array: of float64 the view
+    ``layout.T``, no copy; of ``int8`` a C-contiguous copy of it, made a
+    block of 128 rows at a time (several times faster than
+    ``np.ascontiguousarray(layout.T)`` from rows to columns)."""
+    if layout.dtype == np.float64:
+        return layout.T
+    out = np.empty(layout.shape[::-1], dtype=layout.dtype)
+    for lo in range(0, len(layout), 128):
+        out[:, lo : lo + 128] = layout[lo : lo + 128].T
     return out
 
 
 @dataclass(frozen=True)
 class VectorView:
     """Per-view embedding matrix: the embedder's rows in ascending id order,
-    and two derived fields for dense search.
+    in two layouts, and their squared norms.
 
-    ``vectors`` is row-major: ``int8`` when that holds the rows exactly (see
-    ``exact_int8``), as for hashed counts, else float64. An ``int8`` array,
-    as build and load pass hashed counts, is kept unchecked and never
-    widened whole. ``sq_norms`` holds the rows' squared norms in float64.
-    ``columns`` is the rows transposed, (dim, N): of ``int8`` rows a
-    C-contiguous copy, so a bucket's values over the view are N contiguous
-    bytes that dense search gathers (in float32 when that is exact); of
-    float64 rows the view ``vectors.T``, no copy.
+    ``vectors`` is row-major, what the beam scorer reads of the triple view:
+    ``int8`` when that holds the rows exactly (see ``exact_int8``), as for
+    hashed counts, else float64. An ``int8`` array, as a build passes hashed
+    counts, is kept unchecked and never widened whole. ``columns`` is the
+    rows transposed, (dim, N), what dense search reads and ``index.npz``
+    stores: of ``int8`` rows a C-contiguous copy, so a bucket's values over
+    the view are N contiguous bytes that dense search gathers (in float32
+    when that is exact); of float64 rows the view ``vectors.T``, no copy.
+    ``sq_norms`` holds the rows' squared norms in float64.
+
+    A build passes ``vectors`` and a load passes ``columns`` alone, as
+    stored; the other layout is made from it by ``_transposed``.
     """
 
     ids: tuple[str, ...]
-    vectors: np.ndarray
+    vectors: np.ndarray | None = None
+    columns: np.ndarray | None = field(default=None, repr=False)
     sq_norms: np.ndarray = field(init=False, repr=False)
-    columns: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows = self.vectors
-        if rows.dtype != np.int8:
-            rows = exact_int8(np.asarray(rows, dtype=np.float64))
-        columns = rows.T if rows.dtype == np.float64 else _transposed(rows)
+        rows, columns = self.vectors, self.columns
+        if rows is None:
+            rows = _transposed(columns)
+        else:
+            if rows.dtype != np.int8:
+                rows = exact_int8(np.asarray(rows, dtype=np.float64))
+            columns = _transposed(rows)
         object.__setattr__(self, "vectors", rows)
-        # einsum widens int8 rows to ``dtype`` in small buffers, not whole.
-        object.__setattr__(self, "sq_norms", np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
         object.__setattr__(self, "columns", columns)
+        # einsum widens int8 rows to ``dtype`` in small buffers, not whole. An
+        # int8 square is at most 128**2, so with under 1024 buckets every
+        # partial sum of a row is an integer below 2**24, which float32 holds
+        # exactly: the float64 sum's bits in half the time.
+        wide = np.float32 if rows.dtype == np.int8 and rows.shape[1] < 1024 else np.float64
+        sq_norms = np.einsum("ij,ij->i", rows, rows, dtype=wide).astype(np.float64, copy=False)
+        object.__setattr__(self, "sq_norms", sq_norms)
 
 
 def _triple_ends(triples: Records, triple_id: str) -> tuple[int, str, str]:
@@ -655,7 +671,7 @@ def load_triples_jsonl(path: str | Path) -> list[Triple]:
     return read_jsonl(path, parse, kind="triple")
 
 
-# Per-view key prefixes in index.npz: of the postings, and of the rows.
+# Per-view key prefixes in index.npz: of the postings, and of the columns.
 _NPZ_PREFIXES = ((PASSAGES, "p", "passage"), (TRIPLES, "t", "triple"))
 
 # The one array file of an index besides its manifest (which records its
@@ -671,11 +687,6 @@ _RECORD_KINDS = {
     "triple": (Triple, ("id", "subject", "predicate", "object", "passage_id")),
 }
 
-# Rows per block when sparse rows are made or scattered, so that no index
-# array spans a whole view.
-_ROW_BLOCK = 512
-
-
 # Bytes of array data written, and read by ``_Npz``, at a time, as
 # ``read_array`` reads them.
 _NPY_PIECE = 1 << 18
@@ -688,15 +699,17 @@ def _narrow(values: np.ndarray) -> np.ndarray:
 
 def _write_npz(path: Path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
     """Write ``(key, array)`` pairs as an ``.npz`` that ``np.load`` reads:
-    one ``.npy`` member per key, deflated at level 1 (several times faster
-    than ``np.savez_compressed``'s level 6, for about the same size here).
+    one ``.npy`` member per key, deflated at level 2 (several times faster
+    than ``np.savez_compressed``'s level 6, for about the same size here;
+    the lowest level at which a view's ``int8`` columns take no more space
+    than the sparse rows of format 5 did).
 
     Each member holds the bytes ``np.save`` writes: a version 1.0 header,
     then the data in the order it names, written here in ``_NPY_PIECE``
     pieces rather than by ``write_array``, which first copies an array of up
     to 16 MiB whole. Each array is dropped once written, so pairs from a
     generator are held one at a time."""
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=1) as zf:
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED, compresslevel=2) as zf:
         for key, array in arrays:
             array = np.asanyarray(array)
             with zf.open(f"{key}.npy", "w", force_zip64=True) as fh:
@@ -707,32 +720,6 @@ def _write_npz(path: Path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
                 for lo in range(0, len(data), _NPY_PIECE):
                     fh.write(data[lo : lo + _NPY_PIECE])
             del array, data
-
-
-def _sparse_rows(vv: VectorView, name: str) -> Iterator[tuple[str, np.ndarray]]:
-    """A view of ``int8`` rows as sparse rows: row ``i``'s non-zero
-    values are ``values[offsets[i]:offsets[i + 1]]``, in ascending bucket
-    order, at the buckets ``buckets[offsets[i]:offsets[i + 1]]``; ``shape``
-    is the rows' (N, dim). Made a block of rows at a time, so no index array
-    spans the view, and yielded as ``(key, array)`` pairs."""
-    n, dim = vv.vectors.shape
-    counts = np.empty(n, dtype=np.int64)
-    buckets = [np.zeros(0, np.min_scalar_type(max(dim - 1, 0)))]
-    values = [np.zeros(0, np.int8)]
-    for lo in range(0, n, _ROW_BLOCK):
-        small = vv.vectors[lo : lo + _ROW_BLOCK]
-        at = np.flatnonzero(small)
-        row = at // dim
-        counts[lo : lo + _ROW_BLOCK] = np.bincount(row, minlength=len(small))
-        buckets.append((at - row * dim).astype(buckets[0].dtype))
-        values.append(small.ravel()[at])
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    yield f"{name}_shape", np.asarray([n, dim], dtype=np.int64)
-    yield f"{name}_offsets", _narrow(offsets)
-    yield f"{name}_buckets", np.concatenate(buckets)
-    del buckets
-    yield f"{name}_values", np.concatenate(values)
 
 
 def _utf8_column(key: str, text: str, offsets: np.ndarray) -> Iterator[tuple[str, np.ndarray]]:
@@ -746,9 +733,10 @@ def _utf8_column(key: str, text: str, offsets: np.ndarray) -> Iterator[tuple[str
 
 def _index_arrays(index: CorpusIndex) -> Iterator[tuple[str, np.ndarray]]:
     """What ``index.npz`` stores, as ``(key, array)`` pairs in its order: the
-    record columns, then each view's postings and rows. Each id is stored
-    once, in its record column. Each array is made when the next pair is
-    asked for, so ``_write_npz`` holds one at a time."""
+    record columns, then each view's postings and ``VectorView.columns``,
+    as held in memory. Each id is stored once, in its record column. Each
+    array is made when the next pair is asked for, so ``_write_npz`` holds
+    one at a time."""
     for by_id in (index.passages, index.triples):
         columns = {"id": _text_column(list(by_id.ids)), **by_id.columns}
         for key in _RECORD_KINDS[by_id.kind][1]:
@@ -761,11 +749,7 @@ def _index_arrays(index: CorpusIndex) -> Iterator[tuple[str, np.ndarray]]:
         yield f"{prefix}_indptr", _narrow(lex.indptr)
         yield f"{prefix}_doc_positions", _narrow(lex.doc_positions)
         yield f"{prefix}_term_freqs", _narrow(lex.term_freqs)
-        vv = index.vectors[view]
-        if vv.vectors.dtype == np.int8:
-            yield from _sparse_rows(vv, name)
-        else:
-            yield f"{name}_vectors", vv.vectors
+        yield f"{name}_columns", index.vectors[view].columns
 
 
 def _sha256(path: Path) -> str:
@@ -809,15 +793,15 @@ def _recover(directory: Path) -> None:
 
 
 def save_index(index: CorpusIndex, directory: str | Path) -> None:
-    """Persist the index as format 5: ``index.npz`` and a manifest (see
+    """Persist the index as format 6: ``index.npz`` and a manifest (see
     README "Data formats").
 
     ``index.npz`` holds every record field as one UTF-8 column in ascending
-    id order, each view's CSR postings, and each view's rows: hashed rows
-    (those ``int8`` holds exactly) as sparse ``int8`` rows, others as dense
+    id order, each view's CSR postings, and each view's ``columns`` as held
+    in memory: ``int8`` for hashed rows (those ``int8`` holds exactly), else
     float64. The ids are stored once, as the record id columns. Offsets and
     postings are stored in the smallest dtype that holds them, and the file
-    is deflated at level 1. Each array is made, written and dropped before
+    is deflated at level 2. Each array is made, written and dropped before
     the next (``_index_arrays``), so a save holds one stored array beside
     the index at a time. The manifest records the embedder, ``dim``, the
     record counts and the file's sha256.
@@ -943,13 +927,14 @@ class _Npz(zipfile.ZipFile):
         except (EOFError, ValueError, zipfile.BadZipFile, zlib.error) as e:
             raise self.fail(f"array {key!r} does not read: {e}") from e
 
-    def array(self, key: str, dtype: type = np.integer, ndim: int = 1) -> np.ndarray:
+    def array(self, key: str, *dtypes: type, ndim: int = 1) -> np.ndarray:
         """Array ``key``, which must have ``ndim`` dimensions and a dtype that
-        ``np.issubdtype`` counts as ``dtype``; any other raises
-        IndexBuildError naming the key."""
+        ``np.issubdtype`` counts as one of ``dtypes`` (``np.integer`` when
+        none is given); any other raises IndexBuildError naming the key."""
         array = self[key]
-        if array.ndim != ndim or not np.issubdtype(array.dtype, dtype):
-            wanted = f"{ndim}-D {dtype.__name__}"
+        dtypes = dtypes or (np.integer,)
+        if array.ndim != ndim or not any(np.issubdtype(array.dtype, d) for d in dtypes):
+            wanted = f"{ndim}-D {' or '.join(d.__name__ for d in dtypes)}"
             raise self.fail(f"{key} is {array.ndim}-D {array.dtype}, not {wanted}")
         return array
 
@@ -968,46 +953,14 @@ class _Npz(zipfile.ZipFile):
 
 
 def _read_vector_view(npz: _Npz, name: str, ids: tuple[str, ...], dim) -> VectorView:
-    sparse = f"{name}_shape.npy" in npz.namelist()
-    if sparse:
-        shape = npz.ints(f"{name}_shape")
-        if shape.shape != (2,):
-            raise npz.fail(f"{name}_shape is not (rows, dim)")
-        n, width = shape.tolist()
-    else:
-        vectors = npz.array(f"{name}_vectors", np.float64, ndim=2)
-        n, width = vectors.shape
+    columns = npz.array(f"{name}_columns", np.int8, np.float64, ndim=2)
+    width, n = columns.shape
     if n != len(ids):
         raise npz.fail(f"{n} {name} vectors for {len(ids)} ids")
     if len(ids) and width != dim:
         width = f"{width}-wide {name} vectors"
         raise IndexBuildError(f"{npz.path.parent / 'manifest.json'}: dim {dim!r}, but {width}")
-    if not sparse:
-        return VectorView(ids, vectors)
-
-    offsets, buckets = npz.ints(f"{name}_offsets"), npz.array(f"{name}_buckets")
-    values = npz.array(f"{name}_values", np.int8)
-    if len(offsets) != n + 1 or len(buckets) != len(values):
-        raise npz.fail(f"{name}_offsets, _buckets and _values disagree in length")
-    npz.check_offsets(f"{name}_offsets", offsets, len(values), f"len({name}_values)")
-    if len(buckets) and (buckets.min() < 0 or buckets.max() >= width):
-        raise npz.fail(f"{name}_buckets has a bucket outside [0, {width})")
-    return VectorView(ids, _dense_rows(offsets, buckets, values, width))
-
-
-def _dense_rows(offsets, buckets, values, dim: int) -> np.ndarray:
-    """Sparse rows (see ``_sparse_rows``) as a dense ``int8`` array, filled a
-    block of rows at a time, so no index array spans the view."""
-    n = len(offsets) - 1
-    rows = np.zeros((n, dim), dtype=np.int8)
-    flat = rows.reshape(-1)
-    for lo in range(0, n, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, n)
-        start, stop = offsets[lo], offsets[hi]
-        # each value's place in ``flat``: its row's start plus its bucket
-        at = np.repeat(np.arange(lo, hi) * dim, np.diff(offsets[lo : hi + 1]))
-        flat[at + buckets[start:stop]] = values[start:stop]
-    return rows
+    return VectorView(ids, columns=columns)
 
 
 def _read_lexical_view(npz: _Npz, prefix: str, ids: tuple[str, ...]) -> LexicalView:
@@ -1029,6 +982,15 @@ def _read_lexical_view(npz: _Npz, prefix: str, ids: tuple[str, ...]) -> LexicalV
         raise npz.fail(f"{prefix}_doc_freq differs from np.diff(indptr)")
     if len(positions) and (positions.min() < 0 or positions.max() >= len(ids)):
         raise npz.fail(f"{prefix}_doc_positions has a position outside [0, {len(ids)})")
+    steps = np.diff(positions)
+    starts = indptr[1:-1]  # a row's first position may be below the previous row's last
+    steps[starts[(starts > 0) & (starts < len(positions))] - 1] = 1
+    if np.any(steps < 1):
+        raise npz.fail(f"{prefix}_doc_positions is not strictly ascending within a row")
+    if len(term_freqs) and term_freqs.min() < 1:
+        raise npz.fail(f"{prefix}_term_freqs holds a frequency below 1")
+    if not np.array_equal(doc_lengths, np.bincount(positions, term_freqs, len(ids))):
+        raise npz.fail(f"{prefix}_doc_lengths differs from the term frequencies summed per text")
     return LexicalView(ids, doc_lengths, indptr, positions, term_freqs, dict(zip(vocab, count())))
 
 
@@ -1069,7 +1031,7 @@ def load_index(
     directory: str | Path,
     embedder: Callable[[str], np.ndarray] | None = None,
 ) -> CorpusIndex:
-    """Load a persisted index of format 5 without recomputation. Any other
+    """Load a persisted index of format 6 without recomputation. Any other
     ``format_version`` raises IndexBuildError naming ``triplehop index build``.
 
     The embedder is reconstructed from the manifest name unless one is passed
@@ -1079,9 +1041,9 @@ def load_index(
     get ``build_index``'s checks, and the views take their ids from them. An
     array that does not read, is stored in another shape or dtype than a save
     writes, or disagrees with the others, and a manifest ``dim`` unlike the
-    stored rows' or a ``hash:<dim>`` embedder's, raises IndexBuildError naming
-    the file. Stored integer arrays are widened back to int64, and sparse rows
-    are scattered into dense ``int8`` rows a block of rows at a time.
+    stored views' or a ``hash:<dim>`` embedder's, raises IndexBuildError naming
+    the file. Stored integer arrays are widened back to int64. Each view
+    keeps the columns it reads, and its rows are their one transpose.
     """
     from .base_retrieval import hash_dim, resolve_embedder
 

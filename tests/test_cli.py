@@ -261,7 +261,7 @@ def test_retrieve_from_an_old_format_index_names_the_rebuild(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
-    assert line.startswith(f"error: {old / 'manifest.json'}: format_version 3, but only 5 loads")
+    assert line.startswith(f"error: {old / 'manifest.json'}: format_version 3, but only 6 loads")
     assert line.endswith("rebuild the index with `triplehop index build`")
 
 
@@ -285,7 +285,7 @@ def test_index_build_replaces_a_format_4_index_in_place(tmp_path, capsys):
     # the format-4 fixture holds no JSONL: it is rebuilt from the input it was built from
     old, source = v4_copy(tmp_path), v3_copy(tmp_path)
     assert dispatch(["retrieve", "--index", str(old), "--query", "Ada Vell"]) == 2
-    assert "format_version 4, but only 5 loads" in capsys.readouterr().err
+    assert "format_version 4, but only 6 loads" in capsys.readouterr().err
     code = dispatch([
         "index", "build", "--passages", str(source / "passages.jsonl"),
         "--triples", str(source / "triples.jsonl"), "--out", str(old),

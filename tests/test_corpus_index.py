@@ -316,7 +316,7 @@ def test_persistence_round_trip(tmp_path, chain_index):
     assert graph_of(loaded) == graph_of(chain_index)
 
     manifest = json.loads((tmp_path / "idx" / "manifest.json").read_text())
-    assert manifest["format_version"] == 5
+    assert manifest["format_version"] == 6
     assert manifest["embedder"] == "hash:128"
     assert manifest["dim"] == 128
     data = (tmp_path / "idx" / "index.npz").read_bytes()
@@ -356,13 +356,13 @@ def test_custom_embedder_round_trip_requires_explicit_embedder(tmp_path):
         *(
             pytest.param(
                 lambda m, v=version: {**m, "format_version": v},
-                rf"format_version {version}, but only 5 loads; .*`triplehop index build`",
+                rf"format_version {version}, but only 6 loads; .*`triplehop index build`",
                 id=f"format-{version}",
             )
-            for version in (1, 2, 3, 4, 999)
+            for version in (1, 2, 3, 4, 5, 999)
         ),
         pytest.param(lambda m: b"{not json", "not JSON", id="not-json"),
-        pytest.param(lambda m: b'{"format_version": 5, "\xff": 1}', "not JSON", id="not-utf8"),
+        pytest.param(lambda m: b'{"format_version": 6, "\xff": 1}', "not JSON", id="not-utf8"),
         pytest.param(lambda m: [], "not a JSON object", id="not-an-object"),
         pytest.param(
             lambda m: {**m, "embedder": "nope"},
@@ -388,15 +388,14 @@ def test_hashed_rows_are_stored_as_int8_and_other_rows_as_float64(tmp_path, chai
     with np.load(tmp_path / "hashed" / "index.npz") as emb:
         for name, view in (("passage", PASSAGES), ("triple", TRIPLES)):
             rows = chain_index.vectors[view].vectors
-            assert f"{name}_vectors" not in emb
-            assert emb[f"{name}_shape"].tolist() == list(rows.shape)
-            assert emb[f"{name}_values"].dtype == np.int8
-            assert emb[f"{name}_buckets"].dtype == np.uint8
-            offsets = emb[f"{name}_offsets"]
-            assert offsets.dtype == np.min_scalar_type(offsets[-1])
-            for row, lo, hi in zip(rows, offsets[:-1], offsets[1:]):
-                assert emb[f"{name}_buckets"][lo:hi].tolist() == np.flatnonzero(row).tolist()
-                assert emb[f"{name}_values"][lo:hi].tolist() == row[row != 0].tolist()
+            # a view stores one array; the records' keys end in _utf8 and _offsets
+            view_keys = [key for key in emb.files if key.startswith(f"{name}_")
+                         and not key.endswith(("_utf8", "_offsets"))]
+            assert view_keys == [f"{name}_columns"]
+            columns = emb[f"{name}_columns"]
+            assert columns.dtype == np.int8 and columns.flags.c_contiguous
+            assert columns.shape == (128, len(rows))
+            assert columns.tobytes() == np.ascontiguousarray(rows.T).tobytes()
 
     def halves(text):
         return np.full(4, 0.5 if text else 0.0)
@@ -406,7 +405,8 @@ def test_hashed_rows_are_stored_as_int8_and_other_rows_as_float64(tmp_path, chai
     )
     save_index(index, tmp_path / "custom")
     with np.load(tmp_path / "custom" / "index.npz") as emb:
-        assert emb["passage_vectors"].dtype == np.float64
+        assert emb["passage_columns"].dtype == np.float64
+        assert emb["passage_columns"].tobytes() == halves("body").tobytes()
     loaded = load_index(tmp_path / "custom", embedder=halves)
     assert loaded.vectors[PASSAGES].vectors.tobytes() == halves("body").tobytes()
 
@@ -446,6 +446,18 @@ def test_int8_columns_span_several_transpose_blocks():
     assert wide.vectors.dtype == np.float64 and np.shares_memory(wide.vectors, rows)
     assert np.shares_memory(wide.columns, rows)
     assert wide.sq_norms.tobytes() == np.einsum("ij,ij->i", rows, rows).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1023, 1025])
+def test_squared_norms_of_int8_rows_are_exact(dim):
+    # -128 in every bucket but the last, 1 there: at dim 1025 the first row's
+    # sum is 2**24 + 1, which float32 does not hold; at 1023 it is below 2**24
+    rows = np.full((2, dim), -128, dtype=np.int8)
+    rows[:, -1] = 1
+    rows[1, ::2] = 3
+    vv = VectorView(("a", "b"), rows)
+    assert vv.sq_norms.dtype == np.float64
+    assert vv.sq_norms.tolist() == [sum(v * v for v in row) for row in rows.tolist()]
 
 
 def test_a_hashed_build_holds_no_float64_copy_of_a_view():

@@ -1,7 +1,7 @@
-"""Index format 5 on disk: one ``index.npz`` holding records as UTF-8
-columns, sparse int8 rows and narrow postings; its content hash and readable,
-typed arrays checked at load; and durable atomic saves, which also replace an
-index of an older format."""
+"""Index format 6 on disk: one ``index.npz`` holding records as UTF-8
+columns, narrow postings and each vector view's columns as held in memory;
+its content hash and readable, typed arrays checked at load; and durable
+atomic saves, which also replace an index of an older format."""
 
 from __future__ import annotations
 
@@ -9,11 +9,14 @@ import io
 import json
 import os
 import re
+import tempfile
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from triplehop import (
     HashEmbedder,
@@ -74,13 +77,16 @@ def assert_same_index(loaded, fresh):
         for key in ("vectors", "sq_norms", "columns"):
             a, b = getattr(back, key), getattr(built, key)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert (a.flags.c_contiguous, a.flags.f_contiguous) == (
+                b.flags.c_contiguous, b.flags.f_contiguous
+            )
 
 
 # ---------------------------------------------------------------------------
 # What is stored
 # ---------------------------------------------------------------------------
 
-def test_format_5_load_equals_a_fresh_build(tmp_path, chain_index):
+def test_format_6_load_equals_a_fresh_build(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
     assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == ["index.npz", "manifest.json"]
     assert_same_index(load_index(tmp_path / "idx"), chain_index)
@@ -177,23 +183,6 @@ def test_wide_values_keep_a_dtype_that_holds_them(tmp_path):
     )
 
 
-def test_sparse_rows_span_several_row_blocks(tmp_path):
-    # 1,100 passages: more than two blocks of rows, with empty rows among them
-    passages = [
-        Passage(f"p{i:04d}", "", "" if i % 97 == 0 else f"name {i} lives in town {i % 13}")
-        for i in range(1100)
-    ]
-    triples = [Triple(f"t{i:04d}", f"name {i}", "lives in", f"town {i % 13}", f"p{i:04d}")
-               for i in range(1, 1100, 3)]
-    index = build_index(passages, triples, HashEmbedder(64))
-    save_index(index, tmp_path / "idx")
-    loaded = load_index(tmp_path / "idx")
-    for view in (PASSAGES, TRIPLES):
-        assert loaded.vectors[view].vectors.tobytes() == index.vectors[view].vectors.tobytes()
-        assert loaded.vectors[view].columns.tobytes() == index.vectors[view].columns.tobytes()
-    assert_same_rankings(loaded, index, ("name 5 lives in town 5", "town 12"), k=20)
-
-
 def test_a_view_without_rows_round_trips(tmp_path):
     index = build_index([Passage("p1", "", "lonely body")], [], HashEmbedder(32))
     save_index(index, tmp_path / "idx")
@@ -206,6 +195,38 @@ def test_a_view_without_rows_round_trips(tmp_path):
 def lengths(text: str) -> np.ndarray:
     """An embedder that never encodes its text, so lone surrogates pass."""
     return np.array([len(text), text.count(" "), 1.0, 0.5])
+
+
+ROUND_TRIP_WORDS = ("ada", "vell", "linksto", "island", "kind", "ledger")
+round_trip_text = st.lists(st.sampled_from(ROUND_TRIP_WORDS), max_size=8).map(" ".join)
+
+
+@settings(max_examples=25, deadline=None)
+@example(bodies=[], facts=[], embedder=lengths)  # no view has a row
+@example(bodies=["ada vell"], facts=[], embedder=HashEmbedder(8))  # no triple
+@given(
+    bodies=st.lists(round_trip_text, max_size=6),
+    facts=st.lists(st.tuples(*[st.sampled_from(ROUND_TRIP_WORDS)] * 3), max_size=6),
+    # hashed rows (int8; dim 200 transposes in two blocks), and a plain
+    # callable's fractional rows (float64)
+    embedder=st.sampled_from([HashEmbedder(8), HashEmbedder(200), lengths]),
+)
+def test_views_round_trip_as_their_columns(bodies, facts, embedder):
+    passages = [Passage(f"p{i}", "", body) for i, body in enumerate(bodies)]
+    triples = [Triple(f"t{i}", *fact, f"p{i % len(bodies)}")
+               for i, fact in enumerate(facts if bodies else [])]
+    fresh = build_index(passages, triples, embedder)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_index(fresh, tmp)
+        with np.load(Path(tmp) / "index.npz") as npz:
+            for name, view in (("passage", PASSAGES), ("triple", TRIPLES)):
+                stored, held = npz[f"{name}_columns"], fresh.vectors[view].columns
+                assert (stored.dtype, stored.shape, stored.tobytes()) == (
+                    held.dtype, held.shape, held.tobytes()
+                )
+        loaded = load_index(tmp, embedder=embedder)
+    assert_same_index(loaded, fresh)
+    assert_same_rankings(loaded, fresh, (" ".join(ROUND_TRIP_WORDS[:3]), "island ledger", "kind"))
 
 
 def test_unusual_text_round_trips(tmp_path):
@@ -252,7 +273,7 @@ def test_an_empty_index_round_trips(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Checks on the sparse rows (files resealed, so the hashes pass)
+# Checks on the columns (files resealed, so the hashes pass)
 # ---------------------------------------------------------------------------
 
 def stored(path: Path, key: str) -> np.ndarray:
@@ -266,57 +287,13 @@ def saved(tmp_path, chain_index):
     return tmp_path / "index.npz"
 
 
-def test_load_rejects_offsets_not_from_zero(saved):
-    offsets = stored(saved, "passage_offsets")
-    offsets[0] = 1
-    rewrite_npz(saved, passage_offsets=offsets)
-    with pytest.raises(IndexBuildError, match="index.npz: passage_offsets is not"):
-        load_index(saved.parent)
-
-
-def test_load_rejects_decreasing_offsets(saved):
-    offsets = stored(saved, "triple_offsets")
-    offsets[1], offsets[2] = offsets[2], offsets[1]
-    rewrite_npz(saved, triple_offsets=offsets)
-    with pytest.raises(IndexBuildError, match="index.npz: triple_offsets is not"):
-        load_index(saved.parent)
-
-
-def test_load_rejects_offsets_short_of_the_value_count(saved):
-    values = stored(saved, "passage_values")
-    buckets = stored(saved, "passage_buckets")
-    rewrite_npz(
-        saved,
-        passage_values=np.append(values, np.int8(1)),
-        passage_buckets=np.append(buckets, np.uint8(0)),
-    )
-    with pytest.raises(IndexBuildError, match="index.npz: passage_offsets is not"):
-        load_index(saved.parent)
-
-
 def test_load_rejects_a_bucket_outside_dim(saved):
-    buckets = stored(saved, "triple_buckets")
-    buckets[-1] = 128
-    rewrite_npz(saved, triple_buckets=buckets)
-    with pytest.raises(IndexBuildError, match=r"triple_buckets has a bucket outside \[0, 128\)"):
-        load_index(saved.parent)
-
-
-def test_load_rejects_buckets_and_values_of_other_lengths(saved):
-    rewrite_npz(saved, passage_buckets=stored(saved, "passage_buckets")[:-1])
-    with pytest.raises(IndexBuildError, match="index.npz: passage_offsets, _buckets"):
-        load_index(saved.parent)
-
-
-def test_load_rejects_offsets_of_another_row_count(saved):
-    rewrite_npz(saved, triple_offsets=stored(saved, "triple_offsets")[:-1])
-    with pytest.raises(IndexBuildError, match="index.npz: triple_offsets, _buckets"):
-        load_index(saved.parent)
-
-
-def test_load_rejects_a_shape_that_is_not_rows_by_dim(saved):
-    rewrite_npz(saved, passage_shape=np.asarray([4, 128, 1]))
-    with pytest.raises(IndexBuildError, match=r"index.npz: passage_shape is not \(rows, dim\)"):
+    # one bucket more than the manifest's dim of 128: a 129th row of columns
+    columns = stored(saved, "triple_columns")
+    rewrite_npz(saved, triple_columns=np.vstack([columns, columns[:1]]))
+    with pytest.raises(
+        IndexBuildError, match=r"manifest\.json: dim 128, but 129-wide triple vectors"
+    ):
         load_index(saved.parent)
 
 
@@ -407,7 +384,7 @@ def test_load_rejects_records_edited_in_place(tmp_path, chain_index):
 # if the hash is not checked.
 @pytest.mark.parametrize(
     "key",
-    ["passage_title_utf8", "t_term_freqs", "triple_values"],
+    ["passage_title_utf8", "t_term_freqs", "triple_columns"],
     ids=["records.npz", "lexical.npz", "embeddings.npz"],
 )
 def test_load_rejects_any_file_changed_after_the_save(tmp_path, chain_index, key):
@@ -450,7 +427,7 @@ def test_resealed_files_pass_the_hash_check(tmp_path, chain_index):
 # Arrays that do not read
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("key", ["passage_title_utf8", "t_doc_freq", "triple_values"])
+@pytest.mark.parametrize("key", ["passage_title_utf8", "t_doc_freq", "triple_columns"])
 def test_load_names_an_array_missing_from_its_npz(tmp_path, chain_index, key):
     save_index(chain_index, tmp_path)
     path = tmp_path / "index.npz"
@@ -527,16 +504,17 @@ def test_load_names_an_array_whose_header_misstates_its_size(tmp_path, chain_ind
             "triple_subject_offsets", lambda a: a.astype(np.float32), "1-D float32",
             id="float-text-offsets",
         ),
-        pytest.param("passage_shape", lambda a: a.astype(np.float64), "1-D float64", id="float-shape"),
-        pytest.param("triple_buckets", lambda a: a[None], "2-D uint8", id="2-d-buckets"),
-        pytest.param("passage_values", lambda a: a.astype(np.int16), "1-D int16", id="wide-values"),
-        pytest.param("triple_values", lambda a: a.view(np.uint8), "1-D uint8", id="unsigned-values"),
         pytest.param("t_vocab", lambda a: a[:, None], "2-D <U8", id="2-d-vocab"),
+        pytest.param("passage_columns", lambda a: a.astype(np.int16), "2-D int16", id="wide-values"),
+        pytest.param("triple_columns", lambda a: a.view(np.uint8), "2-D uint8", id="unsigned-values"),
+        pytest.param("passage_columns", np.ravel, "1-D int8", id="1-d-columns"),
+        pytest.param("triple_columns", lambda a: a[..., None], "3-D int8", id="3-d-columns"),
     ],
 )
 def test_load_rejects_an_array_stored_with_another_type(saved, key, change, stored_as):
     rewrite_npz(saved, **{key: change(stored(saved, key))})
-    with pytest.raises(IndexBuildError, match=rf"index\.npz: {key} is {stored_as}, not 1-D"):
+    wanted = "2-D int8 or float64" if key.endswith("_columns") else "1-D"
+    with pytest.raises(IndexBuildError, match=rf"index\.npz: {key} is {stored_as}, not {wanted}"):
         load_index(saved.parent)
 
 
@@ -545,9 +523,9 @@ def test_load_rejects_dense_rows_stored_with_another_type(tmp_path):
         return np.full(4, 0.5)
 
     save_index(build_index([Passage("p1", "", "body")], [], halves), tmp_path)
-    rewrite_npz(tmp_path / "index.npz", passage_vectors=np.full((1, 4), 0.5, dtype=np.float32))
+    rewrite_npz(tmp_path / "index.npz", passage_columns=np.full((4, 1), 0.5, dtype=np.float32))
     with pytest.raises(
-        IndexBuildError, match=r"index\.npz: passage_vectors is 2-D float32, not 2-D float64"
+        IndexBuildError, match=r"index\.npz: passage_columns is 2-D float32, not 2-D int8 or float64"
     ):
         load_index(tmp_path, embedder=halves)
 

@@ -226,7 +226,7 @@ def test_index_npz_keys_unchanged(tmp_path, chain_index):
     for prefix, name in (("p", "passage"), ("t", "triple")):
         keys += [f"{prefix}_{key}" for key in ("doc_lengths", "vocab", "doc_freq", "indptr",
                                                 "doc_positions", "term_freqs")]
-        keys += [f"{name}_{key}" for key in ("shape", "offsets", "buckets", "values")]
+        keys.append(f"{name}_columns")
     with np.load(tmp_path / "index.npz") as npz:
         assert npz.files == keys
         for prefix, view in (("p", PASSAGES), ("t", TRIPLES)):
@@ -323,18 +323,11 @@ def test_load_rejects_passage_added_to_records_after_save(tmp_path, chain_index)
 def test_load_rejects_vector_row_count(tmp_path, chain_index):
     save_index(chain_index, tmp_path)
     emb = tmp_path / "index.npz"
-    # the first three sparse rows, consistent among themselves
+    # the columns of the first three of four passages
     with np.load(emb) as stored:
-        cut = {key: stored[f"passage_{key}"] for key in ("shape", "offsets", "buckets", "values")}
-    stop = cut["offsets"][3]
-    rewrite_npz(
-        emb,
-        passage_shape=np.asarray([3, cut["shape"][1]]),
-        passage_offsets=cut["offsets"][:4],
-        passage_buckets=cut["buckets"][:stop],
-        passage_values=cut["values"][:stop],
-    )
-    with pytest.raises(IndexBuildError, match="index.npz: 3 passage vectors"):
+        columns = stored["passage_columns"]
+    rewrite_npz(emb, passage_columns=np.ascontiguousarray(columns[:, :3]))
+    with pytest.raises(IndexBuildError, match="index.npz: 3 passage vectors for 4 ids"):
         load_index(tmp_path)
 
 
@@ -382,6 +375,39 @@ def test_load_rejects_a_vocab_not_strictly_ascending(tmp_path, prefix, vocab):
         assert stored[f"{prefix}_vocab"].tolist() == ["alpha", "beta", "gamma"]
     rewrite_npz(tmp_path / "index.npz", **{f"{prefix}_vocab": np.asarray(vocab)})
     with pytest.raises(IndexBuildError, match=rf"index\.npz: {prefix}_vocab is not strictly ascending"):
+        load_index(tmp_path)
+
+
+# "alpha" is the first row of both views, at positions [0, 2] with term
+# frequencies [2, 1]. Each edit below passes the length, range and
+# ``indptr`` checks, and an index that took it would rank wrongly: "alpha"
+# would find p1 alone, or p3 above p1, or nothing.
+@pytest.mark.parametrize("prefix", ["p", "t"])
+@pytest.mark.parametrize(
+    "key, at, value",
+    [
+        ("doc_positions", slice(0, 2), [0, 0]),
+        ("doc_positions", slice(0, 2), [2, 0]),
+        ("term_freqs", slice(None), 0),
+        ("doc_lengths", 0, 100),
+    ],
+    ids=["repeated-position", "reversed-row", "zero-term-freqs", "longer-text"],
+)
+def test_load_rejects_postings_that_disagree_with_themselves(tmp_path, prefix, key, at, value):
+    passages = [Passage("p1", "", "alpha alpha beta"), Passage("p2", "", "beta gamma"),
+                Passage("p3", "", "alpha delta")]
+    triples = [Triple("t1", "alpha", "alpha", "beta", "p1"),
+               Triple("t2", "beta", "is", "gamma", "p2"),
+               Triple("t3", "alpha", "is", "delta", "p3")]
+    save_index(build_index(passages, triples, HashEmbedder(16)), tmp_path)
+    with np.load(tmp_path / "index.npz") as stored:
+        assert stored[f"{prefix}_vocab"][0] == "alpha" and stored[f"{prefix}_indptr"][1] == 2
+        assert stored[f"{prefix}_doc_positions"][:2].tolist() == [0, 2]
+        assert stored[f"{prefix}_term_freqs"][:2].tolist() == [2, 1]
+        array = stored[f"{prefix}_{key}"].copy()
+    array[at] = value
+    rewrite_npz(tmp_path / "index.npz", **{f"{prefix}_{key}": array})
+    with pytest.raises(IndexBuildError, match=rf"index\.npz: {prefix}_{key} "):
         load_index(tmp_path)
 
 
