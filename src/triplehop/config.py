@@ -137,14 +137,15 @@ def _section(parser: configparser.ConfigParser, name: str, defaults):
 
 
 def load_engine_config(path: str | Path | None = None) -> EngineConfig:
-    """Read an engine config file; absent file sections keep their defaults."""
+    """Read an engine config file, as UTF-8; absent file sections keep their
+    defaults. A file that does not parse or decode raises ConfigError naming it."""
     defaults = EngineConfig()
     if path is None:
         return defaults
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
-        read = parser.read(path)
-    except configparser.Error as e:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: {e}") from e
     if not read:
         raise ConfigError(f"config file not found: {path}")

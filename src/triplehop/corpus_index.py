@@ -226,59 +226,34 @@ def exact_int8(rows: np.ndarray) -> np.ndarray:
     return small if np.array_equal(small, rows) else rows
 
 
-def _transposed(layout: np.ndarray) -> np.ndarray:
-    """The other layout of a view's 2-D array: of float64 the view
-    ``layout.T``, no copy; of ``int8`` a C-contiguous copy of it, made a
-    block of 128 rows at a time (several times faster than
-    ``np.ascontiguousarray(layout.T)`` from rows to columns)."""
-    if layout.dtype == np.float64:
-        return layout.T
-    out = np.empty(layout.shape[::-1], dtype=layout.dtype)
-    for lo in range(0, len(layout), 128):
-        out[:, lo : lo + 128] = layout[lo : lo + 128].T
-    return out
-
-
 @dataclass(frozen=True)
 class VectorView:
-    """Per-view embedding matrix: the embedder's rows in ascending id order,
-    in two layouts, and their squared norms.
+    """Per-view embedding matrix in one layout, as dense search reads it and
+    ``index.npz`` stores it: ``columns``, the embedder's rows in ascending id
+    order transposed, (dim, N), and ``sq_norms``, each row's squared norm in
+    float64. A build passes the columns ``_embed_view`` makes, and a load
+    the stored ones; they are kept as given, unchecked and never widened.
 
-    ``vectors`` is row-major, what the beam scorer reads of the triple view:
-    ``int8`` when that holds the rows exactly (see ``exact_int8``), as for
-    hashed counts, else float64. An ``int8`` array, as a build passes hashed
-    counts, is kept unchecked and never widened whole. ``columns`` is the
-    rows transposed, (dim, N), what dense search reads and ``index.npz``
-    stores: of ``int8`` rows a C-contiguous copy, so a bucket's values over
-    the view are N contiguous bytes that dense search gathers (in float32
-    when that is exact); of float64 rows the view ``vectors.T``, no copy.
-    ``sq_norms`` holds the rows' squared norms in float64.
-
-    A build passes ``vectors`` and a load passes ``columns`` alone, as
-    stored; the other layout is made from it by ``_transposed``.
+    ``columns`` is ``int8`` when that holds every value exactly (see
+    ``exact_int8``), as for hashed counts, and then C-contiguous, so a
+    bucket's values over the view are N contiguous bytes that dense search
+    gathers (in float32 when that is exact). Otherwise it is float64 in
+    Fortran order, each vector's values contiguous as the embedder gave
+    them, so fractional sums round as the embedder's rows' do.
     """
 
     ids: tuple[str, ...]
-    vectors: np.ndarray | None = None
-    columns: np.ndarray | None = field(default=None, repr=False)
+    columns: np.ndarray = field(repr=False)
     sq_norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows, columns = self.vectors, self.columns
-        if rows is None:
-            rows = _transposed(columns)
-        else:
-            if rows.dtype != np.int8:
-                rows = exact_int8(np.asarray(rows, dtype=np.float64))
-            columns = _transposed(rows)
-        object.__setattr__(self, "vectors", rows)
-        object.__setattr__(self, "columns", columns)
-        # einsum widens int8 rows to ``dtype`` in small buffers, not whole. An
-        # int8 square is at most 128**2, so with under 1024 buckets every
-        # partial sum of a row is an integer below 2**24, which float32 holds
-        # exactly: the float64 sum's bits in half the time.
-        wide = np.float32 if rows.dtype == np.int8 and rows.shape[1] < 1024 else np.float64
-        sq_norms = np.einsum("ij,ij->i", rows, rows, dtype=wide).astype(np.float64, copy=False)
+        columns = self.columns
+        # einsum widens int8 columns to ``dtype`` in small buffers, not whole.
+        # An int8 square is at most 128**2, so with under 1024 buckets every
+        # partial sum of a column is an integer below 2**24, which float32
+        # holds exactly: the float64 sum's bits in half the time.
+        wide = np.float32 if columns.dtype == np.int8 and len(columns) < 1024 else np.float64
+        sq_norms = np.einsum("ij,ij->j", columns, columns, dtype=wide).astype(np.float64, copy=False)
         object.__setattr__(self, "sq_norms", sq_norms)
 
 
@@ -306,9 +281,13 @@ class CorpusIndex:
     (a triple naming one entity twice is in its group twice) and by passage.
     ``alignment`` maps triple id -> passage id.
 
+    ``triple_rows`` is the triple view's columns transposed for the beam
+    scorer, the one view held by row: a C-contiguous copy of ``int8``
+    columns, and ``columns.T`` itself of float64 ones.
+
     The only state it gains afterwards is ``Memo``s, kept for the life of
-    the index: ``triple_ends``, triple id -> (its row in the triple vector
-    view, the first and the last two characters of its lower-cased
+    the index: ``triple_ends``, triple id -> (its row in ``triple_rows``,
+    the first and the last two characters of its lower-cased
     serialization), for the beam scorer; ``neighbour_ids``, triple id -> its
     neighbours, ascending; and each lexical view's ``bm25_weights``. Threads
     that miss on one entry may each compute it, and all get the value stored
@@ -325,12 +304,15 @@ class CorpusIndex:
     entity_csr: tuple[np.ndarray, np.ndarray] = field(repr=False)
     passage_csr: tuple[np.ndarray, np.ndarray] = field(repr=False)
     alignment: Records = field(init=False, repr=False, compare=False)
+    triple_rows: np.ndarray = field(init=False, repr=False, compare=False)
     triple_ends: Memo = field(init=False, repr=False, compare=False)
     neighbour_ids: Memo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         by_passage = {"passage_id": self.triples.columns["passage_id"]}
         self.alignment = Records("triple", lambda _, pid: pid, self.triples.ids, by_passage)
+        columns = self.vectors[TRIPLES].columns
+        self.triple_rows = columns.T if columns.dtype == np.float64 else np.ascontiguousarray(columns.T)
         self.triple_ends = Memo(partial(_triple_ends, self.triples))
         self.neighbour_ids = Memo(
             partial(_neighbours, self.triples, self.entity_codes, self.entity_csr)
@@ -400,7 +382,7 @@ def _assemble(
     """Check the records and derive the graph arrays (``_graph``), then make
     the views. ``build_index`` and ``load_index`` differ only in
     ``make_views(passage_ids, triple_ids)``, which returns the lexical and
-    the vector views, rows in that order.
+    the vector views (as columns), in that order.
 
     Raises IndexBuildError on empty ids, ids not strictly ascending (naming
     the first repeated id, if any), dangling passage references, or triples
@@ -475,25 +457,25 @@ _EMBED_BLOCK = 256
 
 
 def _embed_view(embedder, texts: list[str], labels: tuple[str, ...]) -> np.ndarray:
-    """A view's rows, one ``embed_texts`` call per 256 texts
-    (``_EMBED_BLOCK``), each block narrowed by ``exact_int8`` as it arrives:
-    ``int8``, or float64 from the first block ``int8`` does not hold; (0, 0)
-    and no call for no texts. A block of another width than the first
-    raises IndexBuildError naming it."""
-    rows = np.zeros((0, 0), dtype=np.float64)
+    """A view's columns (see ``VectorView``), one ``embed_texts`` call per
+    256 texts (``_EMBED_BLOCK``), each block narrowed by ``exact_int8`` and
+    written into them transposed: ``int8``, or Fortran-order float64 from
+    the first block ``int8`` does not hold; (0, 0) and no call for no texts.
+    A block of another width than the first raises IndexBuildError naming it."""
+    columns = np.zeros((0, 0), dtype=np.float64)
     for lo in range(0, len(texts), _EMBED_BLOCK):
         hi = lo + _EMBED_BLOCK
         block = embed_texts(embedder, texts[lo:hi], labels[lo:hi])
         if not lo:
-            rows = np.zeros((len(texts), block.shape[1]), dtype=np.int8)
-        elif block.shape[1] != rows.shape[1]:
+            columns = np.zeros((block.shape[1], len(texts)), dtype=np.int8)
+        elif block.shape[1] != len(columns):
             width = f"{block.shape[1]}-wide rows from {labels[lo]!r} on"
-            raise IndexBuildError(f"embedder returned {width}, not {rows.shape[1]}-wide")
-        if rows.dtype == np.int8:
+            raise IndexBuildError(f"embedder returned {width}, not {len(columns)}-wide")
+        if columns.dtype == np.int8:
             block = exact_int8(block)
-            rows = rows if block.dtype == np.int8 else rows.astype(np.float64)
-        rows[lo:hi] = block
-    return rows
+            columns = columns if block.dtype == np.int8 else columns.astype(np.float64, order="F")
+        columns[:, lo:hi] = block.T
+    return columns
 
 
 def build_index(
@@ -510,7 +492,7 @@ def build_index(
     call when the embedder has it (``HttpEmbedder`` sends up to 32 texts per
     request), else one call per text. Rows that ``int8`` holds exactly, as
     hashed counts, stay ``int8``, so a hashed view is float64 one block of
-    256 rows at most.
+    256 rows at most, and each block goes straight into the view's columns.
 
     Raises IndexBuildError on invalid records, as ``_assemble`` describes, and
     when the embedder's rows are not one 1-D vector of one length per text.
@@ -570,31 +552,35 @@ def read_jsonl(
 ) -> list:
     """``parse`` each non-blank line of a JSON Lines file into a record.
 
-    Invalid JSON, a line that is not an object, a missing field (``KeyError``
-    from ``parse``), a field of the wrong JSON type (``TypeError``) or a
-    rejected value (``ValueError``) raises ``error`` naming ``path:line``.
-    With ``kind`` given, the records' ``id``s must be distinct: a repeated one
-    raises ``error`` naming its ``path:line`` and the line it first appeared on.
+    A line that is not UTF-8, invalid JSON, a line that is not an object, a
+    missing field (``KeyError`` from ``parse``), a field of the wrong JSON
+    type (``TypeError``) or a rejected value (``ValueError``) raises
+    ``error`` naming ``path:line``. With ``kind`` given, the records' ``id``s
+    must be distinct: a repeated one raises ``error`` naming its
+    ``path:line`` and the line it first appeared on.
     """
     out, linenos = [], []  # each record and its line
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise error(f"{path}:{lineno}: invalid JSON: {e}") from e
-            if not isinstance(obj, dict):
-                raise error(f"{path}:{lineno}: expected a JSON object")
-            try:
-                out.append(parse(obj))
-            except KeyError as e:
-                raise error(f"{path}:{lineno}: missing field {e}") from e
-            except (TypeError, ValueError) as e:
-                raise error(f"{path}:{lineno}: {e}") from e
-            linenos.append(lineno)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise error(f"{path}:{lineno}: invalid JSON: {e}") from e
+                if not isinstance(obj, dict):
+                    raise error(f"{path}:{lineno}: expected a JSON object")
+                try:
+                    out.append(parse(obj))
+                except KeyError as e:
+                    raise error(f"{path}:{lineno}: missing field {e}") from e
+                except (TypeError, ValueError) as e:
+                    raise error(f"{path}:{lineno}: {e}") from e
+                linenos.append(lineno)
+    except UnicodeDecodeError as e:  # raised by the file's decoder, a chunk at a time
+        raise error(_not_utf8(path)) from e
     if kind is not None and len({record.id for record in out}) < len(out):
         first_line: dict[str, int] = {}
         for record, lineno in zip(out, linenos):
@@ -604,6 +590,18 @@ def read_jsonl(
                     f"{path}:{lineno}: duplicate {kind} id: {record.id!r}, first on line {first}"
                 )
     return out
+
+
+def _not_utf8(path: str | Path) -> str:
+    """``path:line`` of the first line of a file that is not UTF-8, and why,
+    the lines split where text mode splits them: at \\n, \\r and \\r\\n."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return f"{path}:{lineno}: not UTF-8: {e.reason} at byte {e.start} of the line"
+    return f"{path}: not UTF-8"
 
 
 _JSON_KINDS = {
@@ -836,12 +834,11 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
     staging.mkdir()
     retired = None
     try:
-        dim = int(index.vectors[PASSAGES].vectors.shape[1]) if index.passages else 0
         _write_npz(staging / _INDEX_FILE, _index_arrays(index))
         manifest = {
             "format_version": FORMAT_VERSION,
             "embedder": getattr(index.embedder, "name", "custom"),
-            "dim": dim,
+            "dim": len(index.vectors[PASSAGES].columns),
             "passages": len(index.passages),
             "triples": len(index.triples),
             "sha256": {_INDEX_FILE: _sha256(staging / _INDEX_FILE)},
@@ -960,7 +957,7 @@ def _read_vector_view(npz: _Npz, name: str, ids: tuple[str, ...], dim) -> Vector
     if len(ids) and width != dim:
         width = f"{width}-wide {name} vectors"
         raise IndexBuildError(f"{npz.path.parent / 'manifest.json'}: dim {dim!r}, but {width}")
-    return VectorView(ids, columns=columns)
+    return VectorView(ids, columns)
 
 
 def _read_lexical_view(npz: _Npz, prefix: str, ids: tuple[str, ...]) -> LexicalView:
@@ -1043,7 +1040,7 @@ def load_index(
     writes, or disagrees with the others, and a manifest ``dim`` unlike the
     stored views' or a ``hash:<dim>`` embedder's, raises IndexBuildError naming
     the file. Stored integer arrays are widened back to int64. Each view
-    keeps the columns it reads, and its rows are their one transpose.
+    keeps the columns it reads, as stored.
     """
     from .base_retrieval import hash_dim, resolve_embedder
 

@@ -26,7 +26,6 @@ from .base_retrieval import (
 )
 from .corpus_index import (
     PASSAGES,
-    TRIPLES,
     CorpusIndex,
     embed_texts,
     get_neighbours,
@@ -98,8 +97,8 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     memo (``trigram_codes``). That needs A and B of at least 2 characters;
     each is at least 5 (three non-blank fields joined by spaces), and is
     sliced after lower-casing, because ``'İ'.lower()`` is two characters. A
-    triple's counts are its (``int8``) row of the triple view; its row and
-    ends come from the index's ``triple_ends`` memo. Both memos are
+    triple's counts are its (``int8``) row of ``index.triple_rows``; its
+    row and ends come from the index's ``triple_ends`` memo. Both memos are
     ``Memo``s: threads that miss on one entry may each compute it, and all
     get the value stored first, so scorers on several threads share them
     with no lock. A search keeps each beam prefix's counts plus its last
@@ -135,7 +134,7 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
             return [float(unit_query @ cache[text]) for text in texts]
 
     else:
-        rows = index.vectors[TRIPLES].vectors
+        rows = index.triple_rows
         ends = index.triple_ends
         codes = trigram_codes(dim)
         # prefix -> its counts plus its last triple's tail, zero for (); head

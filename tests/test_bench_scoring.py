@@ -142,7 +142,7 @@ def test_embed_many_dense_index_passages(benchmark, dense_index):
     embedder = dense_index.embedder
     texts = [dense_index.passages[pid].body for pid in dense_index.vectors[PASSAGES].ids]
     rows = benchmark(embedder.embed_many, texts)
-    assert rows.tobytes() == dense_index.vectors[PASSAGES].vectors.astype(np.float64).tobytes()
+    assert rows.tobytes() == dense_index.vectors[PASSAGES].columns.T.astype(np.float64).tobytes()
 
 
 @pytest.mark.parametrize("how", ["embed_many", "hash_embed"])
@@ -169,6 +169,7 @@ def test_load_index_dense_index(benchmark, dense_index, tmp_path):
     """``load_index`` of the 10k-passage index."""
     save_index(dense_index, tmp_path / "idx")
     loaded = benchmark(load_index, tmp_path / "idx")
-    assert loaded.vectors[PASSAGES].vectors.tobytes() == (
-        dense_index.vectors[PASSAGES].vectors.tobytes()
+    assert loaded.vectors[PASSAGES].columns.tobytes() == (
+        dense_index.vectors[PASSAGES].columns.tobytes()
     )
+    assert loaded.triple_rows.tobytes() == dense_index.triple_rows.tobytes()

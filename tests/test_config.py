@@ -187,6 +187,24 @@ def test_config_error_exits_1_from_the_cli(tmp_path, capsys):
     assert "[agent] max_iterations" in capsys.readouterr().err
 
 
+def test_config_is_read_as_utf8_and_undecodable_bytes_raise_config_error(tmp_path):
+    path = tmp_path / "engine.cfg"
+    path.write_bytes("[llm]\nmodel = modèle-ß\n".encode("utf-8"))
+    assert load_engine_config(path).llm.model == "modèle-ß"
+    path.write_bytes(b"[llm]\nmodel = mod\xe8le\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
+        load_engine_config(path)
+
+
+def test_an_undecodable_config_exits_1_from_the_cli(tmp_path, capsys):
+    path = tmp_path / "engine.cfg"
+    path.write_bytes(b"[llm]\nmodel = \xff\n")
+    code = dispatch(["retrieve", "--index", str(tmp_path), "--query", "x",
+                     "--config", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"config error: {path}: 'utf-8' codec")
+
+
 def test_agent_section_sets_agent_config_fields():
     assert set(scalar_fields(AgentConfig)) == {
         "max_iterations", "per_iteration_k", "passage_link_k", "reuse_first_read",

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,12 +16,14 @@ from triplehop import (
     IndexBuildError,
     Passage,
     RetrievalError,
+    ScriptedBackend,
     Triple,
     bm25_search,
     build_index,
     dense_search,
     get_neighbours,
     load_index,
+    load_questions_jsonl,
     normalize_entity,
     save_index,
     serialize_sequence,
@@ -279,8 +283,8 @@ def test_view_rows_are_the_embedders_output(tmp_path, chain_index):
         for view, by_id in texts.items():
             vv = index.vectors[view]
             assert vv.ids == tuple(sorted(by_id))
-            assert vv.vectors.dtype == np.int8
-            wide = vv.vectors.astype(np.float64)
+            assert vv.columns.dtype == np.int8
+            wide = vv.columns.T.astype(np.float64)
             for row, item_id in zip(wide, vv.ids):
                 assert row.tobytes() == index.embedder(by_id[item_id]).tobytes()
             assert vv.sq_norms.tolist() == [float(r @ r) for r in wide]
@@ -387,15 +391,15 @@ def test_hashed_rows_are_stored_as_int8_and_other_rows_as_float64(tmp_path, chai
     save_index(chain_index, tmp_path / "hashed")
     with np.load(tmp_path / "hashed" / "index.npz") as emb:
         for name, view in (("passage", PASSAGES), ("triple", TRIPLES)):
-            rows = chain_index.vectors[view].vectors
+            held = chain_index.vectors[view].columns
             # a view stores one array; the records' keys end in _utf8 and _offsets
             view_keys = [key for key in emb.files if key.startswith(f"{name}_")
                          and not key.endswith(("_utf8", "_offsets"))]
             assert view_keys == [f"{name}_columns"]
             columns = emb[f"{name}_columns"]
             assert columns.dtype == np.int8 and columns.flags.c_contiguous
-            assert columns.shape == (128, len(rows))
-            assert columns.tobytes() == np.ascontiguousarray(rows.T).tobytes()
+            assert columns.shape == (128, len(chain_index.vectors[view].ids))
+            assert columns.tobytes() == held.tobytes()
 
     def halves(text):
         return np.full(4, 0.5 if text else 0.0)
@@ -408,7 +412,7 @@ def test_hashed_rows_are_stored_as_int8_and_other_rows_as_float64(tmp_path, chai
         assert emb["passage_columns"].dtype == np.float64
         assert emb["passage_columns"].tobytes() == halves("body").tobytes()
     loaded = load_index(tmp_path / "custom", embedder=halves)
-    assert loaded.vectors[PASSAGES].vectors.tobytes() == halves("body").tobytes()
+    assert loaded.vectors[PASSAGES].columns.tobytes() == halves("body").tobytes()
 
 
 def test_hashed_views_hold_int8_rows_and_an_int8_column_copy(tmp_path, chain_index):
@@ -417,45 +421,57 @@ def test_hashed_views_hold_int8_rows_and_an_int8_column_copy(tmp_path, chain_ind
     for index in (chain_index, loaded):
         for view in (PASSAGES, TRIPLES):
             vv = index.vectors[view]
-            assert vv.vectors.dtype == np.int8
-            assert vv.vectors.flags.c_contiguous
-            assert vv.vectors.shape == (len(vv.ids), 128)
             assert vv.columns.dtype == np.int8
             assert vv.columns.flags.c_contiguous
             assert vv.columns.shape == (128, len(vv.ids))
-            assert np.array_equal(vv.columns, vv.vectors.T)
-            wide = vv.vectors.astype(np.float64)
+            wide = vv.columns.T.astype(np.float64)
             assert vv.sq_norms.dtype == np.float64
             assert vv.sq_norms.tobytes() == np.einsum("ij,ij->i", wide, wide).tobytes()
             assert vv.sq_norms.tobytes() == chain_index.vectors[view].sq_norms.tobytes()
+        rows = index.triple_rows
+        assert rows.dtype == np.int8 and rows.flags.c_contiguous
+        assert rows.shape == (len(index.triples), 128)
+        assert np.array_equal(rows, index.vectors[TRIPLES].columns.T)
 
 
 def test_int8_columns_span_several_transpose_blocks():
+    # 300 triples: two embedding blocks, each written transposed into the columns
     rows = np.random.default_rng(7).integers(-8, 9, size=(300, 16)).astype(np.float64)
-    ids = tuple(f"p{i:03d}" for i in range(300))
-    for given in (rows, rows.astype(np.int8)):
-        vv = VectorView(ids, given)
-        assert vv.columns.dtype == np.int8 and vv.columns.flags.c_contiguous
-        assert np.array_equal(vv.columns, rows.T)
-        assert vv.vectors.dtype == np.int8
-        assert vv.vectors.astype(np.float64).tobytes() == rows.tobytes()
-        assert vv.sq_norms.tobytes() == np.einsum("ij,ij->i", rows, rows).tobytes()
-    # a value int8 cannot hold keeps the float64 rows, as their own columns too
+    triples = [Triple(f"t{i:03d}", f"a{i}", "r", f"b{i}", "p1") for i in range(300)]
+    by_text = {serialize_triple(t): row for t, row in zip(triples, rows)}
+
+    def embed(text):
+        return by_text.get(text, rows[0])
+
+    index = build_index([Passage("p1", "", "a0 r b0")], triples, embed)
+    vv = index.vectors[TRIPLES]
+    assert vv.columns.dtype == np.int8 and vv.columns.flags.c_contiguous
+    assert np.array_equal(vv.columns, rows.T)
+    assert index.triple_rows.dtype == np.int8 and index.triple_rows.flags.c_contiguous
+    assert index.triple_rows.astype(np.float64).tobytes() == rows.tobytes()
+    assert vv.sq_norms.tobytes() == np.einsum("ij,ij->i", rows, rows).tobytes()
+    # a value int8 cannot hold, in the second block, makes the view float64:
+    # Fortran-order columns, each vector's values contiguous as the embedder
+    # gave them, whose transposed view is the triple rows
     rows[299, 15] = 200.0
-    wide = VectorView(ids, rows)
-    assert wide.vectors.dtype == np.float64 and np.shares_memory(wide.vectors, rows)
-    assert np.shares_memory(wide.columns, rows)
-    assert wide.sq_norms.tobytes() == np.einsum("ij,ij->i", rows, rows).tobytes()
+    index = build_index([Passage("p1", "", "a0 r b0")], triples, embed)
+    vv = index.vectors[TRIPLES]
+    assert vv.columns.dtype == np.float64 and vv.columns.flags.f_contiguous
+    assert np.array_equal(vv.columns, rows.T)
+    assert np.shares_memory(index.triple_rows, vv.columns)
+    assert index.triple_rows.flags.c_contiguous and index.triple_rows.tobytes() == rows.tobytes()
+    assert vv.sq_norms.tobytes() == np.einsum("ij,ij->i", rows, rows).tobytes()
 
 
 @pytest.mark.parametrize("dim", [1023, 1025])
 def test_squared_norms_of_int8_rows_are_exact(dim):
-    # -128 in every bucket but the last, 1 there: at dim 1025 the first row's
-    # sum is 2**24 + 1, which float32 does not hold; at 1023 it is below 2**24
+    # -128 in every bucket but the last, 1 there: at dim 1025 the first
+    # vector's sum is 2**24 + 1, which float32 does not hold; at 1023 it is
+    # below 2**24
     rows = np.full((2, dim), -128, dtype=np.int8)
     rows[:, -1] = 1
     rows[1, ::2] = 3
-    vv = VectorView(("a", "b"), rows)
+    vv = VectorView(("a", "b"), np.ascontiguousarray(rows.T))
     assert vv.sq_norms.dtype == np.float64
     assert vv.sq_norms.tolist() == [sum(v * v for v in row) for row in rows.tolist()]
 
@@ -477,8 +493,42 @@ def test_a_hashed_build_holds_no_float64_copy_of_a_view():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert index.vectors[TRIPLES].vectors.dtype == np.int8
+    assert index.vectors[TRIPLES].columns.dtype == np.int8
     assert peak < n * dim * 8
+
+
+def held_by(make):
+    """What ``make()`` returns, and the traced bytes still live once it has."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        made = make()
+        gc.collect()
+        return made, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_index_holds_one_copy_of_each_view(tmp_path):
+    # 20,000 passages at dim 512: 10.2 MB of int8 passage columns, and a few
+    # hundred kB each of text, postings and norms beside them. A second
+    # layout of the passage view would be 10.2 MB more.
+    n, dim = 20_000, 512
+    passages = [Passage(f"p{i:05d}", "", f"w{i % 50} x{i % 7}") for i in range(n)]
+    triples = [Triple(f"t{i}", f"w{i}", "r", f"x{i}", f"p{i:05d}") for i in range(10)]
+    built, built_bytes = held_by(lambda: build_index(passages, triples, HashEmbedder(dim)))
+    save_index(built, tmp_path / "idx")
+    loaded, loaded_bytes = held_by(lambda: load_index(tmp_path / "idx"))
+    one_copy = n * dim
+    assert built.vectors[PASSAGES].columns.nbytes == one_copy
+    assert [f.name for f in fields(VectorView)] == ["ids", "columns", "sq_norms"]
+    for index, nbytes in ((built, built_bytes), (loaded, loaded_bytes)):
+        assert nbytes < one_copy * 1.5
+        rows, columns = index.triple_rows, index.vectors[TRIPLES].columns
+        assert rows.dtype == np.int8 and rows.flags.c_contiguous
+        assert rows.shape == (len(triples), dim)
+        assert rows.tobytes() == np.ascontiguousarray(columns.T).tobytes()
 
 
 def test_a_save_holds_one_stored_array_at_a_time(tmp_path):
@@ -519,10 +569,10 @@ def test_float_rows_are_their_own_columns(tmp_path):
     save_index(index, tmp_path / "idx")
     for searched in (index, load_index(tmp_path / "idx", embedder=halves)):
         for view in (PASSAGES, TRIPLES):
-            vv = searched.vectors[view]
-            assert vv.columns.dtype == np.float64
-            assert np.shares_memory(vv.columns, vv.vectors)
-            assert np.array_equal(vv.columns, vv.vectors.T)
+            assert searched.vectors[view].columns.dtype == np.float64
+        columns = searched.vectors[TRIPLES].columns
+        assert np.shares_memory(searched.triple_rows, columns)
+        assert np.array_equal(searched.triple_rows, columns.T)
 
 
 def test_loading_hashed_rows_skips_the_int8_check(tmp_path, chain_index, monkeypatch):
@@ -652,3 +702,36 @@ def test_read_jsonl_names_line_of_type_error(tmp_path):
     path.write_text('{"n": [1]}\n{"n": 5}\n')
     with pytest.raises(IndexBuildError, match=r"records.jsonl:2: object of type 'int' has no len"):
         read_jsonl(path, lambda obj: len(obj["n"]))
+
+
+@pytest.mark.parametrize(
+    "read, error, record",
+    [
+        (load_passages_jsonl, IndexBuildError,
+         lambda i, text: {"id": f"p{i}", "title": "T", "text": text}),
+        (load_triples_jsonl, IndexBuildError,
+         lambda i, text: {"passage_id": "p1", "subject": text, "predicate": "r", "object": "B"}),
+        (load_questions_jsonl, ValueError,
+         lambda i, text: {"id": f"q{i}", "question": text, "gold_passage_ids": ["p1"],
+                          "answers": ["B"]}),
+        (lambda path: ScriptedBackend.from_jsonl(path)._fixtures, ValueError,
+         lambda i, text: {"kind": "reader", "key": f"k{i}", "response": text}),
+    ],
+    ids=["passages", "triples", "questions", "fixtures"],
+)
+def test_jsonl_readers_name_the_line_that_is_not_utf8(tmp_path, read, error, record):
+    # \r\n, a lone \r and \n end lines alike; the long line puts the bad byte
+    # past the decoder's first chunk of the file
+    lines = [json.dumps(record(i, text)).encode() for i, text in enumerate(["one", "two" * 5000])]
+    lines.append(json.dumps(record(2, "thrée")).encode())
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(lines[0] + b"\r\n" + lines[1] + b"\r" + lines[2] + b"\n")
+    with_crlf = read(path)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert read(path) == with_crlf
+    path.write_bytes(lines[0] + b"\r\n" + lines[1] + b"\r" + lines[2].replace(b"thr", b"th\xff"))
+    with pytest.raises(error) as raised:
+        read(path)
+    assert raised.type is error
+    at = lines[2].index(b"thr") + 2
+    assert str(raised.value) == f"{path}:3: not UTF-8: invalid start byte at byte {at} of the line"

@@ -194,8 +194,8 @@ def test_built_and_loaded_views_equal_per_text_vectors(tmp_path, dim):
     for view, texts in zip((PASSAGES, TRIPLES), _view_texts(index)):
         want = stacked(texts, dim)
         for got in (index, loaded, plain):
-            assert got.vectors[view].vectors.dtype == np.int8
-            assert_bytes_equal(got.vectors[view].vectors.astype(np.float64), want)
+            assert got.vectors[view].columns.dtype == np.int8
+            assert_bytes_equal(got.vectors[view].columns.T.astype(np.float64), want)
             assert got.vectors[view].sq_norms.tobytes() == index.vectors[view].sq_norms.tobytes()
 
 
@@ -205,11 +205,11 @@ def test_build_embeds_each_view_in_one_call():
     index = build_index(passages, triples, embedder)
     want_passages, want_triples = _view_texts(index)
     assert embedder.batches == [want_passages, want_triples]
-    # No texts, no call, and the (0, 0) rows of today's format.
+    # No texts, no call, and the (0, 0) columns of today's format.
     empty = RecordingEmbedder()
     no_triples = build_index(passages[:2], [], empty)
     assert len(empty.batches) == 1
-    assert no_triples.vectors[TRIPLES].vectors.shape == (0, 0)
+    assert no_triples.vectors[TRIPLES].columns.shape == (0, 0)
 
 
 def _block_corpus(n=10):
@@ -229,14 +229,14 @@ def test_build_embeds_a_view_in_fixed_blocks_as_int8(monkeypatch):
         want_triples[:4], want_triples[4:8], want_triples[8:],
     ]
     for view, texts in zip((PASSAGES, TRIPLES), (want_passages, want_triples)):
-        rows = index.vectors[view].vectors
-        assert rows.dtype == np.int8
-        assert_bytes_equal(rows.astype(np.float64), stacked(texts, 64))
+        columns = index.vectors[view].columns
+        assert columns.dtype == np.int8 and columns.flags.c_contiguous
+        assert_bytes_equal(columns.T.astype(np.float64), stacked(texts, 64))
     # An empty view is still (0, 0), with no call.
     empty = RecordingEmbedder()
     no_triples = build_index(passages, [], empty)
     assert len(empty.batches) == 3
-    assert no_triples.vectors[TRIPLES].vectors.shape == (0, 0)
+    assert no_triples.vectors[TRIPLES].columns.shape == (0, 0)
 
 
 class _FractionalFrom:
@@ -264,12 +264,11 @@ def test_a_view_turns_float64_from_its_first_fractional_block(monkeypatch, batch
         embedder = embedder.__call__
     index = build_index(passages, triples, embedder)
     want_passages, want_triples = _view_texts(index)
-    rows = index.vectors[PASSAGES].vectors
-    assert rows.dtype == np.float64
-    assert_bytes_equal(rows, np.stack([embedder(text) for text in want_passages]))
-    assert index.vectors[PASSAGES].columns.dtype == np.float64
-    assert index.vectors[TRIPLES].vectors.dtype == np.int8
-    assert_bytes_equal(index.vectors[TRIPLES].vectors.astype(np.float64), stacked(want_triples, 64))
+    columns = index.vectors[PASSAGES].columns
+    assert columns.dtype == np.float64 and columns.flags.f_contiguous
+    assert_bytes_equal(columns.T, np.stack([embedder(text) for text in want_passages]))
+    assert index.vectors[TRIPLES].columns.dtype == np.int8
+    assert_bytes_equal(index.vectors[TRIPLES].columns.T.astype(np.float64), stacked(want_triples, 64))
 
 
 @pytest.mark.parametrize("batched", [True, False])
@@ -463,8 +462,8 @@ def test_http_build_sends_each_view_in_fixed_size_chunks(monkeypatch):
     assert [t for p in server.payloads[:2] for t in p["input"]] == passage_texts
     assert server.payloads[2]["input"] == triple_texts
     # Rows follow each item's "index", not the reply's order.
-    assert index.vectors[PASSAGES].vectors.tolist() == [_vector(t) for t in passage_texts]
-    assert index.vectors[TRIPLES].vectors.tolist() == [_vector(t) for t in triple_texts]
+    assert index.vectors[PASSAGES].columns.T.tolist() == [_vector(t) for t in passage_texts]
+    assert index.vectors[TRIPLES].columns.T.tolist() == [_vector(t) for t in triple_texts]
     # One text is one request of one input.
     server.payloads.clear()
     assert HttpEmbedder("http://embed.invalid/v1")("abc").tolist() == _vector("abc")

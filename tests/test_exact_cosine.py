@@ -109,14 +109,14 @@ def test_dense_ids_equal_exact_oracle(corpus, query):
 
 
 def reference_entries(index, texts, view, k):
-    """The ranking from the full float64 product ``Q @ vectors.T``, every
+    """The ranking from the full float64 product ``Q @ columns``, every
     dimension read, then the signed squared cosine ratio and ``top_k``; each
     entry as (id, ``float.hex`` of the score)."""
     vv = index.vectors[view]
     if not vv.ids:
         return [[] for _ in texts]
     embedded = np.stack([index.embed_query(text) for text in texts])
-    dots = embedded @ vv.vectors.astype(np.float64).T
+    dots = embedded @ vv.columns.astype(np.float64)
     denom = np.outer([float(q @ q) for q in embedded], vv.sq_norms)
     ratios = np.divide(dots * np.abs(dots), denom, out=np.zeros_like(dots), where=denom > 0)
     out = []
@@ -253,7 +253,7 @@ def test_float32_product_of_hashed_batches_equals_float64_product():
         index = guard_index(HashEmbedder(dim))
         for searched in (index, saved_and_loaded(index)):
             for view in (PASSAGES, TRIPLES):
-                assert searched.vectors[view].vectors.dtype == np.int8
+                assert searched.vectors[view].columns.dtype == np.int8
                 assert takes_float32(searched, questions, view)
                 for k in (1, 3, 10):
                     assert_exact_and_float64_bits(

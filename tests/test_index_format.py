@@ -19,15 +19,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triplehop import (
+    ExpansionConfig,
     HashEmbedder,
     IndexBuildError,
     Passage,
+    RetrievalConfig,
     Triple,
     bm25_search,
     build_index,
     dense_search,
     hybrid_search,
     load_index,
+    naive_ge_retrieve,
     save_index,
 )
 from triplehop.corpus_index import (
@@ -38,10 +41,11 @@ from triplehop.corpus_index import (
     load_triples_jsonl,
 )
 
-from .conftest import graph_of
+from .conftest import build_hop_corpus, graph_of
 from .test_lexical_index import record_column, record_values, reseal, rewrite_npz, v3_copy
 
 QUERIES = ("enta linksto entb", "island kind", "ledger three")
+DATA = Path(__file__).parent / "data"
 
 
 def assert_same_rankings(loaded, fresh, queries=QUERIES, k=5):
@@ -74,12 +78,16 @@ def assert_same_index(loaded, fresh):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         back, built = loaded.vectors[view], fresh.vectors[view]
         assert back.ids == built.ids
-        for key in ("vectors", "sq_norms", "columns"):
-            a, b = getattr(back, key), getattr(built, key)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-            assert (a.flags.c_contiguous, a.flags.f_contiguous) == (
-                b.flags.c_contiguous, b.flags.f_contiguous
-            )
+        for a, b in ((back.sq_norms, built.sq_norms), (back.columns, built.columns)):
+            assert_same_array(a, b)
+    assert_same_array(loaded.triple_rows, fresh.triple_rows)
+
+
+def assert_same_array(a, b):
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert (a.flags.c_contiguous, a.flags.f_contiguous) == (
+        b.flags.c_contiguous, b.flags.f_contiguous
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +98,35 @@ def test_format_6_load_equals_a_fresh_build(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
     assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == ["index.npz", "manifest.json"]
     assert_same_index(load_index(tmp_path / "idx"), chain_index)
+
+
+_THIRDS = HashEmbedder(32)
+
+
+def thirds(text: str) -> np.ndarray:
+    """A plain callable with fractional rows: hashed counts at dim 32, over 3."""
+    return _THIRDS(text) / 3.0
+
+
+@pytest.mark.parametrize(
+    "name, embedder", [("index_v6_hash64", HashEmbedder(64)), ("index_v6_float", thirds)]
+)
+def test_a_saved_format_6_index_loads_and_ranks_as_a_fresh_build(name, embedder):
+    # Both fixtures are the hop corpus, saved when a view also held its rows.
+    passages, triples, questions = build_hop_corpus()
+    fresh = build_index(passages, triples, embedder)
+    loaded = load_index(DATA / name, embedder=None if name.endswith("hash64") else embedder)
+    assert loaded.embedder == fresh.embedder
+    assert_same_index(loaded, fresh)  # sq_norms and triple_rows bit for bit
+    texts = [q.question for q in questions] + list(QUERIES)
+    rankings = []
+    for index in (loaded, fresh):
+        ranked = [search(index, texts, view, 8) for view in (PASSAGES, TRIPLES)
+                  for search in (bm25_search, dense_search, hybrid_search)]
+        retrieval, expansion = RetrievalConfig(k=8), ExpansionConfig()
+        ranked.append([naive_ge_retrieve(index, text, retrieval, expansion) for text in texts])
+        rankings.append(ranked)
+    assert rankings[0] == rankings[1]  # ids and scores, bit for bit
 
 
 def readme_index_keys() -> list[str]:
@@ -187,7 +224,8 @@ def test_a_view_without_rows_round_trips(tmp_path):
     index = build_index([Passage("p1", "", "lonely body")], [], HashEmbedder(32))
     save_index(index, tmp_path / "idx")
     loaded = load_index(tmp_path / "idx")
-    assert loaded.vectors[TRIPLES].vectors.shape == index.vectors[TRIPLES].vectors.shape
+    assert loaded.vectors[TRIPLES].columns.shape == index.vectors[TRIPLES].columns.shape == (0, 0)
+    assert loaded.triple_rows.shape == index.triple_rows.shape == (0, 0)
     assert dense_search(loaded, "lonely", TRIPLES, 3).entries == ()
     assert dense_search(loaded, "lonely", PASSAGES, 3) == dense_search(index, "lonely", PASSAGES, 3)
 
@@ -207,8 +245,7 @@ round_trip_text = st.lists(st.sampled_from(ROUND_TRIP_WORDS), max_size=8).map(" 
 @given(
     bodies=st.lists(round_trip_text, max_size=6),
     facts=st.lists(st.tuples(*[st.sampled_from(ROUND_TRIP_WORDS)] * 3), max_size=6),
-    # hashed rows (int8; dim 200 transposes in two blocks), and a plain
-    # callable's fractional rows (float64)
+    # hashed rows (int8), and a plain callable's fractional rows (float64)
     embedder=st.sampled_from([HashEmbedder(8), HashEmbedder(200), lengths]),
 )
 def test_views_round_trip_as_their_columns(bodies, facts, embedder):
