@@ -125,9 +125,9 @@ def top_k(scores: np.ndarray, k: int, positive: bool = False) -> list[np.ndarray
     negated = -scores
     negated.partition(k - 1, axis=1)
     kth = -negated[:, k - 1 : k]
-    keep = scores >= kth
-    if positive:
-        keep &= scores > 0
+    # With ``positive``, no lower than the least float above 0: the same as
+    # also requiring a score above 0.
+    keep = scores >= (np.maximum(kth, np.nextafter(0.0, 1.0)) if positive else kth)
     flat = np.flatnonzero(keep)
     if len(flat) > 2 * k * n_rows:
         # A wide tie at the k-th score: keep only as many of a row's tied
@@ -158,9 +158,11 @@ def bm25_search(
     giving one RankedList per text in order; a single text is the one-row
     batch. Every posting's term weight at (k1, b) is computed once per index
     and kept (``LexicalView.bm25_weights``; the formula is
-    ``corpus_index._posting_weights``), so a query only adds its terms'
-    weight slices into its row of one (len(query) × view-size) score array,
-    in its own token order: a score does not depend on the rest of the batch.
+    ``corpus_index._posting_weights``), so each text is scored by one
+    weighted ``np.bincount`` of its terms' weight slices, in its token
+    order, into its row of one (len(query) × view-size) score array: a
+    score does not depend on the rest of the batch, and the working arrays
+    stay one text's size.
 
     Uses the non-negative idf variant ln(1 + (N - df + 0.5)/(df + 0.5)), so
     documents matching a term held by every document still score above zero.
@@ -169,19 +171,23 @@ def bm25_search(
     """
     texts = _batch(query)
     lex = index.lexical[view]
-    weights = lex.bm25_weights[k1, b]
-    all_scores = np.zeros((len(texts), len(lex.ids)), dtype=np.float64)
+    postings, weights = lex.doc_positions, lex.bm25_weights[k1, b]
+    all_scores = np.empty((len(texts), len(lex.ids)))
     for scores, text in zip(all_scores, texts):
-        for term in tokenize(text):
-            row = lex.rows.get(term)
-            if row is not None:
-                lo, hi = lex.indptr[row], lex.indptr[row + 1]
-                # A row holds each position once, so the fancy-index += adds
-                # each posting exactly once.
-                scores[lex.doc_positions[lo:hi]] += weights[lo:hi]
+        slices = [
+            slice(lex.indptr[row], lex.indptr[row + 1])
+            for row in map(lex.rows.get, tokenize(text))
+            if row is not None
+        ]
+        # bincount adds each position's weights from 0.0 in input order, the
+        # text's token order: the bits of adding the terms one by one. The
+        # empty slices give a text with no known term its zeros.
+        positions = np.concatenate([postings[:0]] + [postings[span] for span in slices])
+        added = np.concatenate([weights[:0]] + [weights[span] for span in slices])
+        scores[:] = np.bincount(positions, added, len(scores))
     results = []
     for scores, top in zip(all_scores, top_k(all_scores, k, positive=True)):
-        entries = tuple(zip([lex.ids[pos] for pos in top], scores[top].tolist()))
+        entries = tuple(zip([lex.ids[pos] for pos in top.tolist()], scores[top].tolist()))
         results.append(RankedList(entries, provenance="bm25"))
     return _unbatch(query, results)
 
@@ -203,7 +209,8 @@ def dense_search(
     ``Q[:, used] @ columns[used]`` (see ``VectorView.columns``), or
     ``Q @ columns`` with no gather when the batch uses every dimension. For
     hashed rows that reads the ``int8`` bucket columns a batch touches. The
-    working arrays hold len(query) × view-size floats.
+    working arrays hold len(query) × view-size floats, and the ratios below
+    are made in place in the product's.
 
     The ``int8`` columns are multiplied in float32 when the queries are
     integer-valued and max‖q‖₁ · 128 < 2**24: every product and partial sum
@@ -231,21 +238,24 @@ def dense_search(
         width = f"{embedded.shape[1]}-wide query vectors"
         raise RetrievalError(f"{width} against {len(vv.columns)}-wide {view} rows")
     queries, columns = embedded, vv.columns
-    used = embedded.any(axis=0)
-    if not used.all():
-        used = np.flatnonzero(used)
+    used = np.flatnonzero(embedded.any(axis=0))
+    if len(used) < len(columns):
         queries, columns = embedded[:, used], columns[used]
     if columns.dtype == np.int8 and _float32_exact(queries):
         dots = (queries.astype(np.float32) @ columns.astype(np.float32)).astype(np.float64)
     else:
         dots = queries @ columns.astype(np.float64, copy=False)
-    denom = np.outer([float(q @ q) for q in embedded], vv.sq_norms)
-    all_ratios = np.divide(dots * np.abs(dots), denom, out=np.zeros_like(dots), where=denom > 0)
+    denom = np.multiply.outer([float(q @ q) for q in embedded], vv.sq_norms)
+    positive = denom > 0
+    dots *= np.abs(dots)
+    np.divide(dots, denom, out=dots, where=positive)
+    if not positive.all():
+        dots[~positive] = 0.0
     results = []
-    for ratios, order in zip(all_ratios, top_k(all_ratios, k)):
+    for ratios, order in zip(dots, top_k(dots, k)):
         top = ratios[order]
         cosines = np.copysign(np.sqrt(np.abs(top)), top).tolist()
-        entries = tuple(zip([vv.ids[pos] for pos in order], cosines))
+        entries = tuple(zip([vv.ids[pos] for pos in order.tolist()], cosines))
         results.append(RankedList(entries, provenance="dense"))
     return _unbatch(query, results)
 
@@ -253,10 +263,10 @@ def dense_search(
 def _float32_exact(queries: np.ndarray) -> bool:
     """Whether float32 holds every product and partial sum of ``queries``
     times ``int8`` columns exactly: integer values with max‖q‖₁ · 128 < 2**24
-    (an ``int8`` is at most 128 in size). NaN and inf fail."""
+    (an ``int8`` is at most 128 in size). NaN and inf fail the bound."""
     return bool(
-        np.array_equal(queries, np.trunc(queries))
-        and np.abs(queries).sum(axis=1).max() * 128 < 2**24
+        np.abs(queries).sum(axis=1).max() * 128 < 2**24
+        and (np.trunc(queries) == queries).all()
     )
 
 

@@ -226,6 +226,9 @@ def diverse_beam_search(
     if not initial_ids:
         return []
     score = scorer or make_cosine_scorer(index)
+    # Weights to ceil(gamma), where they reach the floor e^(-1), or past the cap.
+    size = math.ceil(min(cfg.neighbour_cap, cfg.gamma)) + 1
+    weights = [diversity_weight(position, cfg.gamma) for position in range(size)]
 
     starts = [(tid,) for tid in initial_ids]
     beams = sorted(
@@ -246,7 +249,7 @@ def diverse_beam_search(
             candidates = sorted([(-(accumulated + next(scores)), ext) for ext in extended])
             del candidates[cfg.neighbour_cap:]
             for position, (negated, ext) in enumerate(candidates):
-                pool.append((-negated * diversity_weight(position, cfg.gamma), ext))
+                pool.append((-negated * weights[min(position, size - 1)], ext))
             if not candidates and cfg.keep_stranded_beams:
                 pool.append((accumulated, seq))
         if not pool:

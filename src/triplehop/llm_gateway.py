@@ -16,7 +16,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -238,7 +238,7 @@ class TokenLedger:
         """The records and their totals, all from one snapshot."""
         records = self.records
         return {
-            "records": [asdict(r) for r in records],
+            "records": [dict(vars(r)) for r in records],
             "total_input": sum(r.input_tokens for r in records),
             "total_output": sum(r.output_tokens for r in records),
         }

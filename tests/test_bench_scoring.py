@@ -15,6 +15,7 @@ from triplehop import (
     dense_search,
     diverse_beam_search,
     hash_embed,
+    hybrid_search,
     load_index,
     save_index,
 )
@@ -122,6 +123,19 @@ def test_bm25_search_batch_of_ten(benchmark, dense_index):
     """Ten questions in one call, as the agent links facts."""
     queries = [f"Where was {_name(i)} born?" for i in range(0, 1000, 100)]
     results = benchmark(bm25_search, dense_index, queries, PASSAGES, 10)
+    assert [len(result) for result in results] == [10] * 10
+
+
+def test_hybrid_search_one_query(benchmark, dense_index):
+    """One question against the 10k-passage view, as a base query makes it."""
+    result = benchmark(hybrid_search, dense_index, "Where was Kalominupe born?", PASSAGES, 10)
+    assert len(result) == 10
+
+
+def test_hybrid_search_batch_of_ten(benchmark, dense_index):
+    """Ten questions in one call, as the agent links facts."""
+    queries = [f"Where was {_name(i)} born?" for i in range(0, 1000, 100)]
+    results = benchmark(hybrid_search, dense_index, queries, PASSAGES, 10)
     assert [len(result) for result in results] == [10] * 10
 
 

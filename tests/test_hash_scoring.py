@@ -142,10 +142,13 @@ def saved_and_loaded(index):
 
 
 @settings(max_examples=60, deadline=None)
-@given(hash_graphs(), QUERIES, st.integers(1, 4), st.integers(1, 3), st.data())
-def test_beam_search_unchanged_by_incremental_scorer(graph, query, max_length, cap, data):
+@given(
+    hash_graphs(), QUERIES, st.integers(1, 4), st.integers(1, 3),
+    st.sampled_from([2.0, 2.5, 0.75]), st.data(),
+)
+def test_beam_search_unchanged_by_incremental_scorer(graph, query, max_length, cap, gamma, data):
     index, dim = graph
-    cfg = ExpansionConfig(beam_width=3, max_length=max_length, neighbour_cap=cap, gamma=2.0)
+    cfg = ExpansionConfig(beam_width=3, max_length=max_length, neighbour_cap=cap, gamma=gamma)
     initial = data.draw(
         st.lists(st.sampled_from(sorted(index.triples)), min_size=1, max_size=4, unique=True)
     )

@@ -31,6 +31,7 @@ from triplehop import (
     serialize_facts,
 )
 from triplehop.llm_gateway import (
+    TokenRecord,
     canonical_key,
     format_qa_docs,
     load_template,
@@ -360,6 +361,8 @@ def test_ledger_to_dict_totals_are_the_sums_of_its_records():
         "total_input": 3,
         "total_output": 5,
     }
+    # Each record's keys are its fields, in order: the trace JSON's bytes.
+    assert list(out["records"][0]) == list(TokenRecord.__dataclass_fields__)
 
 
 def test_ledger_rejects_negative_counts():
