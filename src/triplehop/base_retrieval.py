@@ -130,12 +130,15 @@ def top_k(scores: np.ndarray, k: int, positive: bool = False) -> list[np.ndarray
     keep = scores >= (np.maximum(kth, np.nextafter(0.0, 1.0)) if positive else kth)
     flat = np.flatnonzero(keep)
     if len(flat) > 2 * k * n_rows:
-        # A wide tie at the k-th score: keep only as many of a row's tied
-        # positions, smallest first, as the row has room for.
-        tied = scores == kth
-        room = k - np.count_nonzero(scores > kth, axis=1)[:, None]
-        keep &= ~tied | (np.cumsum(tied, axis=1) <= room)
-        flat = np.flatnonzero(keep)
+        # A wide tie at the k-th score: keep a row's positions above it and,
+        # of its tied ones (a run of ``ties``), the first it has room for.
+        tied = keep & (scores == kth)
+        keep ^= tied
+        ties = np.flatnonzero(tied)
+        starts = np.searchsorted(ties, np.arange(n_rows + 1) * n)
+        room = np.minimum(k - np.count_nonzero(keep, axis=1), np.diff(starts))
+        firsts = starts[:-1, None] + np.arange(k)
+        flat = np.concatenate([np.flatnonzero(keep), ties[firsts[np.arange(k) < room[:, None]]]])
     rows, cols = np.divmod(flat, n)
     order = np.lexsort((cols, -scores.ravel()[flat], rows))
     rows, cols = rows[order], cols[order]

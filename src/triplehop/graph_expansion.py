@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
+from operator import itemgetter, le
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .base_retrieval import (
     RankedList,
+    RetrievalError,
     RetrievalConfig,
     base_retrieve,
     hash_dim,
@@ -27,6 +30,7 @@ from .base_retrieval import (
 from .corpus_index import (
     PASSAGES,
     CorpusIndex,
+    Memo,
     embed_texts,
     get_neighbours,
     serialize_sequence,
@@ -102,18 +106,18 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     ``Memo``s: threads that miss on one entry may each compute it, and all
     get the value stored first, so scorers on several threads share them
     with no lock. A search keeps each beam prefix's counts plus its last
-    triple's tail, and each distinct head's codes. A batch, 128 sequences at
-    a time, gathers its prefix vectors by an index array, adds the last
-    triples' rows and heads, and normalises all rows with one ``einsum`` and
-    one division. Counts are integers, so every sum and squared norm is
-    exact and each unit row has the bits of the serialized text's unit
-    vector. The final dot product stays one 1-D dot per row: a matrix-vector
-    product sums in another order, changes last bits and so reorders exact
-    ties. Every score is therefore bit-identical to embedding
-    the serialized text. Any other embedder embeds the serialized texts: one
-    ``embed_texts`` call per batch for the query and the texts this scorer
-    has not embedded yet (one ``embed_many`` call, or one call per text for
-    a plain callable).
+    triple's tail, and each distinct head's codes. A call first makes its
+    index arrays in one pass: each sequence's last-triple row, its prefix's
+    number (one dict pass) and its head's slot. Then each block of 128 rows
+    is array work only: gather the rows and prefix vectors, add the heads,
+    normalise with one ``einsum`` and one division. Counts are integers, so
+    every sum and squared norm is exact and each unit row has the bits of the
+    serialized text's unit vector. The final dot product stays one 1-D dot
+    per row: a matrix-vector product sums in another order, changes last
+    bits and so reorders exact ties. Every score is therefore bit-identical
+    to embedding the serialized text. Any other embedder embeds the
+    serialized texts: one ``embed_texts`` call per batch for the query and
+    the texts this scorer has not embedded yet.
     """
     # text -> its unit vector: the query's, and on the non-hash path every
     # serialized sequence's.
@@ -138,57 +142,65 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
         ends = index.triple_ends
         codes = trigram_codes(dim)
         # prefix -> its counts plus its last triple's tail, zero for (); head
-        # -> its slot in ``heads``: the (bucket, sign) of "; " + head[0], then
-        # of " " + head. Slot 0 adds +0.0, which changes no sum of ±1s.
-        prefix_vectors: dict[tuple[str, ...], np.ndarray] = {(): np.zeros(dim)}
+        # -> its slot in ``heads``, the trigram codes of "; " + head[0] and
+        # of " " + head, and in ``table``, their buckets and signs.
         slots: dict[str, int] = {}
-        heads: list[tuple[int, float, int, float]] = [(0, 0.0, 0, 0.0)]
-        table = [np.array(column) for column in zip(*heads)]
+        heads: list[tuple[int, int]] = []
+        table = np.zeros((0, 2), np.intp), np.zeros((0, 2))
 
         def signed(trigram: str) -> tuple[int, float]:
             code = codes[trigram]
             return code >> 1, code % 2 * 2.0 - 1.0
 
         def prefix_vector(prefix: tuple[str, ...]) -> np.ndarray:
-            counts = prefix_vectors.get(prefix)
-            if counts is None:
-                row, head, tail = ends[prefix[-1]]
-                counts = prefix_vectors[prefix] = prefix_vector(prefix[:-1]) + rows[row]
-                trigrams = [tail + ";", tail[-1] + "; "]
-                if len(prefix) > 1:
-                    trigrams += ["; " + head[0], " " + head]
-                for bucket, sign in map(signed, trigrams):
-                    counts[bucket] += sign
+            row, head, tail = ends[prefix[-1]]
+            counts = prefix_vectors[prefix[:-1]] + rows[row]
+            trigrams = [tail + ";", tail[-1] + "; "]
+            if len(prefix) > 1:
+                trigrams += ["; " + head[0], " " + head]
+            for bucket, sign in map(signed, trigrams):
+                counts[bucket] += sign
             return counts
+
+        prefix_vectors = Memo(prefix_vector)
+        prefix_vectors[()] = np.zeros(dim)
 
         def scorer(query: str, sequences: Sequence[tuple[str, ...]]) -> list[float]:
             nonlocal table
             embed_units([query])
             unit_query = cache[query]
+            # The index pass: last-triple rows and heads, and prefix numbers.
+            last = list(map(ends.__getitem__, map(itemgetter(-1), sequences)))
+            last_rows = np.fromiter(map(itemgetter(0), last), np.intp, len(sequences))
+            keys: Memo = Memo(lambda _: len(keys))  # numbered by first appearance
+            prefixes = map(itemgetter(slice(None, -1)), sequences)
+            picks = np.fromiter(map(keys.__getitem__, prefixes), np.intp, len(sequences))
+            prefix_table = np.array([prefix_vectors[key] for key in keys])
+            with_heads = keys.keys() != {()}  # one-triple sequences have no head
+            if with_heads:
+                last_heads = list(map(itemgetter(1), last))
+                for head in dict.fromkeys(last_heads):
+                    if head not in slots:
+                        slots[head] = len(heads)
+                        heads.append((codes["; " + head[0]], codes[" " + head]))
+                if len(table[0]) < len(heads):
+                    head_codes = np.array(heads)
+                    table = head_codes >> 1, head_codes % 2 * 2.0 - 1.0
+                at = np.fromiter(map(slots.__getitem__, last_heads), np.intp, len(sequences))
+                buckets, signs = table[0][at], table[1][at]
+                if () in keys:  # one-triple sequences add +0.0
+                    signs[picks == keys[()]] = 0.0
             scores: list[float] = []
             for lo in range(0, len(sequences), _BLOCK_ROWS):
-                block = sequences[lo : lo + _BLOCK_ROWS]
-                last_rows, last_heads, _ = zip(*[ends[seq[-1]] for seq in block])
-                keys: dict[tuple[str, ...], int] = {}
-                picks = [keys.setdefault(seq[:-1], len(keys)) for seq in block]
-                counts = np.stack([prefix_vector(key) for key in keys])[picks]
-                counts += rows[list(last_rows)]
-                if keys.keys() != {()}:  # one-triple sequences have no head
-                    for head in dict.fromkeys(last_heads):
-                        if head not in slots:
-                            slots[head] = len(heads)
-                            heads.append(signed("; " + head[0]) + signed(" " + head))
-                    if len(table[0]) < len(heads):
-                        table = [np.array(column) for column in zip(*heads)]
-                    picked = np.fromiter(map(slots.__getitem__, last_heads), np.intp, len(block))
-                    if () in keys:
-                        picked[np.array(picks) == keys[()]] = 0
-                    one, one_sign, two, two_sign = (column[picked] for column in table)
+                block = slice(lo, lo + _BLOCK_ROWS)
+                counts = rows[last_rows[block]].astype(np.float64)
+                counts += prefix_table[picks[block]]
+                if with_heads:
                     # Two +=, at flat positions: at a small dim a head's two
                     # trigrams can share a bucket, which one += adds once.
                     lines = np.arange(0, counts.size, dim)
-                    counts.ravel()[one + lines] += one_sign
-                    counts.ravel()[two + lines] += two_sign
+                    counts.ravel()[buckets[block, 0] + lines] += signs[block, 0]
+                    counts.ravel()[buckets[block, 1] + lines] += signs[block, 1]
                 norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
                 counts /= np.where(norms > 0, norms, 1.0)[:, None]
                 # One 1-D dot per row, as ``unit_query @ row``: matmul over a
@@ -198,6 +210,14 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
             return scores
 
     return scorer
+
+
+def _checked(query: str, sequences: Sequence[tuple[str, ...]], scores: list[float]) -> list[float]:
+    """``scores``, unless one is NaN: then ``RetrievalError`` names the first."""
+    if math.isnan(sum(scores)):  # or +inf met -inf, with no NaN
+        for sequence in compress(sequences, map(math.isnan, scores)):
+            raise RetrievalError(f"beam score of {sequence} is NaN for query {query!r}")
+    return scores
 
 
 def diverse_beam_search(
@@ -211,11 +231,14 @@ def diverse_beam_search(
     """Beam search over triple sequences with per-beam diversity reweighting.
 
     Each step extends every surviving beam with neighbours of its last triple,
-    skipping triples already present in any surviving sequence. Candidates are
-    sorted per beam, truncated to the neighbour cap, then down-weighted by
-    sorted position before the global top-b cut. Beams with no extensions drop
-    out unless ``keep_stranded_beams`` is set. If a step yields no candidates
-    at all, the previous step's beams are returned and the trace is flagged.
+    skipping triples already present in any surviving sequence. A beam's
+    candidates are put in order by one stable sort of their float totals,
+    truncated to the neighbour cap, then down-weighted by position. The top-b
+    cut sorts bare floats for the b-th score, and only the entries at or
+    above it by (-score, sequence). Beams with no extensions drop out unless
+    ``keep_stranded_beams`` is set. If a step yields no candidates at all,
+    the previous step's beams are returned and the trace is flagged. A NaN
+    score or total raises ``RetrievalError``.
 
     The scorer (``make_cosine_scorer``'s by default) is called once for the
     initial triples, as given, and once per step with the extensions of all
@@ -226,38 +249,42 @@ def diverse_beam_search(
     if not initial_ids:
         return []
     score = scorer or make_cosine_scorer(index)
-    # Weights to ceil(gamma), where they reach the floor e^(-1), or past the cap.
-    size = math.ceil(min(cfg.neighbour_cap, cfg.gamma)) + 1
-    weights = [diversity_weight(position, cfg.gamma) for position in range(size)]
+    # One weight per position the cap keeps (a beam has fewer neighbours than
+    # the index has triples); from ceil(gamma) on, each is the floor e^(-1).
+    size = min(cfg.neighbour_cap, len(index.triples))
+    weights = [diversity_weight(p, cfg.gamma) for p in range(min(size, math.ceil(cfg.gamma) + 1))]
+    weights += weights[-1:] * (size - len(weights))
 
     starts = [(tid,) for tid in initial_ids]
-    beams = sorted(
-        zip(score(query, starts), starts), key=lambda entry: (-entry[0], entry[1])
-    )
-    del beams[cfg.beam_width:]
-
-    for step in range(1, cfg.max_length):
+    pool = list(zip(_checked(query, starts, score(query, starts)), starts))
+    for step in range(1, cfg.max_length + 1):
+        # The top-b cut: only entries at or above the b-th highest bare
+        # float can be among the best b by (-score, sequence).
+        floor = sorted(map(itemgetter(0), pool), reverse=True)[min(cfg.beam_width, len(pool)) - 1]
+        kept = compress(pool, map(le, repeat(floor), map(itemgetter(0), pool)))
+        beams = sorted(kept, key=lambda entry: (-entry[0], entry[1]))[: cfg.beam_width]
+        if step == cfg.max_length:
+            break
         visited = {tid for _, seq in beams for tid in seq}
         extensions = [
             [seq + (tid,) for tid in get_neighbours(index, seq[-1]) if tid not in visited]
             for _, seq in beams
         ]
         scores = iter(score(query, [ext for exts in extensions for ext in exts]))
-        pool: list[tuple[float, tuple[str, ...]]] = []
+        pool = []
         for (accumulated, seq), extended in zip(beams, extensions):
-            # Ascending (-score, sequence): best first, ties by sequence.
-            candidates = sorted([(-(accumulated + next(scores)), ext) for ext in extended])
-            del candidates[cfg.neighbour_cap:]
-            for position, (negated, ext) in enumerate(candidates):
-                pool.append((-negated * weights[min(position, size - 1)], ext))
-            if not candidates and cfg.keep_stranded_beams:
+            totals = [accumulated + value for value in islice(scores, len(extended))]
+            _checked(query, extended, totals)
+            # Best first: a stable sort keeps equal totals in neighbour
+            # order, which is ascending sequence order. ``zip`` cuts at the cap.
+            order = sorted(range(len(totals)), key=totals.__getitem__, reverse=True)
+            pool += [(totals[i] * weight, extended[i]) for i, weight in zip(order, weights)]
+            if not extended and cfg.keep_stranded_beams:
                 pool.append((accumulated, seq))
         if not pool:
             if trace is not None:
                 trace["stopped_early_at"] = step
             break
-        pool.sort(key=lambda entry: (-entry[0], entry[1]))
-        beams = pool[: cfg.beam_width]
 
     return [Beam(score_value, seq) for score_value, seq in beams]
 

@@ -48,6 +48,34 @@ def test_score_hub_beam(benchmark, hub_index):
     assert [len(beam.sequence) for beam in beams] == [2]
 
 
+
+@pytest.fixture(scope="module")
+def two_hub_index():
+    """500 people born in Germany and 500 in France: two hubs, where every
+    triple neighbours the 499 others of its country."""
+    passages, triples = [], []
+    for i in range(1000):
+        pid = f"p{i:04d}"
+        country = "Germany" if i < 500 else "France"
+        passages.append(Passage(pid, f"Person {i}", f"Person {i} was born in {country}."))
+        triples.append(Triple(f"t{i:04d}", f"Person {i}", "born in", country, pid))
+    return build_index(passages, triples, HashEmbedder(256))
+
+
+def test_search_ten_beams_on_two_hubs(benchmark, two_hub_index):
+    """A search whose ten beams start on two hubs, five on each: its step
+    scores 4,950 extensions, cuts each beam at the neighbour cap of 100 and
+    selects ten of the 1,000 left, where ``test_score_hub_beam`` keeps its
+    one beam's best."""
+    cfg = ExpansionConfig(beam_width=10, max_length=2)
+    initial = [f"t{i:04d}" for i in (*range(5), *range(500, 505))]
+
+    def search():
+        return diverse_beam_search(two_hub_index, "where was Person 7 born", initial, cfg)
+
+    beams = benchmark(search)
+    assert [len(beam.sequence) for beam in beams] == [2] * 10
+
 # 32 lower-case letters, so 32 x 32 two-letter heads tell 1,024 subjects apart.
 _HEAD_LETTERS = "abcdefghijklmnopqrstuvwxyzàáâãäå"
 

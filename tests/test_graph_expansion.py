@@ -4,13 +4,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triplehop import (
     Beam,
     ExpansionConfig,
+    HashEmbedder,
     LLMGateway,
     Passage,
     RetrievalConfig,
+    RetrievalError,
     Triple,
     build_index,
     diverse_beam_search,
@@ -226,6 +230,81 @@ def test_beam_search_deterministic_tie_break_by_sequence(chain_index):
         chain_index, "q", ["t3", "t2", "t4", "t1"], cfg, scorer=fixed_scorer(table)
     )
     assert [b.sequence for b in beams] == [("t1",), ("t2",)]
+
+
+@pytest.mark.parametrize(
+    "table, initial, named",
+    [
+        # A NaN among the initial triples: the first in the order given.
+        ({("t1",): 0.9, ("t2",): math.nan, ("t3",): math.nan}, ["t1", "t3", "t2"], ("t3",)),
+        # A NaN extension: the first in the order the scorer saw them.
+        ({("t2",): 0.5, ("t2", "t1"): math.nan, ("t2", "t3"): math.nan}, ["t2"], ("t2", "t1")),
+        # No NaN from the scorer, but +inf and -inf add up to a NaN total.
+        ({("t1",): math.inf, ("t1", "t2"): -math.inf}, ["t1"], ("t1", "t2")),
+    ],
+)
+def test_beam_search_nan_score_raises_naming_query_and_sequence(
+    chain_index, table, initial, named
+):
+    cfg = ExpansionConfig(beam_width=2, max_length=2)
+    with pytest.raises(RetrievalError) as raised:
+        diverse_beam_search(chain_index, "where is entc", initial, cfg, fixed_scorer(table))
+    assert "'where is entc'" in str(raised.value)
+    assert str(named) in str(raised.value)
+
+
+# Few score values, so exact ties are common: within a beam, at the
+# neighbour cap, across the beam-width cut, and between a stranded beam and
+# another beam's extensions (0.0 adds nothing, and a small gamma gives every
+# position past the first the same floor weight).
+_TIE_VALUES = (-0.5, 0.0, 0.25, 0.5, 1.0)
+_ENTITIES = ("hub", "e1", "e2", "e3")
+
+
+@st.composite
+def _tie_heavy_searches(draw):
+    """A graph whose first entity is a hub, with some isolated triples so
+    beams strand, a search config, initial triples and a seed for the
+    scripted scores."""
+    entity = st.sampled_from(_ENTITIES)
+    ends = [("hub", draw(entity)) for _ in range(draw(st.integers(3, 12)))]
+    ends += draw(st.lists(st.tuples(entity, entity), max_size=8))
+    ends += [(f"lone{i}", f"alone{i}") for i in range(draw(st.integers(0, 3)))]
+    order = draw(st.permutations(range(len(ends))))
+    triples = [
+        Triple(f"t{i:02d}", ends[at][0], "r", ends[at][1], "p") for i, at in enumerate(order)
+    ]
+    cfg = ExpansionConfig(
+        beam_width=draw(st.integers(1, 5)),
+        max_length=draw(st.integers(1, 3)),
+        neighbour_cap=draw(st.integers(1, 6)),
+        gamma=draw(st.sampled_from([0.5, 1.0, 3.0, 20.0])),
+        keep_stranded_beams=draw(st.booleans()),
+    )
+    initial = draw(st.lists(st.sampled_from([t.id for t in triples]), min_size=1, unique=True))
+    return triples, cfg, initial, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tie_heavy_searches())
+def test_beam_search_matches_oracle_under_exact_ties(search):
+    triples, cfg, initial, seed = search
+    index = build_index([Passage("p", "", "x")], triples, HashEmbedder(16))
+    rng = random.Random(seed)
+    table: dict[tuple[str, ...], float] = {}
+
+    def score(query, sequence):
+        if sequence not in table:
+            table[sequence] = rng.choice(_TIE_VALUES)
+        return table[sequence]
+
+    got = diverse_beam_search(
+        index, "q", initial, cfg, lambda q, sequences: [score(q, seq) for seq in sequences]
+    )
+    want = oracle_beam_search("q", initial, index.triples, cfg, score)
+    assert [(beam.score.hex(), beam.sequence) for beam in got] == [
+        (value.hex(), sequence) for value, sequence in want
+    ]
 
 
 # ---------------------------------------------------------------------------
