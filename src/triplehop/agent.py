@@ -171,9 +171,10 @@ def passage_link(
 ) -> list[RankedList]:
     """Link each fact to passages: fuse passage-view and triple-view retrieval.
 
-    Returns one list per fact, in order. Each view is searched once for the
-    whole batch. The triple-view list is mapped to source passages (first
-    occurrence wins) before fusion.
+    Returns one list per fact, in order, each cut to ``k``. Each view is
+    searched once for the whole batch, at depth ``k``. A fact's triple-view
+    hits are mapped to source passages by one ``triple_to_passage`` call
+    (first occurrence wins) before fusion.
     """
     queries = [serialize_triple(triple) for triple in triples]
     passage_lists = base_retrieve(index, queries, PASSAGES, retrieval, k=k)
@@ -181,9 +182,10 @@ def passage_link(
     linked = []
     for passage_list, triple_list in zip(passage_lists, triple_lists):
         first: dict[str, float] = {}  # passage id -> its first triple's score
-        for tid, score in triple_list.entries:
-            first.setdefault(triple_to_passage(index, tid), score)
-        mapped = RankedList(tuple(first.items()), provenance="triples->passages")
+        for pid, (_, score) in zip(triple_to_passage(index, triple_list.ids), triple_list.entries):
+            first.setdefault(pid, score)
+        # A first-occurrence subsequence of a ranked list is one.
+        mapped = RankedList._unchecked(tuple(first.items()), "triples->passages")
         linked.append(rrf_fuse([passage_list, mapped], retrieval.rrf_constant).truncated(k))
     return linked
 

@@ -41,12 +41,21 @@ class RankedList:
         if any(map(operator.lt, scores, scores[1:])):
             raise ValueError("ranked list scores must be non-increasing")
 
+    @classmethod
+    def _unchecked(cls, entries: tuple, provenance: str) -> "RankedList":
+        """A list whose maker guarantees unique ids and non-increasing
+        scores, made without the checks (see README, "What is kept where")."""
+        ranked = object.__new__(cls)
+        object.__setattr__(ranked, "entries", entries)
+        object.__setattr__(ranked, "provenance", provenance)
+        return ranked
+
     @property
     def ids(self) -> list[str]:
         return [item_id for item_id, _ in self.entries]
 
     def truncated(self, k: int) -> "RankedList":
-        return RankedList(self.entries[:k], self.provenance)
+        return RankedList._unchecked(self.entries[:k], self.provenance)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -85,17 +94,22 @@ def rrf_fuse(lists: Sequence[RankedList], rrf_constant: int = 60) -> RankedList:
     """Reciprocal rank fusion: score(d) = sum over lists of 1/(c + rank_d).
 
     Ranks are 1-based; input scores are ignored. The output contains the union
-    of all input items, sorted by fused score, ties by ascending id.
+    of all input items, sorted by fused score, ties by ascending id. Raises
+    ValueError for ``rrf_constant < 1``, as ``RetrievalConfig`` does.
     """
+    if rrf_constant < 1:
+        raise ValueError("rrf_constant must be >= 1")
+    weights: list[float] = []  # 1 / (c + rank), grown to the longest list
     fused: dict[str, float] = {}
     for ranked in lists:
-        for rank, (item_id, _) in enumerate(ranked.entries, start=1):
-            fused[item_id] = fused.get(item_id, 0.0) + 1.0 / (rrf_constant + rank)
-    # Ascending ids, then a stable sort by score, highest first: ties keep
-    # ascending id order, with no Python key function per item.
-    ids = sorted(fused)
-    ids.sort(key=fused.__getitem__, reverse=True)
-    return RankedList(tuple(zip(ids, map(fused.__getitem__, ids))), provenance="rrf")
+        weights += [1.0 / (rrf_constant + r) for r in range(len(weights) + 1, len(ranked) + 1)]
+        for (item_id, _), weight in zip(ranked.entries, weights):
+            fused[item_id] = fused.get(item_id, 0.0) + weight
+    # Ascending ids (each is distinct), then a stable sort by score, highest
+    # first: ties keep ascending id order, with no Python key function per item.
+    entries = sorted(fused.items())
+    entries.sort(key=operator.itemgetter(1), reverse=True)
+    return RankedList._unchecked(tuple(entries), "rrf")
 
 
 def _batch(query: str | Sequence[str]) -> list[str]:
@@ -191,7 +205,7 @@ def bm25_search(
     results = []
     for scores, top in zip(all_scores, top_k(all_scores, k, positive=True)):
         entries = tuple(zip([lex.ids[pos] for pos in top.tolist()], scores[top].tolist()))
-        results.append(RankedList(entries, provenance="bm25"))
+        results.append(RankedList._unchecked(entries, "bm25"))
     return _unbatch(query, results)
 
 
@@ -213,7 +227,9 @@ def dense_search(
     ``Q @ columns`` with no gather when the batch uses every dimension. For
     hashed rows that reads the ``int8`` bucket columns a batch touches. The
     working arrays hold len(query) × view-size floats, and the ratios below
-    are made in place in the product's.
+    are made in place in the product's: by one plain division when every
+    query and row norm is positive (``VectorView.positive_norms``), else by
+    a masked one that leaves a zero denominator's ratio 0.
 
     The ``int8`` columns are multiplied in float32 when the queries are
     integer-valued and max‖q‖₁ · 128 < 2**24: every product and partial sum
@@ -248,18 +264,21 @@ def dense_search(
         dots = (queries.astype(np.float32) @ columns.astype(np.float32)).astype(np.float64)
     else:
         dots = queries @ columns.astype(np.float64, copy=False)
-    denom = np.multiply.outer([float(q @ q) for q in embedded], vv.sq_norms)
-    positive = denom > 0
+    q_norms = np.array([float(q @ q) for q in embedded])
+    denom = np.multiply.outer(q_norms, vv.sq_norms)
     dots *= np.abs(dots)
-    np.divide(dots, denom, out=dots, where=positive)
-    if not positive.all():
+    if vv.positive_norms and (q_norms > 0).all():
+        dots /= denom
+    else:
+        positive = denom > 0
+        np.divide(dots, denom, out=dots, where=positive)
         dots[~positive] = 0.0
     results = []
     for ratios, order in zip(dots, top_k(dots, k)):
         top = ratios[order]
         cosines = np.copysign(np.sqrt(np.abs(top)), top).tolist()
         entries = tuple(zip([vv.ids[pos] for pos in order.tolist()], cosines))
-        results.append(RankedList(entries, provenance="dense"))
+        results.append(RankedList._unchecked(entries, "dense"))
     return _unbatch(query, results)
 
 

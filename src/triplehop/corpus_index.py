@@ -229,8 +229,9 @@ class VectorView:
     """Per-view embedding matrix in one layout, as dense search reads it and
     ``index.npz`` stores it: ``columns``, the embedder's rows in ascending id
     order transposed, (dim, N), and ``sq_norms``, each row's squared norm in
-    float64. A build passes the columns ``_embed_view`` makes, and a load
-    the stored ones; they are kept as given, unchecked and never widened.
+    float64, with ``positive_norms``, whether each is above 0. A build
+    passes the columns ``_embed_view`` makes, and a load the stored ones;
+    they are kept as given, unchecked and never widened.
 
     ``columns`` is ``int8`` when that holds every value exactly (see
     ``exact_int8``), as for hashed counts, and then C-contiguous, so a
@@ -243,6 +244,7 @@ class VectorView:
     ids: tuple[str, ...]
     columns: np.ndarray = field(repr=False)
     sq_norms: np.ndarray = field(init=False, repr=False)
+    positive_norms: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         columns = self.columns
@@ -253,11 +255,15 @@ class VectorView:
         wide = np.float32 if columns.dtype == np.int8 and len(columns) < 1024 else np.float64
         sq_norms = np.einsum("ij,ij->j", columns, columns, dtype=wide).astype(np.float64, copy=False)
         object.__setattr__(self, "sq_norms", sq_norms)
+        object.__setattr__(self, "positive_norms", bool((sq_norms > 0).all()))
 
 
-def _triple_ends(triples: Records, triple_id: str) -> tuple[int, str, str]:
+def _triple_ends(triples: Records, embedder, triple_id: str) -> tuple[int, int, int, int, int]:
+    from .base_retrieval import hash_dim, trigram_codes  # it imports this module
+    codes = trigram_codes(hash_dim(embedder))
     low = serialize_triple(triples[triple_id]).lower()
-    return triples.position(triple_id), low[:2], low[-2:]
+    heads = codes["; " + low[0]], codes[" " + low[:2]]
+    return triples.position(triple_id), *heads, codes[low[-2:] + ";"], codes[low[-1] + "; "]
 
 
 def _neighbours(triples: Records, entity_codes, entity_csr, triple_id: str) -> tuple[str, ...]:
@@ -285,11 +291,11 @@ class CorpusIndex:
 
     The only state it gains afterwards is ``Memo``s, kept for the life of
     the index: ``triple_ends``, triple id -> (its row in ``triple_rows``,
-    the first and the last two characters of its lower-cased
-    serialization), for the beam scorer; ``neighbour_ids``, triple id -> its
-    neighbours, ascending; and each lexical view's ``bm25_weights``. Threads
-    that miss on one entry may each compute it, and all get the value stored
-    first, so there is no lock.
+    then the trigram codes of its two head and two tail trigrams, as the
+    hash beam scorer adds them; see ``make_cosine_scorer``); ``neighbour_ids``,
+    triple id -> its neighbours, ascending; and each lexical view's
+    ``bm25_weights``. Threads that miss on one entry may each compute it,
+    and all get the value stored first, so there is no lock.
     """
 
     passages: Records
@@ -311,7 +317,7 @@ class CorpusIndex:
         self.alignment = Records("triple", lambda _, pid: pid, self.triples.ids, by_passage)
         columns = self.vectors[TRIPLES].columns
         self.triple_rows = columns.T if columns.dtype == np.float64 else np.ascontiguousarray(columns.T)
-        self.triple_ends = Memo(partial(_triple_ends, self.triples))
+        self.triple_ends = Memo(partial(_triple_ends, self.triples, self.embedder))
         self.neighbour_ids = Memo(
             partial(_neighbours, self.triples, self.entity_codes, self.entity_csr)
         )
@@ -527,14 +533,18 @@ def get_neighbours(index: CorpusIndex, triple_id: str) -> tuple[str, ...]:
     return index.neighbour_ids[triple_id]
 
 
-def triple_to_passage(index: CorpusIndex, triple_id: str) -> str:
-    """Source passage id for a triple."""
-    return index.passages.ids[index.triple_passage[index.triples.position(triple_id)]]
+def triple_to_passage(index: CorpusIndex, triple_id: str | Sequence[str]) -> str | list[str]:
+    """Source passage id for a triple; for a sequence of triple ids, theirs
+    in order, repeats kept, by one ``index.triple_passage`` lookup."""
+    if isinstance(triple_id, str):
+        return index.passages.ids[index.triple_passage[index.triples.position(triple_id)]]
+    owners = index.triple_passage[list(map(index.triples.position, triple_id))]
+    return list(map(index.passages.ids.__getitem__, owners.tolist()))
 
 
 def triples_to_passages(index: CorpusIndex, triple_ids: Iterable[str]) -> list[str]:
     """Map triples to source passages, deduplicating on first occurrence."""
-    return list(dict.fromkeys(triple_to_passage(index, tid) for tid in triple_ids))
+    return list(dict.fromkeys(triple_to_passage(index, list(triple_ids))))
 
 
 def serialize_sequence(index: CorpusIndex, triple_ids: Sequence[str]) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter, le
 from typing import Callable, Sequence
 
@@ -24,7 +24,6 @@ from .base_retrieval import (
     base_retrieve,
     hash_dim,
     rrf_fuse,
-    trigram_codes,
     unit_vector,
 )
 from .corpus_index import (
@@ -102,13 +101,14 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     each is at least 5 (three non-blank fields joined by spaces), and is
     sliced after lower-casing, because ``'İ'.lower()`` is two characters. A
     triple's counts are its (``int8``) row of ``index.triple_rows``; its
-    row and ends come from the index's ``triple_ends`` memo. Both memos are
-    ``Memo``s: threads that miss on one entry may each compute it, and all
-    get the value stored first, so scorers on several threads share them
-    with no lock. A search keeps each beam prefix's counts plus its last
-    triple's tail, and each distinct head's codes. A call first makes its
-    index arrays in one pass: each sequence's last-triple row, its prefix's
-    number (one dict pass) and its head's slot. Then each block of 128 rows
+    row and its head's and tail's codes come from the index's
+    ``triple_ends`` memo. Both memos are ``Memo``s: threads that miss on one
+    entry may each compute it, and all get the value stored first, so
+    scorers on several threads share them with no lock. A search keeps each
+    beam prefix's counts plus its last triple's tail. A call first makes its
+    index arrays in one pass: each sequence's last-triple row and head codes
+    (one ``np.fromiter`` over their ``triple_ends`` entries) and its
+    prefix's number (one dict pass). Then each block of 128 rows
     is array work only: gather the rows and prefix vectors, add the heads,
     normalise with one ``einsum`` and one division. Counts are integers, so
     every sum and squared norm is exact and each unit row has the bits of the
@@ -140,60 +140,38 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     else:
         rows = index.triple_rows
         ends = index.triple_ends
-        codes = trigram_codes(dim)
-        # prefix -> its counts plus its last triple's tail, zero for (); head
-        # -> its slot in ``heads``, the trigram codes of "; " + head[0] and
-        # of " " + head, and in ``table``, their buckets and signs.
-        slots: dict[str, int] = {}
-        heads: list[tuple[int, int]] = []
-        table = np.zeros((0, 2), np.intp), np.zeros((0, 2))
 
-        def signed(trigram: str) -> tuple[int, float]:
-            code = codes[trigram]
-            return code >> 1, code % 2 * 2.0 - 1.0
-
+        # prefix -> its counts plus its last triple's tail, zero for ().
         def prefix_vector(prefix: tuple[str, ...]) -> np.ndarray:
-            row, head, tail = ends[prefix[-1]]
+            row, *codes = ends[prefix[-1]]  # two head codes, then two tail codes
             counts = prefix_vectors[prefix[:-1]] + rows[row]
-            trigrams = [tail + ";", tail[-1] + "; "]
-            if len(prefix) > 1:
-                trigrams += ["; " + head[0], " " + head]
-            for bucket, sign in map(signed, trigrams):
-                counts[bucket] += sign
+            for code in codes if len(prefix) > 1 else codes[2:]:
+                counts[code >> 1] += code % 2 * 2.0 - 1.0
             return counts
 
         prefix_vectors = Memo(prefix_vector)
         prefix_vectors[()] = np.zeros(dim)
 
         def scorer(query: str, sequences: Sequence[tuple[str, ...]]) -> list[float]:
-            nonlocal table
             embed_units([query])
             unit_query = cache[query]
-            # The index pass: last-triple rows and heads, and prefix numbers.
-            last = list(map(ends.__getitem__, map(itemgetter(-1), sequences)))
-            last_rows = np.fromiter(map(itemgetter(0), last), np.intp, len(sequences))
+            # The index pass: last triples' (row, head codes, tail codes), and
+            # prefix numbers.
+            last = chain.from_iterable(map(ends.__getitem__, map(itemgetter(-1), sequences)))
+            table = np.fromiter(last, np.intp, 5 * len(sequences)).reshape(-1, 5)
             keys: Memo = Memo(lambda _: len(keys))  # numbered by first appearance
             prefixes = map(itemgetter(slice(None, -1)), sequences)
             picks = np.fromiter(map(keys.__getitem__, prefixes), np.intp, len(sequences))
             prefix_table = np.array([prefix_vectors[key] for key in keys])
             with_heads = keys.keys() != {()}  # one-triple sequences have no head
             if with_heads:
-                last_heads = list(map(itemgetter(1), last))
-                for head in dict.fromkeys(last_heads):
-                    if head not in slots:
-                        slots[head] = len(heads)
-                        heads.append((codes["; " + head[0]], codes[" " + head]))
-                if len(table[0]) < len(heads):
-                    head_codes = np.array(heads)
-                    table = head_codes >> 1, head_codes % 2 * 2.0 - 1.0
-                at = np.fromiter(map(slots.__getitem__, last_heads), np.intp, len(sequences))
-                buckets, signs = table[0][at], table[1][at]
+                buckets, signs = table[:, 1:3] >> 1, table[:, 1:3] % 2 * 2.0 - 1.0
                 if () in keys:  # one-triple sequences add +0.0
                     signs[picks == keys[()]] = 0.0
             scores: list[float] = []
             for lo in range(0, len(sequences), _BLOCK_ROWS):
                 block = slice(lo, lo + _BLOCK_ROWS)
-                counts = rows[last_rows[block]].astype(np.float64)
+                counts = rows[table[block, 0]].astype(np.float64)
                 counts += prefix_table[picks[block]]
                 if with_heads:
                     # Two +=, at flat positions: at a small dim a head's two
@@ -327,9 +305,10 @@ def _expand_and_fuse(
     trace: dict = {}
     beams = diverse_beam_search(index, query, initial_nodes, expansion, trace=trace)
     passage_ids = triples_to_passages(index, flatten_beams(beams))
-    expanded = RankedList(
+    # Distinct passages, each scored below the one before.
+    expanded = RankedList._unchecked(
         tuple((pid, 1.0 / (rank + 1)) for rank, pid in enumerate(passage_ids)),
-        provenance="graph-expansion",
+        "graph-expansion",
     )
     fused = rrf_fuse([expanded, base], retrieval.rrf_constant).truncated(retrieval.k)
     return GraphRetrievalDetail(

@@ -326,3 +326,12 @@ def test_retrieval_config_validation():
         RetrievalConfig(bm25_b=1.5)
     with pytest.raises(ValueError):
         RetrievalConfig(retriever="nope")
+
+
+@pytest.mark.parametrize("constant", [0, -1, -5])
+def test_rrf_fuse_rejects_a_constant_below_one(constant):
+    # Unchecked, -1 divided by zero at rank 1, and -5 scored ranks 1-4
+    # below zero before dividing by zero at rank 5.
+    six = ranked("a", "b", "c", "d", "e", "f")
+    with pytest.raises(ValueError, match="rrf_constant must be >= 1"):
+        rrf_fuse([six, ranked("f", "a")], constant)

@@ -9,6 +9,9 @@ from triplehop import (
     ExpansionConfig,
     HashEmbedder,
     Passage,
+    ProximalTriple,
+    RankedList,
+    RetrievalConfig,
     Triple,
     bm25_search,
     build_index,
@@ -17,9 +20,12 @@ from triplehop import (
     hash_embed,
     hybrid_search,
     load_index,
+    passage_link,
+    rrf_fuse,
     save_index,
 )
 from triplehop.corpus_index import PASSAGES, LexicalView, get_neighbours, passage_search_text
+from triplehop.graph_expansion import make_cosine_scorer
 
 pytestmark = pytest.mark.bench
 
@@ -47,6 +53,35 @@ def test_score_hub_beam(benchmark, hub_index):
     assert len(get_neighbours(hub_index, "t0000")) == 1000
     assert [len(beam.sequence) for beam in beams] == [2]
 
+
+
+def test_score_hub_step_of_33(benchmark, hub_index):
+    """One scorer call of 33 two-triple sequences off the hub, the size of
+    the median scorer call on the hub-expand workload, with the search's
+    query and the beam's prefix already made, as in a search's later calls."""
+    query = "where was Person 7 born"
+    score = make_cosine_scorer(hub_index)
+    score(query, [("t0000",)])
+    sequences = [("t0000", f"t{i:04d}") for i in range(1, 34)]
+    scores = benchmark(score, query, sequences)
+    assert len(scores) == 33 and scores == make_cosine_scorer(hub_index)(query, sequences)
+
+
+def test_passage_link_ten_facts(benchmark, hub_index):
+    """``passage_link`` of ten memory facts at the default depth of 15, as
+    the agent links its memory after its last iteration."""
+    facts = [ProximalTriple(f"Person {i}", "born in", "Germany") for i in range(0, 1000, 100)]
+    linked = benchmark(passage_link, hub_index, facts, RetrievalConfig(), 15)
+    assert [len(ranked) for ranked in linked] == [15] * 10
+
+
+def test_rrf_fuse_two_lists_of_15(benchmark):
+    """RRF of two 15-entry lists that share five ids, as hybrid search fuses
+    its BM25 and dense lists for one ``passage_link`` fact."""
+    first = RankedList(tuple((f"p{i:02d}", 1.0 - i / 100) for i in range(15)))
+    second = RankedList(tuple((f"p{i:02d}", 1.0 - i / 100) for i in range(10, 25)))
+    fused = benchmark(rrf_fuse, [first, second], 60)
+    assert len(fused) == 25
 
 
 @pytest.fixture(scope="module")

@@ -522,7 +522,7 @@ def test_an_index_holds_one_copy_of_each_view(tmp_path):
     loaded, loaded_bytes = held_by(lambda: load_index(tmp_path / "idx"))
     one_copy = n * dim
     assert built.vectors[PASSAGES].columns.nbytes == one_copy
-    assert [f.name for f in fields(VectorView)] == ["ids", "columns", "sq_norms"]
+    assert [f.name for f in fields(VectorView)] == ["ids", "columns", "sq_norms", "positive_norms"]
     for index, nbytes in ((built, built_bytes), (loaded, loaded_bytes)):
         assert nbytes < one_copy * 1.5
         rows, columns = index.triple_rows, index.vectors[TRIPLES].columns

@@ -281,6 +281,22 @@ def test_shared_trigram_memo_is_thread_safe():
     assert threaded == serial
 
 
+def expected_ends(index, dim: int, triple_id: str) -> tuple[int, ...]:
+    """A ``triple_ends`` entry from the oracle embedder: the triple's row,
+    then 2 * bucket + (1 if the sign is +1 else 0) of each of its head
+    trigrams "; " + head[0] and " " + head, and its tail trigrams tail + ";"
+    and tail[-1] + "; ", head and tail being the first and last two
+    characters of its lower-cased text."""
+    t = index.triples[triple_id]
+    low = f"{t.subject.strip()} {t.predicate.strip()} {t.object.strip()}".lower()
+    codes = []
+    for trigram in ("; " + low[0], " " + low[:2], low[-2:] + ";", low[-1] + "; "):
+        vec = oracle_hash_embed(trigram, dim)
+        (bucket,) = vec.nonzero()[0]
+        codes.append(2 * int(bucket) + int(vec[bucket] > 0))
+    return (index.triples.ids.index(triple_id), *codes)
+
+
 def test_triple_ends_memo_is_thread_safe():
     passages, triples, _ = build_hop_corpus(n_chains=12, n_distractors=12)
     index = build_index(passages, triples, HashEmbedder(96))
@@ -291,6 +307,8 @@ def test_triple_ends_memo_is_thread_safe():
     threaded_report, serial_report, threaded, serial = _threaded_then_serial(index, fresh)
     assert index.triple_ends == fresh.triple_ends
     assert len(index.triple_ends) > 12
+    for triple_id, entry in index.triple_ends.items():
+        assert entry == expected_ends(index, 96, triple_id)
     assert threaded_report.rows == serial_report.rows
     assert threaded == serial
 
@@ -359,6 +377,8 @@ def test_agent_eval_is_thread_safe(workers, monkeypatch):
     assert threaded_index.neighbour_ids == serial_index.neighbour_ids
     assert len(threaded_index.triple_ends) > 12
     assert threaded_index.triple_ends == serial_index.triple_ends
+    for triple_id, entry in threaded_index.triple_ends.items():
+        assert entry == expected_ends(threaded_index, 96, triple_id)
     for view, lexical in threaded_index.lexical.items():
         weights = serial_index.lexical[view].bm25_weights
         assert lexical.bm25_weights and lexical.bm25_weights.keys() == weights.keys()
