@@ -26,6 +26,7 @@ from .llm_gateway import (
     LLMGateway,
     ProximalTriple,
     ReasonOutcome,
+    check_settings,
     parse_next_question,
     parse_reason,
     serialize_facts,
@@ -51,12 +52,7 @@ class AgentConfig:
     reuse_first_read: bool = False
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.per_iteration_k < 1:
-            raise ValueError("per_iteration_k must be >= 1")
-        if self.passage_link_k < 1:
-            raise ValueError("passage_link_k must be >= 1")
+        check_settings(AgentConfig, vars(self))
 
     def to_dict(self) -> dict:
         return asdict(self)

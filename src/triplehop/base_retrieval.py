@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus_index import PASSAGES, CorpusIndex, Memo, embed_texts, tokenize
-from .llm_gateway import post_json
+from .llm_gateway import check_settings, post_json
 
 
 class RetrievalError(RuntimeError):
@@ -78,14 +78,9 @@ class RetrievalConfig:
     rrf_constant: int = 60
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.rrf_constant < 1:
-            raise ValueError("rrf_constant must be >= 1")
-        if self.bm25_k1 < 0:
-            raise ValueError("bm25_k1 must be >= 0")
-        if not 0 <= self.bm25_b <= 1:
-            raise ValueError("bm25_b must be in [0, 1]")
+        check_settings(RetrievalConfig, vars(self))
+        if self.bm25_b > 1:
+            raise ValueError(f"bm25_b must be in [0, 1], got {self.bm25_b!r}")
         if self.retriever not in ("bm25", "dense", "hybrid"):
             raise ValueError(f"unknown retriever: {self.retriever!r}")
 
@@ -95,10 +90,10 @@ def rrf_fuse(lists: Sequence[RankedList], rrf_constant: int = 60) -> RankedList:
 
     Ranks are 1-based; input scores are ignored. The output contains the union
     of all input items, sorted by fused score, ties by ascending id. Raises
-    ValueError for ``rrf_constant < 1``, as ``RetrievalConfig`` does.
+    ValueError unless ``1 <= rrf_constant < inf``, as ``RetrievalConfig`` does.
     """
-    if rrf_constant < 1:
-        raise ValueError("rrf_constant must be >= 1")
+    if not 1 <= rrf_constant < np.inf:
+        raise ValueError(f"rrf_constant must be >= 1, got {rrf_constant!r}")
     weights: list[float] = []  # 1 / (c + rank), grown to the longest list
     fused: dict[str, float] = {}
     for ranked in lists:

@@ -5,22 +5,24 @@ which match the recommended hyperparameters (beam width 10, expansion length
 read, temperature 0).
 
 A section's keys and their types are the scalar fields of its dataclass
-(``[agent]`` sets the scalar fields of ``AgentConfig``); ``[retrieval]``
-also takes ``embedder``. Text after " ;" on a line is a comment.
+(``[agent]`` sets the scalar fields of ``AgentConfig``), and each type gives
+its values' range (``check_settings``); ``[retrieval]`` also takes
+``embedder``. Text after " ;" on a line is a comment.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .agent import AgentConfig
 from .base_retrieval import RetrievalConfig
 from .graph_expansion import ExpansionConfig
-from .llm_gateway import ChatBackend, HttpChatBackend, ScriptedBackend, check_http_limits
+from .llm_gateway import (
+    ChatBackend, HttpChatBackend, ScriptedBackend, check_settings, scalar_fields,
+)
 
 
 @dataclass(frozen=True)
@@ -37,10 +39,9 @@ class LLMConfig:
     timeout: float = 60.0
 
     def __post_init__(self):
-        check_http_limits(
-            self.timeout, max_retries=self.max_retries,
-            in_flight_limit=self.in_flight_limit, max_output_tokens=self.max_output_tokens,
-        )
+        check_settings(LLMConfig, vars(self))
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {self.timeout!r}")
 
 
 @dataclass(frozen=True)
@@ -52,21 +53,7 @@ class EvalSettings:
     qa_k: int = 5
 
     def __post_init__(self):
-        if not self.cutoffs or min(self.cutoffs) < 1:
-            raise ValueError("cutoffs must be one or more integers >= 1")
-        if self.qa_k < 1:
-            raise ValueError("qa_k must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-
-
-_SCALAR_TYPES = (bool, int, float, str, tuple[int, ...])
-
-
-def scalar_fields(cls) -> dict[str, type]:
-    """Name -> type of the fields of a config dataclass that a file can set."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls) if hints[f.name] in _SCALAR_TYPES}
+        check_settings(EvalSettings, vars(self))
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,7 @@ def _posting_weights(avg, indptr, doc_positions, term_freqs, doc_lengths, pair):
     return np.repeat(np.asarray(idf, dtype=np.float64), df) * (term_freqs * (k1 + 1.0)) / denom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LexicalView:
     """Per-view term statistics backing BM25 scoring, as CSR postings.
 
@@ -178,8 +178,8 @@ class LexicalView:
     indptr: np.ndarray
     doc_positions: np.ndarray
     term_freqs: np.ndarray
-    rows: dict[str, int] = field(repr=False)
-    bm25_weights: Memo = field(init=False, repr=False, compare=False)
+    rows: dict[str, int]
+    bm25_weights: Memo = field(init=False)
 
     def __post_init__(self):
         avg = float(self.doc_lengths.mean()) if len(self.ids) else 0.0
@@ -224,7 +224,7 @@ def exact_int8(rows: np.ndarray) -> np.ndarray:
     return small if np.array_equal(small, rows) else rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class VectorView:
     """Per-view embedding matrix in one layout, as dense search reads it and
     ``index.npz`` stores it: ``columns``, the embedder's rows in ascending id
@@ -242,9 +242,9 @@ class VectorView:
     """
 
     ids: tuple[str, ...]
-    columns: np.ndarray = field(repr=False)
-    sq_norms: np.ndarray = field(init=False, repr=False)
-    positive_norms: bool = field(init=False, repr=False)
+    columns: np.ndarray
+    sq_norms: np.ndarray = field(init=False)
+    positive_norms: bool = field(init=False)
 
     def __post_init__(self):
         columns = self.columns
@@ -273,7 +273,7 @@ def _neighbours(triples: Records, entity_codes, entity_csr, triple_id: str) -> t
     return tuple(map(triples.ids.__getitem__, linked[linked != at].tolist()))
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class CorpusIndex:
     """Immutable joint index over passages and their aligned triples.
 
@@ -295,7 +295,8 @@ class CorpusIndex:
     hash beam scorer adds them; see ``make_cosine_scorer``); ``neighbour_ids``,
     triple id -> its neighbours, ascending; and each lexical view's
     ``bm25_weights``. Threads that miss on one entry may each compute it,
-    and all get the value stored first, so there is no lock.
+    and all get the value stored first, so there is no lock. An index and
+    its views compare and hash by identity.
     """
 
     passages: Records
@@ -303,14 +304,14 @@ class CorpusIndex:
     lexical: dict[str, LexicalView]
     vectors: dict[str, VectorView]
     embedder: Callable[[str], np.ndarray]
-    triple_passage: np.ndarray = field(repr=False)
-    entity_codes: np.ndarray = field(repr=False)
-    entity_csr: tuple[np.ndarray, np.ndarray] = field(repr=False)
-    passage_csr: tuple[np.ndarray, np.ndarray] = field(repr=False)
-    alignment: Records = field(init=False, repr=False, compare=False)
-    triple_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    triple_ends: Memo = field(init=False, repr=False, compare=False)
-    neighbour_ids: Memo = field(init=False, repr=False, compare=False)
+    triple_passage: np.ndarray
+    entity_codes: np.ndarray
+    entity_csr: tuple[np.ndarray, np.ndarray]
+    passage_csr: tuple[np.ndarray, np.ndarray]
+    alignment: Records = field(init=False)
+    triple_rows: np.ndarray = field(init=False)
+    triple_ends: Memo = field(init=False)
+    neighbour_ids: Memo = field(init=False)
 
     def __post_init__(self):
         by_passage = {"passage_id": self.triples.columns["passage_id"]}
@@ -907,12 +908,9 @@ class _Npz(zipfile.ZipFile):
         try:
             with self.open(f"{key}.npy") as fh:
                 version = np.lib.format.read_magic(fh)
-                if version not in ((1, 0), (2, 0)):
+                if version != (1, 0):  # the one version ``_write_npz`` writes
                     raise ValueError(f"unsupported .npy version {version}")
-                read_header = np.lib.format.read_array_header_2_0
-                if version == (1, 0):
-                    read_header = np.lib.format.read_array_header_1_0
-                shape, fortran, dtype = read_header(fh)
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
                 if dtype.hasobject:
                     raise ValueError("an object array needs pickle, which a load never allows")
                 size = math.prod(shape) * dtype.itemsize

@@ -12,7 +12,7 @@ import re
 import string
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -275,16 +275,7 @@ class EvalRow:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "recall": {str(k): v for k, v in self.recall.items()},
-            "em": self.em,
-            "f1": self.f1,
-            "iterations": self.iterations,
-            "input_tokens": self.input_tokens,
-            "output_tokens": self.output_tokens,
-            "error": self.error,
-        }
+        return {**asdict(self), "recall": {str(k): v for k, v in self.recall.items()}}
 
 
 @dataclass

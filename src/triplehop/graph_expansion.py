@@ -35,7 +35,7 @@ from .corpus_index import (
     serialize_sequence,
     triples_to_passages,
 )
-from .llm_gateway import LLMGateway, ProximalTriple
+from .llm_gateway import LLMGateway, ProximalTriple, check_settings
 from .sync import locate_initial_nodes, read_proximal
 
 Scorer = Callable[[str, Sequence[tuple[str, ...]]], list[float]]
@@ -62,14 +62,9 @@ class ExpansionConfig:
     keep_stranded_beams: bool = False
 
     def __post_init__(self):
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
-        if self.max_length < 1:
-            raise ValueError("max_length must be >= 1")
-        if self.neighbour_cap < 1:
-            raise ValueError("neighbour_cap must be >= 1")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
+        check_settings(ExpansionConfig, vars(self))
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be > 0, got {self.gamma!r}")
 
 
 def diversity_weight(position: int, gamma: float) -> float:

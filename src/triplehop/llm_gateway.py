@@ -12,15 +12,16 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import random
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, TypeVar
+from typing import Callable, Iterable, Mapping, Protocol, TypeVar, get_type_hints
 
 from .corpus_index import read_jsonl, text_field
 
@@ -396,14 +397,37 @@ def post_json(
     raise error(f"request to {endpoint} failed after {max_retries} attempts: {last_error}") from cause
 
 
-def check_http_limits(timeout: float, **counts: int) -> None:
-    """Raise ValueError naming the first bad value unless ``timeout`` > 0
-    and each of ``counts`` (name -> value) is >= 1."""
-    if not timeout > 0:  # also false for NaN
-        raise ValueError(f"timeout must be > 0, got {timeout!r}")
-    for name, value in counts.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value!r}")
+# Declared type -> (lowest value, the range in words). A value must also be
+# below infinity, and ``not lo <= v < inf`` is true for NaN too.
+_RANGES = {
+    int: (1, ">= 1"),
+    tuple[int, ...]: (1, "one or more integers >= 1"),
+    float: (0, "finite and >= 0"),
+}
+_SCALAR_TYPES = (bool, str, *_RANGES)
+
+
+@lru_cache(maxsize=None)
+def scalar_fields(owner) -> dict[str, type]:
+    """Name -> type of the settings a config file can set: the scalar fields
+    of a config dataclass, or the scalar parameters of a function."""
+    hints = get_type_hints(owner)
+    names = [f.name for f in fields(owner)] if is_dataclass(owner) else hints
+    return {name: hints[name] for name in names if hints[name] in _SCALAR_TYPES}
+
+
+def check_settings(owner, values: Mapping[str, object]) -> None:
+    """Raise ValueError naming the first of ``values`` (name -> value) out of
+    the range that its type in ``scalar_fields(owner)`` gives it: an ``int``
+    is a count, at least 1, and so is each item of a ``tuple[int, ...]``,
+    which must not be empty; a ``float`` is finite and at least 0."""
+    for name, kind in scalar_fields(owner).items():
+        if kind in _RANGES:
+            lo, words = _RANGES[kind]
+            value = values[name]
+            items = value if kind == tuple[int, ...] else (value,)
+            if not items or not all(lo <= v < math.inf for v in items):
+                raise ValueError(f"{name} must be {words}, got {value!r}")
 
 
 class HttpChatBackend:
@@ -414,9 +438,9 @@ class HttpChatBackend:
     backend's ``temperature`` and ``max_output_tokens``. It reads the
     assistant text plus token usage from the response; usage falls back to
     whitespace counts when the server omits it. Retries follow ``post_json``;
-    every failure raises ``CompletionError``. A ``timeout`` not above 0, or a
-    ``max_retries``, ``in_flight_limit`` or ``max_output_tokens`` below 1,
-    raises ValueError here, at construction (``check_http_limits``).
+    every failure raises ``CompletionError``. An argument out of its type's
+    range (``check_settings``), or a ``timeout`` of 0, raises ValueError
+    here, at construction.
     """
 
     def __init__(
@@ -432,10 +456,9 @@ class HttpChatBackend:
         timeout: float = 60.0,
         in_flight_limit: int = 4,
     ):
-        check_http_limits(
-            timeout, max_retries=max_retries, in_flight_limit=in_flight_limit,
-            max_output_tokens=max_output_tokens,
-        )
+        check_settings(HttpChatBackend.__init__, locals())
+        if not timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {timeout!r}")
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature

@@ -169,6 +169,8 @@ def test_inline_comments_are_stripped(tmp_path):
         ("[llm]\nmax_retries = 0\n", r"\[llm\] max_retries"),
         ("[llm]\nin_flight_limit = 0\n", r"\[llm\] in_flight_limit"),
         ("[llm]\nmax_output_tokens = 0\n", r"\[llm\] max_output_tokens"),
+        ("[llm]\ntemperature = -3\n", r"\[llm\] temperature"),
+        ("[retrieval]\nbm25_b = 1.5\n", r"\[retrieval\] bm25_b"),
     ],
 )
 def test_bad_values_raise_config_error_naming_section_and_key(tmp_path, text, where):
@@ -176,6 +178,55 @@ def test_bad_values_raise_config_error_naming_section_and_key(tmp_path, text, wh
     path.write_text(text)
     with pytest.raises(ConfigError, match=where):
         load_engine_config(path)
+
+
+# Declared type -> values out of the range it gives (see ``check_settings``).
+OUT_OF_RANGE = {
+    int: [0],
+    tuple[int, ...]: [(0,), (), (5, 0)],
+    float: [float("nan"), float("inf"), float("-inf"), -1.0],
+}
+
+
+def out_of_range_settings():
+    """(section, key, value) for each numeric setting of every section and
+    each value out of its type's range, read from ``scalar_fields``."""
+    for name, section in EngineConfig().sections().items():
+        for key, kind in scalar_fields(type(section)).items():
+            for value in OUT_OF_RANGE.get(kind, []):
+                yield pytest.param(name, key, value, id=f"{name}.{key}={value}")
+
+
+@pytest.mark.parametrize("section, key, value", out_of_range_settings())
+def test_every_numeric_setting_rejects_values_out_of_its_types_range(
+    tmp_path, section, key, value
+):
+    raw = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    path = tmp_path / "engine.cfg"
+    path.write_text(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: {key} must be"):
+        load_engine_config(path)
+    with pytest.raises(ValueError, match=rf"^{key} must be"):
+        type(getattr(EngineConfig(), section))(**{key: value})
+
+
+def test_out_of_range_cases_cover_every_numeric_setting():
+    cases = {(p.values[0], p.values[1]) for p in out_of_range_settings()}
+    assert ("retrieval", "bm25_k1") in cases and ("expansion", "gamma") in cases
+    assert ("llm", "timeout") in cases and ("llm", "temperature") in cases
+    assert ("eval", "cutoffs") in cases and ("agent", "max_iterations") in cases
+    assert len(cases) == 19
+
+
+def test_range_edges_load(tmp_path):
+    path = tmp_path / "engine.cfg"
+    path.write_text(
+        "[retrieval]\nbm25_k1 = 0\nbm25_b = 1\nk = 1\n[llm]\ntemperature = 0\n"
+        "[expansion]\ngamma = 0.001\n[eval]\ncutoffs = 1\n"
+    )
+    cfg = load_engine_config(path)
+    assert (cfg.retrieval.bm25_k1, cfg.retrieval.bm25_b, cfg.retrieval.k) == (0.0, 1.0, 1)
+    assert (cfg.llm.temperature, cfg.expansion.gamma, cfg.eval.cutoffs) == (0.0, 0.001, (1,))
 
 
 def test_config_error_exits_1_from_the_cli(tmp_path, capsys):

@@ -338,6 +338,23 @@ def test_persistence_round_trip(tmp_path, chain_index):
             )
 
 
+def test_an_index_and_its_views_compare_and_hash_by_identity(tmp_path, chain_index):
+    """Arrays have no one truth value for ``==``, so an index and each of
+    its views equal only themselves, hash as objects do, and have a short
+    ``repr`` however large their arrays."""
+    save_index(chain_index, tmp_path / "idx")
+    first, second = load_index(tmp_path / "idx"), load_index(tmp_path / "idx")
+    pairs = [
+        (first, second),
+        (first.lexical[PASSAGES], second.lexical[PASSAGES]),
+        (first.vectors[TRIPLES], second.vectors[TRIPLES]),
+    ]
+    for one, other in pairs:
+        assert one == one and one != other
+        assert {one: "one", other: "other"}[one] == "one"
+        assert len(repr(one)) < 100
+
+
 def test_custom_embedder_round_trip_requires_explicit_embedder(tmp_path):
     def my_embedder(text):
         return np.ones(16) if text else np.zeros(16)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Mapping
+from dataclasses import fields
 from types import SimpleNamespace
 
 import pytest
@@ -23,6 +24,7 @@ from triplehop import (
 )
 from triplehop.eval_harness import (
     AgentSystem,
+    EvalRow,
     RetrieverSystem,
     SystemResult,
     load_questions_jsonl,
@@ -256,6 +258,16 @@ def test_run_eval_report_json_and_table(chain_index):
     table = report.to_table()
     assert "R@5" in table and "mean" in table
     assert "1.000" in table
+
+
+def test_a_row_dict_holds_evalrow_fields_in_order_with_string_cutoffs():
+    row = EvalRow("q1", {5: 0.5, 10: 1.0}, 1, 0.5, 2, 30, 4)
+    out = row.to_dict()
+    assert list(out) == [f.name for f in fields(EvalRow)]
+    assert out == {
+        "id": "q1", "recall": {"5": 0.5, "10": 1.0}, "em": 1, "f1": 0.5,
+        "iterations": 2, "input_tokens": 30, "output_tokens": 4, "error": None,
+    }
 
 
 def test_run_eval_row_order_follows_dataset_order(chain_index):

@@ -500,22 +500,49 @@ def test_load_names_an_array_that_does_not_read(tmp_path, chain_index):
         load_index(tmp_path)
 
 
-def restate_header(path: Path, key: str, shape: tuple[int, ...]) -> None:
-    """Give array ``key`` of an ``index.npz`` a header that states ``shape``
-    over the same data bytes, and reseal the index."""
+def rewrite_member(path: Path, key: str, encode) -> None:
+    """Replace the member of array ``key`` of an ``index.npz`` with
+    ``encode(array)``, given the array it held, and reseal the index."""
     with zipfile.ZipFile(path) as zf:
         members = {name: zf.read(name) for name in zf.namelist()}
     array = np.lib.format.read_array(io.BytesIO(members[f"{key}.npy"]))
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(
-        header,
-        {"descr": np.lib.format.dtype_to_descr(array.dtype), "fortran_order": False, "shape": shape},
-    )
-    members[f"{key}.npy"] = header.getvalue() + array.tobytes()
+    members[f"{key}.npy"] = encode(array)
     with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
         for name, data in members.items():
             zf.writestr(name, data)
     reseal(path.parent)
+
+
+def restate_header(path: Path, key: str, shape: tuple[int, ...]) -> None:
+    """Give array ``key`` of an ``index.npz`` a header that states ``shape``
+    over the same data bytes, and reseal the index."""
+
+    def encode(array: np.ndarray) -> bytes:
+        header = io.BytesIO()
+        descr = np.lib.format.dtype_to_descr(array.dtype)
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": descr, "fortran_order": False, "shape": shape}
+        )
+        return header.getvalue() + array.tobytes()
+
+    rewrite_member(path, key, encode)
+
+
+def test_load_names_an_array_saved_with_a_version_2_header(tmp_path, chain_index):
+    """A save writes ``.npy`` version 1.0 only, and a load reads no other."""
+    save_index(chain_index, tmp_path)
+
+    def version_2(array: np.ndarray) -> bytes:
+        member = io.BytesIO()
+        np.lib.format.write_array(member, array, version=(2, 0))
+        return member.getvalue()
+
+    rewrite_member(tmp_path / "index.npz", "p_indptr", version_2)
+    with pytest.raises(
+        IndexBuildError,
+        match=r"index\.npz: array 'p_indptr' does not read: unsupported \.npy version \(2, 0\)",
+    ):
+        load_index(tmp_path)
 
 
 @pytest.mark.parametrize("shape", [(2**44,), (1,)], ids=["past-memory", "short"])

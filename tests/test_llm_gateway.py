@@ -438,6 +438,7 @@ def chat_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}/chat", handler
     server.shutdown()
+    server.server_close()
 
 
 def test_http_backend_success_with_usage(chat_server):
@@ -497,6 +498,10 @@ def test_http_backend_unreachable_errors():
         {"timeout": 0},
         {"timeout": -1.0},
         {"timeout": float("nan")},
+        {"timeout": float("inf")},
+        {"temperature": float("nan")},
+        {"temperature": -3.0},
+        {"backoff_base": float("inf")},
         {"max_retries": 0},
         {"in_flight_limit": 0},
         {"max_output_tokens": 0},
