@@ -345,11 +345,11 @@ _TRIGRAM_CODES = Memo(lambda dim: Memo(partial(_trigram_code, dim)))
 # Texts ``hash_embed_many`` hashes at once, so its working arrays stay about
 # 256 texts' trigrams however many texts a call has.
 _EMBED_CHUNK = 256
-# Fewer texts than this go through ``hash_embed`` one by one: the array
-# passes cost about as much as hashing five short queries that way. On
-# agent-chains a quarter of the batches hold two short texts, which take
-# about 30 us this way against 70-80 us through the arrays.
-_EMBED_ARRAY_MIN = 6
+# A batch of fewer characters than this, or of one text, goes through
+# ``hash_embed`` one text at a time: the array passes cost about as much as
+# hashing 300-350 characters that way, nine fact-length or five
+# question-length texts (agent-chains), and never pay off for one text.
+_EMBED_ARRAY_CHARS = 320
 
 
 def trigram_codes(dim: int) -> Memo:
@@ -376,13 +376,13 @@ def hash_embed_many(texts: Sequence[str], dim: int) -> np.ndarray:
     sums the chunk's ±1 signs by (text, bucket); sums of ±1 are exact in
     float64 and never -0.0, so each row has ``hash_embed``'s bits.
 
-    Fewer than six texts (``_EMBED_ARRAY_MIN``) go through ``hash_embed`` one
-    at a time, so one text costs about what ``hash_embed`` itself does.
+    One text, or texts of under 320 characters in all (``_EMBED_ARRAY_CHARS``),
+    go through ``hash_embed`` one at a time, as that is cheaper.
     """
     codes = trigram_codes(dim)
     texts = list(texts)
     out = np.empty((len(texts), dim), dtype=np.float64)
-    if len(texts) < _EMBED_ARRAY_MIN:
+    if len(texts) < 2 or sum(map(len, texts)) < _EMBED_ARRAY_CHARS:
         for row, text in enumerate(texts):
             out[row] = hash_embed(text, dim)
         return out

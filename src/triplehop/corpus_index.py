@@ -94,11 +94,17 @@ def serialize_triple(triple) -> str:
     return f"{triple.subject.strip()} {triple.predicate.strip()} {triple.object.strip()}"
 
 
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """A non-negative integer array in the smallest dtype that holds it: the
+    one layout of every integer array an index holds, and stores as held."""
+    return values.astype(np.min_scalar_type(values.max() if values.size else 0), copy=False)
+
+
 def _text_column(values: list[str]) -> tuple[str, np.ndarray]:
-    """Texts as one column: joined, and the int64 offsets where each starts, plus the total."""
+    """Texts as one column: joined, and the offsets where each starts, plus the total."""
     offsets = np.zeros(len(values) + 1, dtype=np.int64)
     np.cumsum(np.fromiter(map(len, values), np.int64, len(values)), out=offsets[1:])
-    return "".join(values), offsets
+    return "".join(values), _narrow(offsets)
 
 
 def _slices(text: str, offsets: np.ndarray) -> list[str]:
@@ -134,6 +140,10 @@ class Records(Mapping):
         at = self.position(key)
         return self.make(self.ids[at], *[text[cut[at] : cut[at + 1]] for text, cut in self._cuts])
 
+    def __contains__(self, key) -> bool:  # bisects as ``position`` does, and builds no record
+        at = bisect_left(self.ids, key) if isinstance(key, str) else len(self.ids)
+        return at < len(self.ids) and self.ids[at] == key
+
     def __iter__(self):
         return iter(self.ids)
 
@@ -164,8 +174,8 @@ class LexicalView:
     term to its row, in ascending term order, and is the view's one copy of
     its vocabulary. The postings of row ``r`` are the slice
     ``indptr[r]:indptr[r + 1]`` of ``doc_positions`` (ascending positions
-    into ``ids``) and ``term_freqs``. These arrays but ``ids``, and the keys
-    of ``rows`` as ``vocab``, are what ``index.npz`` stores.
+    into ``ids``) and ``term_freqs``. These arrays but ``ids`` (each as
+    ``_narrow`` makes it), and ``rows``' keys as ``vocab``, are what ``index.npz`` stores.
 
     ``bm25_weights`` is a ``Memo`` of (k1, b) -> every posting's BM25 term
     weight (``_posting_weights``), aligned with ``doc_positions``.
@@ -212,7 +222,7 @@ class LexicalView:
         term_rows, positions = np.divmod(keys, n)
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(np.bincount(term_rows, minlength=len(rows)), out=indptr[1:])
-        return cls(tuple(ids), lengths, indptr, positions, term_freqs, rows)
+        return cls(tuple(ids), *map(_narrow, (lengths, indptr, positions, term_freqs)), rows)
 
 
 def exact_int8(rows: np.ndarray) -> np.ndarray:
@@ -269,7 +279,7 @@ def _triple_ends(triples: Records, embedder, triple_id: str) -> tuple[int, int, 
 def _neighbours(triples: Records, entity_codes, entity_csr, triple_id: str) -> tuple[str, ...]:
     at = triples.position(triple_id)
     indptr, members = entity_csr
-    linked = np.union1d(*(members[indptr[c] : indptr[c + 1]] for c in entity_codes[at]))
+    linked = np.union1d(*(members[indptr[c] : indptr[c + 1]] for c in entity_codes[at].tolist()))
     return tuple(map(triples.ids.__getitem__, linked[linked != at].tolist()))
 
 
@@ -282,7 +292,8 @@ class CorpusIndex:
     ``triples.ids``: each triple's passage (``triple_passage``) and subject
     and object entity codes (``entity_codes``, a code per ``normalize_entity``
     key), and (indptr, ascending triple positions) CSR pairs by entity code
-    (a triple naming one entity twice is in its group twice) and by passage.
+    (a triple naming one entity twice is in its group twice) and by passage,
+    each as ``_narrow`` makes it.
     ``alignment`` maps triple id -> passage id.
 
     ``triple_rows`` is the triple view's columns transposed for the beam
@@ -343,7 +354,7 @@ def _csr(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     group: (indptr, grouped), group ``k`` being ``grouped[indptr[k]:indptr[k + 1]]``."""
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
-    return indptr, values[np.argsort(keys, kind="stable")]
+    return _narrow(indptr), _narrow(values[np.argsort(keys, kind="stable")])
 
 
 def _graph(passages: Records, triples: Records, fail: Callable) -> tuple:
@@ -371,7 +382,7 @@ def _graph(passages: Records, triples: Records, fail: Callable) -> tuple:
     codes = np.fromiter(map(code_of.__getitem__, entities), np.int64, 2 * n)
     ends = np.ascontiguousarray(codes.reshape(2, n).T)  # each triple's (subject, object) codes
     return (
-        triple_passage, ends,
+        _narrow(triple_passage), _narrow(ends),
         _csr(ends.ravel(), np.repeat(np.arange(n), 2), len(keys)),
         _csr(triple_passage, np.arange(n), len(passages)),
     )
@@ -703,11 +714,6 @@ _RECORD_KINDS = {
 _NPY_PIECE = 1 << 18
 
 
-def _narrow(values: np.ndarray) -> np.ndarray:
-    """A non-negative integer array in the smallest dtype that holds it."""
-    return values.astype(np.min_scalar_type(values.max() if values.size else 0))
-
-
 def _write_npz(path: Path, arrays: Iterable[tuple[str, np.ndarray]]) -> None:
     """Write ``(key, array)`` pairs as an ``.npz`` that ``np.load`` reads:
     one ``.npy`` member per key, deflated at level 2 (several times faster
@@ -739,7 +745,7 @@ def _utf8_column(key: str, text: str, offsets: np.ndarray) -> Iterator[tuple[str
     starts, plus the total. ``surrogatepass`` keeps lone surrogates, which
     JSON input may hold."""
     yield f"{key}_utf8", np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    yield f"{key}_offsets", _narrow(offsets)
+    yield f"{key}_offsets", offsets
 
 
 def _index_arrays(index: CorpusIndex) -> Iterator[tuple[str, np.ndarray]]:
@@ -754,12 +760,12 @@ def _index_arrays(index: CorpusIndex) -> Iterator[tuple[str, np.ndarray]]:
             yield from _utf8_column(f"{by_id.kind}_{key}", *columns[key])
     for view, prefix, name in _NPZ_PREFIXES:
         lex = index.lexical[view]
-        yield f"{prefix}_doc_lengths", _narrow(lex.doc_lengths)
+        yield f"{prefix}_doc_lengths", lex.doc_lengths
         yield f"{prefix}_vocab", np.asarray(list(lex.rows), dtype=np.str_)
         yield f"{prefix}_doc_freq", _narrow(np.diff(lex.indptr))
-        yield f"{prefix}_indptr", _narrow(lex.indptr)
-        yield f"{prefix}_doc_positions", _narrow(lex.doc_positions)
-        yield f"{prefix}_term_freqs", _narrow(lex.term_freqs)
+        yield f"{prefix}_indptr", lex.indptr
+        yield f"{prefix}_doc_positions", lex.doc_positions
+        yield f"{prefix}_term_freqs", lex.term_freqs
         yield f"{name}_columns", index.vectors[view].columns
 
 
@@ -936,25 +942,26 @@ class _Npz(zipfile.ZipFile):
 
     def array(self, key: str, *dtypes: type, ndim: int = 1) -> np.ndarray:
         """Array ``key``, which must have ``ndim`` dimensions and a dtype that
-        ``np.issubdtype`` counts as one of ``dtypes`` (``np.integer`` when
-        none is given); any other raises IndexBuildError naming the key."""
+        ``np.issubdtype`` counts as one of ``dtypes``. With none given, it
+        must be an integer dtype in native byte order that ``np.intp``
+        holds, so it is kept as stored and indexes, slices and counts as is.
+        Any other raises IndexBuildError naming the key."""
         array = self[key]
-        dtypes = dtypes or (np.integer,)
-        if array.ndim != ndim or not any(np.issubdtype(array.dtype, d) for d in dtypes):
-            wanted = f"{ndim}-D {' or '.join(d.__name__ for d in dtypes)}"
-            raise self.fail(f"{key} is {array.ndim}-D {array.dtype}, not {wanted}")
+        dtype = array.dtype
+        wanted = " or ".join(d.__name__ for d in dtypes) or "native integer within intp"
+        fits = any(np.issubdtype(dtype, d) for d in dtypes) if dtypes else (
+            dtype.kind in "iu" and dtype.isnative and np.can_cast(dtype, np.intp))
+        if array.ndim != ndim or not fits:
+            raise self.fail(f"{key} is {array.ndim}-D {dtype}, not {ndim}-D {wanted}")
         return array
-
-    def ints(self, key: str) -> np.ndarray:
-        """The 1-D integer array ``key`` widened back to its in-memory int64."""
-        return self.array(key).astype(np.int64, copy=False)
 
     def check_offsets(self, key: str, offsets: np.ndarray, total: int, of: str) -> None:
         """Raise IndexBuildError naming ``key`` unless ``offsets`` runs
-        non-decreasing from 0 to ``total``, which the message calls ``of``."""
+        non-decreasing from 0 to ``total``, which the message calls ``of``.
+        Neighbours are compared: a difference of unsigned values wraps."""
         if (
             not len(offsets) or offsets[0] != 0 or offsets[-1] != total
-            or np.any(np.diff(offsets) < 0)
+            or np.any(offsets[1:] < offsets[:-1])
         ):
             raise self.fail(f"{key} is not non-decreasing from 0 to {of}")
 
@@ -972,7 +979,7 @@ def _read_vector_view(npz: _Npz, name: str, ids: tuple[str, ...], dim) -> Vector
 
 def _read_lexical_view(npz: _Npz, prefix: str, ids: tuple[str, ...]) -> LexicalView:
     doc_lengths, indptr, positions, term_freqs = (
-        npz.ints(f"{prefix}_{key}")
+        npz.array(f"{prefix}_{key}")
         for key in ("doc_lengths", "indptr", "doc_positions", "term_freqs")
     )
     vocab = npz.array(f"{prefix}_vocab", np.str_).tolist()
@@ -985,14 +992,15 @@ def _read_lexical_view(npz: _Npz, prefix: str, ids: tuple[str, ...]) -> LexicalV
     if not all(map(lt, vocab, vocab[1:])):
         raise npz.fail(f"{prefix}_vocab is not strictly ascending")
     npz.check_offsets(f"{prefix}_indptr", indptr, len(positions), f"len({prefix}_doc_positions)")
+    # ``indptr`` is non-decreasing now, so its differences do not wrap
     if not np.array_equal(npz[f"{prefix}_doc_freq"], np.diff(indptr)):
         raise npz.fail(f"{prefix}_doc_freq differs from np.diff(indptr)")
     if len(positions) and (positions.min() < 0 or positions.max() >= len(ids)):
         raise npz.fail(f"{prefix}_doc_positions has a position outside [0, {len(ids)})")
-    steps = np.diff(positions)
+    ascending = positions[1:] > positions[:-1]
     starts = indptr[1:-1]  # a row's first position may be below the previous row's last
-    steps[starts[(starts > 0) & (starts < len(positions))] - 1] = 1
-    if np.any(steps < 1):
+    ascending[starts[(starts > 0) & (starts < len(positions))] - 1] = True
+    if not ascending.all():
         raise npz.fail(f"{prefix}_doc_positions is not strictly ascending within a row")
     if len(term_freqs) and term_freqs.min() < 1:
         raise npz.fail(f"{prefix}_term_freqs holds a frequency below 1")
@@ -1004,10 +1012,10 @@ def _read_lexical_view(npz: _Npz, prefix: str, ids: tuple[str, ...]) -> LexicalV
 def _read_utf8_column(npz: _Npz, key: str) -> tuple[str, np.ndarray]:
     """A text field of ``index.npz`` (see ``_utf8_column``) as ``(text, offsets)``."""
     try:
-        text = npz[f"{key}_utf8"].tobytes().decode("utf-8", "surrogatepass")
+        text = str(npz[f"{key}_utf8"].data, "utf-8", "surrogatepass")
     except UnicodeDecodeError as e:
         raise npz.fail(f"{key}_utf8 is not UTF-8: {e.reason} at byte {e.start}") from e
-    offsets = npz.ints(f"{key}_offsets")
+    offsets = npz.array(f"{key}_offsets")
     of = f"the {len(text)} characters of {key}_utf8"
     npz.check_offsets(f"{key}_offsets", offsets, len(text), of)
     return text, offsets
@@ -1049,8 +1057,9 @@ def load_index(
     array that does not read, is stored in another shape or dtype than a save
     writes, or disagrees with the others, and a manifest ``dim`` unlike the
     stored views' or a ``hash:<dim>`` embedder's, raises IndexBuildError naming
-    the file. Stored integer arrays are widened back to int64. Each view
-    keeps the columns it reads, as stored.
+    the file. Every array is kept as stored: the integer arrays in the
+    smallest dtype that holds them, as a build holds them (see ``_narrow``),
+    and each view's columns.
     """
     from .base_retrieval import hash_dim, resolve_embedder
 

@@ -155,8 +155,9 @@ def _tokens(text: str) -> list[str]:
 
 def oracle_postings(texts: list[str]) -> tuple[dict[str, int], dict[str, np.ndarray]]:
     """The CSR postings of ``texts``: term -> row with the terms ascending,
-    and the int64 arrays ``doc_lengths``, ``indptr``, ``doc_positions`` and
-    ``term_freqs`` (see ``LexicalView``)."""
+    and the arrays ``doc_lengths``, ``indptr``, ``doc_positions`` and
+    ``term_freqs`` (see ``LexicalView``), each in the first of uint8, uint16,
+    uint32 and uint64 that holds its values."""
     lengths = np.zeros(len(texts), dtype=np.int64)
     terms: list[str] = []
     positions: list[int] = []
@@ -175,12 +176,19 @@ def oracle_postings(texts: list[str]) -> tuple[dict[str, int], dict[str, np.ndar
     order = np.argsort(rows, kind="stable")
     indptr = np.zeros(len(vocab) + 1, dtype=np.int64)
     indptr[1:] = np.cumsum(np.bincount(rows, minlength=len(vocab)))
-    return row_of, {
+    arrays = {
         "doc_lengths": lengths,
         "indptr": indptr,
         "doc_positions": np.asarray(positions, dtype=np.int64)[order],
         "term_freqs": np.asarray(freqs, dtype=np.int64)[order],
     }
+    return row_of, {key: _smallest_unsigned(values) for key, values in arrays.items()}
+
+
+def _smallest_unsigned(values: np.ndarray) -> np.ndarray:
+    top = int(values.max()) if values.size else 0
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if top <= np.iinfo(t).max)
+    return values.astype(dtype)
 
 
 def oracle_bm25(docs: dict[str, str], query: str, k: int, k1: float, b: float):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,36 @@ def test_a_load_builds_no_record_and_an_access_builds_one(tmp_path, chain_index,
     assert made == ["Passage", "Triple"]
     assert (passage.title, passage.body) == ("second", "entb linksto entc according to ledger two.")
     assert (triple.subject, triple.object, triple.passage_id) == ("entc", "entd", "p3")
+
+
+@pytest.mark.parametrize(
+    "key, known",
+    [("p2", True), ("p4", True), ("p0", False), ("p22", False), ("", False),
+     (2, False), (None, False), (b"p2", False), (("p2",), False), (["p2"], False)],
+    ids=["known", "last", "before-all", "between", "empty", "int", "none", "bytes", "tuple",
+         "unhashable"],
+)
+def test_membership_bisects_the_ids_and_builds_no_record(chain_index, monkeypatch, key, known):
+    def built(*args):
+        raise AssertionError("a membership test built a record")
+
+    monkeypatch.setattr(chain_index.passages, "make", built)
+    assert (key in chain_index.passages) is known
+
+
+@pytest.mark.parametrize("n", [129, 32_769], ids=["uint8", "uint16"])
+def test_the_top_entity_code_of_a_narrow_dtype_finds_its_group(tmp_path, n):
+    # 2n - 2 distinct entities fill the dtype's codes, and "hub", the last
+    # new entity, takes the top one, whose group ends at indptr[code + 1]:
+    # code + 1 in the dtype itself would wrap to 0.
+    triples = [Triple(f"t{i:05d}", f"s{i if i < n - 1 else 0}", "r",
+                      f"o{i}" if i < n - 2 else "hub", "p1") for i in range(n)]
+    built = build_index([Passage("p1", "", "body")], triples, HashEmbedder(8))
+    save_index(built, tmp_path)
+    for index in (built, load_index(tmp_path)):
+        assert index.entity_codes.max() == np.iinfo(index.entity_codes.dtype).max
+        assert get_neighbours(index, triples[-2].id) == (triples[-1].id,)
+        assert get_neighbours(index, triples[-1].id) == (triples[0].id, triples[-2].id)
 
 
 # Spellings that normalize_entity makes one key: by case, by spaces, and by

@@ -70,17 +70,17 @@ def assert_bytes_equal(got, want):
     st.lists(st.one_of(st.text(alphabet=ALPHABET, max_size=2), TEXTS), max_size=14),
     st.sampled_from(DIMS),
     st.integers(1, 5),
-    st.integers(0, base_retrieval._EMBED_ARRAY_MIN),
+    st.sampled_from([0, 10, base_retrieval._EMBED_ARRAY_CHARS]),
 )
-def test_embed_many_equals_stacked_hash_embed(texts, dim, chunk, array_min):
+def test_embed_many_equals_stacked_hash_embed(texts, dim, chunk, array_chars):
     # A chunk of 1-5 texts puts most drawn batches over one chunk, and a
-    # lowered ``_EMBED_ARRAY_MIN`` sends small batches through the arrays too.
-    saved = base_retrieval._EMBED_CHUNK, base_retrieval._EMBED_ARRAY_MIN
-    base_retrieval._EMBED_CHUNK, base_retrieval._EMBED_ARRAY_MIN = chunk, array_min
+    # lowered ``_EMBED_ARRAY_CHARS`` sends small batches through the arrays too.
+    saved = base_retrieval._EMBED_CHUNK, base_retrieval._EMBED_ARRAY_CHARS
+    base_retrieval._EMBED_CHUNK, base_retrieval._EMBED_ARRAY_CHARS = chunk, array_chars
     try:
         got = HashEmbedder(dim).embed_many(texts)
     finally:
-        base_retrieval._EMBED_CHUNK, base_retrieval._EMBED_ARRAY_MIN = saved
+        base_retrieval._EMBED_CHUNK, base_retrieval._EMBED_ARRAY_CHARS = saved
     assert_bytes_equal(got, stacked(texts, dim))
 
 
@@ -98,7 +98,7 @@ def test_embed_many_across_whole_chunks(size):
 def test_embed_many_lower_cases_each_text_on_its_own(monkeypatch, dim):
     # Joined before lower-casing, "ΑΣ" + "Α" would read "ΑΣΑ", whose Σ is not
     # final; alone it lower-cases to "ας". Pairs take the arrays too here.
-    monkeypatch.setattr(base_retrieval, "_EMBED_ARRAY_MIN", 0)
+    monkeypatch.setattr(base_retrieval, "_EMBED_ARRAY_CHARS", 0)
     texts = ["ΑΣ", "Α", "ΟΔΟΣ", "ΣΑ", "İ", "İİ", "aİb", "ß", "Straße", "😀😀😀", "a𝔘b𝔘"]
     assert "ΑΣ".lower() + "Α".lower() != ("ΑΣ" + "Α").lower()
     got = HashEmbedder(dim).embed_many(texts)
@@ -110,15 +110,15 @@ def test_embed_many_lower_cases_each_text_on_its_own(monkeypatch, dim):
 def test_embed_many_keeps_apart_trigrams_that_share_low_bits(monkeypatch):
     # Packed into 16 bits each, "ab" + U+10063 and "acc" would give one key;
     # 21 bits hold every code point up to U+10FFFF.
-    monkeypatch.setattr(base_retrieval, "_EMBED_ARRAY_MIN", 0)
+    monkeypatch.setattr(base_retrieval, "_EMBED_ARRAY_CHARS", 0)
     texts = ["ab\U00010063", "acc", "\U0010ffff\U0010ffff\U0010ffff", "\U0010fffe\U0010ffff\U0010ffff"]
     for dim in DIMS:
         assert_bytes_equal(HashEmbedder(dim).embed_many(texts), stacked(texts, dim))
 
 
-@pytest.mark.parametrize("array_min", [0, base_retrieval._EMBED_ARRAY_MIN])
-def test_embed_many_takes_any_sequence_and_hashes_as_hash_embed_does(monkeypatch, array_min):
-    monkeypatch.setattr(base_retrieval, "_EMBED_ARRAY_MIN", array_min)
+@pytest.mark.parametrize("array_chars", [0, base_retrieval._EMBED_ARRAY_CHARS])
+def test_embed_many_takes_any_sequence_and_hashes_as_hash_embed_does(monkeypatch, array_chars):
+    monkeypatch.setattr(base_retrieval, "_EMBED_ARRAY_CHARS", array_chars)
     texts = ("alpha beta", "gamma")
     assert_bytes_equal(HashEmbedder(64).embed_many(texts), stacked(list(texts), 64))
     # A lone surrogate hashes by its surrogatepass bytes, alone or in a batch.

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import re
+import shutil
 import tempfile
 import zipfile
 from pathlib import Path
@@ -191,7 +192,7 @@ def test_npz_members_hold_the_bytes_np_save_writes(tmp_path, array):
         assert zf.read("a.npy") == want.getvalue()
 
 
-def test_postings_are_stored_narrow_and_loaded_as_int64(tmp_path, chain_index):
+def test_postings_are_stored_narrow_and_loaded_as_stored(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
     loaded = load_index(tmp_path / "idx")
     keys = ("doc_lengths", "indptr", "doc_positions", "term_freqs")
@@ -201,9 +202,48 @@ def test_postings_are_stored_narrow_and_loaded_as_int64(tmp_path, chain_index):
             for key in keys:
                 stored = lex[f"{prefix}_{key}"]
                 assert stored.dtype == np.uint8  # every value of the chain is below 256
-                assert getattr(back, key).dtype == np.int64
+                assert getattr(back, key).dtype == getattr(built, key).dtype == np.uint8
                 assert getattr(back, key).tobytes() == getattr(built, key).tobytes()
             assert lex[f"{prefix}_doc_freq"].dtype == np.uint8
+
+
+def held_integer_arrays(index) -> dict[str, np.ndarray]:
+    """Every integer array ``index`` holds, by its key in ``index.npz``, or
+    by its ``CorpusIndex`` field for the graph, which is not stored."""
+    held = {}
+    for records in (index.passages, index.triples):
+        held.update({f"{records.kind}_{key}_offsets": offsets
+                     for key, (_, offsets) in records.columns.items()})
+    for view, prefix in ((PASSAGES, "p"), (TRIPLES, "t")):
+        lex = index.lexical[view]
+        held.update({f"{prefix}_{key}": getattr(lex, key)
+                     for key in ("doc_lengths", "indptr", "doc_positions", "term_freqs")})
+    held.update(triple_passage=index.triple_passage, entity_codes=index.entity_codes)
+    held.update(zip(("entity_indptr", "entity_members", "passage_indptr", "passage_members"),
+                    (*index.entity_csr, *index.passage_csr)))
+    return held
+
+
+@pytest.mark.parametrize(
+    "n_passages, positions", [(4, np.uint8), (300, np.uint16), (70_000, np.uint32)]
+)
+def test_no_loaded_integer_array_is_wider_than_its_stored_member(tmp_path, n_passages, positions):
+    # Positions reach n_passages - 1; each held array takes the smallest
+    # dtype that holds its values, built or loaded, as stored.
+    passages = [Passage(f"p{i:05d}", "", f"w{i % 7}") for i in range(n_passages)]
+    triples = [Triple(f"t{i:05d}", f"e{i % 5}", "r", f"e{i % 3}", f"p{i % n_passages:05d}")
+               for i in range(40)]
+    built = build_index(passages, triples, HashEmbedder(8))
+    save_index(built, tmp_path)
+    loaded = load_index(tmp_path)
+    held, fresh = held_integer_arrays(loaded), held_integer_arrays(built)
+    assert held["p_doc_positions"].dtype == positions
+    with np.load(tmp_path / "index.npz") as npz:
+        for key, array in held.items():
+            assert (array.dtype, array.tobytes()) == (fresh[key].dtype, fresh[key].tobytes()), key
+            assert array.dtype == np.min_scalar_type(array.max()), key
+            if key in npz.files:
+                assert array.dtype == npz[key].dtype and array.tobytes() == npz[key].tobytes(), key
 
 
 def test_wide_values_keep_a_dtype_that_holds_them(tmp_path):
@@ -569,6 +609,13 @@ def test_load_names_an_array_whose_header_misstates_its_size(tmp_path, chain_ind
             id="float-text-offsets",
         ),
         pytest.param("t_vocab", lambda a: a[:, None], "2-D <U8", id="2-d-vocab"),
+        # kept as stored, an integer array must index and count as it is
+        pytest.param(
+            "p_doc_positions", lambda a: a.astype(np.uint64), "1-D uint64", id="past-intp"
+        ),
+        pytest.param(
+            "passage_text_offsets", lambda a: a.astype(">u2"), "1-D >u2", id="big-endian"
+        ),
         pytest.param("passage_columns", lambda a: a.astype(np.int16), "2-D int16", id="wide-values"),
         pytest.param("triple_columns", lambda a: a.view(np.uint8), "2-D uint8", id="unsigned-values"),
         pytest.param("passage_columns", np.ravel, "1-D int8", id="1-d-columns"),
@@ -580,6 +627,55 @@ def test_load_rejects_an_array_stored_with_another_type(saved, key, change, stor
     wanted = "2-D int8 or float64" if key.endswith("_columns") else "1-D"
     with pytest.raises(IndexBuildError, match=rf"index\.npz: {key} is {stored_as}, not {wanted}"):
         load_index(saved.parent)
+
+
+# The stored integer members a fuzzed edit changes, by key suffix.
+FUZZED = ("_offsets", "_indptr", "_doc_positions", "_term_freqs", "_doc_lengths", "_doc_freq")
+
+
+@pytest.fixture(scope="module")
+def fuzz_source(tmp_path_factory):
+    """A saved hop corpus, and each of its members that ``FUZZED`` names."""
+    passages, triples, _ = build_hop_corpus(n_chains=2, n_distractors=3)
+    directory = tmp_path_factory.mktemp("fuzz") / "idx"
+    save_index(build_index(passages, triples, HashEmbedder(16)), directory)
+    with np.load(directory / "index.npz") as npz:
+        members = {key: npz[key] for key in npz.files if key.endswith(FUZZED)}
+    return directory, members
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_one_changed_integer_fails_naming_the_file_or_loads_an_index_that_answers(
+    fuzz_source, data
+):
+    directory, members = fuzz_source
+    key = data.draw(st.sampled_from(sorted(members)), label="key")
+    array = members[key].copy()
+    at = data.draw(st.integers(0, len(array) - 1), label="at")
+    bounds, old = np.iinfo(array.dtype), int(array[at])
+    near = st.integers(max(bounds.min, old - 2), min(bounds.max, old + 2))
+    array[at] = data.draw(near | st.integers(bounds.min, bounds.max), label="value")
+
+    def encode(_) -> bytes:
+        member = io.BytesIO()
+        np.lib.format.write_array(member, array)
+        return member.getvalue()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(shutil.copytree(directory, Path(tmp) / "idx"))
+        rewrite_member(copy / "index.npz", key, encode)
+        try:
+            index = load_index(copy)
+        except IndexBuildError as e:
+            assert str(e).startswith(f"{copy / 'index.npz'}: ")
+            return
+    retrieval, expansion = RetrievalConfig(k=5), ExpansionConfig()
+    for query in ("ent1a linksto", "ledger two closing"):
+        for view in (PASSAGES, TRIPLES):
+            for search in (bm25_search, dense_search, hybrid_search):
+                search(index, query, view, 5)
+        naive_ge_retrieve(index, query, retrieval, expansion)
 
 
 def test_load_rejects_dense_rows_stored_with_another_type(tmp_path):
