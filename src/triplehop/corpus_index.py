@@ -11,6 +11,7 @@ to share across threads.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from bisect import bisect_left
 from array import array
 from collections import Counter, defaultdict
 from collections.abc import Mapping
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import count
@@ -307,7 +309,8 @@ class CorpusIndex:
     triple id -> its neighbours, ascending; and each lexical view's
     ``bm25_weights``. Threads that miss on one entry may each compute it,
     and all get the value stored first, so there is no lock. An index and
-    its views compare and hash by identity.
+    its views compare and hash by identity. A loaded index's stored arrays
+    (record offsets, postings and columns) are read-only views.
     """
 
     passages: Records
@@ -709,8 +712,7 @@ _RECORD_KINDS = {
     "triple": (Triple, ("id", "subject", "predicate", "object", "passage_id")),
 }
 
-# Bytes of array data written, and read by ``_Npz``, at a time, as
-# ``read_array`` reads them.
+# Bytes of array data written at a time: the pieces ``read_array`` reads.
 _NPY_PIECE = 1 << 18
 
 
@@ -886,59 +888,73 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
         shutil.rmtree(retired, ignore_errors=True)
 
 
-class _Npz(zipfile.ZipFile):
-    """The ``index.npz`` of an index, read one array per key as ``np.load``
-    reads it. A file that is not an ``.npz``, or a key that it lacks, cannot
-    read or whose header misstates its size, raises IndexBuildError naming
-    the file, as ``fail`` does."""
+class _Npz:
+    """The ``index.npz`` at ``path``, parsed from ``data``, its bytes; ``pool``
+    inflates the arrays named in ``prefetch``, in order, while the caller reads
+    the others. Whatever does not read raises IndexBuildError naming ``path``."""
 
-    def __init__(self, path: Path):
-        self.path = path
+    def __init__(self, path: Path, data: bytes, pool: Executor, prefetch: Iterable[str]):
+        self.path, self.data = path, data
         try:
-            super().__init__(path)
-        except zipfile.BadZipFile as e:
+            with zipfile.ZipFile(io.BytesIO(data)) as zf:
+                self.members = {info.filename: info for info in zf.infolist()}
+        except (zipfile.BadZipFile, NotImplementedError) as e:  # a zip version past zipfile's
             raise self.fail(f"not an .npz file: {e}") from None
+        self.prefetched = {key: pool.submit(self.inflate, key) for key in prefetch}
 
     def fail(self, problem: str) -> IndexBuildError:
         return IndexBuildError(f"{self.path}: {problem}")
 
     def __getitem__(self, key: str) -> np.ndarray:
-        """Array ``key``, as ``np.load`` reads it without pickle, but allocated
-        only once its header's shape and dtype account for the member's size:
-        a header claiming more than the member holds allocates nothing.
-
-        The data is read here rather than by ``read_array``, which would parse
-        the header again (about 37 us an array, over a millisecond a load),
-        and in ``_NPY_PIECE`` pieces, as ``read_array`` reads it, since one
-        read of a large member is slower."""
+        """Array ``key`` as ``np.load`` reads it without pickle, but as a read-only
+        view of its member's bytes. Its header is parsed on this thread (``ast`` is
+        not thread-safe in Python 3.11), and only once, not again by ``read_array``."""
         try:
-            with self.open(f"{key}.npy") as fh:
-                version = np.lib.format.read_magic(fh)
-                if version != (1, 0):  # the one version ``_write_npz`` writes
-                    raise ValueError(f"unsupported .npy version {version}")
-                shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-                if dtype.hasobject:
-                    raise ValueError("an object array needs pickle, which a load never allows")
-                size = math.prod(shape) * dtype.itemsize
-                held = self.getinfo(f"{key}.npy").file_size - fh.tell()
-                if size != held:
-                    raise self.fail(
-                        f"array {key!r} claims shape {shape} of {dtype}, {size} bytes, "
-                        f"but holds {held}"
-                    )
-                # ``np.ndarray``, not ``np.empty``, which widens a zero-width string.
-                array = np.ndarray(shape[::-1] if fortran else shape, dtype)
-                data = memoryview(array.reshape(-1).view(np.uint8))
-                for lo in range(0, size, _NPY_PIECE):
-                    if fh.readinto(data[lo : lo + _NPY_PIECE]) < min(_NPY_PIECE, size - lo):
-                        raise EOFError("the array data ends early")
-                return array.T if fortran else array
-        except KeyError:
-            raise self.fail(f"no array {key!r}") from None
+            raw = self.prefetched.pop(key).result() if key in self.prefetched else self.inflate(key)
+            fh = io.BytesIO(raw)
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):  # the one version ``_write_npz`` writes
+                raise ValueError(f"unsupported .npy version {version}")
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            if dtype.hasobject:
+                raise ValueError("an object array needs pickle, which a load never allows")
+            size, held = math.prod(shape) * dtype.itemsize, len(raw) - fh.tell()
+            if size != held:
+                raise self.fail(
+                    f"array {key!r} claims shape {shape} of {dtype}, {size} bytes, "
+                    f"but holds {held}"
+                )
+            # ``np.ndarray``, not ``np.frombuffer``, which refuses a zero-width string.
+            return np.ndarray(shape, dtype, raw, fh.tell(), order="F" if fortran else "C")
         except IndexBuildError:
             raise
-        except (EOFError, ValueError, zipfile.BadZipFile, zlib.error) as e:
+        except (ValueError, zlib.error) as e:
             raise self.fail(f"array {key!r} does not read: {e}") from e
+
+    def inflate(self, key: str) -> bytes:
+        """Array ``key``'s member, inflated by one ``zlib`` call (which lets go of
+        the interpreter) into the length its entry states, within deflate's 1032:1
+        bound. ValueError unless it is stored or deflated, unencrypted, behind the
+        local header its entry names, and of its entry's length and CRC-32."""
+        info = self.members.get(f"{key}.npy")
+        if info is None:
+            raise self.fail(f"no array {key!r}")
+        if info.flag_bits & 0x41:  # bit 0: encrypted; bit 6: strongly encrypted
+            raise ValueError("the member is encrypted")
+        if info.compress_type not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
+            raise ValueError(f"compression method {info.compress_type}")
+        at, name = info.header_offset, info.filename.encode()
+        if self.data[at : at + 4] != b"PK\x03\x04" or self.data[at + 30 : at + 30 + len(name)] != name:
+            raise ValueError("its local header is not the one its directory entry names")
+        # the name and then the extra field follow the 30-byte local header
+        start = at + 30 + len(name) + int.from_bytes(self.data[at + 28 : at + 30], "little")
+        member = memoryview(self.data)[start:][: info.compress_size]
+        if info.file_size > 1032 * len(member):  # checked before the buffer is allocated
+            raise ValueError(f"{info.file_size} bytes inflated from {len(member)} pass deflate's 1032:1")
+        raw = zlib.decompress(member, -15, info.file_size) if info.compress_type else bytes(member)
+        if len(raw) != info.file_size or zlib.crc32(raw) != info.CRC:
+            raise ValueError("its length or CRC-32 differs from its directory entry's")
+        return raw
 
     def array(self, key: str, *dtypes: type, ndim: int = 1) -> np.ndarray:
         """Array ``key``, which must have ``ndim`` dimensions and a dtype that
@@ -1051,15 +1067,17 @@ def load_index(
 
     The embedder is reconstructed from the manifest name unless one is passed
     explicitly (required for indexes saved with a custom embedding function).
-    ``index.npz`` must first match the sha256 the manifest records for it, so
-    a file changed after the save fails before any of it is read. The records
-    get ``build_index``'s checks, and the views take their ids from them. An
-    array that does not read, is stored in another shape or dtype than a save
-    writes, or disagrees with the others, and a manifest ``dim`` unlike the
-    stored views' or a ``hash:<dim>`` embedder's, raises IndexBuildError naming
-    the file. Every array is kept as stored: the integer arrays in the
-    smallest dtype that holds them, as a build holds them (see ``_narrow``),
-    and each view's columns.
+    ``index.npz`` is read once, and must match the sha256 the manifest records
+    for it before any of it is parsed: a file changed after the save fails,
+    and what is parsed is what was hashed. The records get ``build_index``'s
+    checks, and the views take their ids from them, while a second thread
+    inflates the views' columns (see ``_Npz``). An array that does not read,
+    is stored in another shape or dtype than a save writes, or disagrees with
+    the others, and a manifest ``dim`` unlike the stored views' or a
+    ``hash:<dim>`` embedder's, raises IndexBuildError naming the file. Every
+    array is kept as stored, a read-only view of the inflated bytes: the
+    integer arrays in the smallest dtype that holds them, as a build holds
+    them (see ``_narrow``), and each view's columns.
     """
     from .base_retrieval import hash_dim, resolve_embedder
 
@@ -1082,7 +1100,8 @@ def load_index(
         raise IndexBuildError(f"{manifest_path}: sha256 must name {_INDEX_FILE} alone")
     if not path.is_file():
         raise IndexBuildError(f"{path}: missing")
-    if _sha256(path) != recorded[_INDEX_FILE]:
+    data = path.read_bytes()
+    if hashlib.sha256(data).hexdigest() != recorded[_INDEX_FILE]:
         raise IndexBuildError(f"{path}: content differs from its sha256 in {manifest_path.name}")
     if embedder is None:
         name = manifest.get("embedder", "custom")
@@ -1104,5 +1123,6 @@ def load_index(
             vectors[view] = _read_vector_view(npz, name, ids, dim)
         return lexical, vectors
 
-    with _Npz(path) as npz:
+    with ThreadPoolExecutor(1) as pool:
+        npz = _Npz(path, data, pool, [f"{name}_columns" for _, _, name in _NPZ_PREFIXES])
         return _assemble(*_read_records(npz, manifest), embedder, read_views, path)

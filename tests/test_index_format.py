@@ -11,7 +11,9 @@ import os
 import re
 import shutil
 import tempfile
+import threading
 import zipfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +45,14 @@ from triplehop.corpus_index import (
 )
 
 from .conftest import build_hop_corpus, graph_of
-from .test_lexical_index import record_column, record_values, reseal, rewrite_npz, v3_copy
+from .test_lexical_index import (
+    record_column,
+    record_values,
+    reseal,
+    rewrite_npz,
+    rewrite_records,
+    v3_copy,
+)
 
 QUERIES = ("enta linksto entb", "island kind", "ledger three")
 DATA = Path(__file__).parent / "data"
@@ -205,6 +214,18 @@ def test_postings_are_stored_narrow_and_loaded_as_stored(tmp_path, chain_index):
                 assert getattr(back, key).dtype == getattr(built, key).dtype == np.uint8
                 assert getattr(back, key).tobytes() == getattr(built, key).tobytes()
             assert lex[f"{prefix}_doc_freq"].dtype == np.uint8
+
+
+def test_a_loaded_index_keeps_its_stored_arrays_read_only(tmp_path, chain_index):
+    save_index(chain_index, tmp_path)
+    loaded = load_index(tmp_path)
+    kept = [loaded.vectors[view].columns for view in (PASSAGES, TRIPLES)]
+    for view in (PASSAGES, TRIPLES):
+        lex = loaded.lexical[view]
+        kept += [lex.doc_lengths, lex.indptr, lex.doc_positions, lex.term_freqs]
+    kept += [offsets for records in (loaded.passages, loaded.triples)
+             for _, offsets in records.columns.values()]
+    assert kept and not any(array.flags.writeable for array in kept)
 
 
 def held_integer_arrays(index) -> dict[str, np.ndarray]:
@@ -504,14 +525,19 @@ def test_resealed_files_pass_the_hash_check(tmp_path, chain_index):
 # Arrays that do not read
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("key", ["passage_title_utf8", "t_doc_freq", "triple_columns"])
-def test_load_names_an_array_missing_from_its_npz(tmp_path, chain_index, key):
-    save_index(chain_index, tmp_path)
-    path = tmp_path / "index.npz"
+def drop_member(directory: Path, key: str) -> None:
+    """Rewrite a saved index without array ``key``, and reseal it."""
+    path = directory / "index.npz"
     with np.load(path) as stored:
         arrays = {k: stored[k] for k in stored.files if k != key}
     np.savez_compressed(path, **arrays)
-    reseal(tmp_path)
+    reseal(directory)
+
+
+@pytest.mark.parametrize("key", ["passage_title_utf8", "t_doc_freq", "triple_columns"])
+def test_load_names_an_array_missing_from_its_npz(tmp_path, chain_index, key):
+    save_index(chain_index, tmp_path)
+    drop_member(tmp_path, key)
     with pytest.raises(IndexBuildError, match=rf"index\.npz: no array '{key}'"):
         load_index(tmp_path)
 
@@ -597,6 +623,50 @@ def test_load_names_an_array_whose_header_misstates_its_size(tmp_path, chain_ind
         load_index(tmp_path)
 
 
+def test_load_names_an_array_whose_directory_entry_overstates_its_size(tmp_path, chain_index):
+    """An array is inflated into a buffer of the size its directory entry
+    states, so that size is checked first: 2**40 bytes would otherwise raise
+    MemoryError."""
+    save_index(chain_index, tmp_path)
+    path = tmp_path / "index.npz"
+    with zipfile.ZipFile(path) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+        zf.getinfo("p_doc_positions.npy").file_size = 2**40  # written with the directory
+    reseal(tmp_path)
+    with pytest.raises(
+        IndexBuildError,
+        match=rf"index\.npz: array 'p_doc_positions' does not read: {2**40} bytes inflated from",
+    ):
+        load_index(tmp_path)
+
+
+def flip_a_deflated_byte(directory: Path, key: str) -> None:
+    """Flip the bits of the middle byte of array ``key``'s deflated member in
+    a saved index's ``index.npz``, and reseal the index."""
+    path = directory / "index.npz"
+    data = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(f"{key}.npy")
+    at = info.header_offset  # a local header is 30 bytes, then the name and extra field
+    start = at + 30 + int.from_bytes(data[at + 26 : at + 28], "little")
+    start += int.from_bytes(data[at + 28 : at + 30], "little")
+    data[start + info.compress_size // 2] ^= 0xFF
+    path.write_bytes(data)
+    reseal(directory)
+
+
+# p_doc_positions is inflated by the caller; triple_columns by the prefetch thread
+@pytest.mark.parametrize("key", ["p_doc_positions", "triple_columns"])
+def test_load_names_an_array_whose_deflated_bytes_changed(tmp_path, chain_index, key):
+    save_index(chain_index, tmp_path)
+    flip_a_deflated_byte(tmp_path, key)
+    with pytest.raises(IndexBuildError, match=rf"index\.npz: array '{key}' does not read"):
+        load_index(tmp_path)
+
+
 @pytest.mark.parametrize(
     "key, change, stored_as",
     [
@@ -665,17 +735,130 @@ def test_one_changed_integer_fails_naming_the_file_or_loads_an_index_that_answer
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(shutil.copytree(directory, Path(tmp) / "idx"))
         rewrite_member(copy / "index.npz", key, encode)
-        try:
-            index = load_index(copy)
-        except IndexBuildError as e:
-            assert str(e).startswith(f"{copy / 'index.npz'}: ")
-            return
+        fails_naming_the_file_or_answers(copy)
+
+
+def fails_naming_the_file_or_answers(directory: Path) -> None:
+    """Load ``directory``: it raises IndexBuildError naming its index.npz, or
+    its index answers BM25, dense, hybrid and naive-GE searches."""
+    try:
+        index = load_index(directory)
+    except IndexBuildError as e:
+        assert str(e).startswith(f"{directory / 'index.npz'}: ")
+        return
     retrieval, expansion = RetrievalConfig(k=5), ExpansionConfig()
     for query in ("ent1a linksto", "ledger two closing"):
         for view in (PASSAGES, TRIPLES):
             for search in (bm25_search, dense_search, hybrid_search):
                 search(index, query, view, 5)
         naive_ge_retrieve(index, query, retrieval, expansion)
+
+
+def directory_entry(data: bytes, name: str) -> int:
+    """Where member ``name``'s central directory entry starts in a zip file."""
+    entry = data.rindex(name.encode()) - 46  # the name ends the entry's fixed part
+    assert data[entry : entry + 4] == b"PK\x01\x02"
+    return entry
+
+
+# Fields of a central directory entry, by their offset in it, set to values
+# the reader refuses: the flags, the compression method and the offset of
+# the member's local header (0: the first member's).
+@pytest.mark.parametrize(
+    "at, value, problem",
+    [
+        pytest.param(8, b"\x01\x00", "the member is encrypted", id="encrypted"),
+        pytest.param(8, b"\x40\x00", "the member is encrypted", id="strongly-encrypted"),
+        pytest.param(10, b"\x0c\x00", "compression method 12", id="bzip2"),
+        pytest.param(
+            42, bytes(4), "its local header is not the one its directory entry names",
+            id="another-member's-header",
+        ),
+    ],
+)
+def test_load_refuses_a_member_it_cannot_inflate_itself(tmp_path, chain_index, at, value, problem):
+    save_index(chain_index, tmp_path)
+    path = tmp_path / "index.npz"
+    data = bytearray(path.read_bytes())
+    entry = directory_entry(data, "t_doc_lengths.npy") + at
+    data[entry : entry + len(value)] = value
+    path.write_bytes(data)
+    reseal(tmp_path)
+    with pytest.raises(
+        IndexBuildError, match=rf"index\.npz: array 't_doc_lengths' does not read: {problem}"
+    ):
+        load_index(tmp_path)
+
+
+# Bits of t_doc_lengths.npy's central directory entry, as (byte of the entry,
+# bit), that zipfile's reader raised untyped errors on: flag bit 0
+# (encrypted), flag bit 6 (strong encryption), and the high bit of the
+# version needed to extract, which makes 4.5 read as 17.3.
+ENCRYPTED, STRONGLY_ENCRYPTED, VERSION_17_3 = (8, 0), (8, 6), (6, 7)
+
+
+@settings(max_examples=60, deadline=None)
+@example(flip=ENCRYPTED)
+@example(flip=STRONGLY_ENCRYPTED)
+@example(flip=VERSION_17_3)
+@given(flip=st.integers(min_value=0))
+def test_one_flipped_bit_fails_naming_the_file_or_loads_an_index_that_answers(fuzz_source, flip):
+    """``flip`` is a bit of the file, wrapped to its length, or a bit of a
+    central directory entry as (byte, bit)."""
+    directory, _ = fuzz_source
+    data = bytearray((directory / "index.npz").read_bytes())
+    if isinstance(flip, tuple):
+        at, bit = directory_entry(data, "t_doc_lengths.npy") + flip[0], flip[1]
+    else:
+        at, bit = divmod(flip % (8 * len(data)), 8)
+    data[at] ^= 1 << bit
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(shutil.copytree(directory, Path(tmp) / "idx"))
+        (copy / "index.npz").write_bytes(data)
+        reseal(copy)
+        fails_naming_the_file_or_answers(copy)
+
+
+def dangle_a_passage_reference(directory: Path) -> None:
+    rewrite_records(
+        directory, "triple", lambda rows: rows + [{**rows[0], "id": "tX", "passage_id": "nope"}]
+    )
+
+
+@pytest.mark.parametrize(
+    "edits, error",
+    [
+        pytest.param([], None, id="loads"),
+        pytest.param(
+            [dangle_a_passage_reference], "triple 'tX' references unknown passage", id="records"
+        ),
+        pytest.param(
+            [partial(drop_member, key="triple_columns")], "no array 'triple_columns'",
+            id="prefetched-missing",
+        ),
+        pytest.param(
+            [partial(flip_a_deflated_byte, key="triple_columns")],
+            "array 'triple_columns' does not read", id="prefetched-does-not-inflate",
+        ),
+        pytest.param(
+            [dangle_a_passage_reference, partial(drop_member, key="triple_columns")],
+            "triple 'tX' references unknown passage", id="records-first",
+        ),
+    ],
+)
+def test_a_load_leaves_no_thread_behind(tmp_path, chain_index, edits, error):
+    """Each load, whether it succeeds or fails, joins its prefetch thread, and
+    a failing one raises the first error in the order the arrays are used."""
+    save_index(chain_index, tmp_path)
+    for edit in edits:
+        edit(tmp_path)
+    threads = threading.active_count()
+    if error is None:
+        assert load_index(tmp_path).passages == chain_index.passages
+    else:
+        with pytest.raises(IndexBuildError, match=rf"index\.npz: {error}"):
+            load_index(tmp_path)
+    assert threading.active_count() == threads
 
 
 def test_load_rejects_dense_rows_stored_with_another_type(tmp_path):
