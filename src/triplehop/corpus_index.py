@@ -31,6 +31,7 @@ from functools import partial
 from itertools import count
 from operator import attrgetter, lt
 from pathlib import Path
+from tokenize import TokenError
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -243,7 +244,7 @@ class VectorView:
     order transposed, (dim, N), and ``sq_norms``, each row's squared norm in
     float64, with ``positive_norms``, whether each is above 0. A build
     passes the columns ``_embed_view`` makes, and a load the stored ones;
-    they are kept as given, unchecked and never widened.
+    they are kept as given, unchecked and never widened, with ``_derived``'s norms.
 
     ``columns`` is ``int8`` when that holds every value exactly (see
     ``exact_int8``), as for hashed counts, and then C-contiguous, so a
@@ -255,19 +256,22 @@ class VectorView:
 
     ids: tuple[str, ...]
     columns: np.ndarray
-    sq_norms: np.ndarray = field(init=False)
-    positive_norms: bool = field(init=False)
+    sq_norms: np.ndarray
+    positive_norms: bool
 
-    def __post_init__(self):
-        columns = self.columns
-        # einsum widens int8 columns to ``dtype`` in small buffers, not whole.
-        # An int8 square is at most 128**2, so with under 1024 buckets every
-        # partial sum of a column is an integer below 2**24, which float32
-        # holds exactly: the float64 sum's bits in half the time.
-        wide = np.float32 if columns.dtype == np.int8 and len(columns) < 1024 else np.float64
-        sq_norms = np.einsum("ij,ij->j", columns, columns, dtype=wide).astype(np.float64, copy=False)
-        object.__setattr__(self, "sq_norms", sq_norms)
-        object.__setattr__(self, "positive_norms", bool((sq_norms > 0).all()))
+
+def _derived(columns: np.ndarray, rows: bool = False) -> tuple:
+    """``VectorView.sq_norms`` and ``positive_norms`` of ``columns``, to a build and
+    a load alike, and ``CorpusIndex.triple_rows`` if ``rows``, else None."""
+    # einsum widens int8 columns to ``dtype`` in small buffers, not whole.
+    # An int8 square is at most 128**2, so with under 1024 buckets every
+    # partial sum of a column is an integer below 2**24, which float32
+    # holds exactly: the float64 sum's bits in half the time.
+    wide = np.float32 if columns.dtype == np.int8 and len(columns) < 1024 else np.float64
+    sq_norms = np.einsum("ij,ij->j", columns, columns, dtype=wide).astype(np.float64, copy=False)
+    triple_rows = None if not rows else (
+        columns.T if columns.dtype == np.float64 else np.ascontiguousarray(columns.T))
+    return sq_norms, bool((sq_norms > 0).all()), triple_rows
 
 
 def _triple_ends(triples: Records, embedder, triple_id: str) -> tuple[int, int, int, int, int]:
@@ -300,7 +304,7 @@ class CorpusIndex:
 
     ``triple_rows`` is the triple view's columns transposed for the beam
     scorer, the one view held by row: a C-contiguous copy of ``int8``
-    columns, and ``columns.T`` itself of float64 ones.
+    columns, and ``columns.T`` itself of float64 ones (see ``_derived``).
 
     The only state it gains afterwards is ``Memo``s, kept for the life of
     the index: ``triple_ends``, triple id -> (its row in ``triple_rows``,
@@ -322,16 +326,14 @@ class CorpusIndex:
     entity_codes: np.ndarray
     entity_csr: tuple[np.ndarray, np.ndarray]
     passage_csr: tuple[np.ndarray, np.ndarray]
+    triple_rows: np.ndarray
     alignment: Records = field(init=False)
-    triple_rows: np.ndarray = field(init=False)
     triple_ends: Memo = field(init=False)
     neighbour_ids: Memo = field(init=False)
 
     def __post_init__(self):
         by_passage = {"passage_id": self.triples.columns["passage_id"]}
         self.alignment = Records("triple", lambda _, pid: pid, self.triples.ids, by_passage)
-        columns = self.vectors[TRIPLES].columns
-        self.triple_rows = columns.T if columns.dtype == np.float64 else np.ascontiguousarray(columns.T)
         self.triple_ends = Memo(partial(_triple_ends, self.triples, self.embedder))
         self.neighbour_ids = Memo(
             partial(_neighbours, self.triples, self.entity_codes, self.entity_csr)
@@ -360,12 +362,24 @@ def _csr(keys: np.ndarray, values: np.ndarray, n: int) -> tuple[np.ndarray, np.n
     return _narrow(indptr), _narrow(values[np.argsort(keys, kind="stable")])
 
 
+def _plain(text: str, offsets: np.ndarray) -> bool:
+    """Whether ``normalize_entity`` is ``str.lower`` on each value of a column
+    (see ``Records``): it is ASCII with no control character (``str.isspace``
+    accepts 9-13 and 28-31), no two spaces in a row, and no value starts or ends with one."""
+    if not text.isascii() or "  " in text:
+        return False
+    codes, filled = np.frombuffer(text.encode("ascii"), np.uint8), offsets[:-1] < offsets[1:]
+    lo, hi = offsets[:-1][filled], offsets[1:][filled]  # the non-empty values' bounds
+    return not (codes < 32).any() and 32 not in codes[lo] and 32 not in codes[hi - 1]
+
+
 def _graph(passages: Records, triples: Records, fail: Callable) -> tuple:
     """Check each triple's passage and fields, and derive the graph arrays
     of ``CorpusIndex``, in its field order: ``triple_passage``,
-    ``entity_codes``, ``entity_csr`` and ``passage_csr``. Its own function,
-    so the field slices and the id and entity dicts are freed on return,
-    before any view is made."""
+    ``entity_codes``, ``entity_csr`` and ``passage_csr``. If all three columns
+    are ``_plain``, a blank field is an empty one and ``str.lower`` keys an
+    entity; else each value is stripped and keyed by ``normalize_entity``. Its
+    own function, so slices and dicts are freed before any view is made."""
     triple_ids, n = triples.ids, len(triples)
     at = dict(zip(passages.ids, range(len(passages))))
     owners = _slices(*triples.columns["passage_id"])
@@ -373,20 +387,31 @@ def _graph(passages: Records, triples: Records, fail: Callable) -> tuple:
     if n and triple_passage.min() < 0:
         first = int((triple_passage < 0).argmax())
         raise fail(f"triple {triple_ids[first]!r} references unknown passage {owners[first]!r}")
-    parts = [_slices(*triples.columns[key]) for key in ("subject", "predicate", "object")]
-    if not all(all(map(str.strip, values)) for values in parts):
-        first = min(i for values in parts for i, value in enumerate(values) if not value.strip())
-        raise fail(f"triple {triple_ids[first]!r} has a blank field")
-
-    entities = parts[0] + parts[2]  # every subject, then every object
-    keys: dict[str, int] = {}  # normalize_entity(raw entity) -> its code
-    code_of = {raw: keys.setdefault(normalize_entity(raw), len(keys))
-               for raw in dict.fromkeys(entities)}
-    codes = np.fromiter(map(code_of.__getitem__, entities), np.int64, 2 * n)
-    ends = np.ascontiguousarray(codes.reshape(2, n).T)  # each triple's (subject, object) codes
+    columns = [triples.columns[key] for key in ("subject", "predicate", "object")]
+    if all(_plain(*column) for column in columns):
+        blank = np.logical_or.reduce([offsets[1:] == offsets[:-1] for _, offsets in columns])
+        if blank.any():
+            raise fail(f"triple {triple_ids[int(blank.argmax())]!r} has a blank field")
+        (subjects, subject_at), _, (objects, object_at) = columns
+        entities = _slices(subjects.lower(), subject_at) + _slices(objects.lower(), object_at)
+        seen: dict[str, int] = {}  # each key's first position, renumbered in that order
+        at_first = np.fromiter(map(seen.setdefault, entities, count()), np.int64, 2 * n)
+        codes, n_codes = (np.cumsum(at_first == np.arange(2 * n)) - 1)[at_first], len(seen)
+    else:
+        parts = [_slices(*column) for column in columns]
+        if not all(all(map(str.strip, values)) for values in parts):
+            first = min(i for values in parts for i, value in enumerate(values) if not value.strip())
+            raise fail(f"triple {triple_ids[first]!r} has a blank field")
+        entities = parts[0] + parts[2]  # every subject, then every object
+        keys: dict[str, int] = {}  # normalize_entity(raw entity) -> its code
+        code_of = {raw: keys.setdefault(normalize_entity(raw), len(keys))
+                   for raw in dict.fromkeys(entities)}
+        codes, n_codes = np.fromiter(map(code_of.__getitem__, entities), np.int64, 2 * n), len(keys)
+    ends = _narrow(np.ascontiguousarray(codes.reshape(2, n).T))  # each triple's (subject, object) codes
+    triple_passage = _narrow(triple_passage)  # ``_csr`` sorts 16-bit keys by radix, int64 ones not
     return (
-        _narrow(triple_passage), _narrow(ends),
-        _csr(ends.ravel(), np.repeat(np.arange(n), 2), len(keys)),
+        triple_passage, ends,
+        _csr(ends.ravel(), np.repeat(np.arange(n), 2), n_codes),
         _csr(triple_passage, np.arange(n), len(passages)),
     )
 
@@ -401,7 +426,7 @@ def _assemble(
     """Check the records and derive the graph arrays (``_graph``), then make
     the views. ``build_index`` and ``load_index`` differ only in
     ``make_views(passage_ids, triple_ids)``, which returns the lexical and
-    the vector views (as columns), in that order.
+    the vector views, then ``triple_rows``, in that order.
 
     Raises IndexBuildError on empty ids, ids not strictly ascending (naming
     the first repeated id, if any), dangling passage references, or triples
@@ -424,8 +449,8 @@ def _assemble(
             raise fail(f"{records.kind} with empty id")
 
     graph = _graph(passages, triples, fail)
-    lexical, vectors = make_views(passages.ids, triples.ids)
-    return CorpusIndex(passages, triples, lexical, vectors, embedder, *graph)
+    lexical, vectors, triple_rows = make_views(passages.ids, triples.ids)
+    return CorpusIndex(passages, triples, lexical, vectors, embedder, *graph, triple_rows)
 
 
 def embed_texts(
@@ -529,13 +554,12 @@ def build_index(
             PASSAGES: LexicalView.from_texts(passage_ids, list(map(passage_search_text, passages))),
             TRIPLES: LexicalView.from_texts(triple_ids, triple_texts),
         }
-        vectors = {
-            PASSAGES: VectorView(
-                passage_ids, _embed_view(embedder, [p.body for p in passages], passage_ids)
-            ),
-            TRIPLES: VectorView(triple_ids, _embed_view(embedder, triple_texts, triple_ids)),
-        }
-        return lexical, vectors
+        columns = _embed_view(embedder, [p.body for p in passages], passage_ids)
+        vectors = {PASSAGES: VectorView(passage_ids, columns, *_derived(columns)[:2])}
+        columns = _embed_view(embedder, triple_texts, triple_ids)
+        *norms, triple_rows = _derived(columns, rows=True)
+        vectors[TRIPLES] = VectorView(triple_ids, columns, *norms)
+        return lexical, vectors, triple_rows
 
     records = Records.of("passage", passages), Records.of("triple", triples)
     return _assemble(*records, embedder, compute_views)
@@ -889,53 +913,62 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
 
 
 class _Npz:
-    """The ``index.npz`` at ``path``, parsed from ``data``, its bytes; ``pool``
-    inflates the arrays named in ``prefetch``, in order, while the caller reads
-    the others. Whatever does not read raises IndexBuildError naming ``path``."""
+    """The ``index.npz`` at ``path``, parsed from ``data``, its bytes; a pool inflates
+    the arrays that ``prefetch`` names, in order, while the caller reads the others, and
+    parses every ``.npy`` header (numpy's ``ast`` is not thread-safe in Python 3.11).
+    Whatever does not read raises IndexBuildError naming ``path``."""
 
-    def __init__(self, path: Path, data: bytes, pool: Executor, prefetch: Iterable[str]):
+    # what an array that does not read raises; numpy's header parser, the last three too
+    unreadable = (ValueError, zlib.error, IndexError, SyntaxError, TokenError)
+
+    def __init__(self, path: Path, data: bytes):
         self.path, self.data = path, data
         try:
             with zipfile.ZipFile(io.BytesIO(data)) as zf:
                 self.members = {info.filename: info for info in zf.infolist()}
         except (zipfile.BadZipFile, NotImplementedError) as e:  # a zip version past zipfile's
             raise self.fail(f"not an .npz file: {e}") from None
-        self.prefetched = {key: pool.submit(self.inflate, key) for key in prefetch}
+        self.prefetched: dict = {}  # key -> future of (array, ``_derived(array, ...)``)
 
     def fail(self, problem: str) -> IndexBuildError:
         return IndexBuildError(f"{self.path}: {problem}")
 
     def __getitem__(self, key: str) -> np.ndarray:
         """Array ``key`` as ``np.load`` reads it without pickle, but as a read-only
-        view of its member's bytes. Its header is parsed on this thread (``ast`` is
-        not thread-safe in Python 3.11), and only once, not again by ``read_array``."""
+        view of its member's bytes, and its header parsed once, not again by ``read_array``."""
         try:
-            raw = self.prefetched.pop(key).result() if key in self.prefetched else self.inflate(key)
-            fh = io.BytesIO(raw)
-            version = np.lib.format.read_magic(fh)
-            if version != (1, 0):  # the one version ``_write_npz`` writes
-                raise ValueError(f"unsupported .npy version {version}")
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-            if dtype.hasobject:
-                raise ValueError("an object array needs pickle, which a load never allows")
-            size, held = math.prod(shape) * dtype.itemsize, len(raw) - fh.tell()
-            if size != held:
-                raise self.fail(
-                    f"array {key!r} claims shape {shape} of {dtype}, {size} bytes, "
-                    f"but holds {held}"
-                )
-            # ``np.ndarray``, not ``np.frombuffer``, which refuses a zero-width string.
-            return np.ndarray(shape, dtype, raw, fh.tell(), order="F" if fortran else "C")
+            if key in self.prefetched:
+                return self.prefetched[key].result()[0]
+            raw = self.inflate(key)
+            return np.ndarray(buffer=raw, **self.header(key, raw))
         except IndexBuildError:
             raise
-        except (ValueError, zlib.error) as e:
+        except self.unreadable as e:
             raise self.fail(f"array {key!r} does not read: {e}") from e
 
-    def inflate(self, key: str) -> bytes:
+    def prefetch(self, pool: Executor, key: str, rows: bool) -> None:
+        """Have ``pool`` inflate array ``key`` and give it with ``_derived(array, rows)``,
+        if the header parsed here from its first bytes states 2-D int8 or float64.
+        Any other is left to its first use, which checks the CRC-32 before the header."""
+        try:
+            size = 10 + int.from_bytes(self.inflate(key, 10)[8:10], "little")  # magic, version, length
+            layout = self.header(key, self.inflate(key, size))
+        except (IndexBuildError, *self.unreadable):
+            return
+
+        def inflate_and_derive():
+            array = np.ndarray(buffer=self.inflate(key), **layout)
+            return array, _derived(array, rows)
+
+        if len(layout["shape"]) == 2 and layout["dtype"] in (np.int8, np.float64):
+            self.prefetched[key] = pool.submit(inflate_and_derive)
+
+    def inflate(self, key: str, size: int | None = None) -> bytes:
         """Array ``key``'s member, inflated by one ``zlib`` call (which lets go of
         the interpreter) into the length its entry states, within deflate's 1032:1
-        bound. ValueError unless it is stored or deflated, unencrypted, behind the
-        local header its entry names, and of its entry's length and CRC-32."""
+        bound; or its first ``size`` bytes alone, unchecked. ValueError unless it
+        is stored or deflated, unencrypted, behind the local header its entry
+        names, and of its entry's length and CRC-32."""
         info = self.members.get(f"{key}.npy")
         if info is None:
             raise self.fail(f"no array {key!r}")
@@ -949,12 +982,32 @@ class _Npz:
         # the name and then the extra field follow the 30-byte local header
         start = at + 30 + len(name) + int.from_bytes(self.data[at + 28 : at + 30], "little")
         member = memoryview(self.data)[start:][: info.compress_size]
+        if size is not None:  # a deflate code is at most 15 bits, its block header about 300 bytes
+            head = member[: 2 * size + 1024]
+            return zlib.decompressobj(-15).decompress(head, size) if info.compress_type else head[:size]
         if info.file_size > 1032 * len(member):  # checked before the buffer is allocated
             raise ValueError(f"{info.file_size} bytes inflated from {len(member)} pass deflate's 1032:1")
         raw = zlib.decompress(member, -15, info.file_size) if info.compress_type else bytes(member)
         if len(raw) != info.file_size or zlib.crc32(raw) != info.CRC:
             raise ValueError("its length or CRC-32 differs from its directory entry's")
         return raw
+
+    def header(self, key: str, head: bytes) -> dict:
+        """The ``np.ndarray`` arguments but ``buffer`` of array ``key``, from its
+        member's first bytes, ``head``, checked against the length its entry states."""
+        fh = io.BytesIO(head)
+        version = np.lib.format.read_magic(fh)
+        if version != (1, 0):  # the one version ``_write_npz`` writes
+            raise ValueError(f"unsupported .npy version {version}")
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+        if dtype.hasobject:
+            raise ValueError("an object array needs pickle, which a load never allows")
+        size, held = math.prod(shape) * dtype.itemsize, self.members[f"{key}.npy"].file_size - fh.tell()
+        if size != held:
+            raise self.fail(f"array {key!r} claims shape {shape} of {dtype}, {size} bytes, "
+                            f"but holds {held}")
+        # ``np.ndarray``, not ``np.frombuffer``, which refuses a zero-width string.
+        return {"shape": shape, "dtype": dtype, "offset": fh.tell(), "order": "F" if fortran else "C"}
 
     def array(self, key: str, *dtypes: type, ndim: int = 1) -> np.ndarray:
         """Array ``key``, which must have ``ndim`` dimensions and a dtype that
@@ -982,15 +1035,18 @@ class _Npz:
             raise self.fail(f"{key} is not non-decreasing from 0 to {of}")
 
 
-def _read_vector_view(npz: _Npz, name: str, ids: tuple[str, ...], dim) -> VectorView:
-    columns = npz.array(f"{name}_columns", np.int8, np.float64, ndim=2)
+def _read_vector_view(npz: _Npz, name: str, ids: tuple[str, ...], dim) -> tuple:
+    """The view, and the triple rows if it is the triples' (else None)."""
+    columns = npz.array(key := f"{name}_columns", np.int8, np.float64, ndim=2)
     width, n = columns.shape
     if n != len(ids):
         raise npz.fail(f"{n} {name} vectors for {len(ids)} ids")
     if len(ids) and width != dim:
         width = f"{width}-wide {name} vectors"
         raise IndexBuildError(f"{npz.path.parent / 'manifest.json'}: dim {dim!r}, but {width}")
-    return VectorView(ids, columns)
+    future = npz.prefetched.get(key)  # none unless ``_Npz.prefetch`` read its header
+    norms, positive, rows = future.result()[1] if future else _derived(columns, name == "triple")
+    return VectorView(ids, columns, norms, positive), rows
 
 
 def _read_lexical_view(npz: _Npz, prefix: str, ids: tuple[str, ...]) -> LexicalView:
@@ -1070,8 +1126,9 @@ def load_index(
     ``index.npz`` is read once, and must match the sha256 the manifest records
     for it before any of it is parsed: a file changed after the save fails,
     and what is parsed is what was hashed. The records get ``build_index``'s
-    checks, and the views take their ids from them, while a second thread
-    inflates the views' columns (see ``_Npz``). An array that does not read,
+    checks (``_graph``), and the views take their ids from them, while a second
+    thread inflates the views' columns and derives their norms and the triple
+    rows (see ``_Npz`` and ``_derived``). An array that does not read,
     is stored in another shape or dtype than a save writes, or disagrees with
     the others, and a manifest ``dim`` unlike the stored views' or a
     ``hash:<dim>`` embedder's, raises IndexBuildError naming the file. Every
@@ -1120,9 +1177,11 @@ def load_index(
         lexical, vectors = {}, {}
         for (view, prefix, name), ids in zip(_NPZ_PREFIXES, (passage_ids, triple_ids)):
             lexical[view] = _read_lexical_view(npz, prefix, ids)
-            vectors[view] = _read_vector_view(npz, name, ids, dim)
-        return lexical, vectors
+            vectors[view], rows = _read_vector_view(npz, name, ids, dim)
+        return lexical, vectors, rows  # the triple view's, read last
 
     with ThreadPoolExecutor(1) as pool:
-        npz = _Npz(path, data, pool, [f"{name}_columns" for _, _, name in _NPZ_PREFIXES])
+        npz = _Npz(path, data)
+        for _, _, name in _NPZ_PREFIXES:  # as ``_read_vector_view`` reads them
+            npz.prefetch(pool, f"{name}_columns", rows=name == "triple")
         return _assemble(*_read_records(npz, manifest), embedder, read_views, path)

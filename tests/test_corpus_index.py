@@ -36,6 +36,7 @@ from triplehop.corpus_index import (
     TRIPLES,
     Memo,
     VectorView,
+    _derived,
     load_passages_jsonl,
     load_triples_jsonl,
     read_jsonl,
@@ -488,9 +489,9 @@ def test_squared_norms_of_int8_rows_are_exact(dim):
     rows = np.full((2, dim), -128, dtype=np.int8)
     rows[:, -1] = 1
     rows[1, ::2] = 3
-    vv = VectorView(("a", "b"), np.ascontiguousarray(rows.T))
-    assert vv.sq_norms.dtype == np.float64
-    assert vv.sq_norms.tolist() == [sum(v * v for v in row) for row in rows.tolist()]
+    sq_norms, positive, _ = _derived(np.ascontiguousarray(rows.T))
+    assert sq_norms.dtype == np.float64 and positive
+    assert sq_norms.tolist() == [sum(v * v for v in row) for row in rows.tolist()]
 
 
 def test_a_hashed_build_holds_no_float64_copy_of_a_view():

@@ -13,6 +13,7 @@ import shutil
 import tempfile
 import threading
 import zipfile
+import zlib
 from functools import partial
 from pathlib import Path
 
@@ -31,11 +32,13 @@ from triplehop import (
     bm25_search,
     build_index,
     dense_search,
+    get_neighbours,
     hybrid_search,
     load_index,
     naive_ge_retrieve,
     save_index,
 )
+from triplehop import corpus_index
 from triplehop.corpus_index import (
     PASSAGES,
     TRIPLES,
@@ -45,6 +48,7 @@ from triplehop.corpus_index import (
 )
 
 from .conftest import build_hop_corpus, graph_of
+from .oracles import brute_force_adjacency
 from .test_lexical_index import (
     record_column,
     record_values,
@@ -87,7 +91,7 @@ def assert_same_index(loaded, fresh):
             a, b = getattr(back, key), getattr(built, key)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         back, built = loaded.vectors[view], fresh.vectors[view]
-        assert back.ids == built.ids
+        assert back.ids == built.ids and back.positive_norms is built.positive_norms
         for a, b in ((back.sq_norms, built.sq_norms), (back.columns, built.columns)):
             assert_same_array(a, b)
     assert_same_array(loaded.triple_rows, fresh.triple_rows)
@@ -108,6 +112,93 @@ def test_format_6_load_equals_a_fresh_build(tmp_path, chain_index):
     save_index(chain_index, tmp_path / "idx")
     assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == ["index.npz", "manifest.json"]
     assert_same_index(load_index(tmp_path / "idx"), chain_index)
+
+
+def test_every_npy_header_is_parsed_on_the_loading_thread(tmp_path, chain_index, monkeypatch):
+    """numpy parses a ``.npy`` header with ``ast``, which is not thread-safe
+    in Python 3.11. A load parses each on its caller's thread, while its
+    pool inflates each view's columns and computes what they give."""
+    save_index(chain_index, tmp_path)
+    parsed, derived = [], []
+
+    def on_thread(calls, call):
+        def recorded(*args, **kwargs):
+            calls.append(threading.get_ident())
+            return call(*args, **kwargs)
+
+        return recorded
+
+    monkeypatch.setattr(
+        np.lib.format, "read_array_header_1_0",
+        on_thread(parsed, np.lib.format.read_array_header_1_0),
+    )
+    monkeypatch.setattr(corpus_index, "_derived", on_thread(derived, corpus_index._derived))
+    loaded = load_index(tmp_path)
+    with zipfile.ZipFile(tmp_path / "index.npz") as zf:
+        assert len(parsed) == len(zf.namelist())
+    assert set(parsed) == {threading.get_ident()}
+    assert len(derived) == 2 and threading.get_ident() not in derived
+    # sq_norms, positive_norms and triple_rows by dtype, contiguity and bits
+    assert_same_index(loaded, chain_index)
+
+
+def npy(array: np.ndarray) -> bytes:
+    member = io.BytesIO()
+    np.lib.format.write_array(member, array)
+    return member.getvalue()
+
+
+class OpenedByEmptyBlocks:
+    """A raw deflate compressor whose stream opens with 500 empty stored
+    blocks of 5 bytes each: valid deflate that outputs nothing for 2,500 bytes."""
+
+    def __init__(self):
+        self.deflate, self.opening = zlib.compressobj(6, zlib.DEFLATED, -15), b"\0\0\0\xff\xff" * 500
+
+    def compress(self, data: bytes) -> bytes:
+        opening, self.opening = self.opening, b""
+        return opening + self.deflate.compress(data)
+
+    def flush(self) -> bytes:
+        return self.opening + self.deflate.flush()
+
+
+@pytest.mark.parametrize("stored_as", ["big-endian", "opened-by-empty-blocks"])
+def test_columns_the_prefetch_leaves_load_with_norms_and_rows_from_the_loading_thread(
+    tmp_path, chain_index, monkeypatch, stored_as
+):
+    """The pool derives a view's norms and rows only for native int8 or
+    float64 columns whose header the caller read from the first bytes of their
+    deflate stream. Other columns that a load accepts, big-endian float64 or
+    a stream that opens with empty blocks, are derived on the loading thread
+    and give a build's values."""
+    save_index(chain_index, tmp_path)
+    if stored_as == "big-endian":
+        rewrite_member(tmp_path / "index.npz", "triple_columns", lambda a: npy(a.astype(">f8")))
+    else:  # every member of index.npz is rewritten, each opened by empty blocks
+        with monkeypatch.context() as patch:
+            patch.setattr(zipfile, "_get_compressor", lambda *args: OpenedByEmptyBlocks())
+            rewrite_member(tmp_path / "index.npz", "triple_columns", npy)
+    derived, derive = [], corpus_index._derived
+
+    def recorded(columns, rows=False):
+        derived.append((threading.get_ident(), rows))
+        return derive(columns, rows)
+
+    monkeypatch.setattr(corpus_index, "_derived", recorded)
+    loaded = fails_naming_the_file_or_answers(tmp_path)
+    assert loaded is not None and (threading.get_ident(), True) in derived
+    if stored_as == "big-endian":
+        assert loaded.vectors[TRIPLES].columns.dtype == np.dtype(">f8")
+        for view in (PASSAGES, TRIPLES):
+            back, built = loaded.vectors[view], chain_index.vectors[view]
+            assert back.sq_norms.dtype == np.float64 and back.positive_norms is built.positive_norms
+            assert np.array_equal(back.sq_norms, built.sq_norms)
+        assert loaded.triple_rows.flags.c_contiguous
+        assert np.array_equal(loaded.triple_rows, chain_index.triple_rows)
+    else:
+        assert {thread for thread, _ in derived} == {threading.get_ident()}
+        assert_same_index(loaded, chain_index)
 
 
 _THIRDS = HashEmbedder(32)
@@ -594,20 +685,45 @@ def restate_header(path: Path, key: str, shape: tuple[int, ...]) -> None:
     rewrite_member(path, key, encode)
 
 
+def version_2(array: np.ndarray) -> bytes:
+    member = io.BytesIO()
+    np.lib.format.write_array(member, array, version=(2, 0))
+    return member.getvalue()
+
+
 def test_load_names_an_array_saved_with_a_version_2_header(tmp_path, chain_index):
     """A save writes ``.npy`` version 1.0 only, and a load reads no other."""
     save_index(chain_index, tmp_path)
-
-    def version_2(array: np.ndarray) -> bytes:
-        member = io.BytesIO()
-        np.lib.format.write_array(member, array, version=(2, 0))
-        return member.getvalue()
-
     rewrite_member(tmp_path / "index.npz", "p_indptr", version_2)
     with pytest.raises(
         IndexBuildError,
         match=r"index\.npz: array 'p_indptr' does not read: unsupported \.npy version \(2, 0\)",
     ):
+        load_index(tmp_path)
+
+
+@pytest.mark.parametrize("key", ["p_indptr", "triple_columns"])
+@pytest.mark.parametrize(
+    "header",
+    [
+        "{'descr': '<i1', 'fortran_order': False, 'shape': (3,}",
+        "{'descr': (), 'fortran_order': False, 'shape': (3,), }",
+        "{'descr': '<i1', 'fortran_order': False, 'shape': (3,), }\n    x\n  y",
+    ],
+    ids=["unclosed", "empty-descr", "misindented"],
+)
+def test_load_names_an_array_whose_header_does_not_parse(tmp_path, chain_index, key, header):
+    """numpy's header parser raises TokenError, IndexError and IndentationError
+    on these, not ValueError. The triple columns' header is read first by the
+    prefetch, which leaves them to their first use."""
+    save_index(chain_index, tmp_path)
+
+    def encode(array: np.ndarray) -> bytes:
+        text = header.encode("latin1") + b"\n"
+        return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text + array.tobytes()
+
+    rewrite_member(tmp_path / "index.npz", key, encode)
+    with pytest.raises(IndexBuildError, match=rf"index\.npz: array '{key}' does not read"):
         load_index(tmp_path)
 
 
@@ -738,20 +854,70 @@ def test_one_changed_integer_fails_naming_the_file_or_loads_an_index_that_answer
         fails_naming_the_file_or_answers(copy)
 
 
-def fails_naming_the_file_or_answers(directory: Path) -> None:
+def fails_naming_the_file_or_answers(directory: Path):
     """Load ``directory``: it raises IndexBuildError naming its index.npz, or
-    its index answers BM25, dense, hybrid and naive-GE searches."""
+    its index answers BM25, dense, hybrid and naive-GE searches and is
+    returned."""
     try:
         index = load_index(directory)
     except IndexBuildError as e:
         assert str(e).startswith(f"{directory / 'index.npz'}: ")
-        return
+        return None
     retrieval, expansion = RetrievalConfig(k=5), ExpansionConfig()
     for query in ("ent1a linksto", "ledger two closing"):
         for view in (PASSAGES, TRIPLES):
             for search in (bm25_search, dense_search, hybrid_search):
                 search(index, query, view, 5)
         naive_ge_retrieve(index, query, retrieval, expansion)
+    return index
+
+
+# The members the integer fuzz leaves alone, by key suffix: record text,
+# vocabularies and vector columns.
+TEXT_FUZZED = ("_utf8", "_vocab", "_columns")
+# Bytes a changed text byte is drawn from besides any: whitespace that
+# ``str.isspace`` accepts (9, 28, 31, 32), a capital, DEL, and the bytes that
+# begin or continue multi-byte UTF-8 ("é" is c3 a9, a no-break space c2 a0).
+TEXT_BYTES = (0x09, 0x1C, 0x1F, 0x20, 0x41, 0x7F, 0xA0, 0xA9, 0xC2, 0xC3, 0xE3, 0xFF)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_one_changed_character_or_byte_fails_naming_the_file_or_loads_an_index_that_answers(
+    fuzz_source, data
+):
+    """One byte of a record text column or vector column, or one character
+    of a vocabulary, changed in place: the member keeps its length. A load
+    that succeeds derives the graph the oracle derives from its records."""
+    directory, _ = fuzz_source
+    with np.load(directory / "index.npz") as npz:
+        key = data.draw(st.sampled_from(sorted(k for k in npz.files if k.endswith(TEXT_FUZZED))), "key")
+        array = npz[key].copy()
+    at = data.draw(st.integers(0, array.size - 1), label="at")
+    if key.endswith("_vocab"):
+        term = str(array.flat[at])
+        where = data.draw(st.integers(0, len(term) - 1), label="where")
+        char = data.draw(st.sampled_from(" \t\x1cAz\xe9\u3000") | st.characters(), label="char")
+        array.flat[at] = term[:where] + char + term[where + 1 :]
+    elif key.endswith("_utf8"):
+        array.flat[at] = data.draw(st.sampled_from(TEXT_BYTES) | st.integers(0, 255), label="byte")
+    else:
+        array.flat[at] = data.draw(st.integers(-128, 127), label="value")
+
+    def encode(_) -> bytes:
+        member = io.BytesIO()
+        np.lib.format.write_array(member, array)
+        return member.getvalue()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(shutil.copytree(directory, Path(tmp) / "idx"))
+        rewrite_member(copy / "index.npz", key, encode)
+        index = fails_naming_the_file_or_answers(copy)
+    if index is not None:
+        oracle = brute_force_adjacency({tid: index.triples[tid] for tid in index.triples})
+        assert {tid: get_neighbours(index, tid) for tid in oracle} == {
+            tid: tuple(sorted(linked)) for tid, linked in oracle.items()
+        }
 
 
 def directory_entry(data: bytes, name: str) -> int:
@@ -819,6 +985,20 @@ def test_one_flipped_bit_fails_naming_the_file_or_loads_an_index_that_answers(fu
         fails_naming_the_file_or_answers(copy)
 
 
+def misstate_crc(directory: Path, key: str) -> None:
+    """Change the CRC-32 that array ``key``'s central directory entry states
+    in a saved index's ``index.npz``, and reseal the index."""
+    path = directory / "index.npz"
+    data = bytearray(path.read_bytes())
+    data[directory_entry(data, f"{key}.npy") + 16] ^= 0xFF  # the entry's CRC-32 starts there
+    path.write_bytes(data)
+    reseal(directory)
+
+
+def with_a_version_2_header(directory: Path, key: str) -> None:
+    rewrite_member(directory / "index.npz", key, version_2)
+
+
 def dangle_a_passage_reference(directory: Path) -> None:
     rewrite_records(
         directory, "triple", lambda rows: rows + [{**rows[0], "id": "tX", "passage_id": "nope"}]
@@ -843,6 +1023,20 @@ def dangle_a_passage_reference(directory: Path) -> None:
         pytest.param(
             [dangle_a_passage_reference, partial(drop_member, key="triple_columns")],
             "triple 'tX' references unknown passage", id="records-first",
+        ),
+        # the pool job that inflates the columns and derives the norms and rows fails
+        pytest.param(
+            [partial(misstate_crc, key="triple_columns")],
+            "array 'triple_columns' does not read: its length or CRC-32 differs", id="prefetched-crc",
+        ),
+        pytest.param(
+            [dangle_a_passage_reference, partial(misstate_crc, key="triple_columns")],
+            "triple 'tX' references unknown passage", id="records-before-the-pool's-error",
+        ),
+        # a header the caller cannot read leaves the columns to their first use
+        pytest.param(
+            [partial(with_a_version_2_header, key="triple_columns")],
+            r"array 'triple_columns' does not read: unsupported \.npy version", id="not-prefetched",
         ),
     ],
 )

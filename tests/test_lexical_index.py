@@ -425,6 +425,23 @@ def test_load_rejects_postings_that_disagree_with_themselves(tmp_path, prefix, k
         ),
         ("triple", lambda rows: [{**rows[0], "subject": " "}, *rows[1:]], "triple 't1' has a blank field"),
         ("triple", lambda rows: [*rows[:-1], {**rows[-1], "object": ""}], "triple 't4' has a blank field"),
+        # blank by str.isspace, which accepts 28-31 and ideographic spaces too
+        ("triple", lambda rows: [rows[0], {**rows[1], "predicate": "\x1f"}, *rows[2:]],
+         "triple 't2' has a blank field"),
+        ("triple", lambda rows: [*rows[:2], {**rows[2], "subject": "\u3000"}, rows[3]],
+         "triple 't3' has a blank field"),
+        # the first blank triple is named, whichever field and column it is in,
+        # with every column plain (an empty object) or not (a space)
+        (
+            "triple",
+            lambda rows: [rows[0], {**rows[1], "object": ""}, {**rows[2], "predicate": ""}, rows[3]],
+            "triple 't2' has a blank field",
+        ),
+        (
+            "triple",
+            lambda rows: [rows[0], {**rows[1], "object": " "}, {**rows[2], "predicate": ""}, rows[3]],
+            "triple 't2' has a blank field",
+        ),
     ],
 )
 def test_load_applies_build_record_checks_to_records_npz(tmp_path, chain_index, kind, edit, problem):
