@@ -49,7 +49,6 @@ class AgentConfig:
     max_iterations: int = 4
     per_iteration_k: int = 10
     passage_link_k: int = 15
-    reuse_first_read: bool = False
 
     def __post_init__(self):
         check_settings(AgentConfig, vars(self))
@@ -222,17 +221,14 @@ def run_agent(
                 chunk_cap=cfg.per_iteration_k,
             )
 
-            if n == 1 and cfg.reuse_first_read:
-                additions = list(detail.proximals)
-            else:
-                additions = read_proximal(
-                    index,
-                    detail.fused.ids,
-                    query,
-                    gateway,
-                    memory=memory if n >= 2 else None,
-                    cap=cfg.per_iteration_k,
-                )
+            additions = read_proximal(
+                index,
+                detail.fused.ids,
+                query,
+                gateway,
+                memory=memory if n >= 2 else None,
+                cap=cfg.per_iteration_k,
+            )
             memory.extend(additions)
 
             outcome = reason_step(memory, query, gateway)

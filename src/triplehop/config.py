@@ -7,7 +7,8 @@ read, temperature 0).
 A section's keys and their types are the scalar fields of its dataclass
 (``[agent]`` sets the scalar fields of ``AgentConfig``), and each type gives
 its values' range (``check_settings``); ``[retrieval]`` also takes
-``embedder``. Text after " ;" on a line is a comment.
+``embedder``, a spec that ``resolve_embedder`` accepts. Text after " ;" on
+a line is a comment.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .agent import AgentConfig
-from .base_retrieval import RetrievalConfig
+from .base_retrieval import RetrievalConfig, resolve_embedder
 from .graph_expansion import ExpansionConfig
 from .llm_gateway import (
     ChatBackend, HttpChatBackend, ScriptedBackend, check_settings, scalar_fields,
@@ -141,6 +142,10 @@ def load_engine_config(path: str | Path | None = None) -> EngineConfig:
     if parser.has_section("retrieval") and parser.has_option("retrieval", "embedder"):
         embedder = parser.get("retrieval", "embedder").strip()
         parser.remove_option("retrieval", "embedder")
+        try:
+            resolve_embedder(embedder)
+        except ValueError as e:
+            raise ConfigError(f"[retrieval] embedder: {e}") from e
 
     sections = defaults.sections()
     for section in parser.sections():

@@ -18,6 +18,7 @@ import os
 import re
 import secrets
 import shutil
+import threading
 import unicodedata
 import zipfile
 import zlib
@@ -25,7 +26,7 @@ from bisect import bisect_left
 from array import array
 from collections import Counter, defaultdict
 from collections.abc import Mapping
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import count
@@ -912,11 +913,15 @@ def save_index(index: CorpusIndex, directory: str | Path) -> None:
         shutil.rmtree(retired, ignore_errors=True)
 
 
+# numpy parses a ``.npy`` header with ``ast``, which is not thread-safe in
+# Python 3.11, and a load reads arrays on two threads: each parse holds this.
+_HEADER_LOCK = threading.Lock()
+
+
 class _Npz:
-    """The ``index.npz`` at ``path``, parsed from ``data``, its bytes; a pool inflates
-    the arrays that ``prefetch`` names, in order, while the caller reads the others, and
-    parses every ``.npy`` header (numpy's ``ast`` is not thread-safe in Python 3.11).
-    Whatever does not read raises IndexBuildError naming ``path``."""
+    """The ``index.npz`` at ``path``, parsed from ``data``, its bytes. Threads may
+    read arrays at once: each header is parsed under ``_HEADER_LOCK``, and the
+    rest takes no lock. Whatever does not read raises IndexBuildError naming ``path``."""
 
     # what an array that does not read raises; numpy's header parser, the last three too
     unreadable = (ValueError, zlib.error, IndexError, SyntaxError, TokenError)
@@ -928,7 +933,6 @@ class _Npz:
                 self.members = {info.filename: info for info in zf.infolist()}
         except (zipfile.BadZipFile, NotImplementedError) as e:  # a zip version past zipfile's
             raise self.fail(f"not an .npz file: {e}") from None
-        self.prefetched: dict = {}  # key -> future of (array, ``_derived(array, ...)``)
 
     def fail(self, problem: str) -> IndexBuildError:
         return IndexBuildError(f"{self.path}: {problem}")
@@ -937,38 +941,31 @@ class _Npz:
         """Array ``key`` as ``np.load`` reads it without pickle, but as a read-only
         view of its member's bytes, and its header parsed once, not again by ``read_array``."""
         try:
-            if key in self.prefetched:
-                return self.prefetched[key].result()[0]
             raw = self.inflate(key)
-            return np.ndarray(buffer=raw, **self.header(key, raw))
+            fh = io.BytesIO(raw)
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):  # the one version ``_write_npz`` writes
+                raise ValueError(f"unsupported .npy version {version}")
+            with _HEADER_LOCK:
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            if dtype.hasobject:
+                raise ValueError("an object array needs pickle, which a load never allows")
+            size, held = math.prod(shape) * dtype.itemsize, len(raw) - fh.tell()
+            if size != held:
+                raise self.fail(f"array {key!r} claims shape {shape} of {dtype}, {size} bytes, "
+                                f"but holds {held}")
+            # ``np.ndarray``, not ``np.frombuffer``, which refuses a zero-width string.
+            return np.ndarray(shape, dtype, raw, fh.tell(), order="F" if fortran else "C")
         except IndexBuildError:
             raise
         except self.unreadable as e:
             raise self.fail(f"array {key!r} does not read: {e}") from e
 
-    def prefetch(self, pool: Executor, key: str, rows: bool) -> None:
-        """Have ``pool`` inflate array ``key`` and give it with ``_derived(array, rows)``,
-        if the header parsed here from its first bytes states 2-D int8 or float64.
-        Any other is left to its first use, which checks the CRC-32 before the header."""
-        try:
-            size = 10 + int.from_bytes(self.inflate(key, 10)[8:10], "little")  # magic, version, length
-            layout = self.header(key, self.inflate(key, size))
-        except (IndexBuildError, *self.unreadable):
-            return
-
-        def inflate_and_derive():
-            array = np.ndarray(buffer=self.inflate(key), **layout)
-            return array, _derived(array, rows)
-
-        if len(layout["shape"]) == 2 and layout["dtype"] in (np.int8, np.float64):
-            self.prefetched[key] = pool.submit(inflate_and_derive)
-
-    def inflate(self, key: str, size: int | None = None) -> bytes:
+    def inflate(self, key: str) -> bytes:
         """Array ``key``'s member, inflated by one ``zlib`` call (which lets go of
         the interpreter) into the length its entry states, within deflate's 1032:1
-        bound; or its first ``size`` bytes alone, unchecked. ValueError unless it
-        is stored or deflated, unencrypted, behind the local header its entry
-        names, and of its entry's length and CRC-32."""
+        bound. ValueError unless it is stored or deflated, unencrypted, behind the
+        local header its entry names, and of its entry's length and CRC-32."""
         info = self.members.get(f"{key}.npy")
         if info is None:
             raise self.fail(f"no array {key!r}")
@@ -982,32 +979,12 @@ class _Npz:
         # the name and then the extra field follow the 30-byte local header
         start = at + 30 + len(name) + int.from_bytes(self.data[at + 28 : at + 30], "little")
         member = memoryview(self.data)[start:][: info.compress_size]
-        if size is not None:  # a deflate code is at most 15 bits, its block header about 300 bytes
-            head = member[: 2 * size + 1024]
-            return zlib.decompressobj(-15).decompress(head, size) if info.compress_type else head[:size]
         if info.file_size > 1032 * len(member):  # checked before the buffer is allocated
             raise ValueError(f"{info.file_size} bytes inflated from {len(member)} pass deflate's 1032:1")
         raw = zlib.decompress(member, -15, info.file_size) if info.compress_type else bytes(member)
         if len(raw) != info.file_size or zlib.crc32(raw) != info.CRC:
             raise ValueError("its length or CRC-32 differs from its directory entry's")
         return raw
-
-    def header(self, key: str, head: bytes) -> dict:
-        """The ``np.ndarray`` arguments but ``buffer`` of array ``key``, from its
-        member's first bytes, ``head``, checked against the length its entry states."""
-        fh = io.BytesIO(head)
-        version = np.lib.format.read_magic(fh)
-        if version != (1, 0):  # the one version ``_write_npz`` writes
-            raise ValueError(f"unsupported .npy version {version}")
-        shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-        if dtype.hasobject:
-            raise ValueError("an object array needs pickle, which a load never allows")
-        size, held = math.prod(shape) * dtype.itemsize, self.members[f"{key}.npy"].file_size - fh.tell()
-        if size != held:
-            raise self.fail(f"array {key!r} claims shape {shape} of {dtype}, {size} bytes, "
-                            f"but holds {held}")
-        # ``np.ndarray``, not ``np.frombuffer``, which refuses a zero-width string.
-        return {"shape": shape, "dtype": dtype, "offset": fh.tell(), "order": "F" if fortran else "C"}
 
     def array(self, key: str, *dtypes: type, ndim: int = 1) -> np.ndarray:
         """Array ``key``, which must have ``ndim`` dimensions and a dtype that
@@ -1035,17 +1012,22 @@ class _Npz:
             raise self.fail(f"{key} is not non-decreasing from 0 to {of}")
 
 
-def _read_vector_view(npz: _Npz, name: str, ids: tuple[str, ...], dim) -> tuple:
-    """The view, and the triple rows if it is the triples' (else None)."""
-    columns = npz.array(key := f"{name}_columns", np.int8, np.float64, ndim=2)
+def _read_columns(npz: _Npz, name: str) -> tuple:
+    """A view's columns, with ``_derived``'s norms and, for the triples', rows."""
+    columns = npz.array(f"{name}_columns", np.int8, np.float64, ndim=2)
+    return columns, _derived(columns, name == "triple")
+
+
+def _read_vector_view(npz: _Npz, name: str, ids: tuple[str, ...], dim, read: Future) -> tuple:
+    """The view, and the triple rows if it is the triples' (else None), from
+    ``read``, a ``_read_columns`` job."""
+    columns, (norms, positive, rows) = read.result()
     width, n = columns.shape
     if n != len(ids):
         raise npz.fail(f"{n} {name} vectors for {len(ids)} ids")
     if len(ids) and width != dim:
         width = f"{width}-wide {name} vectors"
         raise IndexBuildError(f"{npz.path.parent / 'manifest.json'}: dim {dim!r}, but {width}")
-    future = npz.prefetched.get(key)  # none unless ``_Npz.prefetch`` read its header
-    norms, positive, rows = future.result()[1] if future else _derived(columns, name == "triple")
     return VectorView(ids, columns, norms, positive), rows
 
 
@@ -1127,8 +1109,8 @@ def load_index(
     for it before any of it is parsed: a file changed after the save fails,
     and what is parsed is what was hashed. The records get ``build_index``'s
     checks (``_graph``), and the views take their ids from them, while a second
-    thread inflates the views' columns and derives their norms and the triple
-    rows (see ``_Npz`` and ``_derived``). An array that does not read,
+    thread reads the views' columns and derives their norms and the triple rows
+    (``_read_columns``). An array that does not read,
     is stored in another shape or dtype than a save writes, or disagrees with
     the others, and a manifest ``dim`` unlike the stored views' or a
     ``hash:<dim>`` embedder's, raises IndexBuildError naming the file. Every
@@ -1177,11 +1159,10 @@ def load_index(
         lexical, vectors = {}, {}
         for (view, prefix, name), ids in zip(_NPZ_PREFIXES, (passage_ids, triple_ids)):
             lexical[view] = _read_lexical_view(npz, prefix, ids)
-            vectors[view], rows = _read_vector_view(npz, name, ids, dim)
+            vectors[view], rows = _read_vector_view(npz, name, ids, dim, reads[name])
         return lexical, vectors, rows  # the triple view's, read last
 
+    npz = _Npz(path, data)
     with ThreadPoolExecutor(1) as pool:
-        npz = _Npz(path, data)
-        for _, _, name in _NPZ_PREFIXES:  # as ``_read_vector_view`` reads them
-            npz.prefetch(pool, f"{name}_columns", rows=name == "triple")
+        reads = {name: pool.submit(_read_columns, npz, name) for _, _, name in _NPZ_PREFIXES}
         return _assemble(*_read_records(npz, manifest), embedder, read_views, path)

@@ -331,33 +331,6 @@ def test_agent_links_each_fact_once_in_first_occurrence_order(chain_index):
     ]
 
 
-def test_agent_reuse_first_read_skips_gist_read(chain_index):
-    calls = []
-
-    def script(kind, variables):
-        calls.append(kind)
-        if kind == "reader":
-            return 'Facts: ("enta", "linksto", "entb")'
-        if kind == "reasoner":
-            return "Answerable: Yes\nAnswer: done"
-        raise AssertionError(kind)
-
-    cfg = AgentConfig(
-        retrieval=RetrievalConfig(k=3, retriever="bm25"),
-        expansion=ExpansionConfig(beam_width=4, max_length=2),
-        max_iterations=2,
-        reuse_first_read=True,
-    )
-    trace = run_agent(
-        chain_index, "where does the trail from enta finish", cfg,
-        LLMGateway(RecordingBackend(script)),
-    )
-    assert calls == ["reader", "reasoner"]
-    assert trace.iterations[0].gist_additions == (
-        ProximalTriple("enta", "linksto", "entb"),
-    )
-
-
 def test_agent_byte_identical_traces_with_scripted_backend(chain_index):
     recorder = RecordingBackend(never_answerable_script)
     query = "where does the trail from enta finish"

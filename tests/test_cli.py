@@ -238,6 +238,19 @@ def test_extract_llm_build(tmp_path, capsys):
     assert index.passage_triples("p4") == ()
 
 
+def test_index_build_with_a_bad_embedder_spec_exits_1(tmp_path, capsys):
+    ppath, tpath = write_chain_corpus(tmp_path)
+    config = tmp_path / "engine.cfg"
+    config.write_text("[retrieval]\nembedder = hash:4\n")
+    code = dispatch([
+        "index", "build", "--passages", str(ppath), "--triples", str(tpath),
+        "--out", str(tmp_path / "idx"), "--config", str(config),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: [retrieval] embedder: ")
+    assert not (tmp_path / "idx").exists()
+
+
 def test_usage_errors_exit_1(capsys):
     assert dispatch(["retrieve"]) == 1  # missing required flags
     assert dispatch(["no-such-command"]) == 1

@@ -56,10 +56,11 @@ gamma = 6.5
 keep_stranded_beams = true
 
 [agent]
-reuse_first_read = yes
+max_iterations = 6
 
 [eval]
 cutoffs = 3, 6
+qa = yes
 """
     )
     cfg = load_engine_config(path)
@@ -68,8 +69,9 @@ cutoffs = 3, 6
     assert cfg.embedder == "hash:64"
     assert cfg.expansion.gamma == 6.5
     assert cfg.expansion.keep_stranded_beams is True
-    assert cfg.agent.reuse_first_read is True
+    assert cfg.agent.max_iterations == 6
     assert cfg.eval.cutoffs == (3, 6)
+    assert cfg.eval.qa is True
     # untouched sections keep defaults
     assert cfg.retrieval.bm25_k1 == 1.2
     assert cfg.llm.backend == "scripted"
@@ -88,8 +90,16 @@ def test_unknown_section_and_key_rejected(tmp_path):
 
 def test_invalid_boolean_rejected(tmp_path):
     path = tmp_path / "bad3.cfg"
-    path.write_text("[agent]\nreuse_first_read = maybe\n")
+    path.write_text("[expansion]\nkeep_stranded_beams = maybe\n")
     with pytest.raises(ConfigError, match="boolean"):
+        load_engine_config(path)
+
+
+@pytest.mark.parametrize("spec", ["hash:4", "nope"])
+def test_a_bad_embedder_spec_is_a_config_error(tmp_path, spec):
+    path = tmp_path / "engine.cfg"
+    path.write_text(f"[retrieval]\nembedder = {spec}\n")
+    with pytest.raises(ConfigError, match=rf"\[retrieval\] embedder: .*{spec}"):
         load_engine_config(path)
 
 
@@ -258,12 +268,11 @@ def test_an_undecodable_config_exits_1_from_the_cli(tmp_path, capsys):
 
 def test_agent_section_sets_agent_config_fields():
     assert set(scalar_fields(AgentConfig)) == {
-        "max_iterations", "per_iteration_k", "passage_link_k", "reuse_first_read",
+        "max_iterations", "per_iteration_k", "passage_link_k",
     }
     cfg = EngineConfig()
     assert cfg.to_dict()["agent"] == {
         "max_iterations": 4, "per_iteration_k": 10, "passage_link_k": 15,
-        "reuse_first_read": False,
     }
 
 

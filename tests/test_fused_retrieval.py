@@ -276,12 +276,9 @@ def expected_agent(index, dim, question: str, cfg: AgentConfig, script: AgentScr
         initial = expected_initial_nodes(index, dim, proximals, retrieval)
         fused = expected_fused(index, dim, query, base, initial, retrieval, cfg.expansion)
         iterations.append((query, base, proximals, initial, fused))
-        if n == 1 and cfg.reuse_first_read:
-            memory += proximals
-        else:
-            read_memory = memory if n >= 2 else None
-            ids = [pid for pid, _ in fused]
-            memory += script.read(*reader_variables(index, ids, question, read_memory, cap))
+        read_memory = memory if n >= 2 else None
+        ids = [pid for pid, _ in fused]
+        memory += script.read(*reader_variables(index, ids, question, read_memory, cap))
         if script.answerable(len(memory)):
             cause = "answerable"
             break
@@ -350,24 +347,23 @@ AGENT_SCRIPTS = st.builds(
     AGENT_SCRIPTS,
     RETRIEVAL,
     EXPANSION,
-    st.booleans(),
     st.integers(1, 3),
     st.integers(1, 8),
 )
 def test_agent_equals_fused_oracles(
-    corpus, questions, script, retrieval, expansion, reuse_first_read, max_iterations, link_k
+    corpus, questions, script, retrieval, expansion, max_iterations, link_k
 ):
     index, dim = corpus
     cfg = AgentConfig(
         retrieval, expansion, max_iterations=max_iterations, per_iteration_k=retrieval.k,
-        passage_link_k=link_k, reuse_first_read=reuse_first_read,
+        passage_link_k=link_k,
     )
     check_agent(index, dim, questions, cfg, script)
 
 
 @pytest.mark.parametrize("retriever", ["bm25", "hybrid"])
-@pytest.mark.parametrize("patience, reuse_first_read", [(0, True), (0, False), (None, False)])
-def test_agent_on_an_empty_triple_view_equals_fused_oracles(retriever, patience, reuse_first_read):
+@pytest.mark.parametrize("patience", [0, None])
+def test_agent_on_an_empty_triple_view_equals_fused_oracles(retriever, patience):
     # No triples: every fact links to nothing on the triple view, and the
     # fact "zz zz zz" shares no word with any passage, so BM25 links it to
     # nothing at all. Patience 0 answers at iteration 1; None runs to the
@@ -378,7 +374,7 @@ def test_agent_on_an_empty_triple_view_equals_fused_oracles(retriever, patience,
     script = AgentScript(facts, 7, patience, ("", "gu de"))
     cfg = AgentConfig(
         RetrievalConfig(k=2, retriever=retriever), ExpansionConfig(beam_width=2),
-        max_iterations=3, passage_link_k=3, reuse_first_read=reuse_first_read,
+        max_iterations=3, passage_link_k=3,
     )
     check_agent(index, 8, ["vo va", "gu"], cfg, script)
 

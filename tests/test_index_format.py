@@ -12,6 +12,7 @@ import re
 import shutil
 import tempfile
 import threading
+import time
 import zipfile
 import zlib
 from functools import partial
@@ -114,29 +115,35 @@ def test_format_6_load_equals_a_fresh_build(tmp_path, chain_index):
     assert_same_index(load_index(tmp_path / "idx"), chain_index)
 
 
-def test_every_npy_header_is_parsed_on_the_loading_thread(tmp_path, chain_index, monkeypatch):
+def test_no_two_npy_headers_are_parsed_at_once(tmp_path, chain_index, monkeypatch):
     """numpy parses a ``.npy`` header with ``ast``, which is not thread-safe
-    in Python 3.11. A load parses each on its caller's thread, while its
-    pool inflates each view's columns and computes what they give."""
+    in Python 3.11. A load's pool reads each view's columns and computes what
+    they give while the caller reads the other arrays, and the two threads
+    take turns to parse headers."""
     save_index(chain_index, tmp_path)
-    parsed, derived = [], []
+    parse, derive = np.lib.format.read_array_header_1_0, corpus_index._derived
+    parsing, parsed, derived = [], [], []
 
-    def on_thread(calls, call):
-        def recorded(*args, **kwargs):
-            calls.append(threading.get_ident())
-            return call(*args, **kwargs)
+    def parse_alone(*args, **kwargs):
+        parsing.append(threading.get_ident())
+        try:
+            assert len(parsing) == 1, "two .npy headers parsed at once"
+            parsed.append(threading.get_ident())
+            time.sleep(0.001)  # long enough for the other thread to come in
+            return parse(*args, **kwargs)
+        finally:
+            parsing.remove(threading.get_ident())
 
-        return recorded
+    def recorded(*args, **kwargs):
+        derived.append(threading.get_ident())
+        return derive(*args, **kwargs)
 
-    monkeypatch.setattr(
-        np.lib.format, "read_array_header_1_0",
-        on_thread(parsed, np.lib.format.read_array_header_1_0),
-    )
-    monkeypatch.setattr(corpus_index, "_derived", on_thread(derived, corpus_index._derived))
+    monkeypatch.setattr(np.lib.format, "read_array_header_1_0", parse_alone)
+    monkeypatch.setattr(corpus_index, "_derived", recorded)
     loaded = load_index(tmp_path)
     with zipfile.ZipFile(tmp_path / "index.npz") as zf:
         assert len(parsed) == len(zf.namelist())
-    assert set(parsed) == {threading.get_ident()}
+    assert len(set(parsed)) == 2 and threading.get_ident() in parsed
     assert len(derived) == 2 and threading.get_ident() not in derived
     # sq_norms, positive_norms and triple_rows by dtype, contiguity and bits
     assert_same_index(loaded, chain_index)
@@ -164,14 +171,12 @@ class OpenedByEmptyBlocks:
 
 
 @pytest.mark.parametrize("stored_as", ["big-endian", "opened-by-empty-blocks"])
-def test_columns_the_prefetch_leaves_load_with_norms_and_rows_from_the_loading_thread(
+def test_columns_stored_otherwise_load_with_a_builds_norms_and_rows(
     tmp_path, chain_index, monkeypatch, stored_as
 ):
-    """The pool derives a view's norms and rows only for native int8 or
-    float64 columns whose header the caller read from the first bytes of their
-    deflate stream. Other columns that a load accepts, big-endian float64 or
-    a stream that opens with empty blocks, are derived on the loading thread
-    and give a build's values."""
+    """Columns that a load accepts but a save does not write, big-endian
+    float64 or a deflate stream that opens with empty blocks, give a build's
+    norms and rows."""
     save_index(chain_index, tmp_path)
     if stored_as == "big-endian":
         rewrite_member(tmp_path / "index.npz", "triple_columns", lambda a: npy(a.astype(">f8")))
@@ -179,15 +184,8 @@ def test_columns_the_prefetch_leaves_load_with_norms_and_rows_from_the_loading_t
         with monkeypatch.context() as patch:
             patch.setattr(zipfile, "_get_compressor", lambda *args: OpenedByEmptyBlocks())
             rewrite_member(tmp_path / "index.npz", "triple_columns", npy)
-    derived, derive = [], corpus_index._derived
-
-    def recorded(columns, rows=False):
-        derived.append((threading.get_ident(), rows))
-        return derive(columns, rows)
-
-    monkeypatch.setattr(corpus_index, "_derived", recorded)
     loaded = fails_naming_the_file_or_answers(tmp_path)
-    assert loaded is not None and (threading.get_ident(), True) in derived
+    assert loaded is not None
     if stored_as == "big-endian":
         assert loaded.vectors[TRIPLES].columns.dtype == np.dtype(">f8")
         for view in (PASSAGES, TRIPLES):
@@ -197,7 +195,6 @@ def test_columns_the_prefetch_leaves_load_with_norms_and_rows_from_the_loading_t
         assert loaded.triple_rows.flags.c_contiguous
         assert np.array_equal(loaded.triple_rows, chain_index.triple_rows)
     else:
-        assert {thread for thread, _ in derived} == {threading.get_ident()}
         assert_same_index(loaded, chain_index)
 
 
@@ -714,8 +711,8 @@ def test_load_names_an_array_saved_with_a_version_2_header(tmp_path, chain_index
 )
 def test_load_names_an_array_whose_header_does_not_parse(tmp_path, chain_index, key, header):
     """numpy's header parser raises TokenError, IndexError and IndentationError
-    on these, not ValueError. The triple columns' header is read first by the
-    prefetch, which leaves them to their first use."""
+    on these, not ValueError. The triple columns' header is parsed on the
+    load's second thread, and the error raised on its caller's."""
     save_index(chain_index, tmp_path)
 
     def encode(array: np.ndarray) -> bytes:
@@ -774,7 +771,7 @@ def flip_a_deflated_byte(directory: Path, key: str) -> None:
     reseal(directory)
 
 
-# p_doc_positions is inflated by the caller; triple_columns by the prefetch thread
+# p_doc_positions is inflated by the caller; triple_columns by the load's second thread
 @pytest.mark.parametrize("key", ["p_doc_positions", "triple_columns"])
 def test_load_names_an_array_whose_deflated_bytes_changed(tmp_path, chain_index, key):
     save_index(chain_index, tmp_path)
@@ -1014,11 +1011,11 @@ def dangle_a_passage_reference(directory: Path) -> None:
         ),
         pytest.param(
             [partial(drop_member, key="triple_columns")], "no array 'triple_columns'",
-            id="prefetched-missing",
+            id="columns-missing",
         ),
         pytest.param(
             [partial(flip_a_deflated_byte, key="triple_columns")],
-            "array 'triple_columns' does not read", id="prefetched-does-not-inflate",
+            "array 'triple_columns' does not read", id="columns-do-not-inflate",
         ),
         pytest.param(
             [dangle_a_passage_reference, partial(drop_member, key="triple_columns")],
@@ -1027,21 +1024,21 @@ def dangle_a_passage_reference(directory: Path) -> None:
         # the pool job that inflates the columns and derives the norms and rows fails
         pytest.param(
             [partial(misstate_crc, key="triple_columns")],
-            "array 'triple_columns' does not read: its length or CRC-32 differs", id="prefetched-crc",
+            "array 'triple_columns' does not read: its length or CRC-32 differs", id="columns-crc",
         ),
         pytest.param(
             [dangle_a_passage_reference, partial(misstate_crc, key="triple_columns")],
             "triple 'tX' references unknown passage", id="records-before-the-pool's-error",
         ),
-        # a header the caller cannot read leaves the columns to their first use
+        # the pool job fails on the columns' header
         pytest.param(
             [partial(with_a_version_2_header, key="triple_columns")],
-            r"array 'triple_columns' does not read: unsupported \.npy version", id="not-prefetched",
+            r"array 'triple_columns' does not read: unsupported \.npy version", id="columns-version-2",
         ),
     ],
 )
 def test_a_load_leaves_no_thread_behind(tmp_path, chain_index, edits, error):
-    """Each load, whether it succeeds or fails, joins its prefetch thread, and
+    """Each load, whether it succeeds or fails, joins its second thread, and
     a failing one raises the first error in the order the arrays are used."""
     save_index(chain_index, tmp_path)
     for edit in edits:
