@@ -34,6 +34,12 @@ from .llm_gateway import (
 from .sync import read_proximal
 
 
+def error_message(error: BaseException) -> str:
+    """``str(error)``, or the name of its type when that is blank, so a
+    recorded failure always says something."""
+    return str(error) if str(error).strip() else type(error).__name__
+
+
 class AgentRunError(RuntimeError):
     """A step failed mid-run; carries the trace up to the failure."""
 
@@ -258,7 +264,7 @@ def run_agent(
             if rewritten is not None:
                 current_query = rewritten
     except Exception as e:
-        raise AgentRunError(str(e), partial_trace()) from e
+        raise AgentRunError(error_message(e), partial_trace()) from e
     finally:
         gateway.set_iteration(0)
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .agent import AgentConfig, run_agent
+from .agent import AgentConfig, error_message, run_agent
 from .base_retrieval import RankedList, RetrievalConfig, base_retrieve
 from .corpus_index import PASSAGES, CorpusIndex, read_jsonl, text_field, text_list_field
 from .graph_expansion import ExpansionConfig, naive_ge_detail, sync_ge_detail
@@ -313,7 +313,7 @@ class EvalReport:
                     "-" if row.iterations is None else str(row.iterations),
                     str(row.input_tokens),
                     str(row.output_tokens),
-                    row.error or "-",
+                    "-" if row.error is None else " ".join(row.error.split()),
                 ]
             )
         agg = ["mean"] + [
@@ -379,7 +379,7 @@ def run_eval(
                 iterations=None,
                 input_tokens=0,
                 output_tokens=0,
-                error=str(e),
+                error=error_message(e),
             )
         ids = result.ranked.ids
         recall = {

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat
-from operator import itemgetter, le
+from itertools import chain, compress, filterfalse, islice, repeat
+from operator import itemgetter, le, not_
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,7 +38,9 @@ from .corpus_index import (
 from .llm_gateway import LLMGateway, ProximalTriple, check_settings
 from .sync import locate_initial_nodes, read_proximal
 
-Scorer = Callable[[str, Sequence[tuple[str, ...]]], list[float]]
+# A scorer's (prefix, next_ids): it scores each prefix + (next_id,), in order.
+Group = tuple[tuple[str, ...], Sequence[str]]
+Scorer = Callable[[str, Sequence[Group]], list[float]]
 
 # Sequences the hash scorer works on at once, so its working arrays stay
 # 128 x dim floats (256 KB at dim 256) however many candidates a step has.
@@ -76,12 +78,13 @@ def diversity_weight(position: int, gamma: float) -> float:
 
 
 def make_cosine_scorer(index: CorpusIndex) -> Scorer:
-    """Default scorer: ``scorer(query, sequences)`` is the cosine of the query
-    and each serialized sequence, one float per sequence.
+    """Default scorer: ``scorer(query, groups)`` is the cosine of the query
+    and each serialized ``prefix + (next_id,)`` of each ``(prefix,
+    next_ids)`` group, one float per sequence, group by group.
 
-    ``diverse_beam_search`` calls it once per step with every extension of
-    every beam. Make one scorer per search: it caches the query's unit vector
-    and the counts below.
+    ``diverse_beam_search`` calls it once per step with one group per beam.
+    Make one scorer per search: it caches the query's unit vector and the
+    counts below.
 
     With the hash embedder (``hash_dim`` finds its name ``hash:<dim>``) no
     candidate text is hashed. ``serialize_sequence`` joins triples with
@@ -100,12 +103,12 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     ``triple_ends`` memo. Both memos are ``Memo``s: threads that miss on one
     entry may each compute it, and all get the value stored first, so
     scorers on several threads share them with no lock. A search keeps each
-    beam prefix's counts plus its last triple's tail. A call first makes its
-    index arrays in one pass: each sequence's last-triple row and head codes
-    (one ``np.fromiter`` over their ``triple_ends`` entries) and its
-    prefix's number (one dict pass). Then each block of 128 rows
-    is array work only: gather the rows and prefix vectors, add the heads,
-    normalise with one ``einsum`` and one division. Counts are integers, so
+    beam prefix's counts plus its last triple's tail. A call reads every
+    next id's row and head codes in one ``np.fromiter`` over their
+    ``triple_ends`` entries; a sequence's prefix is its group's position.
+    Then each block of 128 rows is array work only: gather the prefix
+    vectors, add the rows and the heads in place, normalise with one
+    ``einsum`` and one division. Counts are integers, so
     every sum and squared norm is exact and each unit row has the bits of the
     serialized text's unit vector. The final dot product stays one 1-D dot
     per row: a matrix-vector product sums in another order, changes last
@@ -126,8 +129,8 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     dim = hash_dim(index.embedder)
     if dim is None:
 
-        def scorer(query: str, sequences: Sequence[tuple[str, ...]]) -> list[float]:
-            texts = [serialize_sequence(index, seq) for seq in sequences]
+        def scorer(query: str, groups: Sequence[Group]) -> list[float]:
+            texts = [serialize_sequence(index, p + (tid,)) for p, ids in groups for tid in ids]
             embed_units([query, *texts])
             unit_query = cache[query]
             return [float(unit_query @ cache[text]) for text in texts]
@@ -147,33 +150,30 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
         prefix_vectors = Memo(prefix_vector)
         prefix_vectors[()] = np.zeros(dim)
 
-        def scorer(query: str, sequences: Sequence[tuple[str, ...]]) -> list[float]:
+        def scorer(query: str, groups: Sequence[Group]) -> list[float]:
             embed_units([query])
             unit_query = cache[query]
-            # The index pass: last triples' (row, head codes, tail codes), and
-            # prefix numbers.
-            last = chain.from_iterable(map(ends.__getitem__, map(itemgetter(-1), sequences)))
-            table = np.fromiter(last, np.intp, 5 * len(sequences)).reshape(-1, 5)
-            keys: Memo = Memo(lambda _: len(keys))  # numbered by first appearance
-            prefixes = map(itemgetter(slice(None, -1)), sequences)
-            picks = np.fromiter(map(keys.__getitem__, prefixes), np.intp, len(sequences))
-            prefix_table = np.array([prefix_vectors[key] for key in keys])
-            with_heads = keys.keys() != {()}  # one-triple sequences have no head
-            if with_heads:
-                buckets, signs = table[:, 1:3] >> 1, table[:, 1:3] % 2 * 2.0 - 1.0
-                if () in keys:  # one-triple sequences add +0.0
-                    signs[picks == keys[()]] = 0.0
+            prefixes, next_ids = zip(*groups) if groups else ((), ())
+            sizes = list(map(len, next_ids))
+            # The index pass: next triples' (row, head codes, tail codes).
+            last = chain.from_iterable(map(ends.__getitem__, chain.from_iterable(next_ids)))
+            table = np.fromiter(last, np.intp, 5 * sum(sizes)).reshape(-1, 5)
+            picks = np.repeat(np.arange(len(groups)), sizes)  # each row's group
+            prefix_table = np.array([prefix_vectors[prefix] for prefix in prefixes])
+            buckets, signs = table[:, 1:3] >> 1, table[:, 1:3] % 2 * 2.0 - 1.0
+            if not all(prefixes):  # a one-triple sequence has no head: add +0.0
+                headless = np.fromiter(map(not_, prefixes), bool, len(groups))
+                signs[np.repeat(headless, sizes)] = 0.0
             scores: list[float] = []
-            for lo in range(0, len(sequences), _BLOCK_ROWS):
+            for lo in range(0, len(table), _BLOCK_ROWS):
                 block = slice(lo, lo + _BLOCK_ROWS)
-                counts = rows[table[block, 0]].astype(np.float64)
-                counts += prefix_table[picks[block]]
-                if with_heads:
-                    # Two +=, at flat positions: at a small dim a head's two
-                    # trigrams can share a bucket, which one += adds once.
-                    lines = np.arange(0, counts.size, dim)
-                    counts.ravel()[buckets[block, 0] + lines] += signs[block, 0]
-                    counts.ravel()[buckets[block, 1] + lines] += signs[block, 1]
+                counts = prefix_table[picks[block]]
+                counts += rows[table[block, 0]]
+                # Two +=, at flat positions: at a small dim a head's two
+                # trigrams can share a bucket, which one += adds once.
+                lines = np.arange(0, counts.size, dim)
+                counts.ravel()[buckets[block, 0] + lines] += signs[block, 0]
+                counts.ravel()[buckets[block, 1] + lines] += signs[block, 1]
                 norms = np.sqrt(np.einsum("ij,ij->i", counts, counts))
                 counts /= np.where(norms > 0, norms, 1.0)[:, None]
                 # One 1-D dot per row, as ``unit_query @ row``: matmul over a
@@ -185,11 +185,12 @@ def make_cosine_scorer(index: CorpusIndex) -> Scorer:
     return scorer
 
 
-def _checked(query: str, sequences: Sequence[tuple[str, ...]], scores: list[float]) -> list[float]:
-    """``scores``, unless one is NaN: then ``RetrievalError`` names the first."""
+def _checked(query: str, prefix: tuple, next_ids: Sequence[str], scores: list[float]):
+    """``scores`` of ``prefix``'s extensions by ``next_ids``, unless one is
+    NaN: then ``RetrievalError`` names the first."""
     if math.isnan(sum(scores)):  # or +inf met -inf, with no NaN
-        for sequence in compress(sequences, map(math.isnan, scores)):
-            raise RetrievalError(f"beam score of {sequence} is NaN for query {query!r}")
+        for tid in compress(next_ids, map(math.isnan, scores)):
+            raise RetrievalError(f"beam score of {prefix + (tid,)} is NaN for query {query!r}")
     return scores
 
 
@@ -213,9 +214,11 @@ def diverse_beam_search(
     the previous step's beams are returned and the trace is flagged. A NaN
     score or total raises ``RetrievalError``.
 
-    The scorer (``make_cosine_scorer``'s by default) is called once for the
-    initial triples, as given, and once per step with the extensions of all
-    beams: beam by beam, each beam's neighbours in ascending id order.
+    The scorer (``make_cosine_scorer``'s by default) is called with the one
+    group ``((), initial_ids)``, then once per step with one ``(sequence,
+    next_ids)`` group per beam, in beam order: its unvisited neighbours,
+    ascending (an empty group for a stranded beam). Only the extensions a
+    beam keeps under the cap become sequence tuples.
     """
     if trace is not None:
         trace["stopped_early_at"] = None
@@ -228,8 +231,8 @@ def diverse_beam_search(
     weights = [diversity_weight(p, cfg.gamma) for p in range(min(size, math.ceil(cfg.gamma) + 1))]
     weights += weights[-1:] * (size - len(weights))
 
-    starts = [(tid,) for tid in initial_ids]
-    pool = list(zip(_checked(query, starts, score(query, starts)), starts))
+    scores = score(query, [((), initial_ids)])
+    pool = list(zip(_checked(query, (), initial_ids, scores), zip(initial_ids)))
     for step in range(1, cfg.max_length + 1):
         # The top-b cut: only entries at or above the b-th highest bare
         # float can be among the best b by (-score, sequence).
@@ -238,21 +241,18 @@ def diverse_beam_search(
         beams = sorted(kept, key=lambda entry: (-entry[0], entry[1]))[: cfg.beam_width]
         if step == cfg.max_length:
             break
-        visited = {tid for _, seq in beams for tid in seq}
-        extensions = [
-            [seq + (tid,) for tid in get_neighbours(index, seq[-1]) if tid not in visited]
-            for _, seq in beams
-        ]
-        scores = iter(score(query, [ext for exts in extensions for ext in exts]))
+        seen = {tid for _, seq in beams for tid in seq}.__contains__
+        groups = [(seq, [*filterfalse(seen, get_neighbours(index, seq[-1]))]) for _, seq in beams]
+        scores = iter(score(query, groups))
         pool = []
-        for (accumulated, seq), extended in zip(beams, extensions):
-            totals = [accumulated + value for value in islice(scores, len(extended))]
-            _checked(query, extended, totals)
+        for (accumulated, seq), (_, next_ids) in zip(beams, groups):
+            totals = [accumulated + value for value in islice(scores, len(next_ids))]
+            _checked(query, seq, next_ids, totals)
             # Best first: a stable sort keeps equal totals in neighbour
             # order, which is ascending sequence order. ``zip`` cuts at the cap.
             order = sorted(range(len(totals)), key=totals.__getitem__, reverse=True)
-            pool += [(totals[i] * weight, extended[i]) for i, weight in zip(order, weights)]
-            if not extended and cfg.keep_stranded_beams:
+            pool += [(totals[i] * w, seq + (next_ids[i],)) for i, w in zip(order, weights)]
+            if not next_ids and cfg.keep_stranded_beams:
                 pool.append((accumulated, seq))
         if not pool:
             if trace is not None:

@@ -12,7 +12,8 @@ the single-sort one replaced: a ``Counter`` per text, Python lists, then a
 stable sort by row. The hash-embedding and
 sequence-scorer oracles are the straightforward forms the package replaced
 with memoised and incremental ones: hash every trigram, and serialize every
-candidate before embedding it. The RRF oracle fuses plain id lists.
+candidate before embedding it. The RRF oracle fuses plain id lists, and
+``grouped`` turns a per-sequence test scorer into the grouped scorer form.
 """
 
 from __future__ import annotations
@@ -147,6 +148,15 @@ def oracle_sequence_scorer(triples: dict, embed):
         return float(unit(query) @ unit(text))
 
     return scorer
+
+
+def grouped(score_one):
+    """The grouped scorer form of ``score_one(query, sequence) -> float``:
+    ``scorer(query, groups)`` scores each ``prefix + (next_id,)`` of each
+    ``(prefix, next_ids)`` group, in order, one call each."""
+    return lambda query, groups: [
+        score_one(query, prefix + (tid,)) for prefix, next_ids in groups for tid in next_ids
+    ]
 
 
 def _tokens(text: str) -> list[str]:

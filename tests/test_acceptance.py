@@ -76,7 +76,7 @@ def _random_graph(rng: random.Random):
 def _assert_beams_match_oracle(index, query, initial_ids, cfg, scorer):
     got = diverse_beam_search(index, query, initial_ids, cfg, scorer)
     want = oracle_beam_search(
-        query, initial_ids, index.triples, cfg, lambda q, seq: scorer(q, [seq])[0]
+        query, initial_ids, index.triples, cfg, lambda q, seq: scorer(q, [(seq[:-1], seq[-1:])])[0]
     )
     assert [beam.sequence for beam in got] == [seq for _, seq in want]
     for beam, (score, _) in zip(got, want):

@@ -56,15 +56,15 @@ def test_score_hub_beam(benchmark, hub_index):
 
 
 def test_score_hub_step_of_33(benchmark, hub_index):
-    """One scorer call of 33 two-triple sequences off the hub, the size of
+    """One scorer call of one group of 33 extensions off the hub, the size of
     the median scorer call on the hub-expand workload, with the search's
     query and the beam's prefix already made, as in a search's later calls."""
     query = "where was Person 7 born"
     score = make_cosine_scorer(hub_index)
-    score(query, [("t0000",)])
-    sequences = [("t0000", f"t{i:04d}") for i in range(1, 34)]
-    scores = benchmark(score, query, sequences)
-    assert len(scores) == 33 and scores == make_cosine_scorer(hub_index)(query, sequences)
+    score(query, [((), ["t0000"])])
+    groups = [(("t0000",), [f"t{i:04d}" for i in range(1, 34)])]
+    scores = benchmark(score, query, groups)
+    assert len(scores) == 33 and scores == make_cosine_scorer(hub_index)(query, groups)
 
 
 def test_passage_link_ten_facts(benchmark, hub_index):
@@ -95,6 +95,22 @@ def two_hub_index():
         passages.append(Passage(pid, f"Person {i}", f"Person {i} was born in {country}."))
         triples.append(Triple(f"t{i:04d}", f"Person {i}", "born in", country, pid))
     return build_index(passages, triples, HashEmbedder(256))
+
+
+def test_score_two_hub_beams(benchmark, two_hub_index):
+    """One beam-search step with two beams, one on each hub, as the tail
+    questions of the hub-expand workload make it: a fresh scorer scores the
+    two initial triples, then one group of 499 extensions per beam."""
+    cfg = ExpansionConfig(beam_width=2, max_length=2)
+
+    def step():
+        return diverse_beam_search(
+            two_hub_index, "where was Person 7 born", ["t0000", "t0500"], cfg
+        )
+
+    beams = benchmark(step)
+    assert [len(get_neighbours(two_hub_index, tid)) for tid in ("t0000", "t0500")] == [499] * 2
+    assert [len(beam.sequence) for beam in beams] == [2, 2]
 
 
 def test_search_ten_beams_on_two_hubs(benchmark, two_hub_index):

@@ -341,19 +341,21 @@ def test_non_hash_scorer_embeds_the_uncached_texts_of_a_batch_in_one_call():
     embedder = RecordingEmbedder(128)
     index = build_index(passages, triples, embedder)
     plain = build_index(passages, triples, lambda text: hash_embed(text, 128))
+    groups = [((), ["q1t1"]), (("q1t1",), ["q1t2"]), ((), ["q1t1", "odd1"])]
     sequences = [("q1t1",), ("q1t1", "q1t2"), ("q1t1",), ("odd1",)]
     embedder.batches.clear()
     scorer = make_cosine_scorer(index)
-    got = scorer("where does ent1a go", sequences)
-    assert got == make_cosine_scorer(plain)("where does ent1a go", sequences)
+    got = scorer("where does ent1a go", groups)
+    assert len(got) == 4
+    assert got == make_cosine_scorer(plain)("where does ent1a go", groups)
     texts = ["where does ent1a go"] + [
         "; ".join(serialize_triple(index.triples[t]) for t in seq) for seq in sequences[:2]
     ] + ["; ".join(serialize_triple(index.triples[t]) for t in sequences[3])]
     assert embedder.batches == [texts]
     # Cached texts are not embedded again; a batch with nothing new makes no call.
-    scorer("where does ent1a go", sequences[:2])
+    scorer("where does ent1a go", groups[:2])
     assert len(embedder.batches) == 1
-    scorer("where does ent1a go", [("q1t2",)])
+    scorer("where does ent1a go", [((), ["q1t2"])])
     assert embedder.batches[1:] == [[serialize_triple(index.triples["q1t2"])]]
 
 

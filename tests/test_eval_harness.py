@@ -208,6 +208,37 @@ def test_run_eval_failures_excluded_and_counted(chain_index):
     assert report.rows[1].id == "boom"
 
 
+class _SilentBackend:
+    """A chat backend that fails with no message."""
+
+    def complete(self, request):
+        raise RuntimeError()
+
+
+def test_failed_rows_always_say_why_on_one_line(chain_index):
+    questions = [question(q, {"p1"}) for q in ("ok", "blank", "lines", "boom")]
+    results = {
+        "ok": SystemResult(ranked("p1"), None, None, 0, 0),
+        "blank": RuntimeError(),
+        "lines": ValueError("first line\nsecond line"),
+        "boom": RuntimeError("backend exploded"),
+    }
+    report = run_eval(questions, StubSystem(chain_index, results), cutoffs=(5,), workers=1)
+    errors = [row.error for row in report.rows]
+    assert errors == [None, "RuntimeError", "first line\nsecond line", "backend exploded"]
+    agent = AgentSystem(
+        chain_index, AgentConfig(retrieval=RetrievalConfig(k=3, retriever="bm25")), _SilentBackend()
+    )
+    [agent_row] = run_eval([question("agent", {"p1"})], agent, cutoffs=(5,), workers=1).rows
+    assert agent_row.error == "RuntimeError"
+    # One line per row, and only the row that did not fail shows "-".
+    lines = report.to_table().splitlines()
+    assert len(lines) == len(questions) + 2
+    assert [line.split("  ")[-1] for line in lines[1:-1]] == [
+        "-", "RuntimeError", "first line second line", "backend exploded",
+    ]
+
+
 def test_run_eval_rejects_unresolved_gold(chain_index):
     questions = [question("a", {"does-not-exist"})]
     with pytest.raises(ValueError, match="does-not-exist"):

@@ -27,7 +27,7 @@ from triplehop.corpus_index import PASSAGES
 from triplehop.graph_expansion import make_cosine_scorer, naive_ge_detail, sync_ge_detail
 
 from .conftest import RecordingBackend
-from .oracles import oracle_beam_search
+from .oracles import grouped, oracle_beam_search
 
 BM25 = RetrievalConfig(k=5, retriever="bm25")
 
@@ -57,17 +57,17 @@ def test_diversity_weight_monotone_with_floor():
 def test_score_sequence_identity_text(chain_index):
     # query identical to the serialized single-triple sequence
     score = make_cosine_scorer(chain_index)
-    [same] = score("enta linksto entb", [("t1",)])
+    [same] = score("enta linksto entb", [((), ["t1"])])
     assert abs(same - 1.0) < 1e-9
 
 
 def test_score_sequence_empty_query_is_zero(chain_index):
-    assert make_cosine_scorer(chain_index)("", [("t1",)]) == [0.0]
+    assert make_cosine_scorer(chain_index)("", [((), ["t1"])]) == [0.0]
 
 
 def test_score_sequence_changes_with_extension(chain_index):
     single, double = make_cosine_scorer(chain_index)(
-        "enta linksto entb", [("t1",), ("t1", "t2")]
+        "enta linksto entb", [((), ["t1"]), (("t1",), ["t2"])]
     )
     assert single != double
 
@@ -77,7 +77,7 @@ def test_score_sequence_changes_with_extension(chain_index):
 # ---------------------------------------------------------------------------
 
 def fixed_scorer(table):
-    return lambda query, sequences: [table[seq] for seq in sequences]
+    return grouped(lambda query, sequence: table[sequence])
 
 
 def test_beam_search_l1_returns_top_singletons(chain_index):
@@ -129,10 +129,7 @@ def test_beam_search_six_triple_fixture_matches_oracle(embedder):
             return table[sequence]
 
         cfg = ExpansionConfig(beam_width=2, max_length=2, neighbour_cap=10, gamma=4.0)
-        got = diverse_beam_search(
-            index, "q", [t.id for t in triples], cfg,
-            lambda q, sequences: [scorer(q, seq) for seq in sequences],
-        )
+        got = diverse_beam_search(index, "q", [t.id for t in triples], cfg, grouped(scorer))
         want = oracle_beam_search(
             "q", [t.id for t in triples], index.triples, cfg, scorer
         )
@@ -194,6 +191,32 @@ def test_beam_search_early_stop_returns_last_nonempty(chain_index):
     )
     assert [b.sequence for b in beams] == [("t4",)]
     assert trace["stopped_early_at"] == 1
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_scorer_sees_one_group_per_beam(chain_index, keep):
+    # t4 is isolated and t1 - t2 - t3 a chain: the scorer sees the initial
+    # ids as given, then one (sequence, unvisited neighbours ascending) group
+    # per beam in beam order, and an empty group for a stranded beam.
+    table = {("t4",): 0.9, ("t2",): 0.8, ("t2", "t1"): 0.4, ("t2", "t3"): 0.5}
+    seen = []
+    score = grouped(lambda query, sequence: table[sequence])
+
+    def scorer(query, groups):
+        seen.append([(prefix, list(next_ids)) for prefix, next_ids in groups])
+        return score(query, groups)
+
+    cfg = ExpansionConfig(beam_width=3, max_length=3, gamma=4.0, keep_stranded_beams=keep)
+    trace = {}
+    beams = diverse_beam_search(chain_index, "q", ["t4", "t2"], cfg, scorer, trace)
+    last = [(("t2", "t3"), []), (("t2", "t1"), [])] + [(("t4",), [])] * keep
+    assert seen == [
+        [((), ["t4", "t2"])],
+        [(("t4",), []), (("t2",), ["t1", "t3"])],
+        last,
+    ]
+    assert [b.sequence for b in beams] == [seq for seq, _ in last]
+    assert trace["stopped_early_at"] == (None if keep else 2)
 
 
 def test_beam_search_diversity_separates_first_triples(embedder):
@@ -298,9 +321,7 @@ def test_beam_search_matches_oracle_under_exact_ties(search):
             table[sequence] = rng.choice(_TIE_VALUES)
         return table[sequence]
 
-    got = diverse_beam_search(
-        index, "q", initial, cfg, lambda q, sequences: [score(q, seq) for seq in sequences]
-    )
+    got = diverse_beam_search(index, "q", initial, cfg, grouped(score))
     want = oracle_beam_search("q", initial, index.triples, cfg, score)
     assert [(beam.score.hex(), beam.sequence) for beam in got] == [
         (value.hex(), sequence) for value, sequence in want

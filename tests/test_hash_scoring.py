@@ -34,6 +34,7 @@ from triplehop.graph_expansion import make_cosine_scorer
 from .conftest import RecordingBackend, build_hop_corpus, hop_reader_script
 from .oracles import (
     brute_force_adjacency,
+    grouped,
     oracle_beam_search,
     oracle_hash_embed,
     oracle_sequence_scorer,
@@ -109,11 +110,16 @@ QUERIES = st.one_of(
 def test_incremental_scorer_matches_serialize_and_embed(graph, query, data):
     index, dim = graph
     tids = sorted(index.triples)
-    sequences = data.draw(
+    # Several (prefix, next_ids) groups per call: the empty prefix, prefixes
+    # of up to three triples, and groups with no next id.
+    groups = data.draw(
         st.lists(
-            st.lists(st.sampled_from(tids), min_size=1, max_size=4).map(tuple),
+            st.tuples(
+                st.lists(st.sampled_from(tids), max_size=3).map(tuple),
+                st.lists(st.sampled_from(tids), max_size=4),
+            ),
             min_size=1,
-            max_size=12,
+            max_size=6,
         )
     )
     reference = oracle_sequence_scorer(index.triples, lambda t: oracle_hash_embed(t, dim))
@@ -122,12 +128,19 @@ def test_incremental_scorer_matches_serialize_and_embed(graph, query, data):
     unnamed = dataclasses.replace(index, embedder=lambda t: hash_embed(t, dim))
     incremental = make_cosine_scorer(index)
     plain = make_cosine_scorer(unnamed)
-    expected = [reference(query, sequence) for sequence in sequences]
-    # One batch of mixed lengths, and each sequence alone.
-    assert incremental(query, sequences) == expected
+    sequences = [prefix + (tid,) for prefix, next_ids in groups for tid in next_ids]
+    expected = [reference(query, sequence).hex() for sequence in sequences]
+
+    def bits(scorer, groups):
+        return [score.hex() for score in scorer(query, groups)]
+
+    # One call of every group, and each sequence alone.
+    assert bits(incremental, groups) == expected
+    assert bits(plain, groups) == expected
     for sequence, want in zip(sequences, expected):
-        assert incremental(query, [sequence]) == [want], sequence
-        assert plain(query, [sequence]) == [want], sequence
+        alone = [(sequence[:-1], sequence[-1:])]
+        assert bits(incremental, alone) == [want], sequence
+        assert bits(plain, alone) == [want], sequence
 
 
 def hex_beams(beams) -> list[tuple[str, tuple[str, ...]]]:
@@ -171,12 +184,10 @@ def test_beam_search_unchanged_by_incremental_scorer(graph, query, max_length, c
     unnamed = dataclasses.replace(index, embedder=lambda t: hash_embed(t, dim))
     for searched in (index, saved_and_loaded(index), unnamed):
         assert hex_beams(diverse_beam_search(searched, query, initial, cfg)) == want
-    # A scorer is given the sequences the oracle scores, in the same order.
+    # The scorer's groups, flattened, are the sequences the oracle scores,
+    # in the same order.
     calls: list[tuple[str, ...]] = []
-    score = recorded(calls)
-    got = diverse_beam_search(
-        index, query, initial, cfg, scorer=lambda q, seqs: [score(q, seq) for seq in seqs]
-    )
+    got = diverse_beam_search(index, query, initial, cfg, scorer=grouped(recorded(calls)))
     assert hex_beams(got) == want
     assert calls == oracle_calls
 
